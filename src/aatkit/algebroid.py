@@ -68,7 +68,7 @@ class AlgebroidCurve:
             g = poly_gcd(self.F, self.F.derivative(z_var))
             if g.degree(z_var) >= 1:
                 raise NotSquareFree(f"repeated factor in {z_var}: {g!r}")
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._arrays: tuple[_Rows, _Rows, _Rows] | None = None
         self._singular_cache: list[complex] | None = None
 
     @staticmethod
@@ -83,33 +83,31 @@ class AlgebroidCurve:
             F = F + p.with_vars((u_var,)) * z ** (n - k)
         return AlgebroidCurve(F, u_var, z_var)
 
-    # numeric fast path: dense coefficient arrays for F, F_u, F_z
-    def _num(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # numeric fast path: dense coefficient rows of F, F_u, F_z
+    def _num(self) -> tuple[_Rows, _Rows, _Rows]:
         if self._arrays is None:
-            A = _poly_to_array(self.F, self.u_var, self.z_var)
-            Au = _poly_to_array(self.F.derivative(self.u_var),
-                                self.u_var, self.z_var)
-            Az = _poly_to_array(self.F.derivative(self.z_var),
-                                self.u_var, self.z_var)
-            self._arrays = (A, Au, Az)
+            self._arrays = tuple(
+                _poly_to_rows(P, self.u_var, self.z_var)
+                for P in (self.F, self.F.derivative(self.u_var),
+                          self.F.derivative(self.z_var)))
         return self._arrays
 
     def eval(self, u: complex, z: complex) -> complex:
-        return _eval_biarray(self._num()[0], u, z)
+        return _eval_rows(self._num()[0], complex(u), complex(z))
 
     def eval_du(self, u: complex, z: complex) -> complex:
-        return _eval_biarray(self._num()[1], u, z)
+        return _eval_rows(self._num()[1], complex(u), complex(z))
 
     def eval_dz(self, u: complex, z: complex) -> complex:
-        return _eval_biarray(self._num()[2], u, z)
+        return _eval_rows(self._num()[2], complex(u), complex(z))
 
-    def z_coeffs_at(self, u: complex) -> np.ndarray:
+    def z_coeffs_at(self, u: complex) -> list[complex]:
         """Ascending z-coefficients of F(u, .) as complex numbers."""
-        A = self._num()[0]
-        return np.array([np.polyval(A[::-1, i], u) for i in range(A.shape[1])])
+        u = complex(u)
+        return [_horner(row, u) for row in reversed(self._num()[0])]
 
     def roots_at(self, u: complex) -> np.ndarray:
-        cs = self.z_coeffs_at(u)
+        cs = np.array(self.z_coeffs_at(u))
         nz = np.nonzero(np.abs(cs) > 1e-13 * max(1.0, float(np.abs(cs).max())))[0]
         if len(nz) == 0:
             raise RootFindingFailure(f"curve degenerates at u={u}")
@@ -314,17 +312,35 @@ def _poly_to_array(F: MultiPoly, u_var: str, z_var: str) -> np.ndarray:
     return out
 
 
-def _eval_biarray(A: np.ndarray, u: complex, z: complex) -> complex:
+# F as a tuple over descending z-powers of tuples over descending u-powers
+_Rows = tuple[tuple[complex, ...], ...]
+
+
+def _poly_to_rows(F: MultiPoly, u_var: str, z_var: str) -> _Rows:
+    A = _poly_to_array(F, u_var, z_var)
+    return tuple(tuple(complex(c) for c in A[::-1, i])
+                 for i in range(A.shape[1] - 1, -1, -1))
+
+
+def _horner(desc: tuple[complex, ...], x: complex) -> complex:
+    """Horner in the operation order of np.polyval, so bit-identical to it."""
     acc = 0j
-    for i in range(A.shape[1] - 1, -1, -1):
-        acc = acc * z + np.polyval(A[::-1, i], u)
-    return complex(acc)
+    for c in desc:
+        acc = acc * x + c
+    return acc
 
 
-def _taylor_shift(coeffs: np.ndarray, a: complex) -> np.ndarray:
-    """p(x) -> p(a + x) for an ascending coefficient vector."""
-    n = len(coeffs)
-    out = np.array(coeffs, dtype=complex)
+def _eval_rows(rows: _Rows, u: complex, z: complex) -> complex:
+    acc = 0j
+    for row in rows:
+        acc = acc * z + _horner(row, u)
+    return acc
+
+
+def _taylor_shift(coeffs, a: complex) -> list[complex]:
+    """p(x) -> p(a + x) for an ascending coefficient sequence."""
+    out = [complex(c) for c in coeffs]
+    n = len(out)
     for i in range(n):
         for j in range(n - 2, i - 1, -1):
             out[j] += a * out[j + 1]
@@ -799,8 +815,7 @@ def _curve_coeff_arrays(curve: AlgebroidCurve, center, e: int,
             shifted = c.shift_var(curve.u_var, exact_center)
             cs = [complex(x) for x in shifted.univariate_coeffs(curve.u_var)]
         else:
-            arr = np.array([complex(x) for x in c.univariate_coeffs(curve.u_var)])
-            cs = list(_taylor_shift(arr, complex(center)))
+            cs = _taylor_shift(c.univariate_coeffs(curve.u_var), complex(center))
         dense = np.zeros(max(hi, e * len(cs) + 1), dtype=complex)
         for k, x in enumerate(cs):
             if e * k < len(dense):
@@ -986,9 +1001,15 @@ def track_branch(curve: AlgebroidCurve, start_value: complex,
     """Continue one branch value along a polyline in the u-plane.
 
     Euler predictor (dz/du = -F_u / F_z), Newton corrector, adaptive step
-    halving with a nearest-root guard.  Raises NearSingular when the path
-    comes within the clearance margin of a singular point and
-    CorrectionDiverged when the step floor is reached.
+    halving with a nearest-root guard: a step is accepted only if the
+    corrector moved less than 0.45 times the distance from the corrected
+    value to the nearest other root of F(u, .).  That distance is first
+    bounded below from the Taylor coefficients of F(u, .) at the corrected
+    value (a Rouche gamma bound); only when the bound does not settle the
+    step are all roots computed with `roots_at`, and then the root nearest
+    the corrected value, the branch's own, is excluded.  Raises
+    NearSingular when the path comes within the clearance margin of a
+    singular point and CorrectionDiverged when the step floor is reached.
     """
     if len(path) < 2:
         return complex(start_value)
@@ -1029,8 +1050,7 @@ def track_branch(curve: AlgebroidCurve, start_value: complex,
 
 
 def _curve_scale(curve: AlgebroidCurve, u: complex) -> float:
-    cs = curve.z_coeffs_at(u)
-    return max(float(np.abs(cs).max()), 1e-30)
+    return max(max(abs(c) for c in curve.z_coeffs_at(u)), 1e-30)
 
 
 def _check_clearance(u: complex, singular: list[complex], rel: float):
@@ -1062,16 +1082,44 @@ def _newton_correct(curve: AlgebroidCurve, u: complex, z: complex,
 
 def _nearest_root_guard(curve: AlgebroidCurve, u: complex,
                         z_pred: complex, z_corr: complex) -> bool:
+    """Accept a step when the corrector moved less than 0.45 times the
+    distance from z_corr to the nearest root of F(u, .) other than the
+    branch's own (or less than 1e-9 relative)."""
+    d_corr = abs(z_corr - z_pred)
+    if d_corr < 0.45 * _separation_bound(curve.z_coeffs_at(u), z_corr):
+        return True
     try:
         roots = curve.roots_at(u)
     except RootFindingFailure:
         return False
-    d_corr = abs(z_corr - z_pred)
-    others = [abs(r - z_corr) for r in roots
-              if abs(r - z_corr) > 1e-12 * max(1.0, abs(z_corr))]
-    if not others:
+    dists = sorted(abs(r - z_corr) for r in roots)[1:]  # drop the own root
+    if not dists:
         return True
-    return d_corr < 0.45 * min(others) or d_corr < 1e-9 * max(1.0, abs(z_corr))
+    return d_corr < 0.45 * dists[0] or d_corr < 1e-9 * max(1.0, abs(z_corr))
+
+
+def _separation_bound(cs: list[complex], z0: complex) -> float:
+    """A radius r such that sum cs[k] z^k has exactly one root within r of
+    z0, hence every other root at least r away; 0.0 if not certified.
+
+    With b_k the Taylor coefficients of f at z0, gamma = max_{k>=2}
+    |b_k/b_1|^(1/(k-1)) and r = 1/(4 gamma), on |w| = r the tail obeys
+    |sum_{k>=2} b_k w^k| <= |b_1| r sum_{j>=1} 4^-j = |b_1| r / 3.  If also
+    |b_0| < (2/3) |b_1| r, then |f - b_1 w| < |b_1 w| on the circle, so by
+    Rouche f has exactly one root inside, like b_1 w.  The nearest root is
+    then the branch's own and all others lie beyond r, so a step with
+    d_corr < 0.45 r passes the exact guard.
+    """
+    b = _taylor_shift(cs, z0)
+    b1 = abs(b[1])
+    if b1 == 0:
+        return 0.0
+    gamma = max(((abs(b[k]) / b1) ** (1.0 / (k - 1)) for k in range(2, len(b))),
+                default=0.0)
+    if gamma == 0:
+        return math.inf
+    r = 0.25 / gamma
+    return r if abs(b[0]) < (2.0 / 3.0) * b1 * r else 0.0
 
 
 def _safe_stem(a: complex, b: complex, singular: list[complex],

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .algebroid import (
     AlgebroidCurve,
     _as_exact,
+    _horner,
     _safe_stem,
     exact_branch_element,
     puiseux_expand,
@@ -50,6 +51,7 @@ class FunctionSpec:
         self.base = complex(base)
         self.series = series
         self.shift = shift  # int | Fraction | ExactScalar | complex
+        self._shift_c = _to_complex(shift)
         self._branch_value: complex | None = None
         self._rat_arrays = None  # cached numpy coefficients for rational eval
 
@@ -103,14 +105,14 @@ class FunctionSpec:
 
     def label(self) -> str:
         tag = self.name or self.kind
-        if complex(_to_complex(self.shift)) != 0:
+        if self._shift_c != 0:
             tag += f"(x{_fmt_shift(self.shift)})"
         return tag
 
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, u: complex) -> complex:
-        w = complex(u) + _to_complex(self.shift)
+        w = complex(u) + self._shift_c
         if self.kind == "builtin":
             if self.name == "exp":
                 return cmath.exp(w)
@@ -127,7 +129,7 @@ class FunctionSpec:
         return self._algebroid_value(w)
 
     def eval_deriv(self, u: complex) -> complex:
-        w = complex(u) + _to_complex(self.shift)
+        w = complex(u) + self._shift_c
         if self.kind == "builtin":
             if self.name == "exp":
                 return cmath.exp(w)
@@ -149,7 +151,7 @@ class FunctionSpec:
         return -c.eval_du(w, z) / c.eval_dz(w, z)
 
     def is_regular(self, u: complex) -> bool:
-        w = complex(u) + _to_complex(self.shift)
+        w = complex(u) + self._shift_c
         if self.kind == "builtin":
             if self.name in ("exp", "sin", "cos"):
                 return True
@@ -214,7 +216,7 @@ class FunctionSpec:
             out["base"] = [self.base.real, self.base.imag]
         else:
             out["series"] = self.series.to_json_dict()
-        sh = _to_complex(self.shift)
+        sh = self._shift_c
         if sh != 0:
             out["shift"] = [sh.real, sh.imag]
         return out
@@ -240,13 +242,6 @@ class FunctionSpec:
         if "shift" in data:
             spec = spec.translate(complex(*data["shift"]))
         return spec
-
-
-def _horner(desc_coeffs: tuple, w: complex) -> complex:
-    acc = 0j
-    for c in desc_coeffs:
-        acc = acc * w + c
-    return acc
 
 
 def taylor_of_builtin(f: FunctionSpec, center, order: int) -> TruncSeries:

@@ -10,8 +10,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from aatkit import algebroid
 from aatkit.algebroid import (
     AlgebroidCurve,
     branch_residual,
@@ -315,6 +317,76 @@ class TestMonodromy:
         big = _big_circle_perm(sqrt_curve, base, 2.0)
         assert prod == big
         assert prod == (1, 0)  # matches the 2-cycle at infinity, inverted
+
+
+class _FixedRoots:
+    """Stands in for a curve whose F(u, .) has the given roots at every u."""
+
+    def __init__(self, roots):
+        self.roots = [complex(r) for r in roots]
+
+    def z_coeffs_at(self, u):
+        return [complex(c) for c in np.poly(self.roots)[::-1]]
+
+    def roots_at(self, u):
+        return np.array(self.roots)
+
+
+class TestNearestRootGuard:
+    Z = 0.3 + 0.2j
+
+    @pytest.fixture
+    def exact_only(self, monkeypatch):
+        # switch the certified fast path off so only the roots_at test runs
+        monkeypatch.setattr(algebroid, "_separation_bound", lambda cs, z0: 0.0)
+
+    def test_own_root_copy_is_not_a_neighbour(self, exact_only):
+        # np.roots' copy of the branch's own root sits ~1e-11 from z_corr
+        curve = _FixedRoots([self.Z + 1e-11, 4.0, -4.0j])
+        z_pred = self.Z + 2e-9
+        assert algebroid._nearest_root_guard(curve, 0j, z_pred, self.Z)
+
+    def test_fast_path_accepts_the_same_step(self):
+        curve = _FixedRoots([self.Z + 1e-11, 4.0, -4.0j])
+        assert algebroid._separation_bound(curve.z_coeffs_at(0j), self.Z) > 0.1
+        assert algebroid._nearest_root_guard(curve, 0j, self.Z + 2e-9, self.Z)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_large_step_next_to_a_neighbour_rejected(self, request, fast):
+        if not fast:
+            request.getfixturevalue("exact_only")
+        curve = _FixedRoots([self.Z + 1e-11, self.Z + 0.1, -4.0])
+        z_pred = self.Z + 0.05j  # d_corr = 0.05 > 0.45 * 0.1
+        assert not algebroid._nearest_root_guard(curve, 0j, z_pred, self.Z)
+
+    def test_root_collision_does_not_pass(self):
+        # two roots within 1e-12 of z_corr: only one of them is the own root
+        curve = _FixedRoots([self.Z, self.Z + 5e-13, 4.0])
+        assert algebroid._separation_bound(curve.z_coeffs_at(0j), self.Z) == 0.0
+        assert not algebroid._nearest_root_guard(curve, 0j, self.Z + 1e-6,
+                                                 self.Z)
+
+
+def test_step_budget_monodromy(golden_cubic, monkeypatch):
+    # deterministic stand-in for a timing test: the certified fast path
+    # must settle almost every guard check without computing all roots
+    counts = {"roots_at": 0, "accepted": 0}
+    roots_at, guard = AlgebroidCurve.roots_at, algebroid._nearest_root_guard
+
+    def counting_roots_at(self, u):
+        counts["roots_at"] += 1
+        return roots_at(self, u)
+
+    def counting_guard(*args):
+        ok = guard(*args)
+        counts["accepted"] += bool(ok)
+        return ok
+
+    monkeypatch.setattr(AlgebroidCurve, "roots_at", counting_roots_at)
+    monkeypatch.setattr(algebroid, "_nearest_root_guard", counting_guard)
+    assert monodromy(golden_cubic, 3.0, 1.0).perm == (2, 0, 1)
+    assert counts["accepted"] > 100
+    assert counts["roots_at"] < 0.05 * counts["accepted"]
 
 
 def _big_circle_perm(curve, base, radius):

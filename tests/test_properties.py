@@ -8,7 +8,12 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from aatkit.algebroid import AlgebroidCurve, puiseux_expand, track_branch
+from aatkit.algebroid import (
+    AlgebroidCurve,
+    _separation_bound,
+    puiseux_expand,
+    track_branch,
+)
 from aatkit.errors import NotSquareFree, InvariantViolation
 from aatkit.poly import MultiPoly, poly_gcd, poly_squarefree_content
 from aatkit.scalars import ExactScalar
@@ -251,3 +256,79 @@ class TestTrackReverse:
             back = track_branch(golden_cubic, fwd, pts[::-1])
             assert abs(back - start) < 1e-8
             done += 1
+
+
+# -- numeric curve kernels ----------------------------------------------------
+
+point = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+grid_point = st.builds(lambda a, b: complex(a, b) / 4,
+                       st.integers(-12, 12), st.integers(-12, 12))
+
+
+class TestSeparationBound:
+    # roots on a 1/4 grid plus one pair 10^-k apart: the pair probes the
+    # bound near a collision and is still resolved by np.roots
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(grid_point, min_size=2, max_size=5, unique=True),
+           st.integers(1, 5), st.complex_numbers(min_magnitude=0.1, max_magnitude=4),
+           st.data())
+    def test_bound_below_distance_to_other_roots(self, roots, k, lead, data):
+        roots[-1] = roots[0] + 10.0 ** -k
+        cs = [complex(c) for c in (lead * np.poly(roots))[::-1]]
+        z0 = roots[data.draw(st.integers(0, len(roots) - 1))]
+        for _ in range(3):  # polish against the rounded coefficients
+            f = sum(c * z0 ** j for j, c in enumerate(cs))
+            df = sum(j * c * z0 ** (j - 1) for j, c in enumerate(cs) if j)
+            z0 -= f / df
+        r = _separation_bound(cs, z0)
+        dists = sorted(abs(x - z0) for x in np.roots(cs[::-1]))
+        assert r <= dists[1]
+
+
+def _ref_eval(P, u, z):
+    """F(u, z) the way np.polyval evaluates a dense (u, z) array."""
+    du, dz = max(P.degree("u"), 0), max(P.degree("z"), 0)
+    A = np.zeros((du + 1, dz + 1), dtype=complex)
+    iu, iz = P.vars.index("u"), P.vars.index("z")
+    for exps, coeff in P.terms.items():
+        A[exps[iu], exps[iz]] += complex(coeff)
+    acc = 0j
+    for i in range(dz, -1, -1):
+        acc = acc * z + np.polyval(A[::-1, i], u)
+    return complex(acc), [complex(np.polyval(A[::-1, i], u))
+                          for i in range(dz + 1)]
+
+
+@st.composite
+def acceptance_curves(draw):
+    """Monic in z with coefficients linear in u, as in acceptance 10."""
+    z, u = MultiPoly.variable("z"), MultiPoly.variable("u")
+    n = draw(st.integers(2, 3))
+    p = z ** n
+    for k in range(n):
+        p = p + (draw(st.integers(-3, 3)) + draw(st.integers(-2, 2)) * u) * z ** k
+    try:
+        return AlgebroidCurve(p)
+    except (NotSquareFree, InvariantViolation):
+        return None
+
+
+class TestCurveEvalBitIdentical:
+    def _check(self, curve, u0, z0):
+        F = curve.F
+        parts = (F, F.derivative("u"), F.derivative("z"))
+        got = (curve.eval(u0, z0), curve.eval_du(u0, z0), curve.eval_dz(u0, z0))
+        for P, g in zip(parts, got):
+            assert g == _ref_eval(P, u0, z0)[0]
+        assert curve.z_coeffs_at(u0) == _ref_eval(F, u0, z0)[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(point, point)
+    def test_golden_cubic(self, golden_cubic, u0, z0):
+        self._check(golden_cubic, u0, z0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(acceptance_curves(), point, point)
+    def test_acceptance_family(self, curve, u0, z0):
+        if curve is not None:
+            self._check(curve, u0, z0)
