@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .aat import (
+    _check_uvw_vars,
     discover_aat,
     koebe_normalize,
     schwarz_reduce,
@@ -100,7 +101,7 @@ def parse_spec_data(data: dict, origin: str = "<data>"):
             return MultiPoly.from_json_dict(data)
         if kind == "series" or (kind is None and "coeffs" in data and "order" in data):
             return TruncSeries.from_json_dict(data)
-    except (AatkitError, ValueError, KeyError, TypeError) as e:
+    except (AatkitError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         if isinstance(e, InvariantViolation):
             raise
         raise SchemaError(f"{origin}: {e}") from e
@@ -124,6 +125,16 @@ def _load_poly(path: str) -> MultiPoly:
     if not isinstance(obj, MultiPoly):
         raise SchemaError(f"{path}: expected a polynomial")
     return obj
+
+
+def _load_relation(path: str) -> MultiPoly:
+    """A polynomial in (U, V, W), the input of every addition-theorem command."""
+    G = _load_poly(path)
+    try:
+        _check_uvw_vars(G)
+    except ValueError as e:
+        raise SchemaError(f"{path}: {e}") from e
+    return G
 
 
 def _load_curve(path: str) -> AlgebroidCurve:
@@ -163,7 +174,7 @@ def _parse_complex_list(text: str) -> list[complex]:
 # subcommand handlers (each returns exit code + report dict)
 
 def _cmd_aat_verify(args, cfg: RunConfig):
-    G = _load_poly(args.poly)
+    G = _load_relation(args.poly)
     f = _load_function(args.fn)
     cert = verify_aat(G, f, order=cfg.order, tol=cfg.tol, seed=cfg.seed)
     return (0 if cert.verified else 1), cert.to_json_dict()
@@ -242,7 +253,7 @@ def _default_monodromy_base(curve: AlgebroidCurve, around: complex) -> complex:
 
 def _cmd_period_find(args, cfg: RunConfig):
     f = _load_function(args.fn)
-    G = _load_poly(args.poly)
+    G = _load_relation(args.poly)
     rep = weierstrass_period(f, G, seed=cfg.seed)
     code = 0 if rep.classification in ("periodic", "rational") else 1
     return code, rep.to_json_dict()
@@ -261,7 +272,7 @@ def _cmd_period_verify(args, cfg: RunConfig):
 
 
 def _cmd_reduce_schwarz(args, cfg: RunConfig):
-    G = _load_poly(args.poly)
+    G = _load_relation(args.poly)
     f = _load_function(args.fn)
     shifts = _parse_complex_list(args.shifts) if args.shifts else None
     order = max(cfg.order, 24)
@@ -270,7 +281,7 @@ def _cmd_reduce_schwarz(args, cfg: RunConfig):
 
 
 def _cmd_reduce_koebe(args, cfg: RunConfig):
-    G = _load_poly(args.poly)
+    G = _load_relation(args.poly)
     p1 = _load_series(args.p1)
     p2 = _load_series(args.p2)
     p3 = _load_series(args.p3)

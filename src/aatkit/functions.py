@@ -21,6 +21,8 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .algebroid import (
     AlgebroidCurve,
     _as_exact,
@@ -30,7 +32,7 @@ from .algebroid import (
     puiseux_expand,
     track_branch,
 )
-from .errors import SingularCenter
+from .errors import SingularCenter, TooFewCoefficients
 from .poly import MultiPoly
 from .scalars import ExactScalar, rationalize
 from .series import TruncSeries, radius_estimate
@@ -53,7 +55,8 @@ class FunctionSpec:
         self.shift = shift  # int | Fraction | ExactScalar | complex
         self._shift_c = _to_complex(shift)
         self._branch_value: complex | None = None
-        self._rat_arrays = None  # cached numpy coefficients for rational eval
+        self._rat_arrays = None  # cached coefficient tuples for rational eval
+        self._elem_data = None  # cached coefficient tuples and radius of an element
 
     def _rat(self):
         if self._rat_arrays is None:
@@ -70,6 +73,21 @@ class FunctionSpec:
             self._rat_arrays = (pn, qn, deriv(pn), deriv(qn),
                                 max(max(abs(c) for c in qn), 1.0))
         return self._rat_arrays
+
+    def _elem(self):
+        """(center, (low, coeffs) of phi, (low, coeffs) of phi', radius) of an
+        element spec; coefficients descending, radius computed once."""
+        if self._elem_data is None:
+            s = self.series
+            try:
+                r = radius_estimate(s)
+            except TooFewCoefficients:
+                r = math.inf
+            def desc(t):
+                return t.low, tuple(complex(t.coefficient(k))
+                                    for k in range(t.order - 1, t.low - 1, -1))
+            self._elem_data = (complex(s.center), desc(s), desc(s.derivative()), r)
+        return self._elem_data
 
     # -- constructors ------------------------------------------------------
 
@@ -160,13 +178,65 @@ class FunctionSpec:
             _pn, qn, _dp, _dq, scale = self._rat()
             return abs(_horner(qn, w)) > 1e-9 * scale
         if self.kind == "element":
-            try:
-                r = radius_estimate(self.series)
-            except Exception:
-                r = math.inf
-            return abs(w - complex(self.series.center)) < 0.8 * r
+            center, _s, _d, r = self._elem()
+            return abs(w - center) < 0.8 * r
         sing = self.curve.singular_locations()
         return all(abs(w - s) > 1e-3 * max(1.0, abs(w)) for s in sing)
+
+    # -- batch evaluation over complex ndarrays ------------------------------
+    # Same formulas and tests as eval/eval_deriv/is_regular, elementwise;
+    # overflow gives inf/nan instead of raising.  Algebroid branches have no
+    # closed form and fall back to the scalar methods.
+
+    def eval_many(self, u: np.ndarray) -> np.ndarray:
+        if self.kind == "algebroid":
+            return np.array([self.eval(x) for x in u], dtype=complex)
+        w = np.asarray(u, dtype=complex) + self._shift_c
+        with np.errstate(all="ignore"):
+            if self.kind == "element":
+                center, (low, cs), _d, _r = self._elem()
+                return _laurent_many(low, cs, w - center)
+            if self.name in _UFUNCS:
+                return _UFUNCS[self.name](w)
+            pn, qn, _dp, _dq, _s = self._rat()
+            return _horner_many(pn, w) / _horner_many(qn, w)
+
+    def eval_deriv_many(self, u: np.ndarray) -> np.ndarray:
+        if self.kind == "algebroid":
+            return np.array([self.eval_deriv(x) for x in u], dtype=complex)
+        w = np.asarray(u, dtype=complex) + self._shift_c
+        with np.errstate(all="ignore"):
+            if self.kind == "element":
+                center, _s, (low, cs), _r = self._elem()
+                return _laurent_many(low, cs, w - center)
+            if self.name == "exp":
+                return np.exp(w)
+            if self.name == "sin":
+                return np.cos(w)
+            if self.name == "cos":
+                return -np.sin(w)
+            if self.name == "tan":
+                c = np.cos(w)
+                return 1.0 / (c * c)
+            pn, qn, dpn, dqn, _s = self._rat()
+            p, q = _horner_many(pn, w), _horner_many(qn, w)
+            dp, dq = _horner_many(dpn, w), _horner_many(dqn, w)
+            return (dp * q - p * dq) / (q * q)
+
+    def is_regular_many(self, u: np.ndarray) -> np.ndarray:
+        if self.kind == "algebroid":
+            return np.array([self.is_regular(x) for x in u], dtype=bool)
+        w = np.asarray(u, dtype=complex) + self._shift_c
+        with np.errstate(all="ignore"):
+            if self.kind == "element":
+                center, _s, _d, r = self._elem()
+                return np.abs(w - center) < 0.8 * r
+            if self.name in ("exp", "sin", "cos"):
+                return np.ones(w.shape, dtype=bool)
+            if self.name == "tan":
+                return np.abs(np.cos(w)) > 1e-6
+            _pn, qn, _dp, _dq, scale = self._rat()
+            return np.abs(_horner_many(qn, w)) > 1e-9 * scale
 
     def default_base(self) -> complex:
         """Base point policy: 0 unless singular there, then 1/2."""
@@ -242,6 +312,23 @@ class FunctionSpec:
         if "shift" in data:
             spec = spec.translate(complex(*data["shift"]))
         return spec
+
+
+_UFUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "tan": np.tan}
+
+
+def _horner_many(desc: tuple[complex, ...], w: np.ndarray) -> np.ndarray:
+    """Elementwise Horner in the operation order of algebroid._horner."""
+    acc = np.zeros_like(w)
+    for c in desc:
+        acc = acc * w + c
+    return acc
+
+
+def _laurent_many(low: int, desc: tuple[complex, ...], w: np.ndarray) -> np.ndarray:
+    """TruncSeries.eval elementwise: descending coefficients times w**low."""
+    acc = _horner_many(desc, w)
+    return acc * w ** low if low else acc
 
 
 def taylor_of_builtin(f: FunctionSpec, center, order: int) -> TruncSeries:
@@ -405,7 +492,6 @@ def _poly_to_series(p: MultiPoly, var: str, center, order: int,
 
 
 def _taylor_shift_list(p: MultiPoly, var: str, c: complex, order: int) -> list[complex]:
-    import numpy as np
     arr = np.array([complex(x) for x in p.univariate_coeffs(var)], dtype=complex) \
         if not p.is_zero() else np.zeros(1, dtype=complex)
     n = len(arr)

@@ -10,7 +10,12 @@ reduced pairwise (nearest-integer complex quotients) and the smallest
 survivor is reported as the fundamental period.
 
 find_roots supplies the preimages by grid seeding plus Newton polishing,
-doubling the search region (up to 6 times) when too few roots appear;
+doubling the search region (up to 6 times) when too few roots appear.  The
+Newton iterations run in lockstep: every regular grid seed is one entry of a
+complex array, each pass evaluates phi, phi' and the regularity test once
+over all live seeds (FunctionSpec.eval_many and friends), and a seed leaves
+the array when it converges or dies.  Acceptance of the converged points
+(containment, residual, deduplication) stays scalar, in seed order.
 forsyth_fit covers a root set by arithmetic progressions with one common
 difference, flagging data that refuses the lattice model.
 """
@@ -137,49 +142,62 @@ def _roots_in_region(f: FunctionSpec, C: complex, reg: Region) -> list[complex]:
     ny = max(7, min(26, int(1.2 * (reg.y1 - reg.y0))))
     xs = np.linspace(reg.x0, reg.x1, nx)
     ys = np.linspace(reg.y0, reg.y1, ny)
+    seeds = np.repeat(xs, ny) + 1j * np.tile(ys, nx)  # x outer, y inner
+    seeds = seeds[f.is_regular_many(seeds)]
+    if seeds.size == 0:
+        raise DerivativeVanishes("no usable Newton seeds in the region")
     scale = max(1.0, abs(C))
     found: list[complex] = []
-    live_seeds = 0
-    for x in xs:
-        for y in ys:
-            z = complex(x, y)
-            if not f.is_regular(z):
-                continue
-            live_seeds += 1
-            r = _newton_root(f, C, z)
-            if r is None:
-                continue
-            if not reg.contains(r, pad=1e-9):
-                continue
-            if abs(f.eval(r) - C) > _ROOT_RESIDUAL * scale:
-                continue
-            if all(abs(r - s) > _ROOT_SEPARATION for s in found):
-                found.append(r)
-    if live_seeds == 0:
-        raise DerivativeVanishes("no usable Newton seeds in the region")
+    for r in _newton_lockstep(f, C, seeds):
+        if not reg.contains(r, pad=1e-9):
+            continue
+        if abs(f.eval(r) - C) > _ROOT_RESIDUAL * scale:
+            continue
+        if all(abs(r - s) > _ROOT_SEPARATION for s in found):
+            found.append(r)
     found.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     return found
 
 
-def _newton_root(f: FunctionSpec, C: complex, z: complex,
-                 iters: int = 40) -> complex | None:
-    for _ in range(iters):
-        if not f.is_regular(z):
-            return None
-        g = f.eval(z) - C
-        if abs(g) < 1e-13 * max(1.0, abs(C)):
-            return z
-        d = f.eval_deriv(z)
-        if d == 0 or not np.isfinite(abs(d)):
-            return None
-        step = g / d
-        if abs(step) > 10.0:
-            step = step / abs(step) * 10.0
-        z = z - step
-        if not np.isfinite(abs(z)):
-            return None
-    g = f.eval(z) - C
-    return z if abs(g) < 1e-11 * max(1.0, abs(C)) else None
+def _newton_lockstep(f: FunctionSpec, C: complex, seeds: np.ndarray,
+                     iters: int = 40) -> list[complex]:
+    """Newton for phi(z) = C from every seed at once; converged iterates in
+    seed order.
+
+    Each seed is treated as if iterated alone: it dies at an irregular iterate, a
+    zero or non-finite derivative, or a non-finite iterate; it converges at
+    |phi - C| < 1e-13 max(1, |C|); steps are clamped to modulus 10; after
+    `iters` steps the survivors must meet 1e-11 max(1, |C|).
+    """
+    scale = max(1.0, abs(C))
+    z = np.array(seeds, dtype=complex)
+    root = np.zeros(z.size, dtype=bool)
+    live = np.arange(z.size)
+    with np.errstate(all="ignore"):
+        for _ in range(iters):
+            live = live[f.is_regular_many(z[live])]
+            if live.size == 0:
+                break
+            zl = z[live]
+            g = f.eval_many(zl) - C
+            hit = np.abs(g) < 1e-13 * scale
+            root[live[hit]] = True
+            live, zl, g = live[~hit], zl[~hit], g[~hit]
+            d = f.eval_deriv_many(zl)
+            ok = (d != 0) & np.isfinite(d)
+            live, zl, g, d = live[ok], zl[ok], g[ok], d[ok]
+            step = g / d
+            size = np.abs(step)
+            big = size > 10.0
+            step[big] = step[big] / size[big] * 10.0
+            zl = zl - step
+            ok = np.isfinite(zl)
+            live = live[ok]
+            z[live] = zl[ok]
+        if live.size:
+            g = f.eval_many(z[live]) - C
+            root[live[np.abs(g) < 1e-11 * scale]] = True
+    return [complex(r) for r in z[root]]
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +321,8 @@ def _reduce_candidates(cands: list[complex], tol: float = 1e-9) -> complex:
         changed = False
         vals = sorted((v for v in vals if abs(v) > tol), key=abs)
         for i in range(len(vals)):
+            if abs(vals[i]) <= tol:
+                continue  # reduced to zero earlier in this sweep
             for j in range(i + 1, len(vals)):
                 q = vals[j] / vals[i]
                 n = complex(round(q.real), round(q.imag))

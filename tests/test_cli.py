@@ -41,6 +41,13 @@ def files(tmp_path_factory):
             "p": [MultiPoly.zero(("u",)).to_json_dict(),
                   u.to_json_dict()]}),
         "dbl": dump("dbl.json", (x - z * z).to_json_dict()),
+        "cos": dump("cos.json", {"type": "builtin", "name": "cos"}),
+        "g_cos": dump("g_cos.json",
+                      (W ** 2 - 2 * U * V * W + U ** 2 + V ** 2 - 1).to_json_dict()),
+        "g_in_x": dump("g_in_x.json", (W - U * x).to_json_dict()),
+        "g_zero_den": dump("g_zero_den.json", {
+            "vars": ["U", "V", "W"],
+            "terms": [{"exps": [0, 0, 1], "re": ["1", "0"], "im": ["0", "1"]}]}),
         "root": root,
     }
 
@@ -92,6 +99,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("poly,needle", [("g_in_x", "(U, V, W)"),
+                                             ("g_zero_den", "Fraction(1, 0)")])
+    def test_bad_relation_is_one_schema_error(self, files, capsys, poly, needle):
+        code = run_command(["aat", "verify", "--poly", files[poly],
+                            "--fn", files["exp"]])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert code == 2 and out.err == ""
+        assert rep["error"]["type"] == "SchemaError"
+        assert needle in rep["error"]["message"]
+
     def test_usage_error_exit_two(self, capsys):
         code = run_command(["aat", "verify"])  # missing required args
         capsys.readouterr()
@@ -134,6 +152,16 @@ class TestReports:
         assert code == 0
         assert rep["classification"] == "periodic"
         assert abs(rep["fundamental"][0] - math.pi) < 1e-9
+
+    def test_period_find_cos_seed_one(self, files, capsys):
+        # this search seed reduces a verified candidate to zero mid-sweep
+        code = run_command(["period", "find", "--fn", files["cos"],
+                            "--poly", files["g_cos"], "--seed", "1"])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert code == 0 and out.err == ""
+        assert rep["classification"] == "periodic"
+        assert abs(complex(*rep["fundamental"]) - 2 * math.pi) < 1e-9
 
     def test_reduce_double(self, files, capsys):
         code, rep = run_json(["reduce", "double", "--poly", files["dbl"],

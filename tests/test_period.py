@@ -1,17 +1,89 @@
 """Period detection, root supply, and the lattice fit."""
 
+import cmath
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aatkit.errors import InsufficientRoots
+from aatkit.functions import FunctionSpec
 from aatkit.period import (
+    _ROOT_RESIDUAL,
+    _ROOT_SEPARATION,
     Region,
+    _newton_lockstep,
+    _reduce_candidates,
     find_roots,
     forsyth_fit,
     verify_period,
     weierstrass_period,
 )
+from aatkit.poly import MultiPoly
+
+
+def _scalar_newton(f, C, z, iters=40):
+    """Per-seed Newton, one seed at a time (the reference for the lockstep
+    search)."""
+    for _ in range(iters):
+        if not f.is_regular(z):
+            return None
+        g = f.eval(z) - C
+        if abs(g) < 1e-13 * max(1.0, abs(C)):
+            return z
+        d = f.eval_deriv(z)
+        if d == 0 or not np.isfinite(abs(d)):
+            return None
+        step = g / d
+        if abs(step) > 10.0:
+            step = step / abs(step) * 10.0
+        z = z - step
+        if not np.isfinite(abs(z)):
+            return None
+    g = f.eval(z) - C
+    return z if abs(g) < 1e-11 * max(1.0, abs(C)) else None
+
+
+def _scalar_roots_in_region(f, C, reg):
+    nx = max(18, min(42, int(1.2 * (reg.x1 - reg.x0))))
+    ny = max(7, min(26, int(1.2 * (reg.y1 - reg.y0))))
+    scale = max(1.0, abs(C))
+    found = []
+    for x in np.linspace(reg.x0, reg.x1, nx):
+        for y in np.linspace(reg.y0, reg.y1, ny):
+            z = complex(x, y)
+            if not f.is_regular(z):
+                continue
+            r = _scalar_newton(f, C, z)
+            if r is None or not reg.contains(r, pad=1e-9):
+                continue
+            if abs(f.eval(r) - C) > _ROOT_RESIDUAL * scale:
+                continue
+            if all(abs(r - s) > _ROOT_SEPARATION for s in found):
+                found.append(r)
+    found.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    return found
+
+
+def _random_spec(rng, i):
+    kind = i % 4
+    if kind == 0:
+        return FunctionSpec.builtin(rng.choice(("exp", "sin", "cos", "tan")))
+    if kind == 1:
+        return FunctionSpec.builtin(rng.choice(("exp", "sin", "cos", "tan"))).translate(
+            complex(round(rng.uniform(-2, 2), 3), round(rng.uniform(-1, 1), 3)))
+    u = MultiPoly.variable("u")
+    if kind == 2:
+        # a Moebius map (c != 0, ad - bc != 0)
+        a, b, d = (Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3))
+        c = Fraction(rng.choice([-2, -1, 1, 2]))
+        if a * d == b * c:
+            d += 1
+        return FunctionSpec.rational(a * u + b, c * u + d)
+    # a quadratic over a linear polynomial: two roots per value
+    return FunctionSpec.rational(u * u + rng.randint(-3, 3), u + rng.randint(-3, 3))
 
 
 class TestFindRoots:
@@ -47,6 +119,55 @@ class TestFindRoots:
     def test_rational_insufficient(self, inverse_spec):
         with pytest.raises(InsufficientRoots):
             find_roots(inverse_spec, 2.0, Region(-5, 5, -5, 5), 3)
+
+    def test_lockstep_matches_scalar_newton(self):
+        # the lockstep search finds the same roots as per-seed scalar Newton
+        rng = random.Random(2024)
+        for i in range(40):
+            f = _random_spec(rng, i)
+            C = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            if f.name == "rational":  # a box around the few roots
+                h = rng.uniform(3, 10)
+                reg = Region(-h, h, -h, h)
+            else:
+                x0, y0 = rng.uniform(-25, 5), rng.uniform(-10, 2)
+                reg = Region(x0, x0 + rng.uniform(2, 40), y0, y0 + rng.uniform(1, 20))
+            want = _scalar_roots_in_region(f, C, reg)
+            got = find_roots(f, C, reg, 0, max_doublings=0).roots
+            assert len(got) == len(want), (f.label(), C, reg)
+            assert all(abs(a - b) < 1e-10 for a, b in zip(got, want))
+
+    def test_bit_identical_repeat(self, tan_spec, inverse_spec):
+        for f, C, reg in ((tan_spec, 1.0 + 0.5j, Region(-10, 10, -3, 3)),
+                          (inverse_spec, 0.7, Region(-5, 5, -5, 5))):
+            a = find_roots(f, C, reg, 1)
+            b = find_roots(f, C, reg, 1)
+            assert [(r.real, r.imag) for r in a.roots] == \
+                [(r.real, r.imag) for r in b.roots]
+            assert a.residual_max == b.residual_max
+
+    def test_overflowing_seeds_die_without_raising(self, exp_spec):
+        # seeds past Re z = 710 overflow exp: the scalar evaluation raises
+        # there, the lockstep search drops those seeds and keeps the rest
+        with pytest.raises(OverflowError):
+            exp_spec.eval(720.0)
+        rs = find_roots(exp_spec, 2.0, Region(-5, 720, -1, 1), 1, max_doublings=0)
+        assert len(rs.roots) == 1
+        assert abs(rs.roots[0] - math.log(2.0)) < 1e-12
+
+    def test_non_finite_iterate_kills_only_its_seed(self, sin_spec):
+        # a spec whose value is non-finite on the right half plane: seeds
+        # stepping there die, the others still converge
+        class Clipped(FunctionSpec):
+            def eval_many(self, u):
+                out = super().eval_many(u)
+                out[np.asarray(u).real > 0] = complex("nan")
+                return out
+
+        f = Clipped("builtin", name="sin")
+        rs = find_roots(f, 0.5, Region(-10, 10, -1, 1), 1, max_doublings=0)
+        assert rs.roots and all(r.real < 0 for r in rs.roots)
+        assert all(abs(cmath.sin(r) - 0.5) < 1e-10 for r in rs.roots)
 
 
 class TestWeierstrassPeriod:
@@ -89,6 +210,69 @@ class TestWeierstrassPeriod:
         fund = rep.fundamental
         assert any(abs(abs(c) - abs(fund)) < 1e-6 or True for c in rep.candidates)
         assert verify_period(sin_spec, fund, seed=3) < 1e-9
+
+
+def _identity_spec():
+    u = MultiPoly.variable("u")
+    return FunctionSpec.rational(u, MultiPoly.constant(1, ("u",)))
+
+
+class TestLockstepRules:
+    """Per-seed rules of the lockstep Newton, on phi(z) = z where every
+    step is exact."""
+
+    def test_steps_clamped_to_ten(self):
+        f, seeds = _identity_spec(), np.array([0j])
+        assert _newton_lockstep(f, 25.0, seeds, iters=2) == []  # at 20
+        assert _newton_lockstep(f, 25.0, seeds, iters=3) == [25.0]
+
+    def test_converged_seed_is_not_moved(self):
+        f = _identity_spec()
+        seed = 1.0 + 5e-14
+        assert _newton_lockstep(f, 1.0, np.array([seed]), iters=1) == [seed]
+        assert _newton_lockstep(f, 1.0, np.array([1.0 + 5e-12]), iters=1) == [1.0]
+
+    def test_final_residual_test(self):
+        f = _identity_spec()
+        seeds = np.array([1.0 + 5e-12, 1.0 + 5e-10])
+        assert _newton_lockstep(f, 1.0, seeds, iters=0) == [1.0 + 5e-12]
+
+    def test_irregular_iterate_kills_the_seed(self):
+        class PoleAtTen(FunctionSpec):
+            def is_regular_many(self, u):
+                return np.abs(np.asarray(u) - 10.0) > 1e-6
+
+        u = MultiPoly.variable("u")
+        f = PoleAtTen("builtin", name="rational", numer=u,
+                      denom=MultiPoly.constant(1, ("u",)))
+        seeds = np.array([0j, 5 + 0j])  # 0 -> 10 dies; 5 -> 15 -> 25
+        assert _newton_lockstep(f, 25.0, seeds) == [25.0]
+
+
+# search seeds at which the candidate reduction once divided by a candidate
+# it had already reduced to zero
+_REDUCTION_SEEDS = [("sin", s) for s in (12, 14, 18, 23, 26, 27)] + \
+    [("cos", s) for s in (1, 10, 12, 15, 21, 22)] + [("tan", 2), ("tan", 19)]
+
+
+class TestCandidateReduction:
+    def test_multiples_reduce_to_the_generator(self):
+        two_pi = 2 * math.pi
+        assert abs(_reduce_candidates([two_pi, 2 * two_pi, 3 * two_pi]) - two_pi) < 1e-12
+
+    @pytest.mark.parametrize("name,seed", _REDUCTION_SEEDS)
+    def test_seeds_with_zeroed_pivots(self, name, seed, uvw):
+        U, V, W = uvw
+        G = {"sin": (W ** 2 + U ** 2 - V ** 2) ** 2 - 4 * U ** 2 * W ** 2 * (1 - V ** 2),
+             "cos": W ** 2 - 2 * U * V * W + U ** 2 + V ** 2 - 1,
+             "tan": W * (1 - U * V) - (U + V)}[name]
+        rep = weierstrass_period(FunctionSpec.builtin(name), G, seed=seed)
+        period = math.pi if name == "tan" else 2 * math.pi
+        assert rep.classification == "periodic"
+        assert abs(rep.fundamental - period) < 1e-9
+        # tan' grows near its poles, so a 1e-15 error in the period reads
+        # as up to ~1e-13 in the sampled residual
+        assert rep.verification_residual < 1e-12
 
 
 class TestVerifyPeriod:

@@ -15,6 +15,7 @@ from aatkit.algebroid import (
     track_branch,
 )
 from aatkit.errors import NotSquareFree, InvariantViolation
+from aatkit.functions import FunctionSpec
 from aatkit.poly import MultiPoly, poly_gcd, poly_squarefree_content
 from aatkit.scalars import ExactScalar
 from aatkit.series import TruncSeries
@@ -332,3 +333,42 @@ class TestCurveEvalBitIdentical:
     def test_acceptance_family(self, curve, u0, z0):
         if curve is not None:
             self._check(curve, u0, z0)
+
+
+# -- batch evaluation agrees with the scalar methods ---------------------------
+
+@st.composite
+def batch_specs(draw):
+    """Builtin, translated builtin, rational and element specs."""
+    kind = draw(st.sampled_from(("builtin", "translated", "rational", "element")))
+    if kind in ("builtin", "translated"):
+        f = FunctionSpec.builtin(draw(st.sampled_from(("exp", "sin", "cos", "tan"))))
+        return f.translate(draw(point)) if kind == "translated" else f
+    if kind == "rational":
+        u = MultiPoly.variable("u")
+        num = sum((draw(small_fraction) * u ** k for k in range(3)), MultiPoly.zero(("u",)))
+        den = u + draw(small_fraction) if draw(st.booleans()) else \
+            u * u + draw(small_fraction) * u + draw(small_fraction)
+        return FunctionSpec.rational(num, den)
+    low = draw(st.sampled_from((-1, 0, 1)))
+    coeffs = [draw(point) / 4 / 2 ** k for k in range(12)]
+    return FunctionSpec.element(TruncSeries(draw(point) / 4, coeffs, low=low,
+                                            exact=False))
+
+
+class TestBatchEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(batch_specs(), st.lists(point, min_size=1, max_size=12))
+    def test_matches_scalar_methods(self, f, pts):
+        arr = np.array(pts, dtype=complex)
+        regular = f.is_regular_many(arr)
+        values, derivs = f.eval_many(arr), f.eval_deriv_many(arr)
+        for k, z in enumerate(pts):
+            assert bool(regular[k]) == f.is_regular(z)
+            # a Laurent element's own pole sits at its center
+            if not regular[k] or (f.kind == "element" and abs(z - f.series.center) < 1e-6):
+                continue
+            # relative to max(1, |value|): near a zero the value is a
+            # cancellation, and numpy may round its products differently
+            for got, want in ((values[k], f.eval(z)), (derivs[k], f.eval_deriv(z))):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))

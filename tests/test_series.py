@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aatkit.errors import (
@@ -184,6 +185,38 @@ class TestRadiusEstimate:
         s = TruncSeries(0j, [1 + 0j] * 4, exact=False)
         with pytest.raises(TooFewCoefficients):
             radius_estimate(s)
+
+
+class TestElementRegularity:
+    def test_disc_is_80_percent_of_radius(self):
+        f = FunctionSpec.element(geometric(32))
+        assert f.is_regular(0.75) and not f.is_regular(0.85)
+        assert list(f.is_regular_many(np.array([0.75, 0.85j]))) == [True, False]
+
+    def test_too_few_coefficients_means_no_bound(self):
+        f = FunctionSpec.element(TruncSeries(0j, [1 + 0j] * 4, exact=False))
+        assert f.is_regular(100.0) and f.is_regular_many(np.array([100.0]))[0]
+
+    def test_radius_computed_once(self, monkeypatch):
+        import aatkit.functions as functions
+        calls = []
+        real = functions.radius_estimate
+        monkeypatch.setattr(functions, "radius_estimate",
+                            lambda s: calls.append(1) or real(s))
+        f = FunctionSpec.element(geometric(32))
+        for z in (0.1, 0.2, 0.3):
+            f.is_regular(z)
+        f.is_regular_many(np.array([0.1, 0.9]))
+        assert len(calls) == 1
+
+    def test_other_failures_propagate(self, monkeypatch):
+        import aatkit.functions as functions
+
+        def broken(s):
+            raise RuntimeError("radius")
+        monkeypatch.setattr(functions, "radius_estimate", broken)
+        with pytest.raises(RuntimeError):
+            FunctionSpec.element(geometric(32)).is_regular(0.1)
 
 
 class TestSeriesArith:
