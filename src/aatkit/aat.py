@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .elimination import PolyInW, gcd_in_w, monic_in_w, resultant
 from .errors import (
+    AatkitError,
     ChainCollapse,
     OrderTooLow,
     OrderTooLowForDegree,
@@ -34,10 +36,17 @@ from .errors import (
     ShiftDegenerate,
     SingularBasePoint,
 )
-from .functions import FunctionSpec, _add_shift, _to_complex
+from .functions import FunctionSpec, _add_shift, _rational_var, _to_complex
 from .poly import MultiPoly, monic_lex, poly_squarefree_content
 from .scalars import ExactScalar
-from .series import BiSeries, TruncSeries, compose_shift, radius_estimate
+from .series import (
+    PREC_BITS,
+    BiSeries,
+    FixedBiSeries,
+    TruncSeries,
+    compose_shift,
+    radius_estimate,
+)
 
 DEFAULT_SCHWARZ_ORDER = 24
 
@@ -87,9 +96,11 @@ class ReductionReport:
         coeffs = []
         for c in self.reduced.coeffs:
             scale = max(c.max_abs(), 1.0)
-            terms = [[i, j, complex(v).real, complex(v).imag]
-                     for (i, j), v in sorted(c.coeffs.items())
-                     if abs(complex(v)) > 1e-12 * scale]
+            terms = []
+            for i, j in _bi_keys(c.order):
+                v = complex(c.coefficient(i, j))
+                if abs(v) > 1e-12 * scale:
+                    terms.append([i, j, v.real, v.imag])
             coeffs.append({"order": c.order, "terms": terms})
         return {
             "shifts": [[k.real, k.imag] for k in self.shifts],
@@ -363,7 +374,6 @@ def _clean_numeric_vec(vec: np.ndarray) -> list[ExactScalar | None]:
             continue
         re = rationalize(x.real, 10 ** 6)
         im = rationalize(x.imag, 10 ** 6)
-        from fractions import Fraction
         if re is None:
             re = Fraction(x.real).limit_denominator(10 ** 12)
         if im is None:
@@ -415,16 +425,10 @@ def koebe_normalize(G: MultiPoly, p1, p2, p3, order: int | None = None) -> Multi
             raise ChainCollapse("eliminating the P2(y) slot collapsed")
         gbar = gbar.rename_var("Y", "V").rename_var("Wbar", "W")
     gbar = _cleanup(gbar, ("U", "V", "W")).with_vars(("U", "V", "W"))
-    res = element_relation_residual(gbar, s1, s1,
-                                    _shift_element(s1, work_order))
+    res = element_relation_residual(gbar, s1, s1, s1.truncate(work_order))
     if not _residual_ok(res):
         raise ChainCollapse("chain result fails the substitution check")
     return normalize_relation(gbar)
-
-
-def _shift_element(s1: TruncSeries, order: int) -> TruncSeries:
-    """P1 as the element for the x+y slot (same series, same center)."""
-    return s1.truncate(order)
 
 
 def _as_series(p) -> TruncSeries:
@@ -485,10 +489,9 @@ def schwarz_reduce(G: MultiPoly, f: FunctionSpec,
     monic coefficient, negated, with v = 0), and, when found, the relation
     H(X, Y) = 0 between phi and psi_r.
 
-    Numerically the Euclidean chain runs in rescaled local coordinates
-    (x, y) -> (lam x, lam y): every intermediate quotient then has decaying
-    coefficients, which keeps the zero tests sharp; the invariant is
-    rescaled back before reporting.
+    The intermediate Euclid quotients are badly conditioned series, so when
+    the relation has W-degree above one the chain runs on FixedBiSeries
+    (PREC_BITS-bit fixed-point Gaussian integers) instead of doubles.
     """
     _check_uvw_vars(G)
     if shifts is not None:
@@ -503,22 +506,13 @@ def schwarz_reduce(G: MultiPoly, f: FunctionSpec,
     if shifts is None:
         scale = _shift_scale(f, base)
         shifts = [0.3 * scale / 2 ** i for i in range(6)]
-    force_hp = G.degree("W") > 1
-    if force_hp:
-        import mpmath as mp
-        with mp.workdps(45):
-            carrier, used, degrees = _schwarz_chain(G, f, base, shifts, order,
-                                                    zero_tol, force_hp)
-            inv_res = _invariance_residual(carrier)
-            psi = _extract_psi(carrier, base)
-    else:
-        carrier, used, degrees = _schwarz_chain(G, f, base, shifts, order,
-                                                zero_tol, force_hp)
-        inv_res = _invariance_residual(carrier)
-        psi = _extract_psi(carrier, base)
+    carrier, used, degrees = _schwarz_chain(G, f, base, shifts, order, zero_tol,
+                                            force_hp=G.degree("W") > 1)
+    psi = _extract_psi(carrier, base)
     H = _relation_against_psi(f, psi, base, relation_bounds_cap)
     return ReductionReport(shifts=used, final_degree=carrier.degree,
-                           reduced=carrier, invariance_residual=inv_res,
+                           reduced=carrier,
+                           invariance_residual=_invariance_residual(carrier),
                            psi=psi, H=H, degrees=degrees)
 
 
@@ -550,7 +544,7 @@ def _schwarz_chain(G: MultiPoly, f: FunctionSpec, base, shifts, order: int,
 def _shift_scale(f: FunctionSpec, base) -> float:
     try:
         r = radius_estimate(f.element_at(base, 32))
-    except Exception:
+    except AatkitError:
         r = math.inf
     return 1.0 if not math.isfinite(r) else min(1.0, 0.5 * r)
 
@@ -571,131 +565,95 @@ def _shifted_poly_in_w(G: MultiPoly, f: FunctionSpec, base, sigma: complex,
     """G expanded in W with U <- phi(base+sigma+x), V <- phi(base-sigma+y).
 
     Intermediate Euclid quotients have small convergence radii, so when GCD
-    steps are coming (`force_hp`) the elements carry extended-precision
-    coefficients (mpmath): double precision cannot reach the working order
-    otherwise.
+    steps are coming (`force_hp`), or the Taylor data is not exact, U and V
+    are FixedBiSeries: fixed-point Gaussian integers with PREC_BITS-bit
+    mantissas, which reach the working order where doubles cannot.
+    Otherwise they are exact BiSeries.
     """
     bu = _add_shift(base, sigma) if sigma == 0 else _to_complex(base) + sigma
     bv = _add_shift(base, -sigma) if sigma == 0 else _to_complex(base) - sigma
-    su = f.element_at(bu, order)
+    su = f.element_at(bu, order)   # also rejects singular centers
+    sv = f.element_at(bv, order)
     if su.exact and not force_hp:
-        sv = f.element_at(bv, order)
         U = BiSeries.from_univariate(su, slot=0, order=order)
         V = BiSeries.from_univariate(sv, slot=1, order=order)
         if not (U.exact and V.exact):
             U, V = U.to_numeric(), V.to_numeric()
+        one = BiSeries.const(1, order, U.exact, U.center)
     else:
-        eff_u = _to_complex(bu) + _to_complex(f.shift)
-        eff_v = _to_complex(bv) + _to_complex(f.shift)
-        cu = _hp_element_coeffs(f, eff_u, order)
-        cv = _hp_element_coeffs(f, eff_v, order)
-        if (cu is None or cv is None) and su.exact:
-            cu = _hp_from_exact(su)
-            cv = _hp_from_exact(f.element_at(bv, order))
-        elif cu is None or cv is None:
-            cu = [complex(c) for c in su.coeffs]
-            cv = [complex(c) for c in f.element_at(bv, order).coeffs]
-        U = _biseries_from_list(cu, 0, order)
-        V = _biseries_from_list(cv, 1, order)
-    one = BiSeries.const(1, order, U.exact, U.center)
+        U = _hp_element(f, bu, su, slot=0)
+        V = _hp_element(f, bv, sv, slot=1)
+        one = FixedBiSeries.const(1, order)
     coeffs = []
     for c in G.coefficients_wrt("W"):
         coeffs.append(c.substitute({"U": U, "V": V}, one))
     return PolyInW(coeffs, zero_tol)
 
 
-def _hp_from_exact(s: TruncSeries) -> list:
-    """Exact Gaussian-rational coefficients to 45-digit mpmath complexes."""
-    import mpmath as mp
-    out = []
-    with mp.workdps(45):
-        for c in s.coeffs:
-            re = mp.mpf(c.re.numerator) / mp.mpf(c.re.denominator)
-            im = mp.mpf(c.im.numerator) / mp.mpf(c.im.denominator)
-            out.append(mp.mpc(re, im))
-    return out
+def _hp_element(f: FunctionSpec, center, element: TruncSeries,
+                slot: int) -> FixedBiSeries:
+    """phi(center + t) as a FixedBiSeries in t = x (slot 0) or t = y (slot 1).
 
+    exp, sin and cos need one or two transcendental values at the center,
+    taken from mpmath with guard bits and then scaled by 1/k! exactly; tan
+    and rational functions are fixed-point quotients of such series.  Other
+    specs convert `element`, their own Taylor data at the center.
+    """
+    order = element.order
 
-def _biseries_from_list(coeffs, slot: int, order: int) -> BiSeries:
-    d = {}
-    for k, c in enumerate(coeffs[:order]):
-        if c != 0:
-            d[(k, 0) if slot == 0 else (0, k)] = c
-    return BiSeries(d, order, exact=False)
+    def fixed(values) -> FixedBiSeries:
+        return FixedBiSeries.from_univariate(values, slot, order)
 
-
-def _hp_element_coeffs(f: FunctionSpec, center: complex, order: int):
-    """Extended-precision Taylor coefficients for builtin functions."""
     if f.kind != "builtin":
-        return None
-    import mpmath as mp
-    with mp.workdps(45):
-        c = mp.mpc(center.real, center.imag)
-        if f.name == "exp":
-            e = mp.exp(c)
-            out, fact = [], mp.mpf(1)
-            for k in range(order):
-                if k:
-                    fact *= k
-                out.append(e / fact)
-            return out
-        if f.name in ("sin", "cos", "tan"):
-            s0, c0 = mp.sin(c), mp.cos(c)
-            sin_cycle = [s0, c0, -s0, -c0]
-            cos_cycle = [c0, -s0, -c0, s0]
-            def taylor(cycle, n):
-                out, fact = [], mp.mpf(1)
-                for k in range(n):
-                    if k:
-                        fact *= k
-                    out.append(cycle[k % 4] / fact)
-                return out
-            if f.name == "sin":
-                return taylor(sin_cycle, order)
-            if f.name == "cos":
-                return taylor(cos_cycle, order)
-            if abs(c0) < mp.mpf("1e-12"):
-                return None
-            s = taylor(sin_cycle, order + 1)
-            co = taylor(cos_cycle, order + 1)
-            out = []
-            for k in range(order):
-                acc = s[k]
-                for j in range(1, k + 1):
-                    acc -= co[j] * out[k - j]
-                out.append(acc / co[0])
-            return out
-        # rational P/Q by Taylor shift and series division
-        from .functions import _rational_var
+        return fixed([element.coefficient(k) for k in range(order)])
+    eff = _to_complex(center) + _to_complex(f.shift)
+    if f.name == "rational":
+        # exact Taylor shift of P and Q to the (binary, hence exact) center
         var = _rational_var(f.numer, f.denom)
-        def hp_shift(p, n):
-            arr = [mp.mpc(complex(x).real, complex(x).imag)
-                   for x in (p.univariate_coeffs(var) if not p.is_zero() else [0])]
-            m = len(arr)
-            for i in range(m):
-                for j in range(m - 2, i - 1, -1):
-                    arr[j] += c * arr[j + 1]
-            return arr + [mp.mpc(0)] * max(0, n - m)
-        pa = hp_shift(f.numer, order)
-        qa = hp_shift(f.denom, order)
-        if abs(qa[0]) == 0:
-            return None
-        out = []
-        for k in range(order):
-            acc = pa[k] if k < len(pa) else mp.mpc(0)
-            for j in range(1, k + 1):
-                if j < len(qa):
-                    acc -= qa[j] * out[k - j]
-            out.append(acc / qa[0])
-        return out
+        c = ExactScalar(Fraction(eff.real), Fraction(eff.imag))
+        num, den = (fixed(p.shift_var(var, c).univariate_coeffs(var)
+                          if not p.is_zero() else [])
+                    for p in (f.numer, f.denom))
+        return num * den.inverse()
+    import mpmath as mp
+    with mp.workprec(PREC_BITS + 32):
+        z = mp.mpc(eff.real, eff.imag)
+        consts = [mp.exp(z)] if f.name == "exp" else [mp.sin(z), mp.cos(z)]
+        consts = [ExactScalar(_mpf_fraction(v.real), _mpf_fraction(v.imag))
+                  for v in consts]
+
+    def taylor(cycle) -> FixedBiSeries:
+        return fixed([cycle[k % len(cycle)] / math.factorial(k)
+                      for k in range(order)])
+
+    if f.name == "exp":
+        return taylor(consts)
+    s0, c0 = consts
+    sin_t, cos_t = taylor([s0, c0, -s0, -c0]), taylor([c0, -s0, -c0, s0])
+    if f.name == "sin":
+        return sin_t
+    if f.name == "cos":
+        return cos_t
+    return sin_t * cos_t.inverse()
+
+
+def _mpf_fraction(x) -> Fraction:
+    """The exact binary value of an mpmath real."""
+    man, exp = x.man_exp            # man is |mantissa|
+    if x < 0:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _bi_keys(order: int):
+    """(i, j) with i + j < order, in lexicographic order."""
+    return ((i, j) for i in range(order) for j in range(order - i))
 
 
 def _invariance_residual(p: PolyInW) -> float:
     worst = 0.0
     for c in p.coeffs:
-        dx = c.derivative(0)
-        dy = c.derivative(1)
-        diff = dx - dy
+        diff = c.derivative(0) - c.derivative(1)
         scale = max(c.max_abs(), 1.0)
         worst = max(worst, diff.max_abs() / scale)
     return worst
@@ -705,12 +663,12 @@ def _extract_psi(p: PolyInW, base) -> TruncSeries:
     """psi_r := -(first non-constant monic coefficient), restricted to v=0."""
     for j in range(p.degree - 1, -1, -1):
         c = p.coeffs[j]
-        nonconst = {k: v for k, v in c.coeffs.items() if k != (0, 0)}
-        scale = max(c.max_abs(), 1.0)
+        nonconst = [c.coefficient(i, k) for i, k in _bi_keys(c.order) if i + k]
         if c.exact:
-            significant = any(not v.is_zero() for v in nonconst.values())
+            significant = any(not v.is_zero() for v in nonconst)
         else:
-            significant = any(abs(v) > 1e-9 * scale for v in nonconst.values())
+            scale = max(c.max_abs(), 1.0)
+            significant = any(abs(v) > 1e-9 * scale for v in nonconst)
         if significant:
             s = (-c).restrict_y0()
             center = _add_shift(base, base)
@@ -729,6 +687,11 @@ def _extract_psi(p: PolyInW, base) -> TruncSeries:
 
 def _relation_against_psi(f: FunctionSpec, psi: TruncSeries, base,
                           cap: int) -> MultiPoly | None:
+    """Lowest-degree H(phi, psi) = 0 with degrees up to `cap`, or None.
+
+    Only the toolkit's own failures (e.g. OrderTooLow, a singular base)
+    mean "no relation"; anything else is a defect and propagates.
+    """
     center = psi.center
     try:
         for d in range(1, cap + 1):
@@ -737,7 +700,7 @@ def _relation_against_psi(f: FunctionSpec, psi: TruncSeries, base,
                                      base=center)
             if rel is not None:
                 return rel
-    except Exception:
+    except AatkitError:
         return None
     return None
 

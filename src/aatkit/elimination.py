@@ -6,9 +6,10 @@ tiny, so correctness and exactness win over asymptotics.
 
 PolyInW models a polynomial in one distinguished variable W whose
 coefficients live either in the exact polynomial ring (MultiPoly) or in a
-truncated bivariate series ring (BiSeries).  gcd_in_w runs the Euclidean
-algorithm over the corresponding field of fractions; for series
-coefficients, "zero" means "no significant term below the working order".
+truncated bivariate series ring (BiSeries, or the fixed-point
+FixedBiSeries).  gcd_in_w runs the Euclidean algorithm over the
+corresponding field of fractions; for series coefficients, "zero" means
+"no significant term below the working order".
 
 eliminate_chain iterates resultants down a half-argument relation
 f(x_1, x) = 0, f(x_2, x_1) = 0, ... and returns the relation connecting the
@@ -27,9 +28,9 @@ from .errors import (
 )
 from .poly import MultiPoly, divexact, monic_lex, poly_squarefree_content
 from .scalars import ExactScalar
-from .series import BiSeries
+from .series import BiSeries, FixedBiSeries
 
-Coefficient = Union[MultiPoly, BiSeries]
+Coefficient = Union[MultiPoly, BiSeries, FixedBiSeries]
 
 
 # -- Sylvester resultant -----------------------------------------------------
@@ -109,7 +110,8 @@ class PolyInW:
     """Polynomial in a distinguished variable with ring-valued coefficients.
 
     coeffs[k] is the coefficient of W^k; entries are MultiPoly (exact
-    rational-function work) or BiSeries (truncated series work), never mixed.
+    rational-function work), BiSeries or FixedBiSeries (truncated series
+    work), never mixed.
     """
 
     __slots__ = ("coeffs", "zero_tol")
@@ -153,13 +155,6 @@ class PolyInW:
             out[shift + k] = out[shift + k] - c * o
         return PolyInW(out, self.zero_tol)
 
-    def eval_w(self, w):
-        """Horner evaluation at a ring element w (for residual checks)."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * w + c
-        return acc
-
     def __repr__(self) -> str:
         return f"PolyInW(degree={self.degree}, coeffs={self.coeffs!r})"
 
@@ -167,6 +162,8 @@ class PolyInW:
 def _zero_like(ref: Coefficient) -> Coefficient:
     if isinstance(ref, MultiPoly):
         return MultiPoly.zero(ref.vars)
+    if isinstance(ref, FixedBiSeries):
+        return FixedBiSeries.zeros(ref.order)
     return BiSeries.zeros(ref.order, ref.exact, ref.center)
 
 

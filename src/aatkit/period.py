@@ -10,7 +10,9 @@ reduced pairwise (nearest-integer complex quotients) and the smallest
 survivor is reported as the fundamental period.
 
 find_roots supplies the preimages by grid seeding plus Newton polishing,
-doubling the search region (up to 6 times) when too few roots appear.  The
+doubling the search region (up to 6 times) when too few roots appear; a
+rational function of degree n (the larger degree of P and Q) takes each
+value at most n times, so more roots are refused without a search.  The
 Newton iterations run in lockstep: every regular grid seed is one entry of a
 complex array, each pass evaluates phi, phi' and the regularity test once
 over all live seeds (FunctionSpec.eval_many and friends), and a seed leaves
@@ -33,7 +35,7 @@ from .errors import (
     NoEqualPair,
     PreconditionFailed,
 )
-from .functions import FunctionSpec
+from .functions import FunctionSpec, _rational_var
 from .poly import MultiPoly
 
 _ROOT_RESIDUAL = 1e-10
@@ -122,8 +124,19 @@ def find_roots(f: FunctionSpec, C: complex, region: Region,
 
     Grid seeds polished by Newton; results are deduplicated and must meet
     the residual bound.  Raises InsufficientRoots after the region has
-    doubled `max_doublings` times without reaching `want` roots.
+    doubled `max_doublings` times without reaching `want` roots, and at
+    once when phi is a non-constant rational function of degree below
+    `want`.
     """
+    if f.kind == "builtin" and f.name == "rational":
+        p, q = f.numer, f.denom
+        var = _rational_var(p, q)
+        n = max(p.degree(var), q.degree(var), 0)
+        wronskian = p * q.derivative(var) - p.derivative(var) * q
+        if want > n and not wronskian.is_zero():  # non-constant P/Q
+            raise InsufficientRoots(
+                f"a rational function of degree {n} takes the value {C} at "
+                f"most {n} times; wanted {want}")
     C = complex(C)
     reg = region
     for _ in range(max_doublings + 1):
@@ -307,10 +320,10 @@ def _draw_regular_shift(f: FunctionSpec, roots: list[complex], rng,
 
 def _normalize_sign(c: complex) -> complex:
     """Canonical representative of {c, -c}: positive real part, or positive
-    imaginary part on the imaginary axis."""
+    imaginary part on the imaginary axis; zero parts are +0.0."""
     if c.real < -1e-12 or (abs(c.real) <= 1e-12 and c.imag < 0):
-        return -c
-    return c
+        c = -c
+    return complex(c.real + 0.0, c.imag + 0.0)  # -0.0 + 0.0 is +0.0
 
 
 def _reduce_candidates(cands: list[complex], tol: float = 1e-9) -> complex:

@@ -12,13 +12,18 @@ callers (and tests) never compare coefficients beyond validity.
 
 BiSeries is the two-variable analogue with total-degree truncation; it
 realizes expansions of f(u+v) and the bivariate coefficients that appear in
-addition-theorem work.
+addition-theorem work.  Like TruncSeries it is either exact or complex.
+
+FixedBiSeries is the extended-precision bivariate series of the Schwarz
+reduction: dense rows of fixed-point Gaussian-integer mantissas with one
+binary exponent per series and a budget of PREC_BITS bits.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -35,15 +40,6 @@ _NUMERIC_ZERO_REL = 1e-12
 
 def _is_exact_scalar(c) -> bool:
     return isinstance(c, (ExactScalar, int, Fraction))
-
-
-def _as_numeric(c):
-    """Numeric coercion that leaves high-precision complex types alone."""
-    if isinstance(c, (complex, float, int)):
-        return complex(c)
-    if isinstance(c, ExactScalar):
-        return complex(c)
-    return c  # duck-typed complex (e.g. mpmath.mpc) passes through
 
 
 def _coerce_coeffs(coeffs: Sequence, exact: bool) -> list:
@@ -487,7 +483,7 @@ class BiSeries:
         for (i, j), c in coeffs.items():
             if i + j >= self.order:
                 continue
-            c = ExactScalar.coerce(c) if exact else _as_numeric(c)
+            c = ExactScalar.coerce(c) if exact else complex(c)
             if (exact and c.is_zero()) or (not exact and c == 0):
                 continue
             self.coeffs[(i, j)] = c
@@ -498,7 +494,7 @@ class BiSeries:
 
     @staticmethod
     def const(value, order: int, exact: bool, center=(0, 0)) -> "BiSeries":
-        v = ExactScalar.coerce(value) if exact else _as_numeric(value)
+        v = ExactScalar.coerce(value) if exact else complex(value)
         return BiSeries({(0, 0): v}, order, exact, center)
 
     @staticmethod
@@ -536,8 +532,7 @@ class BiSeries:
         return self.coeffs.get((i, j), self._zero())
 
     def max_abs(self) -> float:
-        return max((float(abs(c)) if not self.exact else abs(complex(c))
-                    for c in self.coeffs.values()), default=0.0)
+        return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
 
     def valuation(self, tol: float = 0.0) -> int | None:
         """Minimal total degree with a (significant) nonzero coefficient."""
@@ -599,8 +594,7 @@ class BiSeries:
                 c = ExactScalar.coerce(other)
                 return BiSeries({k: v * c for k, v in self.coeffs.items()},
                                 self.order, True, self.center)
-            z = _as_numeric(other) if not _is_exact_scalar(other) else complex(
-                ExactScalar.coerce(other))
+            z = complex(other)
             s = self.to_numeric()
             return BiSeries({k: v * z for k, v in s.coeffs.items()},
                             s.order, False, s.center)
@@ -695,3 +689,301 @@ class BiSeries:
         tag = "exact" if self.exact else "numeric"
         items = sorted(self.coeffs.items(), key=lambda t: (sum(t[0]), t[0]))
         return f"BiSeries(order={self.order}, {tag}, {items!r})"
+
+
+# -- fixed-point Gaussian-integer bivariate series ------------------------------
+
+PREC_BITS = 160     # mantissa budget (45 decimal digits are 153 bits)
+_INV_GUARD = 32     # extra bits carried through the inverse recurrence
+
+
+def _round_shift(m: int, s: int) -> int:
+    """m / 2**s (s > 0) rounded to the nearest integer, ties to even."""
+    t = m + (1 << (s - 1))
+    q = t >> s
+    if q & 1 and not t & ((1 << s) - 1):
+        q -= 1
+    return q
+
+
+def _round_div(n: int, d: int) -> int:
+    """n / d (d > 0) rounded to the nearest integer, ties to even."""
+    q, r = divmod(n, d)
+    r += r
+    if r > d or (r == d and q & 1):
+        q += 1
+    return q
+
+
+def _pack(vals: list[int], slot: int) -> int:
+    """Kronecker substitution: sum vals[k] * 2**(k*slot), signed entries."""
+    x = 0
+    for v in reversed(vals):
+        x = (x << slot) + v
+    return x
+
+
+def _unpack(x: int, n: int, slot: int) -> list[int]:
+    """Inverse of _pack for n entries that each fit in slot - 1 bits."""
+    full = 1 << slot
+    mask, half = full - 1, full >> 1
+    out = []
+    for _ in range(n):
+        v = x & mask
+        if v >= half:
+            v -= full
+        out.append(v)
+        x = (x - v) >> slot
+    return out
+
+
+def _pack_rows(re: list[list[int]], im: list[list[int]],
+               slot: int) -> list[tuple[int, int, int, int]]:
+    """Per row: the number z of leading zero entries, then the packed real
+    parts, imaginary parts and their sum from entry z on (the sums give the
+    third product of Gauss's three-multiplication complex product)."""
+    out = []
+    for ra, rb in zip(re, im):
+        z = 0
+        while z < len(ra) and not (ra[z] or rb[z]):
+            z += 1
+        pr, pi = _pack(ra[z:], slot), _pack(rb[z:], slot)
+        out.append((z, pr, pi, pr + pi))
+    return out
+
+
+def _row_product(pa: list, pb: list, d: int, ks: range,
+                 slot: int) -> tuple[list[int], list[int]]:
+    """Row d of a Gaussian product: the sum over k in ks of row k of a times
+    row d - k of b, from their _pack_rows forms; exact."""
+    s1 = s2 = s3 = 0
+    for k in ks:
+        za, ar, ai, asum = pa[k]
+        zb, br, bi, bsum = pb[d - k]
+        z = (za + zb) * slot
+        s1 += ar * br << z
+        s2 += ai * bi << z
+        s3 += asum * bsum << z
+    return _unpack(s1 - s2, d + 1, slot), _unpack(s3 - s1 - s2, d + 1, slot)
+
+
+def _max_bits(rows: list[list[int]]) -> int:
+    return max(map(abs, chain.from_iterable(rows)), default=0).bit_length()
+
+
+def _gaussian_fractions(v) -> tuple[Fraction, Fraction]:
+    """Exact parts (re, im) of an int, Fraction, ExactScalar or complex."""
+    if isinstance(v, ExactScalar):
+        return v.re, v.im
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v), Fraction(0)
+    z = complex(v)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _floor_log2(x: Fraction) -> int:
+    """floor(log2 |x|) for x != 0."""
+    n, d = abs(x.numerator), x.denominator
+    t = n.bit_length() - d.bit_length()
+    return t if (n << max(-t, 0)) >= (d << max(t, 0)) else t - 1
+
+
+class FixedBiSeries:
+    """Bivariate series in (x, y), total degree < order, in fixed point.
+
+    Row d holds the coefficients of x^(d-j) y^j for j = 0..d as Gaussian
+    integer mantissas re[d][j] + i im[d][j]; all coefficients share the
+    binary exponent ``exp``.  Every operation computes its exact result and,
+    if that needs more than PREC_BITS bits, rounds it once (half to even) to
+    PREC_BITS bits, so each result carries an absolute error of at most
+    about 2**-PREC_BITS times its largest coefficient.  Products are exact integer convolutions of whole
+    rows, one big-integer product per pair of rows (Kronecker substitution),
+    and ``inverse`` solves order by order in integers.
+
+    The interface is the part of BiSeries that the series GCD in
+    ``elimination`` and the Schwarz reduction use; coefficients read back as
+    complex.
+    """
+
+    __slots__ = ("re", "im", "exp", "order")
+    exact = False
+
+    def __init__(self, re: list[list[int]], im: list[list[int]], exp: int,
+                 order: int):
+        top = max(_max_bits(re), _max_bits(im))
+        if top > PREC_BITS:
+            s = top - PREC_BITS
+            re = [[_round_shift(v, s) for v in r] for r in re]
+            im = [[_round_shift(v, s) for v in r] for r in im]
+            exp += s
+        elif top == 0:
+            exp = 0
+        self.re, self.im, self.exp, self.order = re, im, exp, order
+
+    # -- construction ----------------------------------------------------------
+
+    @staticmethod
+    def zeros(order: int) -> "FixedBiSeries":
+        return FixedBiSeries([[0] * (d + 1) for d in range(order)],
+                             [[0] * (d + 1) for d in range(order)], 0, order)
+
+    @staticmethod
+    def from_univariate(values, slot: int, order: int) -> "FixedBiSeries":
+        """values[k] as the coefficient of x^k (slot 0) or y^k (slot 1),
+        each rounded once to the budget.
+
+        Entries may be int, Fraction, ExactScalar or complex; missing ones
+        are zero."""
+        parts = [_gaussian_fractions(v) for v in values[:order]]
+        logs = [_floor_log2(x) for c in parts for x in c if x]
+        k = PREC_BITS - 1 - max(logs, default=0)   # mantissa = round(x * 2**k)
+
+        def mant(x: Fraction) -> int:
+            if k >= 0:
+                return _round_div(x.numerator << k, x.denominator)
+            return _round_div(x.numerator, x.denominator << -k)
+
+        re = [[0] * (d + 1) for d in range(order)]
+        im = [[0] * (d + 1) for d in range(order)]
+        for d, (xr, xi) in enumerate(parts):
+            j = d if slot else 0
+            re[d][j], im[d][j] = mant(xr), mant(xi)
+        return FixedBiSeries(re, im, -k, order)
+
+    @staticmethod
+    def const(value, order: int) -> "FixedBiSeries":
+        return FixedBiSeries.from_univariate([value], 0, order)
+
+    # -- reading -------------------------------------------------------------
+
+    def coefficient(self, i: int, j: int) -> complex:
+        if i < 0 or j < 0 or i + j >= self.order:
+            return 0j
+        d = i + j
+        return complex(math.ldexp(self.re[d][j], self.exp),
+                       math.ldexp(self.im[d][j], self.exp))
+
+    def max_abs(self) -> float:
+        best = max((a * a + b * b for ra, rb in zip(self.re, self.im)
+                    for a, b in zip(ra, rb)), default=0)
+        return math.ldexp(math.sqrt(best), self.exp)
+
+    def valuation(self, tol: float = 0.0) -> int | None:
+        """Minimal total degree with a (significant) nonzero coefficient."""
+        cut = tol * max(self.max_abs(), 1.0) if tol > 0 else -1.0
+        e = self.exp
+        for d, (ra, rb) in enumerate(zip(self.re, self.im)):
+            for a, b in zip(ra, rb):
+                if (a or b) and math.ldexp(math.hypot(a, b), e) > cut:
+                    return d
+        return None
+
+    def is_zero(self, tol: float = 0.0) -> bool:
+        return self.valuation(tol) is None
+
+    def restrict_y0(self) -> TruncSeries:
+        """Set y to zero, leaving a complex series in x centered at 0."""
+        return TruncSeries(0j, [self.coefficient(i, 0) for i in range(self.order)],
+                           exact=False)
+
+    def __repr__(self) -> str:
+        return f"FixedBiSeries(order={self.order}, exp={self.exp})"
+
+    # -- arithmetic ------------------------------------------------------------
+
+    def __neg__(self) -> "FixedBiSeries":
+        return FixedBiSeries([[-v for v in r] for r in self.re],
+                             [[-v for v in r] for r in self.im],
+                             self.exp, self.order)
+
+    def __add__(self, other: "FixedBiSeries") -> "FixedBiSeries":
+        order = min(self.order, other.order)
+        e = min(self.exp, other.exp)
+        sa, sb = self.exp - e, other.exp - e
+        re = [[(a << sa) + (b << sb) for a, b in zip(ra, rb)]
+              for ra, rb in zip(self.re[:order], other.re)]
+        im = [[(a << sa) + (b << sb) for a, b in zip(ra, rb)]
+              for ra, rb in zip(self.im[:order], other.im)]
+        return FixedBiSeries(re, im, e, order)
+
+    def __sub__(self, other: "FixedBiSeries") -> "FixedBiSeries":
+        return self + (-other)
+
+    def __mul__(self, other) -> "FixedBiSeries":
+        if not isinstance(other, FixedBiSeries):     # scalar, rounded first
+            c = FixedBiSeries.const(other, 1)
+            gr, gi = c.re[0][0], c.im[0][0]
+            pairs = [list(zip(ra, rb)) for ra, rb in zip(self.re, self.im)]
+            return FixedBiSeries([[x * gr - y * gi for x, y in r] for r in pairs],
+                                 [[x * gi + y * gr for x, y in r] for r in pairs],
+                                 self.exp + c.exp, self.order)
+        a, b = self, other
+        va = a.valuation() or 0
+        vb = b.valuation() or 0
+        order = min(a.order + vb, b.order + va)
+        # a row-product entry sums fewer than order**2 terms, each below
+        # 2**(bits_a + bits_b + 2) including the Gauss sums
+        slot = _max_bits(a.re + a.im) + _max_bits(b.re + b.im) \
+            + 2 * order.bit_length() + 4
+        pa, pb = _pack_rows(a.re, a.im, slot), _pack_rows(b.re, b.im, slot)
+        rows = [_row_product(pa, pb, d, range(max(va, d - b.order + 1),
+                                              min(d - vb, a.order - 1) + 1), slot)
+                for d in range(order)]
+        return FixedBiSeries([r[0] for r in rows], [r[1] for r in rows],
+                             a.exp + b.exp, order)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FixedBiSeries":
+        """Inverse of a series with nonzero constant term, row by row.
+
+        With B = 1/A written as b * 2**(-K - exp), the rows satisfy
+        b_0 = 2**K / a_0 and b_d = -(a_1 b_(d-1) + ... + a_d b_0) / a_0:
+        exact integer row products, one rounded Gaussian division per
+        coefficient.  K puts PREC_BITS + _INV_GUARD bits into b_0.
+        """
+        gr, gi = self.re[0][0], self.im[0][0]
+        if not (gr or gi):
+            raise DivisionByZeroSeries("constant term is zero; cannot invert")
+        norm = gr * gr + gi * gi
+        n = self.order
+        K = PREC_BITS + _INV_GUARD + max(abs(gr), abs(gi)).bit_length()
+
+        def div(sr: int, si: int) -> tuple[int, int]:
+            return (_round_div(sr * gr + si * gi, norm),
+                    _round_div(si * gr - sr * gi, norm))
+
+        b0 = div(1 << K, 0)
+        re, im = [[b0[0]]], [[b0[1]]]
+        bits_a = _max_bits(self.re + self.im)
+        bits_b = max(abs(b0[0]), abs(b0[1])).bit_length()
+        slot, pa, pb = 0, [], []
+        for d in range(1, n):
+            need = bits_a + bits_b + 2 * n.bit_length() + 4
+            if need > slot:               # widen and repack (rarely needed)
+                slot = need + 32
+                pa = _pack_rows(self.re, self.im, slot)
+                pb = _pack_rows(re, im, slot)
+            sr, si = _row_product(pa, pb, d, range(1, d + 1), slot)
+            row = [div(-x, -y) for x, y in zip(sr, si)]
+            rr, ri = [c[0] for c in row], [c[1] for c in row]
+            re.append(rr)
+            im.append(ri)
+            bits_b = max(bits_b, _max_bits([rr, ri]))
+            pb += _pack_rows([rr], [ri], slot)
+        return FixedBiSeries(re, im, -K - self.exp, n)
+
+    def __truediv__(self, other: "FixedBiSeries") -> "FixedBiSeries":
+        return self * other.inverse()
+
+    def derivative(self, slot: int) -> "FixedBiSeries":
+        """d/dx (slot 0) or d/dy (slot 1)."""
+        if slot == 0:
+            re = [[v * (d - j) for j, v in enumerate(r[:d])]
+                  for d, r in enumerate(self.re) if d]
+            im = [[v * (d - j) for j, v in enumerate(r[:d])]
+                  for d, r in enumerate(self.im) if d]
+        else:
+            re = [[v * j for j, v in enumerate(r) if j] for r in self.re[1:]]
+            im = [[v * j for j, v in enumerate(r) if j] for r in self.im[1:]]
+        return FixedBiSeries(re, im, self.exp, self.order - 1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from aatkit import aat
 from aatkit.aat import (
     algebraic_relation,
     discover_aat,
@@ -16,6 +17,7 @@ from aatkit.aat import (
 )
 from aatkit.errors import (
     OrderTooLow,
+    TooFewCoefficients,
     OrderTooLowForDegree,
     PreconditionFailed,
     ShiftDegenerate,
@@ -210,6 +212,80 @@ class TestSchwarz:
         psi_spec = FunctionSpec.element(rep.psi, "psi")
         kernel = discover_aat(psi_spec, (2, 2, 2), 16, base=rep.psi.center)
         assert kernel
+
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    @pytest.mark.parametrize("k", [0.2, 0.3, 0.369487])
+    def test_fixed_point_chain_precision(self, uvw, name, k):
+        # psi read from the fixed-point carrier, exactly, against closed-form
+        # Taylor data: sin -> sin^2 (degrees 4, 2), cos -> cos (2, 1)
+        U, V, W = uvw
+        G = {"sin": (W ** 2 + U ** 2 - V ** 2) ** 2
+                    - 4 * U ** 2 * W ** 2 * (1 - V ** 2),
+             "cos": W ** 2 - 2 * U * V * W + U ** 2 + V ** 2 - 1}[name]
+        rep = schwarz_reduce(G, FunctionSpec.builtin(name), shifts=[k, k / 2],
+                             order=24)
+        X, Y = MultiPoly.variable("X"), MultiPoly.variable("Y")
+        want_degrees, want_H, psi = {
+            "sin": ([4, 2], X ** 2 - Y, _sin_squared_exact(13)),
+            "cos": ([2, 1], X - Y, _cos_exact(13))}[name]
+        assert rep.degrees == want_degrees
+        assert [complex(s) for s in rep.shifts] == [complex(k)]
+        assert rep.H == normalize_relation(want_H)
+        assert rep.invariance_residual < 1e-20
+        c = rep.reduced.coeffs[0]          # psi = -c0 restricted to y = 0
+        for i in range(13):
+            got = -Fraction(c.re[i][0]) * Fraction(2) ** c.exp
+            assert abs(got - psi[i]) < Fraction(1, 10 ** 30)
+            assert abs(Fraction(c.im[i][0]) * Fraction(2) ** c.exp) < \
+                Fraction(1, 10 ** 30)
+
+    def test_relation_search_failure_propagates(self, monkeypatch, tan_spec,
+                                                tan_poly):
+        def broken(*args, **kwargs):
+            raise ValueError("defect inside the relation search")
+
+        monkeypatch.setattr(aat, "algebraic_relation", broken)
+        with pytest.raises(ValueError):
+            schwarz_reduce(tan_poly, tan_spec, order=20)
+
+    def test_relation_search_order_too_low_gives_no_relation(
+            self, monkeypatch, tan_spec, tan_poly):
+        def too_low(*args, **kwargs):
+            raise OrderTooLow("order too small for these bounds")
+
+        monkeypatch.setattr(aat, "algebraic_relation", too_low)
+        rep = schwarz_reduce(tan_poly, tan_spec, order=20)
+        assert rep.H is None
+        assert rep.to_json_dict()["relation"] is None
+
+    def test_shift_scale_catches_only_toolkit_errors(self, monkeypatch,
+                                                     sin_spec):
+        def fail_with(exc):
+            def radius(_s):
+                raise exc
+            return radius
+
+        monkeypatch.setattr(aat, "radius_estimate",
+                            fail_with(TooFewCoefficients("few")))
+        assert aat._shift_scale(sin_spec, 0) == 1.0
+        monkeypatch.setattr(aat, "radius_estimate",
+                            fail_with(ValueError("defect")))
+        with pytest.raises(ValueError):
+            aat._shift_scale(sin_spec, 0)
+
+
+def _sin_squared_exact(n):
+    """Taylor coefficients of sin^2 = (1 - cos 2w) / 2 at 0, exactly."""
+    out = [Fraction(0)] * n
+    for m in range(1, (n + 1) // 2):
+        out[2 * m] = Fraction((-1) ** (m + 1) * 2 ** (2 * m - 1),
+                              math.factorial(2 * m))
+    return out
+
+
+def _cos_exact(n):
+    return [Fraction((-1) ** (k // 2), math.factorial(k)) if k % 2 == 0
+            else Fraction(0) for k in range(n)]
 
 
 def _sin_squared_coeffs(n):

@@ -162,6 +162,8 @@ class TestReports:
         assert code == 0 and out.err == ""
         assert rep["classification"] == "periodic"
         assert abs(complex(*rep["fundamental"]) - 2 * math.pi) < 1e-9
+        # the candidate is -2 pi + 0j; its canonical sign has a +0.0 part
+        assert math.copysign(1.0, rep["fundamental"][1]) == 1.0
 
     def test_reduce_double(self, files, capsys):
         code, rep = run_json(["reduce", "double", "--poly", files["dbl"],

@@ -3,12 +3,11 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-import mpmath as mp
-
-from aatkit.aat import _shifted_poly_in_w
+from aatkit.aat import _hp_element, _shifted_poly_in_w
 from aatkit.elimination import (
     PolyInW,
     discriminant,
@@ -17,9 +16,10 @@ from aatkit.elimination import (
     resultant,
 )
 from aatkit.errors import DegreeTooLow, DegreeZero
-from aatkit.functions import taylor_of_builtin
+from aatkit.functions import FunctionSpec, taylor_of_builtin
 from aatkit.poly import MultiPoly, monic_lex
-from aatkit.series import TruncSeries
+from aatkit.scalars import ExactScalar
+from aatkit.series import FixedBiSeries, TruncSeries
 
 
 class TestResultant:
@@ -121,13 +121,15 @@ class TestGcdInW:
         # roots of the quartic are +-sin(u+-v); the shifted copy shares
         # exactly +-sin(u+v), so the gcd is W^2 - sin^2(u+v)
         order = 14
-        with mp.workdps(45):
-            A0 = _shifted_poly_in_w(sin_quartic, sin_spec, 0, 0j, order,
-                                    1e-8, force_hp=True)
-            A3 = _shifted_poly_in_w(sin_quartic, sin_spec, 0, 0.3, order,
-                                    1e-8, force_hp=True)
-            g = gcd_in_w(A0, A3)
+        A0 = _shifted_poly_in_w(sin_quartic, sin_spec, 0, 0j, order,
+                                1e-8, force_hp=True)
+        A3 = _shifted_poly_in_w(sin_quartic, sin_spec, 0, 0.3, order,
+                                1e-8, force_hp=True)
+        g = gcd_in_w(A0, A3)
         assert g.degree == 2
+        # the chain runs on fixed-point series, not on mpmath numbers
+        assert all(isinstance(c, FixedBiSeries)
+                   for c in A0.coeffs + A3.coeffs + g.coeffs)
         # trig-identity oracle for sin^2(u+v): coefficient of x^i y^j is
         # binom(i+j, i) * [w^(i+j)] sin^2(w), sin^2(w) = (1 - cos 2w)/2
         s2 = [0.0, 0.0]
@@ -143,20 +145,54 @@ class TestGcdInW:
         mid = g.coeffs[1]
         assert mid.is_zero(1e-10)
 
+    def test_fixed_point_elements(self):
+        # the fixed-point Taylor data of _shifted_poly_in_w against exact data
+        # (a rational function at a binary center) and against an mpmath
+        # series division at 60 digits (tan); both to the bit budget
+        order = 20
+        u = MultiPoly.variable("u")
+        rat = FunctionSpec.rational(u * u + 1, 2 * u + 3)
+        c = 0.25 - 0.5j
+        want = rat.element_at(ExactScalar(Fraction(1, 4), Fraction(-1, 2)), order)
+        got = _hp_element(rat, c, rat.element_at(c, order), slot=1)
+        scale = max(abs(complex(w)) for w in want.coeffs)
+        for k in range(order):
+            assert k == 0 or got.coefficient(k, 0) == 0   # a series in y
+            re = Fraction(got.re[k][k]) * Fraction(2) ** got.exp
+            im = Fraction(got.im[k][k]) * Fraction(2) ** got.exp
+            err = abs(complex(re - want.coeffs[k].re, im - want.coeffs[k].im))
+            assert err <= 2.0 ** -150 * scale
+        tan = FunctionSpec.builtin("tan")
+        got = _hp_element(tan, 0.3, tan.element_at(0.3, order), slot=0)
+        with mp.workdps(60):
+            z = mp.mpf(0.3)
+            s = [[mp.sin(z), mp.cos(z), -mp.sin(z), -mp.cos(z)][k % 4]
+                 / mp.factorial(k) for k in range(order)]
+            co = [[mp.cos(z), -mp.sin(z), -mp.cos(z), mp.sin(z)][k % 4]
+                  / mp.factorial(k) for k in range(order)]
+            t = []
+            for k in range(order):
+                t.append((s[k] - sum(co[j] * t[k - j] for j in range(1, k + 1)))
+                         / co[0])
+            scale = max(abs(x) for x in t)
+            for k in range(order):
+                v = mp.mpc(mp.ldexp(got.re[k][0], got.exp),
+                           mp.ldexp(got.im[k][0], got.exp))
+                assert abs(v - t[k]) <= mp.ldexp(scale, -150)
+
     def test_gcd_divides_both_inputs(self, sin_quartic, sin_spec):
         order = 12
-        with mp.workdps(45):
-            A0 = _shifted_poly_in_w(sin_quartic, sin_spec, 0, 0j, order,
-                                    1e-8, force_hp=True)
-            A3 = _shifted_poly_in_w(sin_quartic, sin_spec, 0, 0.3, order,
-                                    1e-8, force_hp=True)
-            g = gcd_in_w(A0, A3)
-            for A in (A0, A3):
-                r = A
-                while not r.is_zero() and r.degree >= g.degree:
-                    lr = r.leading()
-                    r = r.sub_shifted(g, lr, r.degree - g.degree)
-                assert r.is_zero()
+        A0 = _shifted_poly_in_w(sin_quartic, sin_spec, 0, 0j, order,
+                                1e-8, force_hp=True)
+        A3 = _shifted_poly_in_w(sin_quartic, sin_spec, 0, 0.3, order,
+                                1e-8, force_hp=True)
+        g = gcd_in_w(A0, A3)
+        for A in (A0, A3):
+            r = A
+            while not r.is_zero() and r.degree >= g.degree:
+                lr = r.leading()
+                r = r.sub_shifted(g, lr, r.degree - g.degree)
+            assert r.is_zero()
 
 
 class TestEliminateChain:

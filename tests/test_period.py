@@ -11,6 +11,7 @@ import pytest
 from aatkit.errors import InsufficientRoots
 from aatkit.functions import FunctionSpec
 from aatkit.period import (
+    DEFAULT_REGION,
     _ROOT_RESIDUAL,
     _ROOT_SEPARATION,
     Region,
@@ -119,6 +120,29 @@ class TestFindRoots:
     def test_rational_insufficient(self, inverse_spec):
         with pytest.raises(InsufficientRoots):
             find_roots(inverse_spec, 2.0, Region(-5, 5, -5, 5), 3)
+
+    def test_rational_degree_bound_skips_the_search(self, monkeypatch,
+                                                    inverse_spec, uvw):
+        # a degree-n rational function takes each value at most n times, so
+        # asking for more roots fails before any grid seed is evaluated
+        def no_search(self, u):
+            raise AssertionError("root search ran")
+
+        monkeypatch.setattr(FunctionSpec, "eval_many", no_search)
+        with pytest.raises(InsufficientRoots):
+            find_roots(inverse_spec, 2.0, Region(-5, 5, -5, 5), 2)
+        u = MultiPoly.variable("u")
+        quad = FunctionSpec.rational(u * u + 1, 2 * u + 3)
+        with pytest.raises(InsufficientRoots):
+            find_roots(quad.translate(0.5), 1.0, DEFAULT_REGION, 3)
+        U, V, W = uvw
+        rep = weierstrass_period(inverse_spec, W * (U + V) - U * V, seed=0)
+        assert rep.classification == "rational"
+
+    def test_constant_rational_still_searched(self):
+        u = MultiPoly.variable("u")
+        const = FunctionSpec.rational(2 * u, u)  # phi = 2 away from u = 0
+        assert len(find_roots(const, 2.0, Region(-1, 1, -1, 1), 2).roots) >= 2
 
     def test_lockstep_matches_scalar_newton(self):
         # the lockstep search finds the same roots as per-seed scalar Newton

@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aatkit.errors import (
     CenterMismatch,
@@ -17,6 +19,9 @@ from aatkit.functions import FunctionSpec, taylor_of_builtin
 from aatkit.poly import MultiPoly
 from aatkit.scalars import ExactScalar
 from aatkit.series import (
+    PREC_BITS,
+    BiSeries,
+    FixedBiSeries,
     TruncSeries,
     compose_shift,
     radius_estimate,
@@ -272,3 +277,145 @@ class TestSeriesArith:
         # by mixing inside one coefficient list
         with pytest.raises(TypeError):
             TruncSeries(ExactScalar(0), [ExactScalar(1), 0.5 + 0j], exact=True)
+
+
+# -- fixed-point bivariate series ------------------------------------------------
+
+def _fixed_exact(s, i, j):
+    """Coefficient (i, j) of a FixedBiSeries as an exact mpmath complex."""
+    d = i + j
+    return mp.mpc(mp.ldexp(s.re[d][j], s.exp), mp.ldexp(s.im[d][j], s.exp))
+
+
+def _ref_mul(a, b, order):
+    out = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            if i1 + j1 + i2 + j2 < order:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + x * y
+    return out
+
+
+def _ref_inverse(a, order):
+    inv0 = 1 / a[(0, 0)]
+    out = {(0, 0): inv0}
+    tail = [(k, c) for k, c in a.items() if k != (0, 0)]
+    for d in range(1, order):
+        for i in range(d + 1):
+            acc = 0
+            for (p, q), c in tail:
+                if p <= i and q <= d - i:
+                    acc += c * out[(i - p, d - i - q)]
+            out[(i, d - i)] = -inv0 * acc
+    return out
+
+
+@st.composite
+def fixed_series(draw, order=None):
+    """A FixedBiSeries with full-budget random mantissas; optionally a
+    constant term up to 2**-60 times smaller than the other coefficients."""
+    n = order if order is not None else draw(st.integers(1, 24))
+    mant = st.integers(-(1 << PREC_BITS) + 1, (1 << PREC_BITS) - 1)
+    re = [[draw(mant) for _ in range(d + 1)] for d in range(n)]
+    im = [[draw(mant) for _ in range(d + 1)] for d in range(n)]
+    small = draw(st.integers(0, 60))
+    re[0][0] >>= small
+    im[0][0] >>= small
+    if not (re[0][0] or im[0][0]):
+        re[0][0] = 1
+    return FixedBiSeries(re, im, draw(st.integers(-200, 40)), n)
+
+
+def _max_error(got, ref):
+    with mp.workdps(80):
+        scale = max(abs(v) for v in ref.values())
+        err = max(abs(_fixed_exact(got, i, j) - ref.get((i, j), 0))
+                  for i in range(got.order) for j in range(got.order - i))
+        return err, scale
+
+
+class TestFixedBiSeries:
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_product_and_inverse_within_budget(self, data):
+        # one rounding of an exact integer convolution / recurrence: the
+        # error stays below 2**-150 of the largest coefficient, also when
+        # |c00| is far below the other coefficients
+        a = data.draw(fixed_series())
+        b = data.draw(fixed_series())
+        with mp.workdps(80):
+            ea = {(i, j): _fixed_exact(a, i, j)
+                  for i in range(a.order) for j in range(a.order - i)}
+            eb = {(i, j): _fixed_exact(b, i, j)
+                  for i in range(b.order) for j in range(b.order - i)}
+            prod = _ref_mul(ea, eb, min(a.order, b.order))
+            inv = _ref_inverse(ea, a.order)
+        for got, ref in ((a * b, prod), (a.inverse(), inv)):
+            err, scale = _max_error(got, ref)
+            assert err <= mp.ldexp(scale, -150)
+
+    def test_matches_complex_biseries(self):
+        rng = np.random.default_rng(7)
+        n = 8
+        def rand(low):
+            return {(i, j): complex(*rng.uniform(-1, 1, 2))
+                    for i in range(n) for j in range(n - i) if i + j >= low}
+        for la, lb in ((0, 0), (1, 0), (2, 3), (1, 1)):
+            da, db = rand(la), rand(lb)
+            fa = sum((FixedBiSeries.const(c, n) * _monomial(i, j, n)
+                      for (i, j), c in da.items()), FixedBiSeries.zeros(n))
+            fb = sum((FixedBiSeries.const(c, n) * _monomial(i, j, n)
+                      for (i, j), c in db.items()), FixedBiSeries.zeros(n))
+            ba, bb = BiSeries(da, n, False), BiSeries(db, n, False)
+            pairs = [(fa * fb, ba * bb), (fa + fb, ba + bb), (fa - fb, ba - bb),
+                     (fa.derivative(0), ba.derivative(0)),
+                     (fa.derivative(1), ba.derivative(1)),
+                     (fa * Fraction(1, 3), ba * Fraction(1, 3)),
+                     (fa * (0.5 - 2j), ba * (0.5 - 2j)),
+                     (fa * ExactScalar(2, -1), ba * ExactScalar(2, -1))]
+            if la == 0:
+                pairs.append((fa.inverse(), ba.inverse()))
+            for f, b in pairs:
+                assert f.order == b.order
+                scale = max(b.max_abs(), 1.0)
+                for i in range(f.order):
+                    for j in range(f.order - i):
+                        assert abs(f.coefficient(i, j) - b.coefficient(i, j)) \
+                            <= 1e-12 * scale
+            assert fa.valuation() == ba.valuation() == la
+
+    def test_rounding_is_half_to_even(self):
+        # m * 3 has PREC_BITS + 1 bits, so the product drops one bit; both
+        # cases below are exact ties
+        half = 1 << (PREC_BITS - 1)
+        for m, want in ((half + 1, 3 * (half >> 1) + 2),    # 1.5 -> 2
+                        (half + 3, 3 * (half >> 1) + 4)):   # 4.5 -> 4
+            s = FixedBiSeries([[m]], [[-m]], 0, 1) * 3
+            assert (s.re[0][0], s.im[0][0], s.exp) == (want, -want, 1)
+
+    def test_zero_constant_term_rejected(self):
+        s = FixedBiSeries.from_univariate([0, 1], 0, 4)
+        with pytest.raises(DivisionByZeroSeries):
+            s.inverse()
+
+    def test_univariate_embedding_and_readback(self):
+        vals = [ExactScalar(Fraction(1, 3), 1), 2, Fraction(-1, 7), 0.25 - 1j]
+        x = FixedBiSeries.from_univariate(vals, 0, 4)
+        y = FixedBiSeries.from_univariate(vals, 1, 4)
+        for k, v in enumerate(vals):
+            assert abs(x.coefficient(k, 0) - complex(v)) < 1e-15
+            assert abs(y.coefficient(0, k) - complex(v)) < 1e-15
+        assert x.coefficient(0, 1) == y.coefficient(1, 0) == 0
+        assert x.restrict_y0().coeffs == [x.coefficient(k, 0) for k in range(4)]
+
+
+def _monomial(i, j, n):
+    x = FixedBiSeries.from_univariate([0, 1], 0, n)
+    y = FixedBiSeries.from_univariate([0, 1], 1, n)
+    out = FixedBiSeries.const(1, n)
+    for _ in range(i):
+        out = out * x
+    for _ in range(j):
+        out = out * y
+    return out
