@@ -30,6 +30,8 @@ from .elimination import PolyInW, gcd_in_w, monic_in_w, resultant
 from .errors import (
     AatkitError,
     ChainCollapse,
+    InvariantViolation,
+    MissingVariable,
     OrderTooLow,
     OrderTooLowForDegree,
     PreconditionFailed,
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .functions import FunctionSpec, _add_shift, _rational_var, _to_complex
 from .poly import MultiPoly, monic_lex, poly_squarefree_content
-from .scalars import ExactScalar
+from .scalars import ExactScalar, gaussian_integers
 from .series import (
     PREC_BITS,
     BiSeries,
@@ -119,7 +121,7 @@ class ReductionReport:
 def _check_uvw_vars(G: MultiPoly):
     extra = [v for v in G.vars if v not in ("U", "V", "W") and G.degree(v) > 0]
     if extra:
-        raise ValueError(f"G must be a polynomial in (U, V, W); got {extra}")
+        raise MissingVariable(f"G must be a polynomial in (U, V, W); got {extra}")
 
 
 def _elements_uvw(f: FunctionSpec, base, order: int) -> tuple[BiSeries, BiSeries, BiSeries]:
@@ -235,33 +237,87 @@ def normalize_relation(p: MultiPoly) -> MultiPoly:
 
 
 def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[ExactScalar]]:
-    m = [row[:] for row in rows]
+    """Reduced kernel basis: one vector per free column f, with 1 at f and 0
+    at the other free columns (the basis read off the reduced row echelon form).
+
+    Fraction-free: each row is scaled to Gaussian integers by the lcm of its
+    denominators, then Bareiss elimination divides every update exactly by
+    the previous pivot, so entries stay minors of the matrix.  The pivot
+    columns are its column rank profile.  Each kernel vector is solved in
+    integers over the triangle of the pivots left of f, times that triangle's
+    last pivot Delta (Cramer: Delta x is integral), and only its entries
+    x = y / Delta become ExactScalars.
+    """
+    re: list[list[int]] = []
+    im: list[list[int]] = []
+    for row in rows:
+        _, rr, ri = gaussian_integers(row)
+        if any(rr) or any(ri):
+            re.append(rr)
+            im.append(ri)
     pivots: list[int] = []
-    r = 0
+    prev = (1, 0)
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ExactScalar.one() / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+        k = len(pivots)
+        if k == len(re):
             break
-    free = [c for c in range(ncols) if c not in pivots]
+        p = next((i for i in range(k, len(re)) if re[i][c] or im[i][c]), None)
+        if p is None:
+            continue
+        re[k], re[p], im[k], im[p] = re[p], re[k], im[p], im[k]
+        pr, pi, kr, ki = re[k][c], im[k][c], re[k], im[k]
+        live = []
+        for i in range(k + 1, len(re)):
+            xr, xi = re[i], im[i]
+            lr, li = xr[c], xi[c]
+            xr[c] = xi[c] = 0
+            for j in range(c + 1, ncols):
+                ar, ai, br, bi = xr[j], xi[j], kr[j], ki[j]
+                xr[j], xi[j] = _gauss_divexact(pr * ar - pi * ai - lr * br + li * bi,
+                                               pr * ai + pi * ar - lr * bi - li * br,
+                                               prev)
+            if any(xr) or any(xi):
+                live.append(i)
+        re[k + 1:] = [re[i] for i in live]
+        im[k + 1:] = [im[i] for i in live]
+        pivots.append(c)
+        prev = (pr, pi)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
+        s = sum(1 for pc in pivots if pc < fc)
+        dr, di = (re[s - 1][pivots[s - 1]], im[s - 1][pivots[s - 1]]) if s else (1, 0)
+        y: list[tuple[int, int]] = [(0, 0)] * s
+        for t in range(s - 1, -1, -1):
+            xr, xi = -dr * re[t][fc] + di * im[t][fc], -dr * im[t][fc] - di * re[t][fc]
+            for u in range(t + 1, s):
+                ar, ai = re[t][pivots[u]], im[t][pivots[u]]
+                yr, yi = y[u]
+                xr -= ar * yr - ai * yi
+                xi -= ar * yi + ai * yr
+            y[t] = _gauss_divexact(xr, xi, (re[t][pivots[t]], im[t][pivots[t]]))
         vec = [ExactScalar.zero()] * ncols
         vec[fc] = ExactScalar.one()
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -m[ri][fc]
+        norm = dr * dr + di * di
+        for pc, (yr, yi) in zip(pivots, y):
+            vec[pc] = ExactScalar.of_fractions(Fraction(yr * dr + yi * di, norm),
+                                               Fraction(yi * dr - yr * di, norm))
         basis.append(vec)
     return basis
+
+
+def _gauss_divexact(xr: int, xi: int, q: tuple[int, int]) -> tuple[int, int]:
+    """(xr + i xi) / q in Z[i]; InvariantViolation unless the division is exact."""
+    qr, qi = q
+    if qi:
+        n = qr * qr + qi * qi
+        xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
+    else:
+        n = qr
+    a, ra = divmod(xr, n)
+    b, rb = divmod(xi, n)
+    if ra or rb:
+        raise InvariantViolation("inexact division in fraction-free elimination")
+    return a, b
 
 
 def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[np.ndarray]:
@@ -323,28 +379,26 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     wpow = _powers(W, d_w)
     columns = [upow[i] * vpow[j] * wpow[k] for (i, j, k) in monos]
     n_rows_order = min(c.order for c in columns)
-    keys = [(p, q) for p in range(n_rows_order)
-            for q in range(n_rows_order - p)]
-    if U.exact:
-        rows = [[col.coefficient(p, q) for col in columns] for (p, q) in keys]
-        kernel = _exact_nullspace(rows, len(columns))
-        polys = []
-        for vec in kernel:
-            terms = {m: c for m, c in zip(monos, vec) if not c.is_zero()}
-            polys.append(normalize_relation(MultiPoly(("U", "V", "W"), terms)))
-        return polys
-    A = np.array([[complex(col.coefficient(p, q)) for col in columns]
-                  for (p, q) in keys], dtype=complex)
-    kernel_n = _numeric_nullspace(A)
+    rows = [[col.coefficient(p, q) for col in columns]
+            for p in range(n_rows_order) for q in range(n_rows_order - p)]
+    return _kernel_relations(rows, U.exact, monos, ("U", "V", "W"))
+
+
+def _kernel_relations(rows: list[list], exact: bool, monos: list[tuple],
+                      vars: tuple[str, ...]) -> list[MultiPoly]:
+    """The kernel of the coefficient matrix `rows` (one column per monomial)
+    as normalized relations: exactly when the data is exact, else by the
+    thresholded SVD with rationalized entries."""
+    if exact:
+        vecs = _exact_nullspace(rows, len(monos))
+    else:
+        A = np.array([[complex(c) for c in row] for row in rows], dtype=complex)
+        vecs = [_clean_numeric_vec(v) for v in _numeric_nullspace(A)]
     polys = []
-    for vec in kernel_n:
-        cleaned = _clean_numeric_vec(vec)
-        terms = {}
-        for m, c in zip(monos, cleaned):
-            if c is not None and not c.is_zero():
-                terms[m] = c
+    for vec in vecs:
+        terms = {m: c for m, c in zip(monos, vec) if c is not None and not c.is_zero()}
         if terms:
-            polys.append(normalize_relation(MultiPoly(("U", "V", "W"), terms)))
+            polys.append(normalize_relation(MultiPoly(vars, terms)))
     return polys
 
 
@@ -462,8 +516,8 @@ def _cleanup(p: MultiPoly, keep: tuple[str, ...]) -> MultiPoly:
         if p.degree(v) > 0:
             try:
                 p = poly_squarefree_content(p, v)
-            except Exception:
-                pass
+            except AatkitError:
+                pass        # keep p as it is; the final residual check decides
     return monic_lex(p)
 
 
@@ -733,23 +787,8 @@ def algebraic_relation(f, g, bounds: tuple[int, int], order: int = 16,
     yp = _series_powers(sy, d_g)
     columns = [xp[i] * yp[j] for (i, j) in monos]
     n_rows = min(c.order for c in columns)
-    if sx.exact:
-        rows = [[col.coefficient(k) for col in columns] for k in range(n_rows)]
-        kernel = _exact_nullspace(rows, len(columns))
-        polys = [normalize_relation(MultiPoly(("X", "Y"),
-                                              {m: c for m, c in zip(monos, vec)
-                                               if not c.is_zero()}))
-                 for vec in kernel]
-    else:
-        A = np.array([[complex(col.coefficient(k)) for col in columns]
-                      for k in range(n_rows)], dtype=complex)
-        polys = []
-        for vec in _numeric_nullspace(A):
-            cleaned = _clean_numeric_vec(vec)
-            terms = {m: c for m, c in zip(monos, cleaned)
-                     if c is not None and not c.is_zero()}
-            if terms:
-                polys.append(normalize_relation(MultiPoly(("X", "Y"), terms)))
+    rows = [[col.coefficient(k) for col in columns] for k in range(n_rows)]
+    polys = _kernel_relations(rows, sx.exact, monos, ("X", "Y"))
     if not polys:
         return None
     polys.sort(key=lambda p: (p.total_degree(), len(p.terms)))

@@ -35,7 +35,7 @@ from .algebroid import (
     singular_points,
 )
 from .elimination import eliminate_chain
-from .errors import AatkitError, InvariantViolation, SchemaError
+from .errors import AatkitError, InvariantViolation, MissingVariable, SchemaError
 from .functions import FunctionSpec
 from .period import verify_period, weierstrass_period
 from .poly import MultiPoly
@@ -132,7 +132,7 @@ def _load_relation(path: str) -> MultiPoly:
     G = _load_poly(path)
     try:
         _check_uvw_vars(G)
-    except ValueError as e:
+    except MissingVariable as e:
         raise SchemaError(f"{path}: {e}") from e
     return G
 

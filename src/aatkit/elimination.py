@@ -25,6 +25,7 @@ from .errors import (
     DegreeTooLow,
     DegreeZero,
     OrderExhausted,
+    PreconditionFailed,
 )
 from .poly import MultiPoly, divexact, monic_lex, poly_squarefree_content
 from .scalars import ExactScalar
@@ -313,7 +314,7 @@ def eliminate_chain(f: MultiPoly, m: int, var_half: str = "z",
     "<var_full>1", "<var_full>2", ... by level.
     """
     if m < 1:
-        raise ValueError("chain length m must be >= 1")
+        raise PreconditionFailed("chain length m must be >= 1")
     if f.degree(var_half) <= 0 or f.degree(var_full) <= 0:
         raise DegreeZero("chain input must be nonconstant in both variables")
     gamma = f.rename_var(var_half, f"{var_full}1")

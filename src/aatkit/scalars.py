@@ -38,6 +38,13 @@ class ExactScalar:
         return ExactScalar(1, 0)
 
     @staticmethod
+    def of_fractions(re: Fraction, im: Fraction) -> "ExactScalar":
+        """Wrap two Fractions as they are (no re-normalization)."""
+        s = object.__new__(ExactScalar)
+        s.re, s.im = re, im
+        return s
+
+    @staticmethod
     def coerce(value) -> "ExactScalar":
         """Accept ExactScalar, int, or Fraction; reject floats (exactness)."""
         if isinstance(value, ExactScalar):
@@ -138,6 +145,14 @@ class ExactScalar:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
+
+
+def gaussian_integers(values) -> tuple[int, list[int], list[int]]:
+    """(D, re, im) with values[k] = (re[k] + i im[k]) / D for ExactScalar
+    values, D > 0 the lcm of their denominators."""
+    D = math.lcm(*{x.denominator for c in values for x in (c.re, c.im)})
+    return (D, [c.re.numerator * (D // c.re.denominator) for c in values],
+            [c.im.numerator * (D // c.im.denominator) for c in values])
 
 
 def checked_complex(re: float, im: float = 0.0) -> complex:

@@ -17,6 +17,13 @@ addition-theorem work.  Like TruncSeries it is either exact or complex.
 FixedBiSeries is the extended-precision bivariate series of the Schwarz
 reduction: dense rows of fixed-point Gaussian-integer mantissas with one
 binary exponent per series and a budget of PREC_BITS bits.
+
+Both bivariate products share one kernel, _triangle_product: triangular
+rows of Gaussian integers (row d holds x^(d-j) y^j), each row packed into
+one big integer (Kronecker substitution) and multiplied exactly.  An exact
+BiSeries enters it as integer rows over one positive denominator, the lcm
+of its coefficient denominators, and leaves it as one Fraction per nonzero
+coefficient; a FixedBiSeries enters with its mantissas and rounds once.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .errors import (
     SingularCenter,
     TooFewCoefficients,
 )
-from .scalars import ExactScalar
+from .scalars import ExactScalar, gaussian_integers
 
 _NUMERIC_ZERO_REL = 1e-12
 
@@ -471,7 +478,13 @@ def compose_shift(f: TruncSeries) -> "BiSeries":
 
 
 class BiSeries:
-    """Bivariate series: {(i, j): coeff} with i + j < order (total degree)."""
+    """Bivariate series: {(i, j): coeff} with i + j < order (total degree).
+
+    Exact series multiply as Gaussian-integer rows over the product of the
+    operands' common denominators (see the module docstring), complex ones
+    by a dict convolution.  Either way the result order is
+    min(a.order + v_b, b.order + v_a) for valuations v_a, v_b.
+    """
 
     __slots__ = ("coeffs", "order", "center", "exact")
 
@@ -602,6 +615,13 @@ class BiSeries:
         va = a.valuation() or 0
         vb = b.valuation() or 0
         order = min(a.order + vb, b.order + va)
+        if a.exact:
+            da, ar, ai = _gaussian_rows(a)
+            db, br, bi = _gaussian_rows(b)
+            out = BiSeries.zeros(order, True, a.center)
+            out.coeffs = _rows_to_fractions(
+                _triangle_product(ar, ai, br, bi, va, vb, order), da * db)
+            return out
         out = BiSeries.zeros(order, a.exact, a.center)
         for (i1, j1), c1 in a.coeffs.items():
             for (i2, j2), c2 in b.coeffs.items():
@@ -771,6 +791,48 @@ def _max_bits(rows: list[list[int]]) -> int:
     return max(map(abs, chain.from_iterable(rows)), default=0).bit_length()
 
 
+def _triangle_product(ar: list[list[int]], ai: list[list[int]],
+                      br: list[list[int]], bi: list[list[int]],
+                      va: int, vb: int, order: int) -> list[tuple[list[int], list[int]]]:
+    """Rows d < order of the exact product of two triangular Gaussian-integer
+    series, as (re, im) pairs; va and vb are the operands' valuations (the
+    rows below them are zero and skipped)."""
+    # The coefficient of x^i y^j (i + j < order) sums (i+1)(j+1) <=
+    # ((order+1)/2)**2 <= 2**(2L-2) pair terms, L = order.bit_length(), and
+    # each real or imaginary part a_r b_r - a_i b_i, a_r b_i + a_i b_r is
+    # below 2**(bits_a + bits_b + 1) in size; so every entry of the result
+    # is below 2**(slot - 1) and unpacks from signed slot-bit fields.
+    slot = _max_bits(ar + ai) + _max_bits(br + bi) + 2 * order.bit_length()
+    pa, pb = _pack_rows(ar, ai, slot), _pack_rows(br, bi, slot)
+    na, nb = len(ar), len(br)
+    return [_row_product(pa, pb, d, range(max(va, d - nb + 1),
+                                          min(d - vb, na - 1) + 1), slot)
+            for d in range(order)]
+
+
+def _gaussian_rows(s: "BiSeries") -> tuple[int, list[list[int]], list[list[int]]]:
+    """(D, re, im) with s = (re + i im) / D: triangular Gaussian-integer rows
+    (row d holds x^(d-j) y^j) over the lcm D of the coefficient denominators."""
+    D, nre, nim = gaussian_integers(list(s.coeffs.values()))
+    re = [[0] * (d + 1) for d in range(s.order)]
+    im = [[0] * (d + 1) for d in range(s.order)]
+    for (i, j), x, y in zip(s.coeffs, nre, nim):
+        re[i + j][j], im[i + j][j] = x, y
+    return D, re, im
+
+
+def _rows_to_fractions(rows: list[tuple[list[int], list[int]]], D: int) -> dict:
+    """{(i, j): ExactScalar} for the nonzero entries of rows / D."""
+    zero = Fraction(0)
+    out = {}
+    for d, (rr, ri) in enumerate(rows):
+        for j, (x, y) in enumerate(zip(rr, ri)):
+            if x or y:
+                out[(d - j, j)] = ExactScalar.of_fractions(
+                    Fraction(x, D) if x else zero, Fraction(y, D) if y else zero)
+    return out
+
+
 def _gaussian_fractions(v) -> tuple[Fraction, Fraction]:
     """Exact parts (re, im) of an int, Fraction, ExactScalar or complex."""
     if isinstance(v, ExactScalar):
@@ -921,14 +983,7 @@ class FixedBiSeries:
         va = a.valuation() or 0
         vb = b.valuation() or 0
         order = min(a.order + vb, b.order + va)
-        # a row-product entry sums fewer than order**2 terms, each below
-        # 2**(bits_a + bits_b + 2) including the Gauss sums
-        slot = _max_bits(a.re + a.im) + _max_bits(b.re + b.im) \
-            + 2 * order.bit_length() + 4
-        pa, pb = _pack_rows(a.re, a.im, slot), _pack_rows(b.re, b.im, slot)
-        rows = [_row_product(pa, pb, d, range(max(va, d - b.order + 1),
-                                              min(d - vb, a.order - 1) + 1), slot)
-                for d in range(order)]
+        rows = _triangle_product(a.re, a.im, b.re, b.im, va, vb, order)
         return FixedBiSeries([r[0] for r in rows], [r[1] for r in rows],
                              a.exp + b.exp, order)
 

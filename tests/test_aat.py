@@ -1,6 +1,7 @@
 """Addition-theorem verification, discovery, and reduction chains."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,9 @@ from aatkit.aat import (
     verify_aat,
 )
 from aatkit.errors import (
+    AatkitError,
+    InexactDivision,
+    MissingVariable,
     OrderTooLow,
     TooFewCoefficients,
     OrderTooLowForDegree,
@@ -23,7 +27,7 @@ from aatkit.errors import (
     ShiftDegenerate,
 )
 from aatkit.functions import FunctionSpec, taylor_of_builtin
-from aatkit.poly import MultiPoly
+from aatkit.poly import MultiPoly, monic_lex
 from aatkit.scalars import ExactScalar
 from aatkit.series import TruncSeries
 
@@ -168,6 +172,36 @@ class TestKoebe:
         p1 = exp_like_element(1)
         with pytest.raises(PreconditionFailed):
             koebe_normalize(W - U - V, p1, p1, p1)
+
+    def test_cleanup_lets_defects_through(self, uvw, monkeypatch):
+        def defect(p, var):
+            raise ValueError("defect inside the square-free step")
+        monkeypatch.setattr(aat, "poly_squarefree_content", defect)
+        U, V, W = uvw
+        with pytest.raises(ValueError):
+            koebe_normalize(W - U * V, exp_like_element(1), exp_like_element(2),
+                            exp_like_element(2))
+
+    def test_cleanup_keeps_polynomial_on_toolkit_error(self, uvw, monkeypatch):
+        def inexact(p, var):
+            raise InexactDivision("content does not divide")
+        monkeypatch.setattr(aat, "poly_squarefree_content", inexact)
+        U, V, W = uvw
+        p = 2 * (W - U * V) ** 2
+        assert aat._cleanup(p, ("U", "V", "W")) == monic_lex(p)
+        gbar = koebe_normalize(W - U * V, exp_like_element(1), exp_like_element(2),
+                               exp_like_element(2))
+        assert gbar == normalize_relation(W - U * V)
+
+
+class TestTypedErrors:
+    def test_relation_in_other_variables(self, sin_spec):
+        X = MultiPoly.variable("X")
+        for call in (lambda: verify_aat(X - 1, sin_spec),
+                     lambda: schwarz_reduce(X - 1, sin_spec)):
+            with pytest.raises(MissingVariable) as info:
+                call()
+            assert isinstance(info.value, AatkitError)
 
 
 class TestSchwarz:
@@ -319,3 +353,105 @@ class TestAlgebraicRelation:
 
     def test_no_relation_returns_none(self, exp_spec, sin_spec):
         assert algebraic_relation(exp_spec, sin_spec, (1, 1)) is None
+
+
+# -- exact kernel ----------------------------------------------------------------
+
+def _gauss_jordan_nullspace(rows, ncols):
+    """Kernel basis from the reduced row echelon form by Gauss-Jordan over
+    ExactScalar: the free column set to 1, the pivot entries read off."""
+    m = [row[:] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ExactScalar.one() / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [ExactScalar.zero()] * ncols
+        vec[fc] = ExactScalar.one()
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -m[ri][fc]
+        basis.append(vec)
+    return basis
+
+
+def _random_matrix(rng, m, n, rank):
+    """m x n Gaussian-rational matrix B C with B m x rank, C rank x n."""
+    def part():
+        return Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 5, 8]))
+
+    def entry():
+        return ExactScalar(part(), part() if rng.random() < 0.6 else 0)
+    B = [[entry() for _ in range(rank)] for _ in range(m)]
+    C = [[entry() for _ in range(n)] for _ in range(rank)]
+    return [[sum((B[i][k] * C[k][j] for k in range(rank)), ExactScalar.zero())
+             for j in range(n)] for i in range(m)]
+
+
+def _mobius_spec():
+    u = MultiPoly.variable("u")
+    return FunctionSpec.rational(2 * u + 1, u + 3)
+
+
+class TestExactKernel:
+    # (m, n, rank): full rank, rank 0, rank-deficient, zero rows added below
+    SHAPES = [(4, 4, 4), (3, 6, 3), (6, 3, 3), (5, 5, 0), (1, 4, 0), (6, 6, 2),
+              (7, 5, 3), (5, 8, 4), (8, 8, 5), (2, 7, 1), (6, 4, 2), (9, 6, 4)]
+
+    @pytest.mark.parametrize("seed", range(len(SHAPES)))
+    def test_matches_sympy_nullspace(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        m, n, rank = self.SHAPES[seed]
+        A = _random_matrix(rng, m, n, rank)
+        if seed % 3 == 0:
+            A = A + [[ExactScalar.zero()] * n] * 2
+            rng.shuffle(A)
+
+        def to_sympy(c):
+            return (sympy.Rational(c.re.numerator, c.re.denominator)
+                    + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+
+        got = aat._exact_nullspace(A, n)
+        want = sympy.Matrix([[to_sympy(c) for c in row] for row in A]).nullspace(
+            simplify=True)
+        assert len(got) == len(want) == n - rank
+        for v, w in zip(got, want):
+            assert all(sympy.expand(to_sympy(a) - b) == 0 for a, b in zip(v, w))
+
+    @pytest.mark.parametrize("name,bounds,dim", [
+        ("exp", (2, 2, 2), 8), ("cos", (2, 2, 2), 1), ("sin", (2, 2, 2), 0),
+        ("tan", (1, 1, 1), 1), ("mobius", (1, 1, 1), None)])
+    def test_discovery_matrices_match_gauss_jordan(self, monkeypatch, name,
+                                                   bounds, dim):
+        systems = []
+        fraction_free = aat._exact_nullspace
+
+        def spy(rows, ncols):
+            systems.append((rows, ncols))
+            return fraction_free(rows, ncols)
+
+        monkeypatch.setattr(aat, "_exact_nullspace", spy)
+        f = _mobius_spec() if name == "mobius" else FunctionSpec.builtin(name)
+        polys = discover_aat(f, bounds, order=16)
+        (rows, ncols), = systems
+        kernel = fraction_free(rows, ncols)
+        assert kernel == _gauss_jordan_nullspace(rows, ncols)
+        assert len(polys) == len(kernel)
+        if dim is not None:
+            assert len(kernel) == dim
+        else:
+            assert kernel

@@ -15,7 +15,7 @@ from aatkit.elimination import (
     gcd_in_w,
     resultant,
 )
-from aatkit.errors import DegreeTooLow, DegreeZero
+from aatkit.errors import AatkitError, DegreeTooLow, DegreeZero, PreconditionFailed
 from aatkit.functions import FunctionSpec, taylor_of_builtin
 from aatkit.poly import MultiPoly, monic_lex
 from aatkit.scalars import ExactScalar
@@ -207,6 +207,12 @@ class TestEliminateChain:
         gamma = eliminate_chain(x - 2 * z, 2)
         x2 = MultiPoly.variable("x2")
         assert monic_lex(gamma) == monic_lex(x - 4 * x2)
+
+    def test_chain_length_below_one(self):
+        z, x = MultiPoly.variable("z"), MultiPoly.variable("x")
+        with pytest.raises(PreconditionFailed) as info:
+            eliminate_chain(x - z ** 2, 0)
+        assert isinstance(info.value, AatkitError)
 
     def test_base_case(self):
         z, x = MultiPoly.variable("z"), MultiPoly.variable("x")

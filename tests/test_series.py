@@ -419,3 +419,83 @@ def _monomial(i, j, n):
     for _ in range(j):
         out = out * y
     return out
+
+
+# -- exact BiSeries products on integer rows -----------------------------------
+
+def _dict_product(a, b):
+    """Exact BiSeries product as a plain dict convolution over ExactScalar,
+    with the valuation-aware result order: (coeffs, order)."""
+    va, vb = a.valuation() or 0, b.valuation() or 0
+    order = min(a.order + vb, b.order + va)
+    out = {}
+    for (i1, j1), c1 in a.coeffs.items():
+        for (i2, j2), c2 in b.coeffs.items():
+            if i1 + j1 + i2 + j2 < order:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return {k: c for k, c in out.items() if not c.is_zero()}, order
+
+
+def _dict_power(s, n):
+    """s ** n by the square-and-multiply chain of BiSeries.__pow__, each
+    product taken by _dict_product."""
+    def mul(x, y):
+        coeffs, order = _dict_product(x, y)
+        return BiSeries(coeffs, order, True, x.center)
+    result, base = BiSeries.const(1, s.order, True, s.center), s
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        n >>= 1
+    return result
+
+
+@st.composite
+def exact_biseries(draw):
+    """A sparse Gaussian-rational BiSeries: order 1..20, mixed denominators,
+    possibly zero, with a valuation up to 4."""
+    order = draw(st.integers(1, 20))
+    low = min(draw(st.integers(0, 4)), order - 1)
+    part = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                     st.sampled_from([1, 2, 3, 7, 12, 1024, 3 ** 12]))
+    entries = draw(st.lists(st.tuples(st.integers(low, order - 1),
+                                      st.integers(0, 19), part, part),
+                            max_size=25))
+    return BiSeries({(d - j % (d + 1), j % (d + 1)): ExactScalar(re, im)
+                     for d, j, re, im in entries}, order, True)
+
+
+class TestExactBiSeriesProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_biseries(), exact_biseries())
+    def test_matches_dict_product(self, a, b):
+        want, order = _dict_product(a, b)
+        for got in (a * b, b.__rmul__(a)):
+            assert got.exact and got.order == order
+            assert got.coeffs == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_biseries(), st.integers(0, 4))
+    def test_power_matches_dict_chain(self, s, n):
+        want = _dict_power(s, n)
+        got = s ** n
+        assert (got.coeffs, got.order) == (want.coeffs, want.order)
+
+    def test_scalar_factor_from_the_left(self):
+        s = BiSeries({(1, 0): ExactScalar(Fraction(1, 3), 2)}, 4, True)
+        assert (Fraction(3, 2) * s).coeffs == {(1, 0): ExactScalar(Fraction(1, 2), 3)}
+
+    @pytest.mark.parametrize("order", [3, 7, 15])
+    @pytest.mark.parametrize("bits", [1, 9, 64])
+    def test_worst_case_entries_fit_the_slot(self, order, bits):
+        # dense factors m(1 - i) and m(1 + i) with m = 2**bits - 1: every
+        # product coefficient is 2 m**2 times its pair count, the largest
+        # the Kronecker slot width must hold
+        m = (1 << bits) - 1
+        keys = [(d - j, j) for d in range(order) for j in range(d + 1)]
+        a = BiSeries({k: ExactScalar(m, -m) for k in keys}, order, True)
+        b = BiSeries({k: ExactScalar(m, m) for k in keys}, order, True)
+        want, _ = _dict_product(a, b)
+        assert (a * b).coeffs == want
