@@ -46,6 +46,7 @@ from .series import (
     BiSeries,
     FixedBiSeries,
     TruncSeries,
+    _line_powers,
     compose_shift,
     radius_estimate,
 )
@@ -628,19 +629,49 @@ def _shifted_poly_in_w(G: MultiPoly, f: FunctionSpec, base, sigma: complex,
     bv = _add_shift(base, -sigma) if sigma == 0 else _to_complex(base) - sigma
     su = f.element_at(bu, order)   # also rejects singular centers
     sv = f.element_at(bv, order)
-    if su.exact and not force_hp:
-        U = BiSeries.from_univariate(su, slot=0, order=order)
-        V = BiSeries.from_univariate(sv, slot=1, order=order)
-        if not (U.exact and V.exact):
-            U, V = U.to_numeric(), V.to_numeric()
-        one = BiSeries.const(1, order, U.exact, U.center)
-    else:
-        U = _hp_element(f, bu, su, slot=0)
-        V = _hp_element(f, bv, sv, slot=1)
-        one = FixedBiSeries.const(1, order)
+    if not su.exact or force_hp:
+        return _fixed_poly_in_w(G, _hp_element(f, bu, su, slot=0),
+                                _hp_element(f, bv, sv, slot=1), order, zero_tol)
+    U = BiSeries.from_univariate(su, slot=0, order=order)
+    V = BiSeries.from_univariate(sv, slot=1, order=order)
+    if not (U.exact and V.exact):
+        U, V = U.to_numeric(), V.to_numeric()
+    one = BiSeries.const(1, order, U.exact, U.center)
+    return PolyInW([c.substitute({"U": U, "V": V}, one)
+                    for c in G.coefficients_wrt("W")], zero_tol)
+
+
+def _fixed_poly_in_w(G: MultiPoly, U: FixedBiSeries, V: FixedBiSeries,
+                     order: int, zero_tol: float) -> PolyInW:
+    """G(U, V, W) as a polynomial in W over FixedBiSeries, for U a series in
+    x only and V one in y only.
+
+    The W^k coefficient, sum of c_pq U^p V^q, is the sum over q of the outer
+    products R_q(x) V^q(y) with R_q = sum_p c_pq U^p.  U^p and V^q are exact
+    univariate Gaussian-integer rows and each c_pq is rounded to the budget
+    as a scalar product would round it, so each coefficient is summed
+    exactly and rounded once; no bivariate product is needed.
+    """
+    G = G.with_vars(("U", "V", "W"))
+    ups = _line_powers(*U.line(0), G.degree("U"), order)
+    vqs = _line_powers(*V.line(1), G.degree("V"), order)
     coeffs = []
     for c in G.coefficients_wrt("W"):
-        coeffs.append(c.substitute({"U": U, "V": V}, one))
+        terms = []
+        for (p, q), value in c.terms.items():
+            k = FixedBiSeries.const(value, 1)
+            terms.append((p, q, k.re[0][0], k.im[0][0],
+                          k.exp + p * U.exp + q * V.exp))
+        E = min((t[4] for t in terms), default=0)
+        rows: dict[int, tuple[list[int], list[int]]] = {}
+        for p, q, kr, ki, e in terms:
+            kr, ki = kr << e - E, ki << e - E
+            rr, ri = rows.setdefault(q, ([0] * order, [0] * order))
+            for i, (x, y) in enumerate(zip(*ups[p])):
+                rr[i] += kr * x - ki * y
+                ri[i] += kr * y + ki * x
+        coeffs.append(FixedBiSeries.from_outer(
+            [(r, vqs[q]) for q, r in rows.items()], E, order))
     return PolyInW(coeffs, zero_tol)
 
 

@@ -1,8 +1,16 @@
 """Resultants, discriminants, and GCDs in a distinguished variable.
 
-The resultant is the exact Sylvester determinant, computed by fraction-free
-Bareiss elimination over the polynomial ring; degrees in this toolkit are
-tiny, so correctness and exactness win over asymptotics.
+The resultant is the exact Sylvester determinant, reduced before it is
+eliminated: one pseudo-division of the higher-degree operand by the other
+(the first step of the Euclidean reduction of a resultant; Collins 1967,
+Brown and Traub 1971) replaces an (m+n)-row Sylvester matrix by one of
+n + k rows, k the degree of the pseudo-remainder, and fraction-free Bareiss
+elimination over the polynomial ring takes the determinant of what is
+left.  In the doubling chain one operand is the link, whose degree n in
+the eliminated variable is f's degree in x, so the determinant has at most
+2n - 1 rows whatever the degree of the accumulated relation: none is
+needed when f is linear in x (the resultant is then the pseudo-remainder,
+up to sign), and 3 rows suffice for the sin chain.
 
 PolyInW models a polynomial in one distinguished variable W whose
 coefficients live either in the exact polynomial ring (MultiPoly) or in a
@@ -27,7 +35,8 @@ from .errors import (
     OrderExhausted,
     PreconditionFailed,
 )
-from .poly import MultiPoly, divexact, monic_lex, poly_squarefree_content
+from .poly import (MultiPoly, divexact, monic_lex, poly_squarefree_content,
+                   pseudo_rem)
 from .scalars import ExactScalar
 from .series import BiSeries, FixedBiSeries
 
@@ -84,12 +93,40 @@ def bareiss_det(matrix: list[list[MultiPoly]]) -> MultiPoly:
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Exact resultant in `var`; vanishes at a specialization of the other
-    variables iff f and g share a root there (or both leading coefficients
-    vanish)."""
+    """Exact Sylvester resultant Res(f, g) in `var`, over the sorted union
+    of the inputs' other variables; it vanishes at a specialization of them
+    iff f and g share a root there (or both leading coefficients vanish).
+
+    One pseudo-division shrinks the determinant first.  With A the operand
+    of higher degree m, B the other (degree n >= 1, leading coefficient
+    l) and R = prem(A, B) = l^(m-n+1) A mod B of degree k, every root b of
+    B has R(b) = l^(m-n+1) A(b), so
+
+        Res(B, A) = l^(m-k) Res(B, R) / l^((m-n+1) n),
+
+    an exact division by l^((n-1)(m-n)+k).  Res(B, R) is R^n when k = 0,
+    zero when R is, and otherwise the Bareiss determinant of the (n+k)-row
+    Sylvester matrix instead of the (m+n)-row one of f and g.  Res(f, g) is
+    (-1)^(mn) Res(g, f).
+    """
     if f.degree(var) <= 0 or g.degree(var) <= 0:
         raise DegreeZero(f"both inputs need positive degree in {var!r}")
-    return bareiss_det(sylvester_matrix(f, g, var))
+    rest = tuple(v for v in sorted(set(f.vars) | set(g.vars)) if v != var)
+    swap = f.degree(var) >= g.degree(var)
+    A, B = (f, g) if swap else (g, f)
+    m, n = A.degree(var), B.degree(var)
+    R = pseudo_rem(A, B, var)
+    k = R.degree(var)
+    if k < 0:
+        return MultiPoly.zero(rest)
+    if k == 0:
+        res = R.coefficient_wrt(var, 0).with_vars(rest) ** n
+    else:
+        res = bareiss_det(sylvester_matrix(B, R, var))
+    e = (n - 1) * (m - n) + k
+    if e:
+        res = divexact(res, B.leading_wrt(var).with_vars(rest) ** e)
+    return -res if swap and m * n % 2 else res
 
 
 def discriminant(f: MultiPoly, var: str) -> MultiPoly:
@@ -187,13 +224,15 @@ def _gcd_series(a: PolyInW, b: PolyInW) -> PolyInW:
         a, b = b, a
     while not b.is_zero():
         r = a
+        lb = b.leading()
+        # lr / lb is lr * lb.inverse(): invert once per divisor
+        inv_lb = lb.inverse() if _series_invertible(lb, tol) else None
         while not r.is_zero() and r.degree >= b.degree:
             d_old = r.degree
-            lb = b.leading()
             lr = r.leading()
             shift = r.degree - b.degree
-            if _series_invertible(lb, tol):
-                r = r.sub_shifted(b, lr / lb, shift)
+            if inv_lb is not None:
+                r = r.sub_shifted(b, lr * inv_lb, shift)
             else:
                 if lb.valuation(tol) is None:
                     raise OrderExhausted(

@@ -452,8 +452,9 @@ def _builtin_series(spec: FunctionSpec, eff, order: int) -> TruncSeries:
     # rational P/Q
     var = _rational_var(spec.numer, spec.denom)
     if eff_exact is not None:
-        p_sh = spec.numer.shift_var(var, eff_exact)
-        q_sh = spec.denom.shift_var(var, eff_exact)
+        p_sh, q_sh = ((spec.numer, spec.denom) if exact_zero else
+                      (spec.numer.shift_var(var, eff_exact),
+                       spec.denom.shift_var(var, eff_exact)))
         q0 = q_sh.coefficient_wrt(var, 0)
         if q0.is_zero():
             raise SingularCenter(f"denominator vanishes at {eff_exact}")

@@ -380,9 +380,10 @@ def monic_lex(p: MultiPoly) -> MultiPoly:
 
 
 def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact division a / b; raises InexactDivision if b does not divide a."""
+    """Exact division a / b; raises InexactDivision if b does not divide a
+    (in particular when b is the zero polynomial)."""
     if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
+        raise InexactDivision("division by the zero polynomial")
     a, b = a.align(b)
     if b.is_constant():
         inv = ExactScalar.one() / b.constant_value()
@@ -402,20 +403,24 @@ def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def pseudo_rem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    """Pseudo-remainder of a by b in `var`: lc(b)^(da-db+1) * a mod b."""
+    """Pseudo-remainder of a by b in `var`: lc(b)^(da-db+1) * a mod b, so
+    exactly that power of lc(b) whatever the number of reduction steps;
+    a itself when da < db.  Raises InexactDivision when b is zero."""
     da, db = a.degree(var), b.degree(var)
     if db < 0:
-        raise ZeroDivisionError("pseudo-remainder by zero")
+        raise InexactDivision("pseudo-remainder by the zero polynomial")
     if da < db:
         return a
     lc_b = b.leading_wrt(var)
     x = MultiPoly.variable(var)
     rem = a
+    missing = da - db + 1       # factors of lc(b) still owed to the result
     while not rem.is_zero() and rem.degree(var) >= db:
         dr = rem.degree(var)
         lc_r = rem.leading_wrt(var)
         rem = rem * lc_b - b * lc_r * x ** (dr - db)
-    return rem
+        missing -= 1
+    return rem * lc_b ** missing if missing and not rem.is_zero() else rem
 
 
 def content_wrt(p: MultiPoly, var: str) -> MultiPoly:

@@ -24,6 +24,10 @@ one big integer (Kronecker substitution) and multiplied exactly.  An exact
 BiSeries enters it as integer rows over one positive denominator, the lcm
 of its coefficient denominators, and leaves it as one Fraction per nonzero
 coefficient; a FixedBiSeries enters with its mantissas and rounds once.
+Exact TruncSeries products pack each whole coefficient row into one big
+integer (_line_product), and exact TruncSeries inverses run a
+fraction-free recurrence on Gaussian integers (_exact_inverse); both build
+one Fraction per part of each result coefficient.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .errors import (
 from .scalars import ExactScalar, gaussian_integers
 
 _NUMERIC_ZERO_REL = 1e-12
+_ZERO = Fraction(0)
 
 
 def _is_exact_scalar(c) -> bool:
@@ -102,9 +107,6 @@ class TruncSeries:
         if k < self.low or k >= self.order:
             return ExactScalar.zero() if self.exact else 0j
         return self.coeffs[k - self.low]
-
-    def _zero_coeff(self):
-        return ExactScalar.zero() if self.exact else 0j
 
     def _coeff_is_zero(self, c, scale: float = 1.0) -> bool:
         if self.exact:
@@ -207,14 +209,17 @@ class TruncSeries:
         order = min(a.order + vb, b.order + va)
         low = va + vb
         n = order - low
-        out = [a._zero_coeff() for _ in range(n)]
+        if a.exact:
+            out = _exact_product(a.coeffs[va - a.low:], b.coeffs[vb - b.low:], n)
+            return TruncSeries(a.center, out, low=low, order=order, exact=True)
+        out = [0j] * n
         for i in range(va, a.order):
             ci = a.coefficient(i)
-            if (a.exact and ci.is_zero()) or (not a.exact and ci == 0):
+            if ci == 0:
                 continue
             for j in range(vb, min(b.order, order - i)):
                 out[i + j - low] = out[i + j - low] + ci * b.coefficient(j)
-        return TruncSeries(a.center, out, low=low, order=order, exact=a.exact)
+        return TruncSeries(a.center, out, low=low, order=order, exact=False)
 
     __rmul__ = __mul__
 
@@ -223,22 +228,23 @@ class TruncSeries:
         if v is None:
             raise DivisionByZeroSeries("divisor is zero to the available order")
         s = self.normalized_low()
-        b0 = s.coeffs[0]
-        # shift to valuation zero, invert the unit part, shift back
-        n = s.order - s.low
-        inv0 = (ExactScalar.one() / b0) if s.exact else (1.0 / b0)
-        out = [s._zero_coeff() for _ in range(n)]
+        # shift to valuation zero, invert the unit part, shift back; the
+        # result exponents are -v .. (order - 2v)
+        low = -v
+        order = s.order - 2 * v
+        n = order - low
+        if s.exact:
+            return TruncSeries(s.center, _exact_inverse(s.coeffs[:n]), low=low,
+                               order=order, exact=True)
+        inv0 = 1.0 / s.coeffs[0]
+        out = [0j] * n
         out[0] = inv0
         for k in range(1, n):
-            acc = s._zero_coeff()
+            acc = 0j
             for j in range(1, k + 1):
                 acc = acc + s.coeffs[j] * out[k - j]
             out[k] = -inv0 * acc
-        # result exponents: -v .. (order - 2v)
-        low = -v
-        order = s.order - 2 * v
-        return TruncSeries(s.center, out[: order - low], low=low,
-                           order=order, exact=s.exact)
+        return TruncSeries(s.center, out, low=low, order=order, exact=False)
 
     def __truediv__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
@@ -810,6 +816,84 @@ def _triangle_product(ar: list[list[int]], ai: list[list[int]],
             for d in range(order)]
 
 
+def _line_product(ar: list[int], ai: list[int], br: list[int], bi: list[int],
+                  n: int) -> tuple[list[int], list[int]]:
+    """The first n coefficients (re, im) of the exact product of two
+    univariate Gaussian-integer coefficient lists: each operand packed into
+    one big integer per part (Kronecker substitution), three products."""
+    # a coefficient below n sums at most n pair terms, each part of which
+    # is below 2**(bits_a + bits_b + 1) in size, so it fits a signed field
+    # of slot bits with n < 2**n.bit_length()
+    slot = _max_bits([ar, ai]) + _max_bits([br, bi]) + n.bit_length() + 2
+    xr, xi, yr, yi = (_pack(v[:n], slot) for v in (ar, ai, br, bi))
+    s1, s2 = xr * yr, xi * yi
+    return (_unpack(s1 - s2, n, slot),
+            _unpack((xr + xi) * (yr + yi) - s1 - s2, n, slot))
+
+
+def _line_powers(re: list[int], im: list[int], top: int,
+                 n: int) -> list[tuple[list[int], list[int]]]:
+    """(re, im) rows of a^0 .. a^top, exact, first n coefficients each."""
+    out = [([1] + [0] * (n - 1), [0] * n)]
+    for _ in range(top):
+        out.append(_line_product(*out[-1], re, im, n))
+    return out
+
+
+def _exact_product(a: list[ExactScalar], b: list[ExactScalar],
+                   n: int) -> list[ExactScalar]:
+    """The first n coefficients of the product of two exact coefficient
+    lists, as Gaussian-integer rows over the product of their common
+    denominators; one Fraction per nonzero part."""
+    da, ar, ai = gaussian_integers(a[:n])
+    db, br, bi = gaussian_integers(b[:n])
+    D = da * db
+    re, im = _line_product(ar, ai, br, bi, n)
+    return [_gaussian_scalar(x, y, D) for x, y in zip(re, im)]
+
+
+def _exact_inverse(a: list[ExactScalar]) -> list[ExactScalar]:
+    """The first len(a) coefficients of 1/a for exact a with a[0] != 0.
+
+    With a = A / D over the Gaussian integers and g = A_0, the inverse is
+    b_k = D B_k / g^(k+1), where B_0 = 1 and
+    B_k = -(A_1 g^0 B_(k-1) + A_2 g^1 B_(k-2) + ... + A_k g^(k-1) B_0):
+    a fraction-free recurrence of Gaussian-integer products and sums.  Each
+    b_k then becomes one Fraction per part, D B_k conj(g)^(k+1) over
+    |g|^(2(k+1)).
+    """
+    n = len(a)
+    D, ar, ai = gaussian_integers(a)
+    gr, gi = ar[0], ai[0]
+    pr, pi = [0] * n, [0] * n          # A_j g^(j-1)
+    xr, xi = 1, 0
+    for j in range(1, n):
+        pr[j], pi[j] = ar[j] * xr - ai[j] * xi, ar[j] * xi + ai[j] * xr
+        xr, xi = xr * gr - xi * gi, xr * gi + xi * gr
+    br, bi = [1], [0]
+    for k in range(1, n):
+        sr = si = 0
+        for j in range(1, k + 1):
+            u, v = br[k - j], bi[k - j]
+            sr += pr[j] * u - pi[j] * v
+            si += pr[j] * v + pi[j] * u
+        br.append(-sr)
+        bi.append(-si)
+    norm = gr * gr + gi * gi
+    out = []
+    cr, ci, den = D * gr, -D * gi, norm          # D conj(g)^(k+1), |g|^(2(k+1))
+    for u, v in zip(br, bi):
+        out.append(_gaussian_scalar(u * cr - v * ci, u * ci + v * cr, den))
+        cr, ci, den = cr * gr + ci * gi, ci * gr - cr * gi, den * norm
+    return out
+
+
+def _gaussian_scalar(x: int, y: int, D: int) -> ExactScalar:
+    """The ExactScalar (x + i y) / D, D > 0."""
+    return ExactScalar.of_fractions(Fraction(x, D) if x else _ZERO,
+                                    Fraction(y, D) if y else _ZERO)
+
+
 def _gaussian_rows(s: "BiSeries") -> tuple[int, list[list[int]], list[list[int]]]:
     """(D, re, im) with s = (re + i im) / D: triangular Gaussian-integer rows
     (row d holds x^(d-j) y^j) over the lcm D of the coefficient denominators."""
@@ -823,13 +907,11 @@ def _gaussian_rows(s: "BiSeries") -> tuple[int, list[list[int]], list[list[int]]
 
 def _rows_to_fractions(rows: list[tuple[list[int], list[int]]], D: int) -> dict:
     """{(i, j): ExactScalar} for the nonzero entries of rows / D."""
-    zero = Fraction(0)
     out = {}
     for d, (rr, ri) in enumerate(rows):
         for j, (x, y) in enumerate(zip(rr, ri)):
             if x or y:
-                out[(d - j, j)] = ExactScalar.of_fractions(
-                    Fraction(x, D) if x else zero, Fraction(y, D) if y else zero)
+                out[(d - j, j)] = _gaussian_scalar(x, y, D)
     return out
 
 
@@ -916,7 +998,33 @@ class FixedBiSeries:
     def const(value, order: int) -> "FixedBiSeries":
         return FixedBiSeries.from_univariate([value], 0, order)
 
+    @staticmethod
+    def from_outer(pairs, exp: int, order: int) -> "FixedBiSeries":
+        """2**exp times the sum of r(x) s(y) over (r, s) in pairs, exact and
+        then rounded once to the budget.
+
+        r and s are univariate Gaussian-integer rows, (re, im) pairs of
+        lists of at least `order` entries; zero entries of s are skipped."""
+        re = [[0] * (d + 1) for d in range(order)]
+        im = [[0] * (d + 1) for d in range(order)]
+        for (rr, ri), (sr, si) in pairs:
+            for j in range(order):
+                a, b = sr[j], si[j]
+                if not (a or b):
+                    continue
+                for i in range(order - j):
+                    x, y = rr[i], ri[i]
+                    re[i + j][j] += x * a - y * b
+                    im[i + j][j] += x * b + y * a
+        return FixedBiSeries(re, im, exp, order)
+
     # -- reading -------------------------------------------------------------
+
+    def line(self, slot: int) -> tuple[list[int], list[int]]:
+        """Mantissas (re, im) of the coefficients of x^k (slot 0) or y^k
+        (slot 1), for a series in that variable only."""
+        j = -1 if slot else 0
+        return [r[j] for r in self.re], [r[j] for r in self.im]
 
     def coefficient(self, i: int, j: int) -> complex:
         if i < 0 or j < 0 or i + j >= self.order:

@@ -29,7 +29,7 @@ from aatkit.errors import (
 from aatkit.functions import FunctionSpec, taylor_of_builtin
 from aatkit.poly import MultiPoly, monic_lex
 from aatkit.scalars import ExactScalar
-from aatkit.series import TruncSeries
+from aatkit.series import FixedBiSeries, TruncSeries
 
 
 def exp_like_element(scale: int, order: int = 16) -> TruncSeries:
@@ -272,6 +272,30 @@ class TestSchwarz:
             assert abs(got - psi[i]) < Fraction(1, 10 ** 30)
             assert abs(Fraction(c.im[i][0]) * Fraction(2) ** c.exp) < \
                 Fraction(1, 10 ** 30)
+
+    @pytest.mark.parametrize("sigma", [0j, 0.3, 0.15 + 0.05j])
+    def test_outer_product_coefficients_match_horner(self, sin_quartic,
+                                                     sin_spec, sigma):
+        # each W-coefficient, summed exactly from outer products of U^p and
+        # V^q rows and rounded once, agrees with a Horner scheme of rounded
+        # FixedBiSeries products to within a few roundings at the budget
+        order = 16
+        U, V = (aat._hp_element(sin_spec, c, sin_spec.element_at(c, order), slot)
+                for c, slot in ((sigma, 0), (-sigma, 1)))
+        got = aat._fixed_poly_in_w(sin_quartic, U, V, order, 1e-8)
+        one = FixedBiSeries.const(1, order)
+        want = [c.substitute({"U": U, "V": V}, one)
+                for c in sin_quartic.coefficients_wrt("W")]
+        assert got.degree == 4
+        for k, (g, w) in enumerate(zip(got.coeffs, want)):
+            if k % 2:
+                assert g.is_zero() and w.is_zero()
+                continue
+            bound = Fraction(max(w.max_abs(), 1.0)) / 2 ** 150
+            sg, sw = Fraction(2) ** g.exp, Fraction(2) ** w.exp
+            for rg, rw in zip(g.re + g.im, w.re + w.im):
+                for a, b in zip(rg, rw):
+                    assert abs(a * sg - b * sw) < bound
 
     def test_relation_search_failure_propagates(self, monkeypatch, tan_spec,
                                                 tan_poly):

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aatkit.errors import DegreeZero, InexactDivision, MissingVariable
+from aatkit import poly
+from aatkit.errors import AatkitError, DegreeZero, InexactDivision, MissingVariable
 from aatkit.poly import (
     MultiPoly,
     content_wrt,
@@ -14,6 +16,7 @@ from aatkit.poly import (
     poly_gcd,
     poly_mul,
     poly_squarefree_content,
+    pseudo_rem,
 )
 from aatkit.scalars import ExactScalar
 
@@ -167,3 +170,76 @@ class TestGcdDivision:
         p = u * z ** 2 + u * u * z
         c = content_wrt(p, "z")
         assert c == monic_lex(u)
+
+
+def _one_factor_per_step_prem(a, b, var):
+    """The pseudo-remainder as it was once computed: one factor lc(b) per
+    reduction step, so lc(b)^(steps) * a mod b (a lower power than the
+    documented one when a reduction step drops the degree by more than
+    one)."""
+    da, db = a.degree(var), b.degree(var)
+    if da < db:
+        return a
+    lc_b = b.leading_wrt(var)
+    x = MultiPoly.variable(var)
+    rem = a
+    while not rem.is_zero() and rem.degree(var) >= db:
+        rem = rem * lc_b - b * rem.leading_wrt(var) * x ** (rem.degree(var) - db)
+    return rem
+
+
+@st.composite
+def uz_poly(draw, max_z=3):
+    """A polynomial in (u, z) with small rational coefficients."""
+    part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, max_z)),
+                                 part, min_size=1, max_size=6))
+    return MultiPoly(("u", "z"), terms)
+
+
+class TestPseudoRemainder:
+    def test_documented_power_of_the_leading_coefficient(self):
+        # one reduction step drops z^2 + 1 to the constant 1, yet the
+        # pseudo-remainder carries lc(b)^(2 - 1 + 1) = 4
+        z = MultiPoly.variable("z")
+        assert pseudo_rem(z ** 2 + 1, 2 * z, "z") == MultiPoly.constant(4, ("z",))
+
+    @settings(max_examples=80, deadline=None)
+    @given(uz_poly(), uz_poly(max_z=2))
+    def test_definition(self, a, b):
+        # deg prem < deg b and lc(b)^(da-db+1) a - prem is a multiple of b
+        da, db = a.degree("z"), b.degree("z")
+        if db < 0 or da < db:
+            return
+        r = pseudo_rem(a, b, "z")
+        assert r.degree("z") < db
+        scaled = a * b.leading_wrt("z").with_vars(a.vars) ** (da - db + 1) - r
+        if not scaled.is_zero():
+            divexact(scaled, b)            # raises InexactDivision otherwise
+
+    @settings(max_examples=60, deadline=None)
+    @given(uz_poly(), uz_poly(), uz_poly(max_z=1))
+    def test_gcd_output_unchanged(self, a, b, c):
+        # poly_gcd strips content after every pseudo-remainder, so the
+        # power of lc(b) in it cannot reach its (monic_lex) output
+        a, b = a * c, b * c
+        got = poly_gcd(a, b)
+        saved = poly.pseudo_rem
+        poly.pseudo_rem = _one_factor_per_step_prem
+        try:
+            want = poly_gcd(a, b)
+        finally:
+            poly.pseudo_rem = saved
+        assert got.vars == want.vars and got.terms == want.terms
+
+    def test_zero_divisor_is_typed(self):
+        z = MultiPoly.variable("z")
+        with pytest.raises(InexactDivision):
+            pseudo_rem(z + 1, MultiPoly.zero(("z",)), "z")
+
+
+def test_divexact_by_zero_is_typed():
+    z = MultiPoly.variable("z")
+    with pytest.raises(InexactDivision) as info:
+        divexact(z + 1, MultiPoly.zero(("z",)))
+    assert isinstance(info.value, AatkitError)

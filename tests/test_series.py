@@ -23,6 +23,7 @@ from aatkit.series import (
     BiSeries,
     FixedBiSeries,
     TruncSeries,
+    _line_product,
     compose_shift,
     radius_estimate,
     rearrange_at,
@@ -499,3 +500,79 @@ class TestExactBiSeriesProduct:
         b = BiSeries({k: ExactScalar(m, m) for k in keys}, order, True)
         want, _ = _dict_product(a, b)
         assert (a * b).coeffs == want
+
+
+# -- exact TruncSeries on integer rows -------------------------------------------
+
+def _list_product(a, b):
+    """Exact TruncSeries product as a plain convolution over ExactScalar,
+    with the valuation-aware order: (low, order, coeffs)."""
+    va, vb = a.valuation(), b.valuation()
+    order = min(a.order + vb, b.order + va)
+    low = va + vb
+    out = [ExactScalar.zero()] * (order - low)
+    for i in range(va, a.order):
+        for j in range(vb, min(b.order, order - i)):
+            out[i + j - low] = out[i + j - low] + a.coefficient(i) * b.coefficient(j)
+    return low, order, out
+
+
+def _list_inverse(b):
+    """Exact TruncSeries inverse by the ExactScalar recurrence, with the
+    exponents -v .. order - 2v: (low, order, coeffs)."""
+    v = b.valuation()
+    cs = [b.coefficient(k) for k in range(v, b.order)]
+    inv0 = ExactScalar.one() / cs[0]
+    out = [inv0]
+    for k in range(1, b.order - v):
+        acc = ExactScalar.zero()
+        for j in range(1, k + 1):
+            acc = acc + cs[j] * out[k - j]
+        out.append(-inv0 * acc)
+    return -v, b.order - 2 * v, out
+
+
+@st.composite
+def exact_trunc(draw):
+    """An exact TruncSeries: low -3..3, up to 24 coefficients with mixed
+    (and large) denominators, Gaussian parts, possibly leading zeros."""
+    low = draw(st.integers(-3, 3))
+    n = draw(st.integers(1, 24))
+    part = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                     st.sampled_from([1, 2, 3, 7, 12, 1024, 3 ** 12, 10 ** 20 + 39]))
+    cs = draw(st.lists(st.one_of(st.just(ExactScalar.zero()),
+                                 st.builds(ExactScalar, part, part),
+                                 st.builds(ExactScalar, part)),
+                       min_size=n, max_size=n))
+    if all(c.is_zero() for c in cs):
+        cs[draw(st.integers(0, n - 1))] = ExactScalar(Fraction(-5, 3), 2)
+    return TruncSeries(ExactScalar(0), cs, low=low, exact=True)
+
+
+class TestExactTruncSeriesRows:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_trunc(), exact_trunc())
+    def test_product_matches_list_convolution(self, a, b):
+        low, order, want = _list_product(a, b)
+        got = a * b
+        assert (got.exact, got.low, got.order) == (True, low, order)
+        assert got.coeffs == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_trunc())
+    def test_inverse_matches_list_recurrence(self, b):
+        low, order, want = _list_inverse(b)
+        got = b.inverse()
+        assert (got.exact, got.low, got.order) == (True, low, order)
+        assert got.coeffs == want
+        assert (got * b).coefficient(0) == ExactScalar.one()
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 33])
+    @pytest.mark.parametrize("bits", [1, 9, 64, 200])
+    def test_worst_case_entries_fit_the_slot(self, n, bits):
+        # dense m(1 - i) times m(1 + i), m = 2**bits - 1: coefficient k is
+        # 2 m**2 (k + 1), the largest the slot width must hold
+        m = (1 << bits) - 1
+        re, im = _line_product([m] * n, [-m] * n, [m] * n, [m] * n, n)
+        assert re == [2 * m * m * (k + 1) for k in range(n)]
+        assert im == [0] * n
