@@ -38,7 +38,13 @@ from .errors import (
     ShiftDegenerate,
     SingularBasePoint,
 )
-from .functions import FunctionSpec, _add_shift, _rational_var, _to_complex
+from .functions import (
+    FunctionSpec,
+    _add_shift,
+    _to_complex,
+    builtin_taylor,
+    rational_taylor,
+)
 from .poly import MultiPoly, monic_lex, poly_squarefree_content
 from .scalars import ExactScalar, gaussian_integers
 from .series import (
@@ -403,8 +409,9 @@ def _kernel_relations(rows: list[list], exact: bool, monos: list[tuple],
     return polys
 
 
-def _powers(s: BiSeries, top: int) -> list[BiSeries]:
-    out = [BiSeries.const(1, s.order, s.exact, s.center)]
+def _powers(s, top: int) -> list:
+    """[1, s, ..., s^top] of a TruncSeries or BiSeries by repeated products."""
+    out = [s ** 0]
     for _ in range(top):
         out.append(out[-1] * s)
     return out
@@ -694,11 +701,8 @@ def _hp_element(f: FunctionSpec, center, element: TruncSeries,
     eff = _to_complex(center) + _to_complex(f.shift)
     if f.name == "rational":
         # exact Taylor shift of P and Q to the (binary, hence exact) center
-        var = _rational_var(f.numer, f.denom)
         c = ExactScalar(Fraction(eff.real), Fraction(eff.imag))
-        num, den = (fixed(p.shift_var(var, c).univariate_coeffs(var)
-                          if not p.is_zero() else [])
-                    for p in (f.numer, f.denom))
+        num, den = (fixed(cs) for cs in rational_taylor(f, c))
         return num * den.inverse()
     import mpmath as mp
     with mp.workprec(PREC_BITS + 32):
@@ -706,19 +710,9 @@ def _hp_element(f: FunctionSpec, center, element: TruncSeries,
         consts = [mp.exp(z)] if f.name == "exp" else [mp.sin(z), mp.cos(z)]
         consts = [ExactScalar(_mpf_fraction(v.real), _mpf_fraction(v.imag))
                   for v in consts]
-
-    def taylor(cycle) -> FixedBiSeries:
-        return fixed([cycle[k % len(cycle)] / math.factorial(k)
-                      for k in range(order)])
-
-    if f.name == "exp":
-        return taylor(consts)
-    s0, c0 = consts
-    sin_t, cos_t = taylor([s0, c0, -s0, -c0]), taylor([c0, -s0, -c0, s0])
-    if f.name == "sin":
-        return sin_t
-    if f.name == "cos":
-        return cos_t
+    if f.name != "tan":
+        return fixed(builtin_taylor(f.name, consts, order))
+    sin_t, cos_t = (fixed(builtin_taylor(g, consts, order)) for g in ("sin", "cos"))
     return sin_t * cos_t.inverse()
 
 
@@ -814,8 +808,8 @@ def algebraic_relation(f, g, bounds: tuple[int, int], order: int = 16,
         sx, sy = sx.to_numeric(), sy.to_numeric()
     monos = [(i, j) for i in range(d_f + 1) for j in range(d_g + 1)]
     monos.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
-    xp = _series_powers(sx, d_f)
-    yp = _series_powers(sy, d_g)
+    xp = _powers(sx, d_f)
+    yp = _powers(sy, d_g)
     columns = [xp[i] * yp[j] for (i, j) in monos]
     n_rows = min(c.order for c in columns)
     rows = [[col.coefficient(k) for col in columns] for k in range(n_rows)]
@@ -824,13 +818,6 @@ def algebraic_relation(f, g, bounds: tuple[int, int], order: int = 16,
         return None
     polys.sort(key=lambda p: (p.total_degree(), len(p.terms)))
     return polys[0]
-
-
-def _series_powers(s: TruncSeries, top: int) -> list[TruncSeries]:
-    out = [TruncSeries.const(1, s.center, s.order, s.exact)]
-    for _ in range(top):
-        out.append(out[-1] * s)
-    return out
 
 
 def _as_spec(f) -> FunctionSpec:

@@ -69,7 +69,7 @@ class AlgebroidCurve:
             if g.degree(z_var) >= 1:
                 raise NotSquareFree(f"repeated factor in {z_var}: {g!r}")
         self._arrays: tuple[_Rows, _Rows, _Rows] | None = None
-        self._singular_cache: list[complex] | None = None
+        self._singular_cache: tuple[list[complex], int] | None = None
 
     @staticmethod
     def from_p_list(p_list: list[MultiPoly], u_var: str = "u",
@@ -128,12 +128,18 @@ class AlgebroidCurve:
 
     def singular_locations(self) -> list[complex]:
         """Finite singular candidates: zeros of p0 and discriminant roots."""
+        return self._singular()[0]
+
+    def _singular(self) -> tuple[list[complex], int]:
+        """The singular locations, zeros of p0 first, and how many of them
+        are zeros of p0; the other ones are discriminant roots."""
         if self._singular_cache is None:
             from .elimination import discriminant  # deferred: import cycle
             locs: list[complex] = []
             if self.p_coeffs[0].degree(self.u_var) >= 1:
                 locs += [r for r, _ in
                          _distinct_roots_exact(self.p_coeffs[0], self.u_var)]
+            n_p0 = len(locs)
             if self.n >= 2:
                 disc = discriminant(self.F, self.z_var)
                 if disc.degree(self.u_var) >= 1:
@@ -141,7 +147,7 @@ class AlgebroidCurve:
                         if all(abs(r - s) > _DEDUPE_TOL * max(1.0, abs(s))
                                for s in locs):
                             locs.append(r)
-            self._singular_cache = locs
+            self._singular_cache = (locs, n_p0)
         return self._singular_cache
 
     def to_json_dict(self) -> dict:
@@ -192,9 +198,7 @@ class PuiseuxBranch:
         return self.eval_t(t)
 
     def sort_key(self):
-        rounded = tuple((round(complex(c).real, 9), round(complex(c).imag, 9))
-                        for c in self.coeffs)
-        return (self.low_exp, self.e, rounded)
+        return _branch_key(self.low_exp, self.e, self.coeffs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,6 +209,13 @@ class PuiseuxBranch:
             "order": self.order,
             "coeffs": [[complex(c).real, complex(c).imag] for c in self.coeffs],
         }
+
+
+def _branch_key(low: int, e: int, coeffs) -> tuple:
+    """Deterministic order of branches and branch systems: (low, e, then the
+    coefficients rounded to 9 decimals)."""
+    return (low, e, tuple((round(complex(c).real, 9), round(complex(c).imag, 9))
+                          for c in coeffs))
 
 
 @dataclass
@@ -671,13 +682,13 @@ def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSyst
         if mult == 1:
             ser = _newton_series(Hz, n_terms)
             ser[0] += zeta
-            systems.append(_polish_system(curve, center, 1.0 + 0j, 1, ser, 0, order))
+            systems.append(_polish_system(curve, H, 1.0 + 0j, 1, ser, 0, order))
             continue
         got = 0
         for mu, e, arr in _vanishing_branches(Hz, n_terms):
             full = arr.copy()
             full[0] += zeta
-            systems.append(_polish_system(curve, center, mu, e, full, 0, order))
+            systems.append(_polish_system(curve, H, mu, e, full, 0, order))
             got += e
         if got != mult:
             raise RootFindingFailure(
@@ -698,7 +709,7 @@ def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSyst
             if v is None:
                 raise RootFindingFailure("polar branch with zero w-series")
             low, inv = _laurent_inverse(arr, v, n_terms + v)
-            systems.append(_polish_system(curve, center, mu, e, inv, low, order))
+            systems.append(_polish_system(curve, H, mu, e, inv, low, order))
             got += e
         if got != n_inf:
             raise RootFindingFailure(
@@ -708,10 +719,7 @@ def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSyst
     if total != curve.n:
         raise RootFindingFailure(
             f"branch completeness violated: sum e = {total} != n = {curve.n}")
-    systems.sort(key=lambda s: (s.low, s.e,
-                                tuple((round(complex(c).real, 9),
-                                       round(complex(c).imag, 9))
-                                      for c in s.coeffs)))
+    systems.sort(key=lambda s: _branch_key(s.low, s.e, s.coeffs))
     return systems
 
 
@@ -731,15 +739,16 @@ def _laurent_inverse(arr: np.ndarray, v: int, n: int) -> tuple[int, np.ndarray]:
     return -v, _series_inv(unit[:n], n)
 
 
-def _polish_system(curve: AlgebroidCurve, center, mu: complex, e: int,
+def _polish_system(curve: AlgebroidCurve, H: np.ndarray, mu: complex, e: int,
                    coeffs: np.ndarray, low: int, order: int) -> BranchSystem:
-    """Rescale to (u - c) = tau^e and Newton-polish against the curve."""
+    """Rescale to (u - c) = tau^e and Newton-polish against the curve, whose
+    local array at c is H."""
     lam = mu ** (1.0 / e) if e > 1 else complex(mu)
     n = order - low
     scaled = np.zeros(n, dtype=complex)
     for k in range(min(n, len(coeffs))):
         scaled[k] = coeffs[k] * lam ** (-(low + k))
-    polished = _laurent_newton_polish(curve, center, e, low, scaled, order)
+    polished = _laurent_newton_polish(curve, H, e, low, scaled, order)
     return BranchSystem(e=e, low=low, coeffs=polished, order=order)
 
 
@@ -802,32 +811,22 @@ class _Laurent:
         return _Laurent(-v, _series_inv(unit[:m], m))
 
 
-def _curve_coeff_arrays(curve: AlgebroidCurve, center, e: int,
-                        hi: int) -> list["_Laurent"]:
-    """Laurent arrays of the z-coefficients of F(center + tau^e, z)."""
-    exact_center = _as_exact(center)
+def _curve_coeff_arrays(H: np.ndarray, e: int, hi: int) -> list["_Laurent"]:
+    """Laurent arrays of the z-coefficients of F(center + tau^e, z): the
+    columns of H = _local_array(curve, center), spread by e."""
     out = []
-    for c in curve.F.coefficients_wrt(curve.z_var):
-        if c.is_zero():
-            out.append(_Laurent(0, np.zeros(max(hi, 1), dtype=complex)))
-            continue
-        if exact_center is not None:
-            shifted = c.shift_var(curve.u_var, exact_center)
-            cs = [complex(x) for x in shifted.univariate_coeffs(curve.u_var)]
-        else:
-            cs = _taylor_shift(c.univariate_coeffs(curve.u_var), complex(center))
-        dense = np.zeros(max(hi, e * len(cs) + 1), dtype=complex)
-        for k, x in enumerate(cs):
-            if e * k < len(dense):
-                dense[e * k] = x
-        out.append(_Laurent(0, dense[:hi]))
+    for col in H.T:
+        col = col[: (hi - 1) // e + 1]
+        dense = np.zeros(hi, dtype=complex)
+        dense[: e * len(col): e] = col
+        out.append(_Laurent(0, dense))
     return out
 
 
-def _laurent_newton_polish(curve: AlgebroidCurve, center, e: int, low: int,
+def _laurent_newton_polish(curve: AlgebroidCurve, H: np.ndarray, e: int, low: int,
                            coeffs: np.ndarray, order: int) -> np.ndarray:
     hi_work = order + e + curve.n * max(-low, 0)
-    cs = _curve_coeff_arrays(curve, center, e, hi_work + curve.n * max(-low, 0) + 4)
+    cs = _curve_coeff_arrays(H, e, hi_work + curve.n * max(-low, 0) + 4)
     dcs = [c.scale(i) for i, c in enumerate(cs)][1:]
     z = _Laurent(low, np.array(coeffs, dtype=complex))
 
@@ -863,7 +862,7 @@ def branch_residual(curve: AlgebroidCurve, branch: PuiseuxBranch,
     """
     e, low = branch.e, branch.low_exp
     hi = branch.order
-    cs = _curve_coeff_arrays(curve, branch.center, e,
+    cs = _curve_coeff_arrays(_local_array(curve, branch.center), e,
                              hi + curve.n * max(-low, 0) + 4)
     z = _Laurent(low, np.array(branch.coeffs, dtype=complex))
     acc = _Laurent.zero(hi)
@@ -945,26 +944,10 @@ def exact_branch_element(curve: AlgebroidCurve, center, z0, order: int) -> Trunc
 
 def singular_points(curve: AlgebroidCurve) -> SingularityReport:
     """Classified singular candidates: p0 zeros, discriminant roots, infinity."""
-    from .elimination import discriminant  # deferred: avoids an import cycle
-
-    u = curve.u_var
-    candidates: list[tuple[complex, str]] = []
-
-    def add(r: complex, source: str):
-        for k, (existing, _) in enumerate(candidates):
-            if abs(existing - r) < _DEDUPE_TOL * max(1.0, abs(existing)):
-                return
-        candidates.append((r, source))
-
-    if curve.p_coeffs[0].degree(u) >= 1:
-        for r, _m in _distinct_roots_exact(curve.p_coeffs[0], u):
-            add(r, "p0-zero")
-    if curve.n >= 2:
-        disc = discriminant(curve.F, curve.z_var)
-        if disc.degree(u) >= 1:
-            for r, _m in _distinct_roots_exact(disc, u):
-                add(r, "discriminant-root")
-    candidates.sort(key=lambda t: (round(t[0].real, 8), round(t[0].imag, 8)))
+    locs, n_p0 = curve._singular()
+    candidates = sorted(((r, "p0-zero" if k < n_p0 else "discriminant-root")
+                         for k, r in enumerate(locs)),
+                        key=lambda t: (round(t[0].real, 8), round(t[0].imag, 8)))
     points = []
     for loc, source in candidates:
         systems = expand_systems(curve, loc, order=8)

@@ -13,6 +13,13 @@ test, and extraction of a Taylor element at a center (exact coefficients
 whenever the function has rational Taylor data at a rational center).
 ``translate(a)`` gives the spec of x |-> phi(x + a), which is how an
 addition theorem at an awkward base point is moved to the origin.
+
+All builtin Taylor data comes from one generator, ``builtin_taylor``: the
+derivative cycle of exp, sin or cos at the center divided by k!, with the
+cycle values exact at 0 and complex doubles elsewhere (aat._hp_element
+feeds it the binary images of mpmath values); tan is the sin/cos quotient.
+A rational P/Q shifts P and Q exactly to an exact center and with
+algebroid._taylor_shift to any other one.
 """
 
 from __future__ import annotations
@@ -28,11 +35,18 @@ from .algebroid import (
     _as_exact,
     _horner,
     _safe_stem,
+    _taylor_shift,
     exact_branch_element,
     puiseux_expand,
     track_branch,
 )
-from .errors import SingularCenter, TooFewCoefficients
+from .errors import (
+    DivisionByZeroSeries,
+    InvariantViolation,
+    SchemaError,
+    SingularCenter,
+    TooFewCoefficients,
+)
 from .poly import MultiPoly
 from .scalars import ExactScalar, rationalize
 from .series import TruncSeries, radius_estimate
@@ -94,13 +108,13 @@ class FunctionSpec:
     @staticmethod
     def builtin(name: str) -> "FunctionSpec":
         if name not in ("exp", "sin", "cos", "tan"):
-            raise ValueError(f"unknown builtin {name!r}")
+            raise SchemaError(f"unknown builtin {name!r}")
         return FunctionSpec("builtin", name=name)
 
     @staticmethod
     def rational(numer: MultiPoly, denom: MultiPoly) -> "FunctionSpec":
         if denom.is_zero():
-            raise ValueError("zero denominator")
+            raise DivisionByZeroSeries("zero denominator")
         return FunctionSpec("builtin", name="rational", numer=numer, denom=denom)
 
     @staticmethod
@@ -244,16 +258,22 @@ class FunctionSpec:
 
     def _algebroid_value(self, w: complex) -> complex:
         if self._branch_value is None:
-            branches = puiseux_expand(self.curve, self.base, 8)
-            if not (0 <= self.branch < len(branches)):
-                raise ValueError(f"branch index {self.branch} out of range")
-            b = branches[self.branch]
-            if b.low_exp < 0 or b.e > 1:
-                raise SingularCenter("selected branch is singular at the base")
-            self._branch_value = b.coefficient(0)
+            self._branch_value = self._base_branch(8).coefficient(0)
         sing = self.curve.singular_locations()
         path = _safe_stem(self.base, w, sing, 0.02 * max(1.0, abs(w)))
         return track_branch(self.curve, self._branch_value, path, singular=sing)
+
+    def _base_branch(self, order: int):
+        """The selected branch at the base point, expanded to `order`; it
+        must exist and be holomorphic there."""
+        branches = puiseux_expand(self.curve, self.base, order)
+        if not (0 <= self.branch < len(branches)):
+            raise InvariantViolation(f"branch index {self.branch} out of range "
+                                     f"(the curve has {len(branches)} branches)")
+        b = branches[self.branch]
+        if b.low_exp < 0 or b.e > 1:
+            raise SingularCenter("selected branch is singular at its base point")
+        return b
 
     # -- elements -----------------------------------------------------------
 
@@ -308,7 +328,7 @@ class FunctionSpec:
         elif kind == "element":
             spec = FunctionSpec.element(TruncSeries.from_json_dict(data["series"]))
         else:
-            raise ValueError(f"unknown function kind {kind!r}")
+            raise SchemaError(f"unknown function kind {kind!r}")
         if "shift" in data:
             spec = spec.translate(complex(*data["shift"]))
         return spec
@@ -366,49 +386,22 @@ def _fmt_shift(v) -> str:
 
 # -- element construction -------------------------------------------------------
 
-def _factorial_series(order: int, pattern) -> list[Fraction]:
-    """Coefficients pattern(k)/k! as exact fractions."""
-    out = []
-    fact = 1
-    for k in range(order):
-        if k:
-            fact *= k
-        out.append(Fraction(pattern(k), fact))
-    return out
+def builtin_taylor(name: str, values: list, order: int) -> list:
+    """Taylor coefficients k < order of exp, sin or cos at a center c.
 
-
-def _exact_exp(order: int) -> TruncSeries:
-    return TruncSeries(ExactScalar(0), [ExactScalar(c) for c in
-                                        _factorial_series(order, lambda k: 1)],
-                       exact=True)
-
-
-def _exact_sin(order: int) -> TruncSeries:
-    def pat(k):
-        if k % 2 == 0:
-            return 0
-        return 1 if (k // 2) % 2 == 0 else -1
-    return TruncSeries(ExactScalar(0), [ExactScalar(c) for c in
-                                        _factorial_series(order, pat)], exact=True)
-
-
-def _exact_cos(order: int) -> TruncSeries:
-    def pat(k):
-        if k % 2 == 1:
-            return 0
-        return 1 if (k // 2) % 2 == 0 else -1
-    return TruncSeries(ExactScalar(0), [ExactScalar(c) for c in
-                                        _factorial_series(order, pat)], exact=True)
-
-
-def _numeric_cycle_series(center: complex, order: int, cycle) -> TruncSeries:
-    coeffs = []
-    fact = 1.0
-    for k in range(order):
-        if k:
-            fact *= k
-        coeffs.append(cycle[k % 4](center) / fact)
-    return TruncSeries(center, coeffs, exact=False)
+    `values` holds [exp c] for exp and [sin c, cos c] otherwise, in any
+    field: Fractions, complex floats or ExactScalars.  The
+    derivatives at c repeat with period p as the cycle [exp c],
+    [s, c, -s, -c] (sin) or [c, -s, -c, s] (cos), so coefficient k is
+    cycle[k mod p] / k!.  tan is the quotient of the sin and cos series,
+    taken by the caller in its own series type.
+    """
+    if name == "exp":
+        cycle = values
+    else:
+        s, c = values
+        cycle = [s, c, -s, -c] if name == "sin" else [c, -s, -c, s]
+    return [cycle[k % len(cycle)] / math.factorial(k) for k in range(order)]
 
 
 def _builtin_series(spec: FunctionSpec, eff, order: int) -> TruncSeries:
@@ -416,92 +409,60 @@ def _builtin_series(spec: FunctionSpec, eff, order: int) -> TruncSeries:
     eff_exact = _as_exactish(eff)
     exact_zero = eff_exact is not None and eff_exact.is_zero()
     c = _to_complex(eff)
-    if name == "exp":
-        if exact_zero:
-            return _exact_exp(order)
-        ew = cmath.exp(c)
-        return TruncSeries(c, [ew * x for x in
-                               _inverse_factorials(order)], exact=False)
-    if name == "sin":
-        if exact_zero:
-            return _exact_sin(order)
-        return _numeric_cycle_series(c, order,
-                                     [cmath.sin, cmath.cos,
-                                      lambda w: -cmath.sin(w),
-                                      lambda w: -cmath.cos(w)])
-    if name == "cos":
-        if exact_zero:
-            return _exact_cos(order)
-        return _numeric_cycle_series(c, order,
-                                     [cmath.cos, lambda w: -cmath.sin(w),
-                                      lambda w: -cmath.cos(w), cmath.sin])
-    if name == "tan":
-        if exact_zero:
-            # one extra guard term keeps the quotient order at `order`
-            return (_exact_sin(order + 1) / _exact_cos(order + 1)).truncate(order)
-        if abs(cmath.cos(c)) < 1e-9:
-            raise SingularCenter(f"tan has a pole at {c}")
-        s = _numeric_cycle_series(c, order + 1,
-                                  [cmath.sin, cmath.cos,
-                                   lambda w: -cmath.sin(w),
-                                   lambda w: -cmath.cos(w)])
-        co = _numeric_cycle_series(c, order + 1,
-                                   [cmath.cos, lambda w: -cmath.sin(w),
-                                    lambda w: -cmath.cos(w), cmath.sin])
-        return (s / co).truncate(order)
-    # rational P/Q
-    var = _rational_var(spec.numer, spec.denom)
-    if eff_exact is not None:
-        p_sh, q_sh = ((spec.numer, spec.denom) if exact_zero else
-                      (spec.numer.shift_var(var, eff_exact),
-                       spec.denom.shift_var(var, eff_exact)))
-        q0 = q_sh.coefficient_wrt(var, 0)
-        if q0.is_zero():
-            raise SingularCenter(f"denominator vanishes at {eff_exact}")
-        ps = _poly_to_series(p_sh, var, eff_exact, order, exact=True)
-        qs = _poly_to_series(q_sh, var, eff_exact, order, exact=True)
-        return (ps / qs).truncate(order)
-    qv = spec.denom.eval({var: c})
-    scale = max(abs(complex(x)) for x in spec.denom.terms.values())
-    if abs(qv) < 1e-12 * max(scale, 1.0):
-        raise SingularCenter(f"denominator vanishes at {c}")
-    pa = _taylor_shift_list(spec.numer, var, c, order)
-    qa = _taylor_shift_list(spec.denom, var, c, order)
-    ps = TruncSeries(c, pa, exact=False)
-    qs = TruncSeries(c, qa, exact=False)
+    if name == "rational":
+        return _rational_series(spec, eff_exact, c, order)
+    if exact_zero:
+        # Fractions, not ExactScalars: each coefficient is one Fraction division
+        center = ExactScalar(0)
+        values = [Fraction(1)] if name == "exp" else [Fraction(0), Fraction(1)]
+    elif name == "tan" and abs(cmath.cos(c)) < 1e-9:
+        raise SingularCenter(f"tan has a pole at {c}")
+    else:
+        center = c
+        values = [cmath.exp(c)] if name == "exp" else [cmath.sin(c), cmath.cos(c)]
+    if name != "tan":
+        return TruncSeries(center, builtin_taylor(name, values, order), exact=exact_zero)
+    # one extra guard term keeps the quotient order at `order`
+    sin_s, cos_s = (TruncSeries(center, builtin_taylor(f, values, order + 1),
+                                exact=exact_zero) for f in ("sin", "cos"))
+    return (sin_s / cos_s).truncate(order)
+
+
+def _rational_series(spec: FunctionSpec, eff_exact, c: complex,
+                     order: int) -> TruncSeries:
+    """P/Q at the center; SingularCenter at a zero of Q."""
+    exact = eff_exact is not None
+    if not exact:
+        var = _rational_var(spec.numer, spec.denom)
+        qv = spec.denom.eval({var: c})
+        scale = max(abs(complex(x)) for x in spec.denom.terms.values())
+        if abs(qv) < 1e-12 * max(scale, 1.0):
+            raise SingularCenter(f"denominator vanishes at {c}")
+    center = eff_exact if exact else c
+    num, den = rational_taylor(spec, center)
+    if exact and den[0].is_zero():
+        raise SingularCenter(f"denominator vanishes at {eff_exact}")
+    ps, qs = (TruncSeries(center, cs[:order] + [0] * (order - len(cs)), exact=exact)
+              for cs in (num, den))
     return (ps / qs).truncate(order)
 
 
-def _inverse_factorials(order: int) -> list[float]:
-    out, fact = [], 1.0
-    for k in range(order):
-        if k:
-            fact *= k
-        out.append(1.0 / fact)
-    return out
+def rational_taylor(spec: FunctionSpec, center) -> tuple[list, list]:
+    """Ascending coefficients of P(center + t) and Q(center + t) of a
+    rational spec: an exact shift to an ExactScalar center, else the numeric
+    one of algebroid._taylor_shift."""
+    var = _rational_var(spec.numer, spec.denom)
 
+    def shifted(p: MultiPoly) -> list:
+        if p.is_zero():
+            return [ExactScalar.zero()]
+        if not isinstance(center, ExactScalar):
+            return _taylor_shift(p.univariate_coeffs(var), center)
+        if not center.is_zero():
+            p = p.shift_var(var, center)
+        return p.univariate_coeffs(var)
 
-def _poly_to_series(p: MultiPoly, var: str, center, order: int,
-                    exact: bool) -> TruncSeries:
-    cs = p.univariate_coeffs(var) if not p.is_zero() else [ExactScalar.zero()]
-    cs = cs[:order] + [ExactScalar.zero()] * max(0, order - len(cs))
-    if exact:
-        return TruncSeries(ExactScalar.coerce(center) if not
-                           isinstance(center, ExactScalar) else center,
-                           cs, exact=True)
-    return TruncSeries(complex(center), [complex(c) for c in cs], exact=False)
-
-
-def _taylor_shift_list(p: MultiPoly, var: str, c: complex, order: int) -> list[complex]:
-    arr = np.array([complex(x) for x in p.univariate_coeffs(var)], dtype=complex) \
-        if not p.is_zero() else np.zeros(1, dtype=complex)
-    n = len(arr)
-    out = arr.copy()
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += c * out[j + 1]
-    full = list(out) + [0j] * max(0, order - n)
-    return full[:order]
+    return shifted(spec.numer), shifted(spec.denom)
 
 
 def _rational_var(numer: MultiPoly, denom: MultiPoly) -> str:
@@ -525,12 +486,7 @@ def _element_series(series: TruncSeries, eff, order: int) -> TruncSeries:
 
 def _algebroid_series(spec: FunctionSpec, eff, order: int) -> TruncSeries:
     curve = spec.curve
-    base_branches = puiseux_expand(curve, spec.base, 6)
-    if not (0 <= spec.branch < len(base_branches)):
-        raise ValueError(f"branch index {spec.branch} out of range")
-    sel = base_branches[spec.branch]
-    if sel.low_exp < 0 or sel.e > 1:
-        raise SingularCenter("selected branch is singular at its base point")
+    sel = spec._base_branch(6)
     c = _to_complex(eff)
     if abs(c - complex(spec.base)) == 0.0:
         z_at = sel.coefficient(0)

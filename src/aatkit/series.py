@@ -9,6 +9,9 @@ pole-type elements.
 
 Every operation records the order to which its output is trustworthy, so
 callers (and tests) never compare coefficients beyond validity.
+``rearrange_at`` re-expands an element about a new center with one
+generalized-binomial loop over the coefficient field: exact when the series
+and the new center are, complex otherwise.
 
 BiSeries is the two-variable analogue with total-degree truncation; it
 realizes expansions of f(u+v) and the bivariate coefficients that appear in
@@ -390,16 +393,16 @@ def rearrange_at(s: TruncSeries, new_center, tol: float = 1e-9) -> TruncSeries:
     that the unknown-tail contribution to every reported coefficient is below
     `tol` relative to the local coefficient scale.
     """
-    exact_target = s.exact and _is_exact_scalar(new_center)
-    if exact_target:
-        d_exact = ExactScalar.coerce(new_center) - s.center
-        if d_exact.is_zero():
-            return s
-        d = abs(d_exact)
+    exact = s.exact and _is_exact_scalar(new_center)
+    if exact:
+        target = ExactScalar.coerce(new_center)
+        dd = target - s.center
     else:
-        d = abs(complex(new_center) - complex(s.center))
-        if d == 0.0:
-            return s
+        target = complex(new_center)
+        dd = target - complex(s.center)
+    if dd == 0:
+        return s
+    d = abs(dd)
     r_tail = _tail_radius(s)
     r_run = radius_estimate(s)
     r = r_tail if math.isfinite(r_tail) else r_run
@@ -419,45 +422,23 @@ def rearrange_at(s: TruncSeries, new_center, tol: float = 1e-9) -> TruncSeries:
             break
     if new_order <= 0:
         raise OutsideDisc("no coefficient satisfies the tail tolerance")
-    if exact_target:
-        dd = ExactScalar.coerce(new_center) - s.center
-        out = [ExactScalar.zero() for _ in range(new_order)]
-        for nn in range(s.low, s.order):
-            a = s.coefficient(nn)
-            if a.is_zero():
-                continue
-            # (z-c)^nn = (w + d)^nn with w = z - s; generalized binomial for nn < 0
-            coef = ExactScalar.one()
-            power = nn
-            dpow = dd ** nn if nn >= 0 else (ExactScalar.one() / dd ** (-nn))
-            binom = Fraction(1)
-            for j in range(0, new_order):
-                if j > 0:
-                    binom = binom * Fraction(power - (j - 1), j)
-                    dpow = dpow / dd
-                if nn >= 0 and j > nn:
-                    break
-                out[j] = out[j] + a * ExactScalar(binom) * dpow
-        return TruncSeries(ExactScalar.coerce(new_center), out, low=0,
-                           order=new_order, exact=True)
-    sn = s.to_numeric()
-    dd = complex(new_center) - complex(sn.center)
-    out_n = [0j] * new_order
-    for nn in range(sn.low, sn.order):
-        a = sn.coefficient(nn)
+    src = s if exact else s.to_numeric()
+    zero, binom0 = (ExactScalar.zero(), Fraction(1)) if exact else (0j, 1.0)
+    out = [zero] * new_order
+    for nn in range(src.low, src.order):
+        a = src.coefficient(nn)
         if a == 0:
             continue
-        binom = 1.0
-        dpow = dd ** nn
+        # (z-c)^nn = (w + d)^nn with w = z - s; generalized binomial for nn < 0
+        binom, dpow = binom0, dd ** nn
         for j in range(0, new_order):
             if j > 0:
                 binom = binom * (nn - (j - 1)) / j
                 dpow = dpow / dd
             if nn >= 0 and j > nn:
                 break
-            out_n[j] += a * binom * dpow
-    return TruncSeries(complex(new_center), out_n, low=0, order=new_order,
-                       exact=False)
+            out[j] = out[j] + a * binom * dpow
+    return TruncSeries(target, out, low=0, order=new_order, exact=exact)
 
 
 def compose_shift(f: TruncSeries) -> "BiSeries":

@@ -48,6 +48,13 @@ def files(tmp_path_factory):
         "g_zero_den": dump("g_zero_den.json", {
             "vars": ["U", "V", "W"],
             "terms": [{"exps": [0, 0, 1], "re": ["1", "0"], "im": ["0", "1"]}]}),
+        "sqrt_b7": dump("sqrt_b7.json", {
+            "type": "algebroid", "branch": 7, "base": [1, 0],
+            "curve": AlgebroidCurve(z * z - u).to_json_dict()}),
+        "foo": dump("foo.json", {"type": "builtin", "name": "foo"}),
+        "zero_den": dump("zero_den.json", {
+            "type": "builtin", "name": "rational", "numer": u.to_json_dict(),
+            "denom": MultiPoly.zero(("u",)).to_json_dict()}),
         "root": root,
     }
 
@@ -114,6 +121,32 @@ class TestExitCodes:
         code = run_command(["aat", "verify"])  # missing required args
         capsys.readouterr()
         assert code == 2
+
+
+class TestSpecErrors:
+    """Bad function specs give one typed JSON error, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [["aat", "verify", "--poly", "g_exp"],
+                                      ["aat", "discover"]])
+    def test_branch_out_of_range(self, files, capsys, argv):
+        argv = [files.get(a, a) for a in argv] + ["--fn", files["sqrt_b7"]]
+        code = run_command(argv)
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert code in (1, 2) and out.err == ""
+        assert rep["error"]["type"] == "InvariantViolation"
+        assert "branch index 7 out of range" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("name,message", [
+        ("foo", "foo.json: unknown builtin 'foo'"),
+        ("zero_den", "zero_den.json: zero denominator")])
+    def test_loader_messages(self, files, capsys, name, message):
+        code = run_command(["aat", "discover", "--fn", files[name]])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)
+        assert code == 2 and out.err == ""
+        assert rep["error"]["type"] == "SchemaError"
+        assert rep["error"]["message"] == str(files["root"] / message)
 
 
 class TestReports:

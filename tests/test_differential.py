@@ -1,17 +1,23 @@
-"""Differential tests against sympy: resultants, discriminants, exact series
-products and inverses, and the doubling chain of sin."""
+"""Differential tests against sympy and mpmath: resultants, discriminants,
+polynomial GCDs, exact series products and inverses, the doubling chain of
+sin, the builtin Taylor data in every field, and the numeric Taylor shift."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aatkit.aat import _hp_element
+from aatkit.algebroid import _taylor_shift
 from aatkit.elimination import discriminant, eliminate_chain, resultant
-from aatkit.poly import MultiPoly, pseudo_rem
+from aatkit.functions import FunctionSpec
+from aatkit.poly import MultiPoly, poly_gcd, pseudo_rem
 from aatkit.scalars import ExactScalar
 from aatkit.series import TruncSeries
 
 sympy = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 from sympy.polys.ring_series import rs_series_inversion  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
@@ -203,3 +209,100 @@ def test_sin_doubling_chain_against_sympy():
     pw, pg = sympy.Poly(gamma, *gens), sympy.Poly(to_sympy(got), *gens)
     assert pg.degree(gens[0]) == 32
     assert sympy.expand(pw.LC() * pg.as_expr() - pg.LC() * pw.as_expr()) == 0
+
+
+# -- polynomial GCD -------------------------------------------------------------
+
+@st.composite
+def poly_uz(draw, max_terms: int = 4):
+    """A nonzero polynomial in (u, z) of degree <= 2 in each variable."""
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                 gaussian.filter(bool), min_size=1, max_size=max_terms))
+    return MultiPoly(("u", "z"), terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(poly_uz(), poly_uz(), poly_uz())
+def test_poly_gcd_against_sympy(g, f1, f2):
+    # a common factor g makes most cases non-trivial; the two answers may
+    # differ by a unit of Q(i), so each is scaled by the other's lead
+    a, b = g * f1, g * f2
+    gens = sympy.symbols("u z")
+    ours = sympy.Poly(to_sympy(poly_gcd(a, b)), *gens, domain=sympy.QQ_I)
+    want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), *gens, domain=sympy.QQ_I)
+    assert ours.total_degree() == want.total_degree()
+    assert (want.LC() * ours - ours.LC() * want).is_zero
+
+
+# -- builtin Taylor data ------------------------------------------------------------
+
+BUILTINS = ("exp", "sin", "cos", "tan")
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_exact_builtin_elements_against_sympy(name, n):
+    s = FunctionSpec.builtin(name).element_at(0, n)
+    assert s.exact and (s.low, s.order) == (0, n)
+    assert_coefficients(s, getattr(sympy, name)(T).series(T, 0, n).removeO())
+
+
+@pytest.mark.parametrize("name,rel", [("exp", 1e-15), ("sin", 1e-15),
+                                      ("cos", 1e-15), ("tan", 1e-13)])
+@pytest.mark.parametrize("center", [0.3, 0.25 + 0.1j, -1.7 + 0.4j, 1j, 2.0])
+def test_numeric_builtin_elements_against_mpmath(name, rel, center):
+    n = 24
+    s = FunctionSpec.builtin(name).element_at(center, n)
+    assert not s.exact and s.order == n
+    with mpmath.workprec(200):
+        want = [complex(w) for w in
+                mpmath.taylor(getattr(mpmath, name), mpmath.mpc(center), n - 1)]
+    for k in range(n):
+        assert abs(s.coefficient(k) - want[k]) <= rel * abs(want[k])
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("center", [0, 0.3, 0.25 + 0.125j, -0.5])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_fixed_point_elements_against_mpmath(name, center, slot):
+    # the Schwarz chain's 160-bit elements: every coefficient within 2^-150
+    # of a 200-bit mpmath Taylor expansion
+    f = FunctionSpec.builtin(name)
+    n = 20
+    h = _hp_element(f, center, f.element_at(center, n), slot)
+    re, im = h.line(slot)
+    with mpmath.workprec(200):
+        want = mpmath.taylor(getattr(mpmath, name), mpmath.mpc(center), n - 1)
+        scale = max(1, max(abs(w) for w in want))
+        for k in range(n):
+            got = mpmath.mpc(mpmath.ldexp(re[k], h.exp), mpmath.ldexp(im[k], h.exp))
+            assert abs(got - want[k]) <= mpmath.ldexp(scale, -150)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(gaussian, min_size=1, max_size=9),
+       st.sampled_from([math.pi / 7, -math.e / 3,
+                        complex(math.sqrt(2) / 3, math.pi / 5),
+                        complex(-math.sqrt(3) / 2, -math.log(2))]))
+def test_numeric_taylor_shift_against_exact(cs, c):
+    # the float center is a binary rational, so the exact shift is exact at
+    # the very center the numeric shift uses
+    u = MultiPoly.variable("u")
+    p = MultiPoly.from_univariate("u", cs)
+    dyadic = ExactScalar(Fraction(c.real), Fraction(complex(c).imag))
+    exact = p.shift_var("u", dyadic)
+    want = [complex(x) for x in exact.univariate_coeffs("u")] if not exact.is_zero() else []
+    got = _taylor_shift(cs, c)
+    scale = sum(abs(complex(x)) for x in cs) * max(1.0, abs(c)) ** len(cs)
+    for k, g in enumerate(got):
+        w = want[k] if k < len(want) else 0j
+        assert abs(g - w) <= 1e-14 * scale
+    # and the rational element built on it agrees with the exact element
+    q = 2 + u * u
+    f = FunctionSpec.rational(p, q)
+    num = f.element_at(c, 10)
+    ex = f.element_at(dyadic, 10)
+    assert not num.exact and ex.exact
+    for k in range(10):
+        w = complex(ex.coefficient(k))
+        assert abs(num.coefficient(k) - w) <= 1e-12 * max(1.0, abs(w)) * scale
