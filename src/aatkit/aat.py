@@ -35,6 +35,7 @@ from .errors import (
     OrderTooLow,
     OrderTooLowForDegree,
     PreconditionFailed,
+    SchemaError,
     ShiftDegenerate,
     SingularBasePoint,
 )
@@ -50,8 +51,8 @@ from .scalars import ExactScalar, gaussian_integers
 from .series import (
     PREC_BITS,
     BiSeries,
-    FixedBiSeries,
     TruncSeries,
+    _common,
     _line_powers,
     compose_shift,
     radius_estimate,
@@ -141,15 +142,18 @@ def _elements_uvw(f: FunctionSpec, base, order: int) -> tuple[BiSeries, BiSeries
     U = BiSeries.from_univariate(su, slot=0, order=order)
     V = BiSeries.from_univariate(su, slot=1, order=order)
     W = compose_shift(sw).truncate(order)
-    if not (U.exact and V.exact and W.exact):
-        U, V, W = U.to_numeric(), V.to_numeric(), W.to_numeric()
     return U, V, W
 
 
 def relation_residual(G: MultiPoly, U: BiSeries, V: BiSeries, W: BiSeries) -> BiSeries:
-    """G evaluated on three bivariate series (the addition-theorem residual)."""
-    one = BiSeries.const(1, min(U.order, V.order, W.order), U.exact, U.center)
-    return G.substitute({"U": U, "V": V, "W": W}, one)
+    """G evaluated on three bivariate series (the addition-theorem residual),
+    for U a series in x only and V one in y only: its W-coefficients from
+    _poly_in_w, then a Horner scheme in W."""
+    coeffs = _poly_in_w(G, U, V, min(U.order, V.order, W.order))
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * W + c
+    return acc
 
 
 def element_relation_residual(G: MultiPoly, p1: TruncSeries, p2: TruncSeries,
@@ -159,8 +163,6 @@ def element_relation_residual(G: MultiPoly, p1: TruncSeries, p2: TruncSeries,
     U = BiSeries.from_univariate(p1, slot=0, order=order)
     V = BiSeries.from_univariate(p2, slot=1, order=order)
     W = compose_shift(p3).truncate(order)
-    if not (U.exact and V.exact and W.exact):
-        U, V, W = U.to_numeric(), V.to_numeric(), W.to_numeric()
     return relation_residual(G, U, V, W)
 
 
@@ -388,7 +390,8 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     n_rows_order = min(c.order for c in columns)
     rows = [[col.coefficient(p, q) for col in columns]
             for p in range(n_rows_order) for q in range(n_rows_order - p)]
-    return _kernel_relations(rows, U.exact, monos, ("U", "V", "W"))
+    return _kernel_relations(rows, U.exact and V.exact and W.exact, monos,
+                             ("U", "V", "W"))
 
 
 def _kernel_relations(rows: list[list], exact: bool, monos: list[tuple],
@@ -501,7 +504,7 @@ def _as_series(p) -> TruncSeries:
             return p.series
         base = p.default_base()
         return p.element_at(base, 16)
-    raise TypeError("expected a TruncSeries or FunctionSpec element")
+    raise SchemaError("expected a TruncSeries or FunctionSpec element")
 
 
 def _subst_const(G: MultiPoly, var: str, value, exact: bool) -> MultiPoly:
@@ -552,8 +555,8 @@ def schwarz_reduce(G: MultiPoly, f: FunctionSpec,
     H(X, Y) = 0 between phi and psi_r.
 
     The intermediate Euclid quotients are badly conditioned series, so when
-    the relation has W-degree above one the chain runs on FixedBiSeries
-    (PREC_BITS-bit fixed-point Gaussian integers) instead of doubles.
+    the relation has W-degree above one the chain runs on binary-scale
+    BiSeries (PREC_BITS-bit fixed-point Gaussian integers) instead of doubles.
     """
     _check_uvw_vars(G)
     if shifts is not None:
@@ -628,63 +631,70 @@ def _shifted_poly_in_w(G: MultiPoly, f: FunctionSpec, base, sigma: complex,
 
     Intermediate Euclid quotients have small convergence radii, so when GCD
     steps are coming (`force_hp`), or the Taylor data is not exact, U and V
-    are FixedBiSeries: fixed-point Gaussian integers with PREC_BITS-bit
-    mantissas, which reach the working order where doubles cannot.
-    Otherwise they are exact BiSeries.
+    are on the binary scale: fixed-point Gaussian integers with
+    PREC_BITS-bit mantissas, which reach the working order where doubles
+    cannot.  Otherwise they are exact (rational scale).
     """
     bu = _add_shift(base, sigma) if sigma == 0 else _to_complex(base) + sigma
     bv = _add_shift(base, -sigma) if sigma == 0 else _to_complex(base) - sigma
     su = f.element_at(bu, order)   # also rejects singular centers
     sv = f.element_at(bv, order)
     if not su.exact or force_hp:
-        return _fixed_poly_in_w(G, _hp_element(f, bu, su, slot=0),
-                                _hp_element(f, bv, sv, slot=1), order, zero_tol)
-    U = BiSeries.from_univariate(su, slot=0, order=order)
-    V = BiSeries.from_univariate(sv, slot=1, order=order)
-    if not (U.exact and V.exact):
-        U, V = U.to_numeric(), V.to_numeric()
-    one = BiSeries.const(1, order, U.exact, U.center)
-    return PolyInW([c.substitute({"U": U, "V": V}, one)
-                    for c in G.coefficients_wrt("W")], zero_tol)
+        U, V = _hp_element(f, bu, su, slot=0), _hp_element(f, bv, sv, slot=1)
+    else:
+        U = BiSeries.from_univariate(su, 0, order)
+        V = BiSeries.from_univariate(sv, 1, order)
+    return PolyInW(_poly_in_w(G, U, V, order), zero_tol)
 
 
-def _fixed_poly_in_w(G: MultiPoly, U: FixedBiSeries, V: FixedBiSeries,
-                     order: int, zero_tol: float) -> PolyInW:
-    """G(U, V, W) as a polynomial in W over FixedBiSeries, for U a series in
-    x only and V one in y only.
+def _poly_in_w(G: MultiPoly, U: BiSeries, V: BiSeries, order: int) -> list[BiSeries]:
+    """The coefficients of G(U, V, W) as a polynomial in W, to the given
+    order, for U a series in x only and V one in y only.
 
     The W^k coefficient, sum of c_pq U^p V^q, is the sum over q of the outer
     products R_q(x) V^q(y) with R_q = sum_p c_pq U^p.  U^p and V^q are exact
-    univariate Gaussian-integer rows and each c_pq is rounded to the budget
-    as a scalar product would round it, so each coefficient is summed
-    exactly and rounded once; no bivariate product is needed.
+    univariate Gaussian-integer rows over the common scale of U and V, each
+    c_pq enters at that scale (on the binary one rounded to the budget, as a
+    scalar product would round it), so each coefficient is summed exactly
+    and normalized once; no bivariate product is needed.
     """
     G = G.with_vars(("U", "V", "W"))
+    U, V = _common(U, V)
+    binary = not U.exact
     ups = _line_powers(*U.line(0), G.degree("U"), order)
     vqs = _line_powers(*V.line(1), G.degree("V"), order)
     coeffs = []
     for c in G.coefficients_wrt("W"):
-        terms = []
+        terms = []           # (p, q, mantissa of c_pq, scale of c_pq U^p V^q)
         for (p, q), value in c.terms.items():
-            k = FixedBiSeries.const(value, 1)
-            terms.append((p, q, k.re[0][0], k.im[0][0],
-                          k.exp + p * U.exp + q * V.exp))
-        E = min((t[4] for t in terms), default=0)
+            k = BiSeries.const(value, 1)
+            if binary:
+                k = k.to_binary()
+                scale = k.exp + p * U.exp + q * V.exp
+            else:
+                scale = k.den * U.den ** p * V.den ** q
+            terms.append((p, q, k.re[0][0], k.im[0][0], scale))
+        if binary:       # exponents: align every term to the smallest, E
+            E = min((t[4] for t in terms), default=0)
+            terms = [(p, q, kr << e - E, ki << e - E) for p, q, kr, ki, e in terms]
+        else:            # denominators: bring every term over their lcm, E
+            E = math.lcm(*(t[4] for t in terms))
+            terms = [(p, q, kr * (E // d), ki * (E // d)) for p, q, kr, ki, d in terms]
         rows: dict[int, tuple[list[int], list[int]]] = {}
-        for p, q, kr, ki, e in terms:
-            kr, ki = kr << e - E, ki << e - E
+        for p, q, kr, ki in terms:
             rr, ri = rows.setdefault(q, ([0] * order, [0] * order))
             for i, (x, y) in enumerate(zip(*ups[p])):
                 rr[i] += kr * x - ki * y
                 ri[i] += kr * y + ki * x
-        coeffs.append(FixedBiSeries.from_outer(
-            [(r, vqs[q]) for q, r in rows.items()], E, order))
-    return PolyInW(coeffs, zero_tol)
+        pairs = [(r, vqs[q]) for q, r in rows.items()]
+        coeffs.append(BiSeries.from_outer(pairs, order, exp=E) if binary
+                      else BiSeries.from_outer(pairs, order, den=E))
+    return coeffs
 
 
 def _hp_element(f: FunctionSpec, center, element: TruncSeries,
-                slot: int) -> FixedBiSeries:
-    """phi(center + t) as a FixedBiSeries in t = x (slot 0) or t = y (slot 1).
+                slot: int) -> BiSeries:
+    """phi(center + t) on the binary scale in t = x (slot 0) or t = y (slot 1).
 
     exp, sin and cos need one or two transcendental values at the center,
     taken from mpmath with guard bits and then scaled by 1/k! exactly; tan
@@ -693,8 +703,9 @@ def _hp_element(f: FunctionSpec, center, element: TruncSeries,
     """
     order = element.order
 
-    def fixed(values) -> FixedBiSeries:
-        return FixedBiSeries.from_univariate(values, slot, order)
+    def fixed(values) -> BiSeries:
+        return BiSeries.from_coeffs({(0, k) if slot else (k, 0): v
+                                     for k, v in enumerate(values)}, order).to_binary()
 
     if f.kind != "builtin":
         return fixed([element.coefficient(k) for k in range(order)])
@@ -825,4 +836,4 @@ def _as_spec(f) -> FunctionSpec:
         return f
     if isinstance(f, TruncSeries):
         return FunctionSpec.element(f)
-    raise TypeError("expected FunctionSpec or TruncSeries")
+    raise SchemaError("expected FunctionSpec or TruncSeries")

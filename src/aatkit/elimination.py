@@ -14,10 +14,10 @@ up to sign), and 3 rows suffice for the sin chain.
 
 PolyInW models a polynomial in one distinguished variable W whose
 coefficients live either in the exact polynomial ring (MultiPoly) or in a
-truncated bivariate series ring (BiSeries, or the fixed-point
-FixedBiSeries).  gcd_in_w runs the Euclidean algorithm over the
-corresponding field of fractions; for series coefficients, "zero" means
-"no significant term below the working order".
+truncated bivariate series ring (BiSeries, exact or fixed-point).
+gcd_in_w runs the Euclidean algorithm over the corresponding field of
+fractions; for series coefficients, "zero" means "no significant term
+below the working order".
 
 eliminate_chain iterates resultants down a half-argument relation
 f(x_1, x) = 0, f(x_2, x_1) = 0, ... and returns the relation connecting the
@@ -38,9 +38,9 @@ from .errors import (
 from .poly import (MultiPoly, divexact, monic_lex, poly_squarefree_content,
                    pseudo_rem)
 from .scalars import ExactScalar
-from .series import BiSeries, FixedBiSeries
+from .series import BiSeries
 
-Coefficient = Union[MultiPoly, BiSeries, FixedBiSeries]
+Coefficient = Union[MultiPoly, BiSeries]
 
 
 # -- Sylvester resultant -----------------------------------------------------
@@ -148,8 +148,8 @@ class PolyInW:
     """Polynomial in a distinguished variable with ring-valued coefficients.
 
     coeffs[k] is the coefficient of W^k; entries are MultiPoly (exact
-    rational-function work), BiSeries or FixedBiSeries (truncated series
-    work), never mixed.
+    rational-function work) or BiSeries (truncated series work), never
+    mixed.
     """
 
     __slots__ = ("coeffs", "zero_tol")
@@ -200,9 +200,7 @@ class PolyInW:
 def _zero_like(ref: Coefficient) -> Coefficient:
     if isinstance(ref, MultiPoly):
         return MultiPoly.zero(ref.vars)
-    if isinstance(ref, FixedBiSeries):
-        return FixedBiSeries.zeros(ref.order)
-    return BiSeries.zeros(ref.order, ref.exact, ref.center)
+    return BiSeries.zeros(ref.order)
 
 
 def _series_invertible(c: BiSeries, tol: float) -> bool:

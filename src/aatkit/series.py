@@ -13,20 +13,24 @@ callers (and tests) never compare coefficients beyond validity.
 generalized-binomial loop over the coefficient field: exact when the series
 and the new center are, complex otherwise.
 
-BiSeries is the two-variable analogue with total-degree truncation; it
-realizes expansions of f(u+v) and the bivariate coefficients that appear in
-addition-theorem work.  Like TruncSeries it is either exact or complex.
+BiSeries is the two-variable analogue with total-degree truncation: the
+expansions of f(u+v) and the bivariate coefficients of addition-theorem
+work.  It is one class on triangular rows of Gaussian integers (row d
+holds the coefficients of x^(d-j) y^j) with one scale per series, chosen
+by the data:
 
-FixedBiSeries is the extended-precision bivariate series of the Schwarz
-reduction: dense rows of fixed-point Gaussian-integer mantissas with one
-binary exponent per series and a budget of PREC_BITS bits.
+* rational (exact data): the rows over one positive denominator D,
+  gcd-normalized, so the representation of a series is unique;
+* binary (complex data, and the Schwarz chain's fixed-point elements): the
+  rows times 2**exp, each result rounded once (half to even) to PREC_BITS
+  bits when its exact value needs more.
 
-Both bivariate products share one kernel, _triangle_product: triangular
-rows of Gaussian integers (row d holds x^(d-j) y^j), each row packed into
-one big integer (Kronecker substitution) and multiplied exactly.  An exact
-BiSeries enters it as integer rows over one positive denominator, the lcm
-of its coefficient denominators, and leaves it as one Fraction per nonzero
-coefficient; a FixedBiSeries enters with its mantissas and rounds once.
+An operation with a binary operand promotes the other one to binary.  Each
+operation runs one integer row routine for both scales and normalizes its
+result once, by a gcd or by one rounding: products pack every row into one
+big integer (Kronecker substitution) and multiply exactly
+(_triangle_product), and inverses run one row recurrence
+(_row_recurrence), fraction-free on the rational scale.
 Exact TruncSeries products pack each whole coefficient row into one big
 integer (_line_product), and exact TruncSeries inverses run a
 fraction-free recurrence on Gaussian integers (_exact_inverse); both build
@@ -38,12 +42,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
+from types import MappingProxyType
 from typing import Sequence
 
 from .errors import (
     CenterMismatch,
     DivisionByZeroSeries,
+    InvariantViolation,
     OutsideDisc,
+    SchemaError,
     SingularCenter,
     TooFewCoefficients,
 )
@@ -82,7 +89,7 @@ class TruncSeries:
         self.coeffs = _coerce_coeffs(coeffs, self.exact)
         self.order = int(order) if order is not None else self.low + len(self.coeffs)
         if len(self.coeffs) != self.order - self.low:
-            raise ValueError("coefficient list length must equal order - low")
+            raise InvariantViolation("coefficient list length must equal order - low")
 
     # -- basics -------------------------------------------------------------
 
@@ -159,7 +166,7 @@ class TruncSeries:
 
     def _pair(self, other: "TruncSeries") -> tuple["TruncSeries", "TruncSeries"]:
         if not isinstance(other, TruncSeries):
-            raise TypeError("expected TruncSeries")
+            raise SchemaError("expected TruncSeries")
         a, b = self, other
         if a.exact != b.exact:
             a, b = a.to_numeric(), b.to_numeric()
@@ -336,7 +343,7 @@ def series_arith(a: TruncSeries, b: TruncSeries, op: str) -> TruncSeries:
         return a * b
     if op == "div":
         return a / b
-    raise ValueError(f"unknown op {op!r}")
+    raise SchemaError(f"unknown op {op!r}")
 
 
 def radius_estimate(s: TruncSeries) -> float:
@@ -441,264 +448,7 @@ def rearrange_at(s: TruncSeries, new_center, tol: float = 1e-9) -> TruncSeries:
     return TruncSeries(target, out, low=0, order=new_order, exact=exact)
 
 
-def compose_shift(f: TruncSeries) -> "BiSeries":
-    """Expand f(center + (x+y)) as a bivariate series in (x, y).
-
-    Coefficient of x^i y^j is binomial(i+j, i) * a_{i+j}.
-    """
-    if f.low < 0:
-        v = f.valuation()
-        if v is None or v < 0:
-            raise SingularCenter("cannot shift-expand a polar element")
-        f = f.normalized_low()
-    out = BiSeries.zeros(f.order, f.exact, center=(f.center, f.center))
-    for k in range(f.low, f.order):
-        a = f.coefficient(k)
-        if f._coeff_is_zero(a, f._scale_hint()):
-            continue
-        for i in range(0, k + 1):
-            c = math.comb(k, i)
-            term = a * ExactScalar(c) if f.exact else a * c
-            out._add_term(i, k - i, term)
-    out._clean()
-    return out
-
-
-class BiSeries:
-    """Bivariate series: {(i, j): coeff} with i + j < order (total degree).
-
-    Exact series multiply as Gaussian-integer rows over the product of the
-    operands' common denominators (see the module docstring), complex ones
-    by a dict convolution.  Either way the result order is
-    min(a.order + v_b, b.order + v_a) for valuations v_a, v_b.
-    """
-
-    __slots__ = ("coeffs", "order", "center", "exact")
-
-    def __init__(self, coeffs: dict, order: int, exact: bool, center=(0, 0)):
-        self.order = int(order)
-        self.exact = bool(exact)
-        self.center = center
-        self.coeffs = {}
-        for (i, j), c in coeffs.items():
-            if i + j >= self.order:
-                continue
-            c = ExactScalar.coerce(c) if exact else complex(c)
-            if (exact and c.is_zero()) or (not exact and c == 0):
-                continue
-            self.coeffs[(i, j)] = c
-
-    @staticmethod
-    def zeros(order: int, exact: bool, center=(0, 0)) -> "BiSeries":
-        return BiSeries({}, order, exact, center)
-
-    @staticmethod
-    def const(value, order: int, exact: bool, center=(0, 0)) -> "BiSeries":
-        v = ExactScalar.coerce(value) if exact else complex(value)
-        return BiSeries({(0, 0): v}, order, exact, center)
-
-    @staticmethod
-    def from_univariate(s: TruncSeries, slot: int, order: int | None = None) -> "BiSeries":
-        """Embed a power series as a series in x (slot=0) or y (slot=1)."""
-        if s.low < 0 and (s.valuation() or -1) < 0:
-            raise SingularCenter("cannot embed a polar element")
-        order = order if order is not None else s.order
-        out = BiSeries.zeros(min(order, s.order), s.exact)
-        for k in range(max(s.low, 0), s.order):
-            c = s.coefficient(k)
-            key = (k, 0) if slot == 0 else (0, k)
-            out._add_term(*key, c)
-        out._clean()
-        return out
-
-    def _zero(self):
-        return ExactScalar.zero() if self.exact else 0j
-
-    def _add_term(self, i: int, j: int, c):
-        if i + j >= self.order:
-            return
-        cur = self.coeffs.get((i, j))
-        self.coeffs[(i, j)] = c if cur is None else cur + c
-
-    def _clean(self):
-        if self.exact:
-            dead = [k for k, c in self.coeffs.items() if c.is_zero()]
-        else:
-            dead = [k for k, c in self.coeffs.items() if c == 0]
-        for k in dead:
-            del self.coeffs[k]
-
-    def coefficient(self, i: int, j: int):
-        return self.coeffs.get((i, j), self._zero())
-
-    def max_abs(self) -> float:
-        return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
-
-    def valuation(self, tol: float = 0.0) -> int | None:
-        """Minimal total degree with a (significant) nonzero coefficient."""
-        scale = self.max_abs()
-        best = None
-        for (i, j), c in self.coeffs.items():
-            if not self.exact and tol > 0 and abs(c) <= tol * max(scale, 1.0):
-                continue
-            d = i + j
-            if best is None or d < best:
-                best = d
-        return best
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.valuation(tol) is None
-
-    def truncate(self, order: int) -> "BiSeries":
-        return BiSeries(self.coeffs, min(order, self.order), self.exact, self.center)
-
-    def to_numeric(self) -> "BiSeries":
-        if not self.exact:
-            return self
-        return BiSeries({k: complex(c) for k, c in self.coeffs.items()},
-                        self.order, False, self.center)
-
-    def _pair(self, other: "BiSeries"):
-        a, b = self, other
-        if a.exact != b.exact:
-            a, b = a.to_numeric(), b.to_numeric()
-        return a, b
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries({k: -c for k, c in self.coeffs.items()},
-                        self.order, self.exact, self.center)
-
-    def __add__(self, other) -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            other = BiSeries.const(other, self.order, self.exact, self.center)
-        a, b = self._pair(other)
-        out = BiSeries(dict(a.coeffs), min(a.order, b.order), a.exact, a.center)
-        for k, c in b.coeffs.items():
-            out._add_term(*k, c)
-        out._clean()
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            other = BiSeries.const(other, self.order, self.exact, self.center)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "BiSeries":
-        return (-self) + other
-
-    def __mul__(self, other) -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            if self.exact and _is_exact_scalar(other):
-                c = ExactScalar.coerce(other)
-                return BiSeries({k: v * c for k, v in self.coeffs.items()},
-                                self.order, True, self.center)
-            z = complex(other)
-            s = self.to_numeric()
-            return BiSeries({k: v * z for k, v in s.coeffs.items()},
-                            s.order, False, s.center)
-        a, b = self._pair(other)
-        va = a.valuation() or 0
-        vb = b.valuation() or 0
-        order = min(a.order + vb, b.order + va)
-        if a.exact:
-            da, ar, ai = _gaussian_rows(a)
-            db, br, bi = _gaussian_rows(b)
-            out = BiSeries.zeros(order, True, a.center)
-            out.coeffs = _rows_to_fractions(
-                _triangle_product(ar, ai, br, bi, va, vb, order), da * db)
-            return out
-        out = BiSeries.zeros(order, a.exact, a.center)
-        for (i1, j1), c1 in a.coeffs.items():
-            for (i2, j2), c2 in b.coeffs.items():
-                if i1 + j1 + i2 + j2 >= order:
-                    continue
-                out._add_term(i1 + i2, j1 + j2, c1 * c2)
-        out._clean()
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = BiSeries.const(1, self.order, self.exact, self.center)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def inverse(self) -> "BiSeries":
-        """Inverse of a series with invertible constant term.
-
-        Solved order by order (numerically stable; no large intermediate
-        powers)."""
-        c0 = self.coefficient(0, 0)
-        bad = c0.is_zero() if self.exact else (c0 == 0)
-        if bad:
-            raise DivisionByZeroSeries("constant term is zero; cannot invert")
-        inv0 = (ExactScalar.one() / c0) if self.exact else (1.0 / c0)
-        out: dict[tuple[int, int], object] = {(0, 0): inv0}
-        tail = [(k, c) for k, c in self.coeffs.items() if k != (0, 0)]
-        for d in range(1, self.order):
-            for i in range(d + 1):
-                j = d - i
-                acc = None
-                for (p, q), b in tail:
-                    if p <= i and q <= j:
-                        c = out.get((i - p, j - q))
-                        if c is None:
-                            continue
-                        term = b * c
-                        acc = term if acc is None else acc + term
-                if acc is not None:
-                    out[(i, j)] = -inv0 * acc
-        return BiSeries(out, self.order, self.exact, self.center)
-
-    def __truediv__(self, other) -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            if self.exact and _is_exact_scalar(other):
-                return self * (ExactScalar.one() / ExactScalar.coerce(other))
-            return self * (1.0 / complex(other))
-        a, b = self._pair(other)
-        return a * b.inverse()
-
-    def derivative(self, slot: int) -> "BiSeries":
-        out = BiSeries.zeros(self.order - 1, self.exact, self.center)
-        for (i, j), c in self.coeffs.items():
-            if slot == 0 and i > 0:
-                out._add_term(i - 1, j, c * i)
-            elif slot == 1 and j > 0:
-                out._add_term(i, j - 1, c * j)
-        out._clean()
-        return out
-
-    def restrict_y0(self) -> TruncSeries:
-        """Set the second variable to zero, leaving a series in the first."""
-        coeffs = [self._zero() for _ in range(self.order)]
-        for (i, j), c in self.coeffs.items():
-            if j == 0:
-                coeffs[i] = c
-        center = self.center[0] if isinstance(self.center, tuple) else self.center
-        return TruncSeries(center, coeffs, low=0, order=self.order, exact=self.exact)
-
-    def eval(self, x: complex, y: complex) -> complex:
-        acc = 0j
-        for (i, j), c in self.coeffs.items():
-            acc += complex(c) * x ** i * y ** j
-        return acc
-
-    def __repr__(self) -> str:
-        tag = "exact" if self.exact else "numeric"
-        items = sorted(self.coeffs.items(), key=lambda t: (sum(t[0]), t[0]))
-        return f"BiSeries(order={self.order}, {tag}, {items!r})"
-
-
-# -- fixed-point Gaussian-integer bivariate series ------------------------------
+# -- Gaussian-integer row kernels ------------------------------------------------
 
 PREC_BITS = 160     # mantissa budget (45 decimal digits are 153 bits)
 _INV_GUARD = 32     # extra bits carried through the inverse recurrence
@@ -875,119 +625,136 @@ def _gaussian_scalar(x: int, y: int, D: int) -> ExactScalar:
                                     Fraction(y, D) if y else _ZERO)
 
 
-def _gaussian_rows(s: "BiSeries") -> tuple[int, list[list[int]], list[list[int]]]:
-    """(D, re, im) with s = (re + i im) / D: triangular Gaussian-integer rows
-    (row d holds x^(d-j) y^j) over the lcm D of the coefficient denominators."""
-    D, nre, nim = gaussian_integers(list(s.coeffs.values()))
-    re = [[0] * (d + 1) for d in range(s.order)]
-    im = [[0] * (d + 1) for d in range(s.order)]
-    for (i, j), x, y in zip(s.coeffs, nre, nim):
-        re[i + j][j], im[i + j][j] = x, y
-    return D, re, im
-
-
-def _rows_to_fractions(rows: list[tuple[list[int], list[int]]], D: int) -> dict:
-    """{(i, j): ExactScalar} for the nonzero entries of rows / D."""
-    out = {}
-    for d, (rr, ri) in enumerate(rows):
-        for j, (x, y) in enumerate(zip(rr, ri)):
-            if x or y:
-                out[(d - j, j)] = _gaussian_scalar(x, y, D)
-    return out
-
-
-def _gaussian_fractions(v) -> tuple[Fraction, Fraction]:
-    """Exact parts (re, im) of an int, Fraction, ExactScalar or complex."""
-    if isinstance(v, ExactScalar):
-        return v.re, v.im
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v), Fraction(0)
-    z = complex(v)
-    return Fraction(z.real), Fraction(z.imag)
-
-
-def _floor_log2(x: Fraction) -> int:
-    """floor(log2 |x|) for x != 0."""
-    n, d = abs(x.numerator), x.denominator
+def _floor_log2(n: int, d: int) -> int:
+    """floor(log2(n / d)) for integers n, d > 0."""
     t = n.bit_length() - d.bit_length()
     return t if (n << max(-t, 0)) >= (d << max(t, 0)) else t - 1
 
 
-class FixedBiSeries:
-    """Bivariate series in (x, y), total degree < order, in fixed point.
+def _triangle(order: int) -> list[list[int]]:
+    return [[0] * (d + 1) for d in range(order)]
 
-    Row d holds the coefficients of x^(d-j) y^j for j = 0..d as Gaussian
-    integer mantissas re[d][j] + i im[d][j]; all coefficients share the
-    binary exponent ``exp``.  Every operation computes its exact result and,
-    if that needs more than PREC_BITS bits, rounds it once (half to even) to
-    PREC_BITS bits, so each result carries an absolute error of at most
-    about 2**-PREC_BITS times its largest coefficient.  Products are exact integer convolutions of whole
-    rows, one big-integer product per pair of rows (Kronecker substitution),
-    and ``inverse`` solves order by order in integers.
 
-    The interface is the part of BiSeries that the series GCD in
-    ``elimination`` and the Schwarz reduction use; coefficients read back as
-    complex.
+def _row_recurrence(ar: list[list[int]], ai: list[list[int]], n: int,
+                    b0: tuple[int, int], step) -> tuple[list, list]:
+    """Rows b_0 .. b_(n-1) of b_d = step(a_1 b_(d-1) + ... + a_d b_0), the
+    sum an exact row product of triangular Gaussian-integer rows and step a
+    map from its (re, im) entry lists to the next row's."""
+    re, im = [[b0[0]]], [[b0[1]]]
+    bits_a = _max_bits(ar + ai)
+    bits_b = max(abs(b0[0]), abs(b0[1])).bit_length()
+    slot, pa, pb = 0, [], []
+    for d in range(1, n):
+        need = bits_a + bits_b + 2 * n.bit_length() + 4
+        if need > slot:                   # widen and repack
+            slot = need + 32
+            pa = _pack_rows(ar, ai, slot)
+            pb = _pack_rows(re, im, slot)
+        rr, ri = step(*_row_product(pa, pb, d, range(1, d + 1), slot))
+        re.append(rr)
+        im.append(ri)
+        bits_b = max(bits_b, _max_bits([rr, ri]))
+        pb += _pack_rows([rr], [ri], slot)
+    return re, im
+
+
+def _common(a: "BiSeries", b: "BiSeries") -> tuple["BiSeries", "BiSeries"]:
+    """a and b on one scale: rational if both are, else both binary."""
+    if a.exp is None and b.exp is None:
+        return a, b
+    return a.to_binary(), b.to_binary()
+
+
+class BiSeries:
+    """Bivariate series in (x, y), total degree < order, on Gaussian-integer
+    rows with one scale.
+
+    re[d][j] + i im[d][j] is the mantissa of the coefficient of x^(d-j) y^j.
+    Rational scale (``exp`` is None): the coefficient is the mantissa over
+    the positive denominator ``den``, and den and all mantissas are coprime.
+    Binary scale: the coefficient is the mantissa times 2**exp (``den`` is
+    1), and no mantissa has more than PREC_BITS bits: a result that needs
+    more is rounded once (half to even), so it carries an absolute error of
+    at most about 2**-PREC_BITS times its largest coefficient.
+
+    Series from exact data are rational, those from complex data binary;
+    an operation with a binary operand is binary.  The product of two series
+    has order min(a.order + v_b, b.order + v_a) for valuations v_a, v_b.
     """
 
-    __slots__ = ("re", "im", "exp", "order")
-    exact = False
+    __slots__ = ("re", "im", "order", "den", "exp", "_coeffs")
 
-    def __init__(self, re: list[list[int]], im: list[list[int]], exp: int,
-                 order: int):
-        top = max(_max_bits(re), _max_bits(im))
-        if top > PREC_BITS:
-            s = top - PREC_BITS
-            re = [[_round_shift(v, s) for v in r] for r in re]
-            im = [[_round_shift(v, s) for v in r] for r in im]
-            exp += s
-        elif top == 0:
-            exp = 0
-        self.re, self.im, self.exp, self.order = re, im, exp, order
+    def __init__(self, re: list[list[int]], im: list[list[int]], order: int,
+                 den: int = 1, exp: int | None = None):
+        if exp is None:
+            g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+            if g > 1:
+                re = [[v // g for v in r] for r in re]
+                im = [[v // g for v in r] for r in im]
+                den //= g
+        else:
+            top = max(_max_bits(re), _max_bits(im))
+            if top > PREC_BITS:
+                s = top - PREC_BITS
+                re = [[_round_shift(v, s) for v in r] for r in re]
+                im = [[_round_shift(v, s) for v in r] for r in im]
+                exp += s
+            elif top == 0:
+                exp = 0
+        self.re, self.im, self.order, self.den, self.exp = re, im, order, den, exp
+        self._coeffs = None
 
     # -- construction ----------------------------------------------------------
 
     @staticmethod
-    def zeros(order: int) -> "FixedBiSeries":
-        return FixedBiSeries([[0] * (d + 1) for d in range(order)],
-                             [[0] * (d + 1) for d in range(order)], 0, order)
+    def zeros(order: int) -> "BiSeries":
+        return BiSeries(_triangle(order), _triangle(order), order)
 
     @staticmethod
-    def from_univariate(values, slot: int, order: int) -> "FixedBiSeries":
-        """values[k] as the coefficient of x^k (slot 0) or y^k (slot 1),
-        each rounded once to the budget.
-
-        Entries may be int, Fraction, ExactScalar or complex; missing ones
-        are zero."""
-        parts = [_gaussian_fractions(v) for v in values[:order]]
-        logs = [_floor_log2(x) for c in parts for x in c if x]
-        k = PREC_BITS - 1 - max(logs, default=0)   # mantissa = round(x * 2**k)
-
-        def mant(x: Fraction) -> int:
-            if k >= 0:
-                return _round_div(x.numerator << k, x.denominator)
-            return _round_div(x.numerator, x.denominator << -k)
-
-        re = [[0] * (d + 1) for d in range(order)]
-        im = [[0] * (d + 1) for d in range(order)]
-        for d, (xr, xi) in enumerate(parts):
-            j = d if slot else 0
-            re[d][j], im[d][j] = mant(xr), mant(xi)
-        return FixedBiSeries(re, im, -k, order)
+    def from_coeffs(coeffs, order: int) -> "BiSeries":
+        """The series with {(i, j): value} coefficients (i + j < order; the
+        rest are zero): rational if every value is an ExactScalar, int or
+        Fraction, else binary, each coefficient rounded once relative to
+        the largest."""
+        items = [(k, v) for k, v in coeffs.items() if sum(k) < order]
+        exact = all(_is_exact_scalar(v) for _, v in items)
+        D, nr, ni = gaussian_integers(
+            [ExactScalar.coerce(v) if _is_exact_scalar(v)
+             else ExactScalar.of_fractions(Fraction(v.real), Fraction(v.imag))
+             for _, v in items])
+        re, im = _triangle(order), _triangle(order)
+        for ((i, j), _), x, y in zip(items, nr, ni):
+            re[i + j][j], im[i + j][j] = x, y
+        out = BiSeries(re, im, order, D)
+        return out if exact else out.to_binary()
 
     @staticmethod
-    def const(value, order: int) -> "FixedBiSeries":
-        return FixedBiSeries.from_univariate([value], 0, order)
+    def const(value, order: int) -> "BiSeries":
+        return BiSeries.from_coeffs({(0, 0): value}, order)
 
     @staticmethod
-    def from_outer(pairs, exp: int, order: int) -> "FixedBiSeries":
-        """2**exp times the sum of r(x) s(y) over (r, s) in pairs, exact and
-        then rounded once to the budget.
+    def from_univariate(s: TruncSeries, slot: int,
+                        order: int | None = None) -> "BiSeries":
+        """Embed a power series as a series in x (slot 0) or y (slot 1): an
+        exact element on the rational scale, a numeric one on the binary
+        scale."""
+        if s.low < 0:
+            v = s.valuation()
+            if v is None or v < 0:
+                raise SingularCenter("cannot expand a polar element")
+        n = s.order if order is None else min(order, s.order)
+        return BiSeries.from_coeffs(
+            {(0, k) if slot else (k, 0): s.coefficient(k) for k in range(n)}, n)
+
+    @staticmethod
+    def from_outer(pairs, order: int, den: int = 1,
+                   exp: int | None = None) -> "BiSeries":
+        """The sum of r(x) s(y) over (r, s) in pairs, over den (exp None) or
+        times 2**exp, exact and then normalized once.
 
         r and s are univariate Gaussian-integer rows, (re, im) pairs of
         lists of at least `order` entries; zero entries of s are skipped."""
-        re = [[0] * (d + 1) for d in range(order)]
-        im = [[0] * (d + 1) for d in range(order)]
+        re, im = _triangle(order), _triangle(order)
         for (rr, ri), (sr, si) in pairs:
             for j in range(order):
                 a, b = sr[j], si[j]
@@ -997,32 +764,74 @@ class FixedBiSeries:
                     x, y = rr[i], ri[i]
                     re[i + j][j] += x * a - y * b
                     im[i + j][j] += x * b + y * a
-        return FixedBiSeries(re, im, exp, order)
+        return BiSeries(re, im, order, den, exp)
 
-    # -- reading -------------------------------------------------------------
+    def to_binary(self) -> "BiSeries":
+        """This series on the binary scale: every mantissa rounded once to
+        PREC_BITS bits of the largest coefficient part."""
+        if self.exp is not None:
+            return self
+        D = self.den
+        top = max(map(abs, chain(*self.re, *self.im)), default=0)
+        k = PREC_BITS - 1 - (_floor_log2(top, D) if top else 0)
+
+        def mant(x: int) -> int:          # round(x / D * 2**k)
+            return _round_div(x << k, D) if k >= 0 else _round_div(x, D << -k)
+
+        return BiSeries([[mant(x) if x else 0 for x in r] for r in self.re],
+                        [[mant(x) if x else 0 for x in r] for r in self.im],
+                        self.order, exp=-k)
+
+    # -- reading ---------------------------------------------------------------
+
+    @property
+    def exact(self) -> bool:
+        return self.exp is None
+
+    def _value(self, x: int, y: int):
+        if self.exp is None:
+            return _gaussian_scalar(x, y, self.den)
+        return complex(math.ldexp(x, self.exp), math.ldexp(y, self.exp))
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {(i, j): coefficient} of the nonzero coefficients:
+        ExactScalar on the rational scale, complex on the binary one."""
+        if self._coeffs is None:
+            self._coeffs = MappingProxyType({
+                (d - j, j): self._value(x, y)
+                for d, (rr, ri) in enumerate(zip(self.re, self.im))
+                for j, (x, y) in enumerate(zip(rr, ri)) if x or y})
+        return self._coeffs
+
+    def coefficient(self, i: int, j: int):
+        if i < 0 or j < 0 or i + j >= self.order:
+            return self._value(0, 0)
+        return self._value(self.re[i + j][j], self.im[i + j][j])
 
     def line(self, slot: int) -> tuple[list[int], list[int]]:
         """Mantissas (re, im) of the coefficients of x^k (slot 0) or y^k
         (slot 1), for a series in that variable only."""
+        rest = (r[:-1] if slot else r[1:] for r in chain(self.re, self.im))
+        if any(map(any, rest)):
+            raise InvariantViolation(f"not a series in {'xy'[slot]} alone")
         j = -1 if slot else 0
         return [r[j] for r in self.re], [r[j] for r in self.im]
 
-    def coefficient(self, i: int, j: int) -> complex:
-        if i < 0 or j < 0 or i + j >= self.order:
-            return 0j
-        d = i + j
-        return complex(math.ldexp(self.re[d][j], self.exp),
-                       math.ldexp(self.im[d][j], self.exp))
-
     def max_abs(self) -> float:
+        if self.exp is None:
+            return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
         best = max((a * a + b * b for ra, rb in zip(self.re, self.im)
                     for a, b in zip(ra, rb)), default=0)
         return math.ldexp(math.sqrt(best), self.exp)
 
     def valuation(self, tol: float = 0.0) -> int | None:
-        """Minimal total degree with a (significant) nonzero coefficient."""
-        cut = tol * max(self.max_abs(), 1.0) if tol > 0 else -1.0
-        e = self.exp
+        """Minimal total degree with a nonzero coefficient; on the binary
+        scale, with tol > 0, one above tol times max(max_abs, 1)."""
+        if self.exp is None or tol <= 0:
+            return next((d for d, (ra, rb) in enumerate(zip(self.re, self.im))
+                         if any(ra) or any(rb)), None)
+        cut, e = tol * max(self.max_abs(), 1.0), self.exp
         for d, (ra, rb) in enumerate(zip(self.re, self.im)):
             for a, b in zip(ra, rb):
                 if (a or b) and math.ldexp(math.hypot(a, b), e) > cut:
@@ -1032,95 +841,126 @@ class FixedBiSeries:
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.valuation(tol) is None
 
+    def truncate(self, order: int) -> "BiSeries":
+        order = min(order, self.order)
+        return BiSeries(self.re[:order], self.im[:order], order, self.den, self.exp)
+
     def restrict_y0(self) -> TruncSeries:
-        """Set y to zero, leaving a complex series in x centered at 0."""
-        return TruncSeries(0j, [self.coefficient(i, 0) for i in range(self.order)],
-                           exact=False)
+        """Set y to zero, leaving a series in x centered at 0."""
+        return TruncSeries(0, [self.coefficient(i, 0) for i in range(self.order)],
+                           exact=self.exact)
 
     def __repr__(self) -> str:
-        return f"FixedBiSeries(order={self.order}, exp={self.exp})"
+        scale = f"den={self.den}" if self.exp is None else f"exp={self.exp}"
+        return f"BiSeries(order={self.order}, {scale})"
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __neg__(self) -> "FixedBiSeries":
-        return FixedBiSeries([[-v for v in r] for r in self.re],
-                             [[-v for v in r] for r in self.im],
-                             self.exp, self.order)
+    def __neg__(self) -> "BiSeries":
+        return BiSeries([[-v for v in r] for r in self.re],
+                        [[-v for v in r] for r in self.im],
+                        self.order, self.den, self.exp)
 
-    def __add__(self, other: "FixedBiSeries") -> "FixedBiSeries":
-        order = min(self.order, other.order)
-        e = min(self.exp, other.exp)
-        sa, sb = self.exp - e, other.exp - e
-        re = [[(a << sa) + (b << sb) for a, b in zip(ra, rb)]
-              for ra, rb in zip(self.re[:order], other.re)]
-        im = [[(a << sa) + (b << sb) for a, b in zip(ra, rb)]
-              for ra, rb in zip(self.im[:order], other.im)]
-        return FixedBiSeries(re, im, e, order)
+    def __add__(self, other) -> "BiSeries":
+        if not isinstance(other, BiSeries):
+            other = BiSeries.const(other, self.order)
+        a, b = _common(self, other)
+        order = min(a.order, b.order)
+        if a.exp is None:
+            den, exp = math.lcm(a.den, b.den), None
+            fa, fb = den // a.den, den // b.den
+        else:
+            den, exp = 1, min(a.exp, b.exp)
+            fa, fb = 1 << a.exp - exp, 1 << b.exp - exp
+        re = [[x * fa + y * fb for x, y in zip(ra, rb)]
+              for ra, rb in zip(a.re[:order], b.re)]
+        im = [[x * fa + y * fb for x, y in zip(ra, rb)]
+              for ra, rb in zip(a.im[:order], b.im)]
+        return BiSeries(re, im, order, den, exp)
 
-    def __sub__(self, other: "FixedBiSeries") -> "FixedBiSeries":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "BiSeries":
         return self + (-other)
 
-    def __mul__(self, other) -> "FixedBiSeries":
-        if not isinstance(other, FixedBiSeries):     # scalar, rounded first
-            c = FixedBiSeries.const(other, 1)
-            gr, gi = c.re[0][0], c.im[0][0]
-            pairs = [list(zip(ra, rb)) for ra, rb in zip(self.re, self.im)]
-            return FixedBiSeries([[x * gr - y * gi for x, y in r] for r in pairs],
-                                 [[x * gi + y * gr for x, y in r] for r in pairs],
-                                 self.exp + c.exp, self.order)
-        a, b = self, other
+    def __rsub__(self, other) -> "BiSeries":
+        return (-self) + other
+
+    def __mul__(self, other) -> "BiSeries":
+        scalar = not isinstance(other, BiSeries)
+        a, b = _common(self, BiSeries.const(other, 1) if scalar else other)
+        den, exp = a.den * b.den, None if a.exp is None else a.exp + b.exp
+        if scalar:                        # one Gaussian factor, rounded first
+            gr, gi = b.re[0][0], b.im[0][0]
+            pairs = [list(zip(ra, rb)) for ra, rb in zip(a.re, a.im)]
+            return BiSeries([[x * gr - y * gi for x, y in r] for r in pairs],
+                            [[x * gi + y * gr for x, y in r] for r in pairs],
+                            a.order, den, exp)
         va = a.valuation() or 0
         vb = b.valuation() or 0
         order = min(a.order + vb, b.order + va)
         rows = _triangle_product(a.re, a.im, b.re, b.im, va, vb, order)
-        return FixedBiSeries([r[0] for r in rows], [r[1] for r in rows],
-                             a.exp + b.exp, order)
+        return BiSeries([r[0] for r in rows], [r[1] for r in rows], order, den, exp)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "FixedBiSeries":
-        """Inverse of a series with nonzero constant term, row by row.
+    def __pow__(self, n: int) -> "BiSeries":
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = BiSeries.const(1, self.order)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
 
-        With B = 1/A written as b * 2**(-K - exp), the rows satisfy
-        b_0 = 2**K / a_0 and b_d = -(a_1 b_(d-1) + ... + a_d b_0) / a_0:
-        exact integer row products, one rounded Gaussian division per
-        coefficient.  K puts PREC_BITS + _INV_GUARD bits into b_0.
+    def inverse(self) -> "BiSeries":
+        """Inverse of a series with nonzero constant term g = a_0, row by row.
+
+        Binary scale: with 1/A = b * 2**(-K - exp), b_0 = 2**K / g and
+        b_d = -(a_1 b_(d-1) + ... + a_d b_0) / g, one rounded Gaussian
+        division per coefficient; K puts PREC_BITS + _INV_GUARD bits into b_0.
+        Rational scale, A = a / D: 1/A has rows D B_d / g^(d+1) with B_0 = 1
+        and B_d = -(a_1 g^0 B_(d-1) + ... + a_d g^(d-1) B_0), a fraction-free
+        recurrence; row d then goes over the one denominator |g|^(2n).
         """
         gr, gi = self.re[0][0], self.im[0][0]
         if not (gr or gi):
             raise DivisionByZeroSeries("constant term is zero; cannot invert")
         norm = gr * gr + gi * gi
         n = self.order
-        K = PREC_BITS + _INV_GUARD + max(abs(gr), abs(gi)).bit_length()
+        if self.exp is not None:
+            K = PREC_BITS + _INV_GUARD + max(abs(gr), abs(gi)).bit_length()
 
-        def div(sr: int, si: int) -> tuple[int, int]:
-            return (_round_div(sr * gr + si * gi, norm),
-                    _round_div(si * gr - sr * gi, norm))
+            def div(sr: int, si: int) -> tuple[int, int]:
+                return (_round_div(sr * gr + si * gi, norm),
+                        _round_div(si * gr - sr * gi, norm))
 
-        b0 = div(1 << K, 0)
-        re, im = [[b0[0]]], [[b0[1]]]
-        bits_a = _max_bits(self.re + self.im)
-        bits_b = max(abs(b0[0]), abs(b0[1])).bit_length()
-        slot, pa, pb = 0, [], []
-        for d in range(1, n):
-            need = bits_a + bits_b + 2 * n.bit_length() + 4
-            if need > slot:               # widen and repack (rarely needed)
-                slot = need + 32
-                pa = _pack_rows(self.re, self.im, slot)
-                pb = _pack_rows(re, im, slot)
-            sr, si = _row_product(pa, pb, d, range(1, d + 1), slot)
-            row = [div(-x, -y) for x, y in zip(sr, si)]
-            rr, ri = [c[0] for c in row], [c[1] for c in row]
-            re.append(rr)
-            im.append(ri)
-            bits_b = max(bits_b, _max_bits([rr, ri]))
-            pb += _pack_rows([rr], [ri], slot)
-        return FixedBiSeries(re, im, -K - self.exp, n)
+            def step(sr: list[int], si: list[int]) -> tuple[list, list]:
+                row = [div(-x, -y) for x, y in zip(sr, si)]
+                return [c[0] for c in row], [c[1] for c in row]
 
-    def __truediv__(self, other: "FixedBiSeries") -> "FixedBiSeries":
-        return self * other.inverse()
+            re, im = _row_recurrence(self.re, self.im, n, div(1 << K, 0), step)
+            return BiSeries(re, im, n, exp=-K - self.exp)
+        ar, ai = [self.re[0]], [self.im[0]]
+        pr, pi = 1, 0                                    # g^(k-1)
+        for k in range(1, n):
+            ar.append([x * pr - y * pi for x, y in zip(self.re[k], self.im[k])])
+            ai.append([x * pi + y * pr for x, y in zip(self.re[k], self.im[k])])
+            pr, pi = pr * gr - pi * gi, pr * gi + pi * gr
+        re, im = _row_recurrence(ar, ai, n, (1, 0), lambda sr, si: (
+            [-x for x in sr], [-y for y in si]))
+        cr, ci = self.den * gr, -self.den * gi           # D conj(g)^(d+1)
+        for d in range(n):
+            f = norm ** (n - 1 - d)
+            re[d], im[d] = ([(x * cr - y * ci) * f for x, y in zip(re[d], im[d])],
+                            [(x * ci + y * cr) * f for x, y in zip(re[d], im[d])])
+            cr, ci = cr * gr + ci * gi, ci * gr - cr * gi
+        return BiSeries(re, im, n, norm ** n)
 
-    def derivative(self, slot: int) -> "FixedBiSeries":
+    def derivative(self, slot: int) -> "BiSeries":
         """d/dx (slot 0) or d/dy (slot 1)."""
         if slot == 0:
             re = [[v * (d - j) for j, v in enumerate(r[:d])]
@@ -1130,4 +970,17 @@ class FixedBiSeries:
         else:
             re = [[v * j for j, v in enumerate(r) if j] for r in self.re[1:]]
             im = [[v * j for j, v in enumerate(r) if j] for r in self.im[1:]]
-        return FixedBiSeries(re, im, self.exp, self.order - 1)
+        return BiSeries(re, im, self.order - 1, self.den, self.exp)
+
+
+def compose_shift(f: TruncSeries) -> BiSeries:
+    """Expand f(center + (x+y)) as a bivariate series in (x, y).
+
+    Coefficient of x^i y^j is binomial(i+j, i) * a_{i+j}.
+    """
+    line = BiSeries.from_univariate(f, 0)
+    re, im = line.line(0)
+    binom = [[math.comb(d, j) for j in range(d + 1)] for d in range(line.order)]
+    return BiSeries([[c * x for c in b] for b, x in zip(binom, re)],
+                    [[c * y for c in b] for b, y in zip(binom, im)],
+                    line.order, line.den, line.exp)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from aatkit import aat
+from aatkit.elimination import PolyInW
 from aatkit.aat import (
     algebraic_relation,
     discover_aat,
@@ -24,12 +25,13 @@ from aatkit.errors import (
     TooFewCoefficients,
     OrderTooLowForDegree,
     PreconditionFailed,
+    SchemaError,
     ShiftDegenerate,
 )
 from aatkit.functions import FunctionSpec, taylor_of_builtin
 from aatkit.poly import MultiPoly, monic_lex
 from aatkit.scalars import ExactScalar
-from aatkit.series import FixedBiSeries, TruncSeries
+from aatkit.series import BiSeries, TruncSeries, compose_shift
 
 
 def exp_like_element(scale: int, order: int = 16) -> TruncSeries:
@@ -203,6 +205,44 @@ class TestTypedErrors:
                 call()
             assert isinstance(info.value, AatkitError)
 
+    def test_element_of_wrong_type(self, tan_poly, sin_spec):
+        with pytest.raises(SchemaError):
+            koebe_normalize(tan_poly, 0.5, sin_spec, sin_spec)
+
+    def test_function_of_wrong_type(self, sin_spec):
+        with pytest.raises(SchemaError):
+            algebraic_relation(sin_spec, [1, 2, 3], (1, 1))
+
+
+class TestSingleEvaluator:
+    """The outer-product evaluator against the generic MultiPoly.substitute
+    Horner scheme on exact series: the same coefficients and orders, so
+    verify_aat's first_failure and residual_valuation cannot drift."""
+
+    @pytest.mark.parametrize("name", ["tan", "exp", "sin"])
+    def test_matches_substitute_horner(self, uvw, tan_poly, sin_quartic, name):
+        U_, V_, W_ = uvw
+        G = {"tan": tan_poly, "exp": W_ - U_ * V_, "sin": sin_quartic}[name]
+        f = FunctionSpec.builtin(name)
+        order = 12
+        s = f.element_at(0, order)
+        U, V = BiSeries.from_univariate(s, 0), BiSeries.from_univariate(s, 1)
+        W = compose_shift(s)
+        one = BiSeries.const(1, order)
+
+        def key(c):
+            return c.exact, c.order, dict(c.coeffs)
+
+        got = aat._shifted_poly_in_w(G, f, 0, 0j, order, 1e-8)
+        want = [c.substitute({"U": U, "V": V}, one) for c in G.coefficients_wrt("W")]
+        assert [key(c) for c in got.coeffs] == [key(c) for c in want]
+        # the relation itself and two that fail at different degrees
+        for H in (G, G + U_ * V_ * W_ ** 2, W_ - U_ - V_ + U_ * U_):
+            res = aat.relation_residual(H, U, V, W)
+            ref = H.substitute({"U": U, "V": V, "W": W}, one)
+            assert key(res) == key(ref)
+            assert res.valuation() == ref.valuation()
+
 
 class TestSchwarz:
     def test_tan_degree_one_no_iterations(self, tan_spec, tan_poly):
@@ -278,12 +318,12 @@ class TestSchwarz:
                                                      sin_spec, sigma):
         # each W-coefficient, summed exactly from outer products of U^p and
         # V^q rows and rounded once, agrees with a Horner scheme of rounded
-        # FixedBiSeries products to within a few roundings at the budget
+        # binary-scale BiSeries products to within a few roundings at the budget
         order = 16
         U, V = (aat._hp_element(sin_spec, c, sin_spec.element_at(c, order), slot)
                 for c, slot in ((sigma, 0), (-sigma, 1)))
-        got = aat._fixed_poly_in_w(sin_quartic, U, V, order, 1e-8)
-        one = FixedBiSeries.const(1, order)
+        got = PolyInW(aat._poly_in_w(sin_quartic, U, V, order), 1e-8)
+        one = BiSeries.const(1, order).to_binary()
         want = [c.substitute({"U": U, "V": V}, one)
                 for c in sin_quartic.coefficients_wrt("W")]
         assert got.degree == 4

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from aatkit.errors import (
     CenterMismatch,
     DivisionByZeroSeries,
+    InvariantViolation,
     OutsideDisc,
+    SchemaError,
     SingularCenter,
     TooFewCoefficients,
 )
@@ -21,7 +23,6 @@ from aatkit.scalars import ExactScalar
 from aatkit.series import (
     PREC_BITS,
     BiSeries,
-    FixedBiSeries,
     TruncSeries,
     _line_product,
     compose_shift,
@@ -273,6 +274,20 @@ class TestSeriesArith:
         assert q.low == -1
         assert q.coefficient(-1) == ExactScalar(1)
 
+    def test_unknown_op(self):
+        a = TruncSeries.const(1, ExactScalar(0), 6, exact=True)
+        with pytest.raises(SchemaError):
+            series_arith(a, a, "pow")
+
+    def test_operand_of_wrong_type(self):
+        a = TruncSeries.const(1, ExactScalar(0), 6, exact=True)
+        with pytest.raises(SchemaError):
+            a._pair([1, 2])
+
+    def test_coefficient_count_must_match_order(self):
+        with pytest.raises(InvariantViolation):
+            TruncSeries(ExactScalar(0), [ExactScalar(1)] * 3, low=0, order=5)
+
     def test_mixed_exactness_forbidden_silently(self):
         # promotion happens explicitly (to_numeric) or through pairing, never
         # by mixing inside one coefficient list
@@ -283,7 +298,7 @@ class TestSeriesArith:
 # -- fixed-point bivariate series ------------------------------------------------
 
 def _fixed_exact(s, i, j):
-    """Coefficient (i, j) of a FixedBiSeries as an exact mpmath complex."""
+    """Coefficient (i, j) of a binary-scale BiSeries as an exact mpmath complex."""
     d = i + j
     return mp.mpc(mp.ldexp(s.re[d][j], s.exp), mp.ldexp(s.im[d][j], s.exp))
 
@@ -314,8 +329,8 @@ def _ref_inverse(a, order):
 
 @st.composite
 def fixed_series(draw, order=None):
-    """A FixedBiSeries with full-budget random mantissas; optionally a
-    constant term up to 2**-60 times smaller than the other coefficients."""
+    """A binary-scale BiSeries with full-budget random mantissas; optionally
+    a constant term up to 2**-60 times smaller than the other coefficients."""
     n = order if order is not None else draw(st.integers(1, 24))
     mant = st.integers(-(1 << PREC_BITS) + 1, (1 << PREC_BITS) - 1)
     re = [[draw(mant) for _ in range(d + 1)] for d in range(n)]
@@ -325,7 +340,7 @@ def fixed_series(draw, order=None):
     im[0][0] >>= small
     if not (re[0][0] or im[0][0]):
         re[0][0] = 1
-    return FixedBiSeries(re, im, draw(st.integers(-200, 40)), n)
+    return BiSeries(re, im, n, exp=draw(st.integers(-200, 40)))
 
 
 def _max_error(got, ref):
@@ -336,7 +351,25 @@ def _max_error(got, ref):
         return err, scale
 
 
+def _ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def _ref_scale(a, c):
+    return {k: v * c for k, v in a.items()}
+
+
+def _ref_derivative(a, slot):
+    return {(i - 1, j) if slot == 0 else (i, j - 1): v * (j if slot else i)
+            for (i, j), v in a.items() if (j if slot else i)}
+
+
 class TestFixedBiSeries:
+    """BiSeries on the binary (fixed-point) scale."""
+
     @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_product_and_inverse_within_budget(self, data):
@@ -364,27 +397,29 @@ class TestFixedBiSeries:
                     for i in range(n) for j in range(n - i) if i + j >= low}
         for la, lb in ((0, 0), (1, 0), (2, 3), (1, 1)):
             da, db = rand(la), rand(lb)
-            fa = sum((FixedBiSeries.const(c, n) * _monomial(i, j, n)
-                      for (i, j), c in da.items()), FixedBiSeries.zeros(n))
-            fb = sum((FixedBiSeries.const(c, n) * _monomial(i, j, n)
-                      for (i, j), c in db.items()), FixedBiSeries.zeros(n))
-            ba, bb = BiSeries(da, n, False), BiSeries(db, n, False)
-            pairs = [(fa * fb, ba * bb), (fa + fb, ba + bb), (fa - fb, ba - bb),
-                     (fa.derivative(0), ba.derivative(0)),
-                     (fa.derivative(1), ba.derivative(1)),
-                     (fa * Fraction(1, 3), ba * Fraction(1, 3)),
-                     (fa * (0.5 - 2j), ba * (0.5 - 2j)),
-                     (fa * ExactScalar(2, -1), ba * ExactScalar(2, -1))]
+            fa = sum((BiSeries.const(c, n) * _monomial(i, j, n)
+                      for (i, j), c in da.items()), BiSeries.zeros(n))
+            fb = sum((BiSeries.const(c, n) * _monomial(i, j, n)
+                      for (i, j), c in db.items()), BiSeries.zeros(n))
+            # complex dict references, with the valuation-aware product order
+            pairs = [(fa * fb, _ref_mul(da, db, n + min(la, lb)), n + min(la, lb)),
+                     (fa + fb, _ref_add(da, db), n),
+                     (fa - fb, _ref_add(da, _ref_scale(db, -1)), n),
+                     (fa.derivative(0), _ref_derivative(da, 0), n - 1),
+                     (fa.derivative(1), _ref_derivative(da, 1), n - 1),
+                     (fa * Fraction(1, 3), _ref_scale(da, 1 / 3), n),
+                     (fa * (0.5 - 2j), _ref_scale(da, 0.5 - 2j), n),
+                     (fa * ExactScalar(2, -1), _ref_scale(da, 2 - 1j), n)]
             if la == 0:
-                pairs.append((fa.inverse(), ba.inverse()))
-            for f, b in pairs:
-                assert f.order == b.order
-                scale = max(b.max_abs(), 1.0)
+                pairs.append((fa.inverse(), _ref_inverse(da, n), n))
+            for f, ref, order in pairs:
+                assert f.order == order and not f.exact
+                scale = max(max(abs(v) for v in ref.values()), 1.0)
                 for i in range(f.order):
                     for j in range(f.order - i):
-                        assert abs(f.coefficient(i, j) - b.coefficient(i, j)) \
+                        assert abs(f.coefficient(i, j) - ref.get((i, j), 0)) \
                             <= 1e-12 * scale
-            assert fa.valuation() == ba.valuation() == la
+            assert fa.valuation() == la
 
     def test_rounding_is_half_to_even(self):
         # m * 3 has PREC_BITS + 1 bits, so the product drops one bit; both
@@ -392,18 +427,19 @@ class TestFixedBiSeries:
         half = 1 << (PREC_BITS - 1)
         for m, want in ((half + 1, 3 * (half >> 1) + 2),    # 1.5 -> 2
                         (half + 3, 3 * (half >> 1) + 4)):   # 4.5 -> 4
-            s = FixedBiSeries([[m]], [[-m]], 0, 1) * 3
+            s = BiSeries([[m]], [[-m]], 1, exp=0) * 3
             assert (s.re[0][0], s.im[0][0], s.exp) == (want, -want, 1)
 
     def test_zero_constant_term_rejected(self):
-        s = FixedBiSeries.from_univariate([0, 1], 0, 4)
+        s = BiSeries.from_coeffs({(1, 0): 1}, 4).to_binary()
         with pytest.raises(DivisionByZeroSeries):
             s.inverse()
 
     def test_univariate_embedding_and_readback(self):
         vals = [ExactScalar(Fraction(1, 3), 1), 2, Fraction(-1, 7), 0.25 - 1j]
-        x = FixedBiSeries.from_univariate(vals, 0, 4)
-        y = FixedBiSeries.from_univariate(vals, 1, 4)
+        x = BiSeries.from_coeffs({(k, 0): v for k, v in enumerate(vals)}, 4)
+        y = BiSeries.from_coeffs({(0, k): v for k, v in enumerate(vals)}, 4)
+        assert not (x.exact or y.exact)
         for k, v in enumerate(vals):
             assert abs(x.coefficient(k, 0) - complex(v)) < 1e-15
             assert abs(y.coefficient(0, k) - complex(v)) < 1e-15
@@ -412,9 +448,9 @@ class TestFixedBiSeries:
 
 
 def _monomial(i, j, n):
-    x = FixedBiSeries.from_univariate([0, 1], 0, n)
-    y = FixedBiSeries.from_univariate([0, 1], 1, n)
-    out = FixedBiSeries.const(1, n)
+    x = BiSeries.from_coeffs({(1, 0): 1}, n).to_binary()
+    y = BiSeries.from_coeffs({(0, 1): 1}, n).to_binary()
+    out = BiSeries.const(1, n).to_binary()
     for _ in range(i):
         out = out * x
     for _ in range(j):
@@ -443,8 +479,8 @@ def _dict_power(s, n):
     product taken by _dict_product."""
     def mul(x, y):
         coeffs, order = _dict_product(x, y)
-        return BiSeries(coeffs, order, True, x.center)
-    result, base = BiSeries.const(1, s.order, True, s.center), s
+        return BiSeries.from_coeffs(coeffs, order)
+    result, base = BiSeries.const(1, s.order), s
     while n:
         if n & 1:
             result = mul(result, base)
@@ -464,8 +500,8 @@ def exact_biseries(draw):
     entries = draw(st.lists(st.tuples(st.integers(low, order - 1),
                                       st.integers(0, 19), part, part),
                             max_size=25))
-    return BiSeries({(d - j % (d + 1), j % (d + 1)): ExactScalar(re, im)
-                     for d, j, re, im in entries}, order, True)
+    return BiSeries.from_coeffs({(d - j % (d + 1), j % (d + 1)): ExactScalar(re, im)
+                                 for d, j, re, im in entries}, order)
 
 
 class TestExactBiSeriesProduct:
@@ -485,7 +521,7 @@ class TestExactBiSeriesProduct:
         assert (got.coeffs, got.order) == (want.coeffs, want.order)
 
     def test_scalar_factor_from_the_left(self):
-        s = BiSeries({(1, 0): ExactScalar(Fraction(1, 3), 2)}, 4, True)
+        s = BiSeries.from_coeffs({(1, 0): ExactScalar(Fraction(1, 3), 2)}, 4)
         assert (Fraction(3, 2) * s).coeffs == {(1, 0): ExactScalar(Fraction(1, 2), 3)}
 
     @pytest.mark.parametrize("order", [3, 7, 15])
@@ -496,8 +532,8 @@ class TestExactBiSeriesProduct:
         # the Kronecker slot width must hold
         m = (1 << bits) - 1
         keys = [(d - j, j) for d in range(order) for j in range(d + 1)]
-        a = BiSeries({k: ExactScalar(m, -m) for k in keys}, order, True)
-        b = BiSeries({k: ExactScalar(m, m) for k in keys}, order, True)
+        a = BiSeries.from_coeffs({k: ExactScalar(m, -m) for k in keys}, order)
+        b = BiSeries.from_coeffs({k: ExactScalar(m, m) for k in keys}, order)
         want, _ = _dict_product(a, b)
         assert (a * b).coeffs == want
 
@@ -576,3 +612,161 @@ class TestExactTruncSeriesRows:
         re, im = _line_product([m] * n, [-m] * n, [m] * n, [m] * n, n)
         assert re == [2 * m * m * (k + 1) for k in range(n)]
         assert im == [0] * n
+
+
+# -- rational scale against ExactScalar dict references --------------------------
+
+def _exact_ref(coeffs, order):
+    """An ExactScalar dict reference as (its nonzero coefficients below
+    order, order)."""
+    return {k: c for k, c in coeffs.items()
+            if sum(k) < order and not c.is_zero()}, order
+
+
+def _assert_rational(got, want):
+    """Exact equality with a (coeffs, order) reference, on the canonical
+    rational scale: den is the lcm of the coefficient denominators."""
+    coeffs, order = want
+    assert got.exact and got.order == order
+    assert got.coeffs == coeffs
+    assert got.den == math.lcm(*(x.denominator for c in coeffs.values()
+                                 for x in (c.re, c.im)))
+
+
+@st.composite
+def invertible_biseries(draw):
+    s = draw(exact_biseries())
+    c00 = draw(st.builds(ExactScalar, st.fractions(max_denominator=50),
+                         st.fractions(max_denominator=50))
+               .filter(lambda c: not c.is_zero()))
+    return s + BiSeries.const(c00, s.order)
+
+
+gaussian_q = st.builds(ExactScalar, st.fractions(max_denominator=1000),
+                       st.fractions(max_denominator=1000))
+
+
+class TestRationalScale:
+    @settings(max_examples=100, deadline=None)
+    @given(exact_biseries(), exact_biseries(), gaussian_q)
+    def test_sum_difference_and_scalar_product(self, a, b, c):
+        order = min(a.order, b.order)
+        _assert_rational(a + b, _exact_ref(_ref_add(a.coeffs, b.coeffs), order))
+        _assert_rational(b.__radd__(a), _exact_ref(_ref_add(b.coeffs, a.coeffs), order))
+        minus_b = _ref_scale(b.coeffs, -1)
+        _assert_rational(-b, _exact_ref(minus_b, b.order))
+        _assert_rational(a - b, _exact_ref(_ref_add(a.coeffs, minus_b), order))
+        for k in (c, 3, Fraction(-2, 7)):
+            want = _exact_ref(_ref_scale(a.coeffs, k), a.order)
+            _assert_rational(a * k, want)
+            _assert_rational(a.__rmul__(k), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(invertible_biseries())
+    def test_inverse(self, a):
+        inv = a.inverse()
+        _assert_rational(inv, _exact_ref(_ref_inverse(a.coeffs, a.order), a.order))
+        assert (inv * a).coeffs == {(0, 0): ExactScalar.one()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_biseries(), st.integers(0, 22))
+    def test_derivative_truncate_restrict(self, a, n):
+        for slot in (0, 1):
+            _assert_rational(a.derivative(slot),
+                             _exact_ref(_ref_derivative(a.coeffs, slot), a.order - 1))
+        keep = min(n, a.order)
+        _assert_rational(a.truncate(n), ({k: c for k, c in a.coeffs.items()
+                                          if sum(k) < keep}, keep))
+        r = a.restrict_y0()
+        assert r.exact and (r.low, r.order) == (0, a.order)
+        assert r.coeffs == [a.coefficient(i, 0) for i in range(a.order)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_trunc())
+    def test_compose_shift(self, f):
+        if f.low < 0 and (f.valuation() or 0) < 0:
+            with pytest.raises(SingularCenter):
+                compose_shift(f)
+            return
+        want = {}
+        for d in range(f.order):
+            for i in range(d + 1):
+                c = f.coefficient(d) * math.comb(d, i)
+                if not c.is_zero():
+                    want[(i, d - i)] = c
+        _assert_rational(compose_shift(f), (want, f.order))
+
+    def test_line_needs_one_variable(self):
+        s = BiSeries.from_coeffs({(0, 0): 2, (1, 0): 3, (1, 1): 1}, 4)
+        assert s.truncate(2).line(0) == ([2, 3], [0, 0])
+        with pytest.raises(InvariantViolation):
+            s.line(0)
+        with pytest.raises(InvariantViolation):
+            s.truncate(2).line(1)
+
+
+# -- binary scale and mixed operands against mpmath --------------------------------
+
+@st.composite
+def dense_rational(draw):
+    """A dense rational BiSeries of order 1..14 with mixed denominators."""
+    n = draw(st.integers(1, 14))
+    part = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                     st.sampled_from([1, 3, 7, 12, 1024, 3 ** 12]))
+    return BiSeries.from_coeffs({(d - j, j): ExactScalar(draw(part), draw(part))
+                                 for d in range(n) for j in range(d + 1)}, n)
+
+
+def _mp_coeffs(s):
+    """{(i, j): mpmath value} of every coefficient, exact for the binary
+    scale and to 80 digits for the rational one."""
+    out = {}
+    for i in range(s.order):
+        for j in range(s.order - i):
+            if s.exact:
+                c = s.coefficient(i, j)
+                out[(i, j)] = mp.mpc(mp.mpf(c.re.numerator) / c.re.denominator,
+                                     mp.mpf(c.im.numerator) / c.im.denominator)
+            else:
+                out[(i, j)] = _fixed_exact(s, i, j)
+    return out
+
+
+class TestBinaryAndMixedScale:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_within_budget(self, data):
+        # a rational operand goes binary first, rounded relative to its own
+        # largest coefficient, and the exact result is rounded once: the
+        # error stays below 2**-150 of the larger of the result's largest
+        # coefficient and what the operands' roundings can reach (for a
+        # product, max|a| max|r|; for a sum, max(max|a|, max|r|))
+        a = data.draw(fixed_series())
+        r = data.draw(dense_rational())
+        c = data.draw(gaussian_q.filter(lambda c: not c.is_zero()))
+        with mp.workdps(80):
+            ea, er = _mp_coeffs(a), _mp_coeffs(r)
+            ma, mr = (max(abs(v) for v in e.values()) for e in (ea, er))
+            n = min(a.order, r.order)
+            keys = [(i, j) for i in range(n) for j in range(n - i)]
+            ec = mp.mpc(mp.mpf(c.re.numerator) / c.re.denominator,
+                        mp.mpf(c.im.numerator) / c.im.denominator)
+            cases = [(a * r, _ref_mul(ea, er, n), ma * mr),
+                     (r * a, _ref_mul(ea, er, n), ma * mr),
+                     (a + r, {k: ea[k] + er[k] for k in keys}, max(ma, mr)),
+                     (r - a, {k: er[k] - ea[k] for k in keys}, max(ma, mr)),
+                     (a * c, _ref_scale(ea, ec), 0), (r.to_binary(), er, 0)]
+            cases += [(a.derivative(slot), _ref_derivative(ea, slot), 0)
+                      for slot in (0, 1)]
+        for got, ref, reach in cases:
+            assert not got.exact
+            if ref:
+                err, scale = _max_error(got, ref)
+                assert err <= mp.ldexp(max(scale, reach), -150)
+
+    def test_mixed_operands_promote_to_binary(self):
+        r = BiSeries.const(ExactScalar(Fraction(1, 3)), 4)
+        b = BiSeries.const(0.5, 4)
+        assert r.exact and not b.exact
+        for got in (r * b, b * r, r + b, b + r, r - b, r * 0.5, b * Fraction(1, 3)):
+            assert not got.exact and got.order == 4
