@@ -9,9 +9,9 @@ exact preprocessing wherever the data allows it:
   Newton-polygon construction followed by series Newton iteration;
 * the singular-point inventory (zeros of p_0, discriminant roots, infinity)
   with each point classified by its local branch structure;
-* numeric analytic continuation of a single branch along a polyline
-  (Euler predictor, Newton corrector, adaptive steps);
-* monodromy permutations around a singular point.
+* numeric analytic continuation along a polyline (Euler predictor, Newton
+  corrector, adaptive steps) of one branch, or of all n sheets together;
+* monodromy permutations around a singular point, all sheets in lockstep.
 
 Branch coefficients are double precision; the ground truth for every
 expansion is the substitution residual |F(c + t^e, z(t))|, exposed through
@@ -93,18 +93,17 @@ class AlgebroidCurve:
         return self._arrays
 
     def eval(self, u: complex, z: complex) -> complex:
-        return _eval_rows(self._num()[0], complex(u), complex(z))
+        return _horner(_at_u(self._num()[0], complex(u)), complex(z))
 
     def eval_du(self, u: complex, z: complex) -> complex:
-        return _eval_rows(self._num()[1], complex(u), complex(z))
+        return _horner(_at_u(self._num()[1], complex(u)), complex(z))
 
     def eval_dz(self, u: complex, z: complex) -> complex:
-        return _eval_rows(self._num()[2], complex(u), complex(z))
+        return _horner(_at_u(self._num()[2], complex(u)), complex(z))
 
     def z_coeffs_at(self, u: complex) -> list[complex]:
         """Ascending z-coefficients of F(u, .) as complex numbers."""
-        u = complex(u)
-        return [_horner(row, u) for row in reversed(self._num()[0])]
+        return _at_u(self._num()[0], complex(u))[::-1]
 
     def roots_at(self, u: complex) -> np.ndarray:
         cs = np.array(self.z_coeffs_at(u))
@@ -341,11 +340,9 @@ def _horner(desc: tuple[complex, ...], x: complex) -> complex:
     return acc
 
 
-def _eval_rows(rows: _Rows, u: complex, z: complex) -> complex:
-    acc = 0j
-    for row in rows:
-        acc = acc * z + _horner(row, u)
-    return acc
+def _at_u(rows: _Rows, u: complex) -> list[complex]:
+    """Descending z-coefficients at u of the polynomial stored as rows."""
+    return [_horner(row, u) for row in rows]
 
 
 def _taylor_shift(coeffs, a: complex) -> list[complex]:
@@ -781,10 +778,7 @@ class _Laurent:
         n = hi - low
         if n <= 0:
             return _Laurent(low, np.zeros(1, dtype=complex))
-        conv = np.convolve(self.a[:n], other.a[:n])[:n]
-        if len(conv) < n:
-            conv = np.pad(conv, (0, n - len(conv)))
-        return _Laurent(low, conv)
+        return _Laurent(low, _conv(self.a, other.a, n))
 
     def scale(self, c: complex) -> "_Laurent":
         return _Laurent(self.low, self.a * c)
@@ -981,29 +975,31 @@ def track_branch(curve: AlgebroidCurve, start_value: complex,
                  path: list[complex], tol: float = 1e-12,
                  clearance_rel: float = 1e-3,
                  singular: list[complex] | None = None) -> complex:
-    """Continue one branch value along a polyline in the u-plane.
+    """Continue one branch value along a polyline in the u-plane (`_track`
+    with one sheet).  Raises NearSingular within the clearance margin of a
+    singular point and CorrectionDiverged at the step floor."""
+    return _track(curve, [start_value], path, tol, clearance_rel, singular)[0]
 
-    Euler predictor (dz/du = -F_u / F_z), Newton corrector, adaptive step
-    halving with a nearest-root guard: a step is accepted only if the
-    corrector moved less than 0.45 times the distance from the corrected
-    value to the nearest other root of F(u, .).  That distance is first
-    bounded below from the Taylor coefficients of F(u, .) at the corrected
-    value (a Rouche gamma bound); only when the bound does not settle the
-    step are all roots computed with `roots_at`, and then the root nearest
-    the corrected value, the branch's own, is excluded.  Raises
-    NearSingular when the path comes within the clearance margin of a
-    singular point and CorrectionDiverged when the step floor is reached.
-    """
+
+def _track(curve: AlgebroidCurve, starts: list[complex], path: list[complex],
+           tol: float, clearance_rel: float,
+           singular: list[complex] | None) -> list[complex]:
+    """Continue the sheets `starts` of F(path[0], .) along a polyline with
+    one shared step: Euler predictor (dz/du = -F_u / F_z) and Newton
+    corrector on z-coefficient vectors built once per u (the operations of
+    `AlgebroidCurve.eval`); a failed corrector or guard halves the step.
+    The guard is `_pairwise_guard` for all n sheets, else `_nearest_root_guard`."""
     if len(path) < 2:
-        return complex(start_value)
+        return [complex(s) for s in starts]
     if singular is None:
         singular = curve.singular_locations()
+    rows, rows_u, rows_z = curve._num()
     u = complex(path[0])
-    z0 = _newton_correct(curve, u, complex(start_value), tol)
-    if z0 is None:
-        raise RootFindingFailure(
-            f"start value {start_value} does not satisfy the curve at u={u}")
-    z = z0
+    f, fu, fz = _at_u(rows, u), _at_u(rows_u, u), _at_u(rows_z, u)
+    zs = [_newton_correct(f, fz, complex(s), tol) for s in starts]
+    if None in zs:
+        raise RootFindingFailure(f"start value {starts[zs.index(None)]} "
+                                 f"does not satisfy the curve at u={u}")
     for a, b in zip(path, path[1:]):
         a, b = complex(a), complex(b)
         seg = b - a
@@ -1013,63 +1009,66 @@ def track_branch(curve: AlgebroidCurve, start_value: complex,
         while t < 1.0:
             h = min(h, 1.0 - t)
             u_next = a + (t + h) * seg
-            _check_clearance(u_next, singular, clearance_rel)
-            ok = False
-            denom = curve.eval_dz(u, z)
-            if denom != 0:
-                z_pred = z - curve.eval_du(u, z) / denom * (u_next - u)
-                z_corr = _newton_correct(curve, u_next, z_pred, tol, max_iter=12)
-                if z_corr is not None and _nearest_root_guard(curve, u_next,
-                                                              z_pred, z_corr):
-                    u, z = u_next, z_corr
-                    t += h
-                    h = min(h * 1.6, 0.25)
-                    ok = True
-            if not ok:
+            margin = clearance_rel * max(1.0, abs(u_next))
+            for s in singular:
+                if abs(u_next - s) < margin:
+                    raise NearSingular(f"path point {u_next} within {margin:.2e} of {s}")
+            ds = [_horner(fz, z) for z in zs]
+            ok = 0 not in ds
+            if ok:
+                f, fz_next = _at_u(rows, u_next), _at_u(rows_z, u_next)
+                preds = [z - _horner(fu, z) / d * (u_next - u) for z, d in zip(zs, ds)]
+                corrs = [_newton_correct(f, fz_next, p, tol, 12) for p in preds]
+                ok = None not in corrs and (
+                    _pairwise_guard(preds, corrs) if len(zs) == curve.n else
+                    all(_nearest_root_guard(curve, u_next, f[::-1], p, c)
+                        for p, c in zip(preds, corrs)))
+            if ok:
+                u, zs, fz, fu = u_next, corrs, fz_next, _at_u(rows_u, u_next)
+                t += h
+                h = min(h * 1.6, 0.25)
+            else:
                 h *= 0.5
                 if h < 1e-12:
                     raise CorrectionDiverged(f"step floor reached near u={u_next}")
-    return z
+    return zs
 
 
-def _curve_scale(curve: AlgebroidCurve, u: complex) -> float:
-    return max(max(abs(c) for c in curve.z_coeffs_at(u)), 1e-30)
-
-
-def _check_clearance(u: complex, singular: list[complex], rel: float):
-    margin = rel * max(1.0, abs(u))
-    for s in singular:
-        if abs(u - s) < margin:
-            raise NearSingular(f"path point {u} within {margin:.2e} of {s}")
-
-
-def _newton_correct(curve: AlgebroidCurve, u: complex, z: complex,
+def _newton_correct(f: list[complex], fz: list[complex], z: complex,
                     tol: float, max_iter: int = 24) -> complex | None:
-    scale = _curve_scale(curve, u)
+    """Newton-correct z on the polynomial with descending coefficients f
+    (derivative fz); None unless |f(z)| < tol * max|f| * max(1, |z|)^n."""
+    scale, n = max(max(map(abs, f)), 1e-30), len(f) - 1
     for _ in range(max_iter):
-        f = curve.eval(u, z)
-        bound = tol * scale * max(1.0, abs(z)) ** curve.n
-        if abs(f) < bound:
+        v = _horner(f, z)
+        if abs(v) < tol * scale * max(1.0, abs(z)) ** n:
             return z
-        d = curve.eval_dz(u, z)
+        d = _horner(fz, z)
         if d == 0:
             return None
-        z = z - f / d
+        z = z - v / d
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             return None
-    f = curve.eval(u, z)
-    if abs(f) < 10 * tol * scale * max(1.0, abs(z)) ** curve.n:
-        return z
-    return None
+    return z if abs(_horner(f, z)) < 10 * tol * scale * max(1.0, abs(z)) ** n else None
 
 
-def _nearest_root_guard(curve: AlgebroidCurve, u: complex,
+def _pairwise_guard(preds: list[complex], corrs: list[complex]) -> bool:
+    """Accept a step of all n sheets when each corrector moved less than
+    0.45 times the distance to every other corrected value.  Those are all
+    the roots of F(u, .), so two sheets landing on one root fail the test."""
+    return all(abs(c - p) < 0.45 * abs(c - o)
+               for i, (p, c) in enumerate(zip(preds, corrs))
+               for o in corrs[:i] + corrs[i + 1:])
+
+
+def _nearest_root_guard(curve: AlgebroidCurve, u: complex, cs: list[complex],
                         z_pred: complex, z_corr: complex) -> bool:
     """Accept a step when the corrector moved less than 0.45 times the
     distance from z_corr to the nearest root of F(u, .) other than the
-    branch's own (or less than 1e-9 relative)."""
+    branch's own (or less than 1e-9 relative): first by `_separation_bound`
+    on the ascending z-coefficients cs of F(u, .), else by `roots_at`."""
     d_corr = abs(z_corr - z_pred)
-    if d_corr < 0.45 * _separation_bound(curve.z_coeffs_at(u), z_corr):
+    if d_corr < 0.45 * _separation_bound(cs, z_corr):
         return True
     try:
         roots = curve.roots_at(u)
@@ -1123,47 +1122,47 @@ def _safe_stem(a: complex, b: complex, singular: list[complex],
                   if abs(s - o) > _DEDUPE_TOL * max(1.0, abs(s))]
         hop = min(0.4 * min(others), 4 * margin) if others else 4 * margin
         hop = max(hop, 2 * margin)
-        if d > 1e-12:
-            w = s + (foot - s) / d * hop
-        else:
-            w = s + 1j * direction * hop
+        w = s + ((foot - s) / d if d > 1e-12 else 1j * direction) * hop
         left = _safe_stem(a, w, singular, margin, depth + 1)
         right = _safe_stem(w, b, singular, margin, depth + 1)
         return left + right[1:]
     return [a, b]
 
 
-def monodromy(curve: AlgebroidCurve, base: complex, around: complex,
-              nodes: int = 48,
-              singular: list[complex] | None = None) -> MonodromyPermutation:
-    """Permutation of the branch values after one positive circuit.
-
-    The circle radius is half the distance from `around` to the nearest
-    other singular point; tracking starts and ends at `base`, joined to the
-    circle by stems that detour around any singular point in the way.
-    Branch indices refer to the roots of F(base, .) sorted by (real,
-    imaginary) part.
-    """
-    if singular is None:
-        singular = curve.singular_locations()
-    base, around = complex(base), complex(around)
+def _loop_path(base: complex, around: complex, singular: list[complex],
+               nodes: int) -> tuple[list[complex], float]:
+    """The loop of `monodromy`, a circle of radius half the distance from
+    `around` to the nearest other singular point joined to `base` by
+    `_safe_stem`, and its clearance_rel, capped at a quarter of the radius."""
     others = [abs(s - around) for s in singular
               if abs(s - around) > _DEDUPE_TOL * max(1.0, abs(around))]
     radius = 0.5 * min(others) if others else 0.5 * max(1.0, abs(around))
     theta0 = cmath.phase(base - around) if abs(base - around) > 0 else 0.0
     circle = [around + radius * cmath.exp(1j * (theta0 + 2 * math.pi * k / nodes))
               for k in range(nodes + 1)]
+    path = circle
     if abs(base - circle[0]) > 1e-12:
         scale = max(1.0, abs(base), abs(around))
         stem = _safe_stem(base, circle[0], singular, 0.05 * scale)
         path = stem + circle[1:] + stem[-2:: -1]
-    else:
-        path = circle
+    return path, min(1e-3, radius / (4 * max(1.0, abs(around) + radius)))
+
+
+def monodromy(curve: AlgebroidCurve, base: complex, around: complex,
+              nodes: int = 48,
+              singular: list[complex] | None = None) -> MonodromyPermutation:
+    """Permutation of the branch values after one positive circuit along
+    `_loop_path`, all n sheets tracked together.  Branch indices refer to
+    the roots of F(base, .) sorted by (real, imaginary) part."""
+    if singular is None:
+        singular = curve.singular_locations()
+    base, around = complex(base), complex(around)
+    path, clearance_rel = _loop_path(base, around, singular, nodes)
     starts = sorted((complex(r) for r in curve.roots_at(base)),
                     key=lambda w: (round(w.real, 10), round(w.imag, 10)))
     if len(starts) != curve.n:
         raise RootFindingFailure("base point is not regular (root count drop)")
-    ends = [track_branch(curve, s, path, singular=singular) for s in starts]
+    ends = _track(curve, starts, path, 1e-12, clearance_rel, singular)
     perm = []
     for e_val in ends:
         hits = [i for i, s in enumerate(starts)

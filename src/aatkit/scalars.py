@@ -47,32 +47,43 @@ class ExactScalar:
     @staticmethod
     def coerce(value) -> "ExactScalar":
         """Accept ExactScalar, int, or Fraction; reject floats (exactness)."""
-        if isinstance(value, ExactScalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return ExactScalar(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to ExactScalar")
+        s = _operand(value)
+        if s is None:
+            raise TypeError(f"cannot coerce {type(value).__name__} to ExactScalar")
+        return s
 
     # -- ring/field operations -------------------------------------------
+    # An operand that does not coerce gives NotImplemented, so Python tries
+    # the other operand's reflected method (a series times a scalar) and
+    # raises TypeError only if that declines too (a float).
 
     def __add__(self, other) -> "ExactScalar":
-        other = ExactScalar.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return ExactScalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ExactScalar":
-        other = ExactScalar.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return ExactScalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "ExactScalar":
-        return ExactScalar.coerce(other) - self
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.re, -self.im)
 
     def __mul__(self, other) -> "ExactScalar":
-        other = ExactScalar.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return ExactScalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -81,7 +92,9 @@ class ExactScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ExactScalar":
-        other = ExactScalar.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero ExactScalar")
@@ -91,7 +104,10 @@ class ExactScalar:
         )
 
     def __rtruediv__(self, other) -> "ExactScalar":
-        return ExactScalar.coerce(other) / self
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int) -> "ExactScalar":
         if n < 0:
@@ -145,6 +161,15 @@ class ExactScalar:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
+
+
+def _operand(value) -> ExactScalar | None:
+    """value as an ExactScalar if it is one, an int or a Fraction."""
+    if isinstance(value, ExactScalar):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ExactScalar(value)
+    return None
 
 
 def gaussian_integers(values) -> tuple[int, list[int], list[int]]:

@@ -344,12 +344,14 @@ class TestNearestRootGuard:
         # np.roots' copy of the branch's own root sits ~1e-11 from z_corr
         curve = _FixedRoots([self.Z + 1e-11, 4.0, -4.0j])
         z_pred = self.Z + 2e-9
-        assert algebroid._nearest_root_guard(curve, 0j, z_pred, self.Z)
+        assert algebroid._nearest_root_guard(curve, 0j, curve.z_coeffs_at(0j),
+                                              z_pred, self.Z)
 
     def test_fast_path_accepts_the_same_step(self):
         curve = _FixedRoots([self.Z + 1e-11, 4.0, -4.0j])
         assert algebroid._separation_bound(curve.z_coeffs_at(0j), self.Z) > 0.1
-        assert algebroid._nearest_root_guard(curve, 0j, self.Z + 2e-9, self.Z)
+        assert algebroid._nearest_root_guard(curve, 0j, curve.z_coeffs_at(0j),
+                                              self.Z + 2e-9, self.Z)
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_large_step_next_to_a_neighbour_rejected(self, request, fast):
@@ -357,36 +359,144 @@ class TestNearestRootGuard:
             request.getfixturevalue("exact_only")
         curve = _FixedRoots([self.Z + 1e-11, self.Z + 0.1, -4.0])
         z_pred = self.Z + 0.05j  # d_corr = 0.05 > 0.45 * 0.1
-        assert not algebroid._nearest_root_guard(curve, 0j, z_pred, self.Z)
+        assert not algebroid._nearest_root_guard(curve, 0j, curve.z_coeffs_at(0j),
+                                                  z_pred, self.Z)
 
     def test_root_collision_does_not_pass(self):
         # two roots within 1e-12 of z_corr: only one of them is the own root
         curve = _FixedRoots([self.Z, self.Z + 5e-13, 4.0])
         assert algebroid._separation_bound(curve.z_coeffs_at(0j), self.Z) == 0.0
-        assert not algebroid._nearest_root_guard(curve, 0j, self.Z + 1e-6,
-                                                 self.Z)
+        assert not algebroid._nearest_root_guard(curve, 0j, curve.z_coeffs_at(0j),
+                                                  self.Z + 1e-6, self.Z)
+
+
+class TestPairwiseGuard:
+    # the lockstep guard of `monodromy`, on the TestNearestRootGuard layouts
+    Z = 0.3 + 0.2j
+
+    def test_small_corrections_accepted(self):
+        corrs = [self.Z, 4.0, -4.0j]
+        preds = [self.Z + 2e-9, 4.0 + 1e-9, -4.0j]
+        assert algebroid._pairwise_guard(preds, corrs)
+
+    def test_neighbour_at_5e_13_rejects(self):
+        # two sheets 5e-13 apart after correction: a 1e-6 correction fails
+        corrs = [self.Z, self.Z + 5e-13, 4.0]
+        preds = [self.Z + 1e-6, self.Z + 5e-13, 4.0]
+        assert not algebroid._pairwise_guard(preds, corrs)
+
+    def test_large_step_next_to_a_neighbour_rejected(self):
+        corrs = [self.Z, self.Z + 0.1, -4.0]
+        preds = [self.Z + 0.05j, self.Z + 0.1, -4.0]  # 0.05 > 0.45 * 0.1
+        assert not algebroid._pairwise_guard(preds, corrs)
 
 
 def test_step_budget_monodromy(golden_cubic, monkeypatch):
-    # deterministic stand-in for a timing test: the certified fast path
-    # must settle almost every guard check without computing all roots
-    counts = {"roots_at": 0, "accepted": 0}
-    roots_at, guard = AlgebroidCurve.roots_at, algebroid._nearest_root_guard
+    # deterministic stand-in for a timing test: lockstep tracking finds
+    # the roots at the base point and no others, and needs no Rouche bound
+    calls = {"roots_at": [], "separation": 0}
+    roots_at, bound = AlgebroidCurve.roots_at, algebroid._separation_bound
 
     def counting_roots_at(self, u):
-        counts["roots_at"] += 1
+        calls["roots_at"].append(u)
         return roots_at(self, u)
 
-    def counting_guard(*args):
-        ok = guard(*args)
-        counts["accepted"] += bool(ok)
-        return ok
+    def counting_bound(*args):
+        calls["separation"] += 1
+        return bound(*args)
 
     monkeypatch.setattr(AlgebroidCurve, "roots_at", counting_roots_at)
-    monkeypatch.setattr(algebroid, "_nearest_root_guard", counting_guard)
+    monkeypatch.setattr(algebroid, "_separation_bound", counting_bound)
     assert monodromy(golden_cubic, 3.0, 1.0).perm == (2, 0, 1)
-    assert counts["accepted"] > 100
-    assert counts["roots_at"] < 0.05 * counts["accepted"]
+    assert calls == {"roots_at": [3.0], "separation": 0}
+
+
+class TestLockstep:
+    def test_loop_around_a_close_pair(self):
+        # the discriminant root ~0.28178 has the p0 zero ~0.28078 1e-3 away;
+        # the circle radius 5e-4 is below the old fixed clearance margin
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        curve = AlgebroidCurve(
+            3 - 3 * z + z ** 2 + z ** 3 - 2 * u * z - 3 * u * z ** 2
+            - 3 * u * z ** 3 + 2 * u ** 2 * z + u ** 2 * z ** 2 - 2 * u ** 2 * z ** 3)
+        around = min(curve.singular_locations(), key=lambda s: abs(s - 0.28178))
+        assert min(abs(s - around) for s in curve.singular_locations()
+                   if s != around) < 2e-3
+        perms = [monodromy(curve, 2 + 1j, around, nodes=k).perm for k in (48, 96)]
+        assert perms == [(1, 0, 2), (1, 0, 2)]
+
+    def test_loop_around_a_pole(self):
+        # a sheet runs off to infinity near the pole u = 1.5; all sheets
+        # moving together keep the matching unambiguous
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        curve = AlgebroidCurve(-1 + 3 * z ** 2 - 2 * u + u * z - 2 * u * z ** 2)
+        for nodes in (48, 96, 192):
+            assert monodromy(curve, 2.5j, 1.5, nodes=nodes).is_identity()
+        # the loop product equals the inverse loop at infinity, whose
+        # cycle structure is [1, 1]
+        sing = sorted(curve.singular_locations(),
+                      key=lambda s: cmath.phase(s - 2.5j))
+        perms = [monodromy(curve, 2.5j, s).perm for s in sing]
+        prod = perms[0]
+        for q in perms[1:]:
+            prod = compose_permutations(prod, q)
+        assert prod == (0, 1)
+
+    def test_track_branch_bits_unchanged(self, golden_cubic):
+        # end values of the sheet-by-sheet tracker before the lockstep loop
+        starts = sorted((complex(r) for r in golden_cubic.roots_at(3.0)),
+                        key=lambda w: (w.real, w.imag))
+        got = [repr(track_branch(golden_cubic, s, [3.0, 2.5 + 1.0j, 0.5 + 2.0j]))
+               for s in starts]
+        assert got == ["(-0.3827946218840093-0.2780710057713326j)",
+                       "(-0.33702392653820534+0.12313487401550335j)",
+                       "(0.7198185484222581+0.15493613175583631j)"]
+        path, _rel = algebroid._loop_path(3.0 + 0j, 1.0 + 0j,
+                                          golden_cubic.singular_locations(), 48)
+        assert repr(track_branch(golden_cubic, starts[1], path)) == \
+            "(-0.3100029524294043-0.19571788764659923j)"
+
+
+def _pool_curves():
+    """The bench's curve pool under its seed-1 affine maps u -> au + b,
+    with the seed-1 base angles."""
+    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+    pool = [8 * u * z ** 3 + 3 * (1 - u) * z + (1 - u),
+            z ** 3 + (2 * u - 1) * z ** 2 + (3 - u) * z + (1 + u),
+            z ** 2 + (2 - u) * z + (2 * u - 1)]
+    maps = [(0, 1, 0, 0.5897), (0, Fraction(-5, 8), 0, 0.1781),
+            (1, Fraction(-11, 8), Fraction(3, 4), 5.2513),
+            (2, Fraction(5, 4), Fraction(-1, 4), 2.7192)]
+    out = []
+    for k, a, b, theta in maps:
+        image = MultiPoly.constant(a, ("u",)) * u + MultiPoly.constant(b, ("u",))
+        curve = AlgebroidCurve(pool[k].substitute_var("u", image))
+        sing = curve.singular_locations()
+        center = sum(sing) / len(sing)
+        rho = 1.5 * max(abs(s - center) for s in sing)
+        out.append((curve, center + rho * cmath.exp(1j * theta)))
+    return out
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_lockstep_matches_sheet_by_sheet(case, golden_cubic, sqrt_curve):
+    # every sheet tracked alone by the public track_branch along the same
+    # loop gives the permutation of the lockstep loop
+    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+    curve, base = ([(golden_cubic, 3.0 + 0j), (sqrt_curve, 1.5j),
+                    (AlgebroidCurve(z * z - (1 - u * u)), 0.5 + 1.5j)]
+                   + _pool_curves())[case]
+    sing = curve.singular_locations()
+    for around in sing:
+        path, rel = algebroid._loop_path(base, around, sing, 48)
+        starts = sorted((complex(r) for r in curve.roots_at(base)),
+                        key=lambda w: (round(w.real, 10), round(w.imag, 10)))
+        ends = [track_branch(curve, s, path, clearance_rel=rel, singular=sing)
+                for s in starts]
+        perm = tuple(min(range(len(starts)), key=lambda i: abs(e - starts[i]))
+                     for e in ends)
+        assert all(abs(e - starts[i]) < 1e-8 for e, i in zip(ends, perm))
+        assert monodromy(curve, base, around).perm == perm
 
 
 def _big_circle_perm(curve, base, radius):

@@ -54,6 +54,20 @@ class TestExactScalar:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             ExactScalar.coerce(0.5)
+        with pytest.raises(TypeError):
+            ExactScalar(1) + 0.5
+        with pytest.raises(TypeError):
+            0.5 * ExactScalar(1)
+
+    def test_series_operand_reaches_its_reflected_method(self):
+        # an operand ExactScalar cannot coerce gives NotImplemented, so a
+        # scalar multiplies a series from the left as well as from the right
+        from aatkit.series import BiSeries, TruncSeries
+        two = ExactScalar(2)
+        t = TruncSeries.const(1, ExactScalar(0), 4, exact=True)
+        assert (two * t).coeffs == (t * two).coeffs == [ExactScalar(2)] + [ExactScalar(0)] * 3
+        b = BiSeries.const(ExactScalar(3), 4)
+        assert dict((two * b).coeffs) == dict((b * two).coeffs) == {(0, 0): ExactScalar(6)}
 
 
 class TestMultiPoly:
