@@ -30,7 +30,6 @@ from .elimination import PolyInW, gcd_in_w, monic_in_w, resultant
 from .errors import (
     AatkitError,
     ChainCollapse,
-    InvariantViolation,
     MissingVariable,
     OrderTooLow,
     OrderTooLowForDegree,
@@ -47,7 +46,7 @@ from .functions import (
     rational_taylor,
 )
 from .poly import MultiPoly, monic_lex, poly_squarefree_content
-from .scalars import ExactScalar, gaussian_integers
+from .scalars import ExactScalar, gauss_divexact, gaussian_integers
 from .series import (
     PREC_BITS,
     BiSeries,
@@ -282,7 +281,7 @@ def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[Exa
             xr[c] = xi[c] = 0
             for j in range(c + 1, ncols):
                 ar, ai, br, bi = xr[j], xi[j], kr[j], ki[j]
-                xr[j], xi[j] = _gauss_divexact(pr * ar - pi * ai - lr * br + li * bi,
+                xr[j], xi[j] = gauss_divexact(pr * ar - pi * ai - lr * br + li * bi,
                                                pr * ai + pi * ar - lr * bi - li * br,
                                                prev)
             if any(xr) or any(xi):
@@ -303,7 +302,7 @@ def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[Exa
                 yr, yi = y[u]
                 xr -= ar * yr - ai * yi
                 xi -= ar * yi + ai * yr
-            y[t] = _gauss_divexact(xr, xi, (re[t][pivots[t]], im[t][pivots[t]]))
+            y[t] = gauss_divexact(xr, xi, (re[t][pivots[t]], im[t][pivots[t]]))
         vec = [ExactScalar.zero()] * ncols
         vec[fc] = ExactScalar.one()
         norm = dr * dr + di * di
@@ -312,21 +311,6 @@ def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[Exa
                                                Fraction(yi * dr - yr * di, norm))
         basis.append(vec)
     return basis
-
-
-def _gauss_divexact(xr: int, xi: int, q: tuple[int, int]) -> tuple[int, int]:
-    """(xr + i xi) / q in Z[i]; InvariantViolation unless the division is exact."""
-    qr, qi = q
-    if qi:
-        n = qr * qr + qi * qi
-        xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
-    else:
-        n = qr
-    a, ra = divmod(xr, n)
-    b, rb = divmod(xi, n)
-    if ra or rb:
-        raise InvariantViolation("inexact division in fraction-free elimination")
-    return a, b
 
 
 def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[np.ndarray]:

@@ -36,8 +36,9 @@ from .errors import (
     RootFindingFailure,
     SingularCenter,
 )
-from .poly import MultiPoly, divexact, poly_gcd
-from .scalars import ExactScalar, rationalize
+from .poly import (MultiPoly, ZiPoly, poly_gcd, zi_coeffs, zi_derivative,
+                   zi_divexact, zi_gcd)
+from .scalars import ExactScalar, gaussian_integers, rationalize
 from .series import TruncSeries
 
 _SUPPORT_REL = 1e-10
@@ -45,13 +46,22 @@ _CLUSTER_REL = 2e-6
 _MATCH_TOL = 1e-8
 _DEDUPE_TOL = 1e-8
 _MAX_DEPTH = 24
+_SQF_POINTS = (0, 1, -1, 2, -2, 3, -3)   # u0 tried by the square-free proof
 
 
 # ---------------------------------------------------------------------------
 # curve type
 
 class AlgebroidCurve:
-    """F(u, z) = sum p_k(u) z^(n-k), square-free in z, p_0 nonzero."""
+    """F(u, z) = sum p_k(u) z^(n-k), square-free in z, p_0 nonzero.
+
+    Square-freeness is proved by specialization when F lives in (u, z): if
+    F(u0, z) has degree n and no common factor with F_z(u0, z) for one
+    integer u0 of _SQF_POINTS, then disc_z F(u0) != 0, so disc_z F is not
+    identically zero and F has no repeated factor in z.  The bivariate
+    poly_gcd(F, F_z) runs only when no tried u0 gives that proof, and it
+    names the repeated factor in NotSquareFree.
+    """
 
     def __init__(self, F: MultiPoly, u_var: str = "u", z_var: str = "z"):
         self.u_var = u_var
@@ -64,12 +74,27 @@ class AlgebroidCurve:
         self.p_coeffs = [zc[self.n - k] for k in range(self.n + 1)]
         if self.p_coeffs[0].is_zero():
             raise InvariantViolation("leading coefficient p0 is identically zero")
-        if self.n >= 2:
+        if self.n >= 2 and not self._squarefree_at_some_u0():
             g = poly_gcd(self.F, self.F.derivative(z_var))
             if g.degree(z_var) >= 1:
                 raise NotSquareFree(f"repeated factor in {z_var}: {g!r}")
         self._arrays: tuple[_Rows, _Rows, _Rows] | None = None
         self._singular_cache: tuple[list[complex], int] | None = None
+
+    def _squarefree_at_some_u0(self) -> bool:
+        """True when F(u0, z) is square-free of degree n at some u0 of
+        _SQF_POINTS (the proof in the class docstring); False proves nothing."""
+        if set(self.F.vars) != {self.u_var, self.z_var}:
+            return False
+        F, iu, iz = self.F, self.F.vars.index(self.u_var), self.F.vars.index(self.z_var)
+        _, re, im = gaussian_integers(F.terms.values())
+        for u0 in _SQF_POINTS:   # f = D F(u0, z), highest power first
+            f = [(sum(x * u0 ** e[iu] for e, x in zip(F.terms, re) if e[iz] == k),
+                  sum(x * u0 ** e[iu] for e, x in zip(F.terms, im) if e[iz] == k))
+                 for k in range(self.n, -1, -1)]
+            if f[0] != (0, 0) and len(zi_gcd(f, zi_derivative(f))) == 1:
+                return True
+        return False
 
     @staticmethod
     def from_p_list(p_list: list[MultiPoly], u_var: str = "u",
@@ -115,15 +140,10 @@ class AlgebroidCurve:
     def at_infinity(self) -> "AlgebroidCurve":
         """The transformed curve under u -> 1/t (cleared denominators)."""
         d = max(p.degree(self.u_var) for p in self.p_coeffs)
-        t = MultiPoly.variable(self.u_var)
-        parts = []
-        for p in self.p_coeffs:
-            q = MultiPoly.zero((self.u_var,))
-            if not p.is_zero():
-                for k, c in enumerate(p.univariate_coeffs(self.u_var)):
-                    q = q + MultiPoly.constant(c, (self.u_var,)) * t ** (d - k)
-            parts.append(q)
-        return AlgebroidCurve.from_p_list(parts, self.u_var, self.z_var)
+        return AlgebroidCurve.from_p_list(
+            [MultiPoly((self.u_var,), {(d - k,): c for k, c in
+                                       enumerate(p.univariate_coeffs(self.u_var))})
+             for p in self.p_coeffs], self.u_var, self.z_var)
 
     def singular_locations(self) -> list[complex]:
         """Finite singular candidates: zeros of p0 and discriminant roots."""
@@ -432,57 +452,60 @@ def _distinct_roots(coeffs: np.ndarray) -> list[tuple[complex, int]]:
 def _distinct_roots_exact(p: MultiPoly, var: str) -> list[tuple[complex, int]]:
     """Polished simple roots of the square-free part with multiplicities.
 
-    Roots that verify exactly as small Gaussian rationals are snapped to the
-    float image of that rational, so downstream exact recentering fires.
+    Runs on the Gaussian-integer coefficients c of p = c / D: the square-free
+    part p / gcd(p, p') is exact in Z[i][x], and every float is the rounded
+    exact coefficient, evaluated in MultiPoly.eval's Horner order.  Roots
+    that verify exactly as small Gaussian rationals are snapped to the float
+    image of that rational, so downstream exact recentering fires.
     """
     p = p.with_vars((var,))
     if p.degree(var) < 1:
         return []
-    g = poly_gcd(p, p.derivative(var))
-    sqf = divexact(p, g) if g.degree(var) >= 1 else p
-    cs = np.array([complex(c) for c in sqf.univariate_coeffs(var)])
-    if len(cs) <= 1:
-        return []
-    roots = np.roots(cs[::-1])
-    scale = max(1.0, max(abs(complex(c)) for c in p.univariate_coeffs(var)))
-    derivs = [p]
-    for _ in range(p.degree(var)):
-        derivs.append(derivs[-1].derivative(var))
+    D, c = zi_coeffs(p, var)
+    g = zi_gcd(c, zi_derivative(c))
+    (lr, li), sqf = g[0], zi_divexact(c, g)
+    sqf = [(xr * lr - xi * li, xr * li + xi * lr) for xr, xi in sqf]  # p / monic gcd
+    dsqf = zi_derivative(sqf)
+    derivs = [c]
+    for _ in range(len(c) - 1):
+        derivs.append(zi_derivative(derivs[-1]))
+    fsqf, fdsqf, *fderivs = ([complex(xr / D, xi / D) for xr, xi in q]
+                             for q in [sqf, dsqf] + derivs)
+    scale = max(1.0, max(abs(x) for x in fderivs[0]))
     out = []
-    for r in roots:
-        r = _polish_poly_root(sqf, var, complex(r))
-        r = _snap_root(p, var, r)
+    for r in np.roots(fsqf):
+        r = _snap_root(c, _polish_poly_root(fsqf, fdsqf, complex(r)))
         mult = 1
-        for k in range(1, len(derivs)):
-            val = derivs[k].eval({var: r})
-            if abs(val) > 1e-7 * scale * math.factorial(k):
+        for k in range(1, len(fderivs)):
+            if abs(_horner(fderivs[k], r)) > 1e-7 * scale * math.factorial(k):
                 mult = k
                 break
         out.append((r, mult))
     return out
 
 
-def _snap_root(p: MultiPoly, var: str, r: complex) -> complex:
-    """Replace r by float(q) when q is an exactly verified rational root."""
+def _snap_root(c: ZiPoly, r: complex) -> complex:
+    """Replace r by float(q) when q is an exactly verified rational root of
+    the Gaussian-integer polynomial c (descending)."""
     re, im = rationalize(r.real, 10 ** 4), rationalize(r.imag, 10 ** 4)
     if re is None or im is None:
         return r
-    q = ExactScalar(re, im)
-    val = p.substitute_var(var, MultiPoly.constant(q, (var,)))
-    if val.is_zero():
-        return complex(float(re), float(im))
-    return r
+    m = math.lcm(re.denominator, im.denominator)   # q = (wr + i wi) / m
+    wr, wi = re.numerator * (m // re.denominator), im.numerator * (m // im.denominator)
+    ar, ai, mk = 0, 0, 1                            # m^d c(q), by Horner
+    for xr, xi in c:
+        ar, ai, mk = ar * wr - ai * wi + xr * mk, ar * wi + ai * wr + xi * mk, mk * m
+    return complex(float(re), float(im)) if ar == ai == 0 else r
 
 
-def _polish_poly_root(p: MultiPoly, var: str, r: complex,
+def _polish_poly_root(f: list[complex], df: list[complex], r: complex,
                       iters: int = 40) -> complex:
-    dp = p.derivative(var)
+    """Newton on descending coefficient lists f and its derivative df."""
     for _ in range(iters):
-        f = p.eval({var: r})
-        d = dp.eval({var: r})
+        d = _horner(df, r)
         if d == 0:
             break
-        step = f / d
+        step = _horner(f, r) / d
         r = r - step
         if abs(step) < 1e-15 * max(1.0, abs(r)):
             break

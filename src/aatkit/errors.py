@@ -28,6 +28,12 @@ class InexactDivision(AatkitError):
     """Exact polynomial division left a nonzero remainder."""
 
 
+class PolyDomainError(AatkitError):
+    """A polynomial operation got an argument outside its domain: a bad
+    exponent vector, a negative power, or a variable it cannot take, drop
+    or rename."""
+
+
 # -- series layer ---------------------------------------------------------
 
 class SingularCenter(AatkitError):

@@ -7,17 +7,22 @@ arithmetic is exact.  Two polynomials over different variable universes are
 aligned by name (sorted union) before combining.
 
 Division, GCD and square-free reduction are the classical primitive
-pseudo-remainder constructions; degrees in this problem domain are tiny, so
-clarity wins over asymptotics everywhere.
+pseudo-remainder constructions (Collins 1967).  The multivariate GCD recurses
+through contents down to one live variable, and there it runs on dense
+Gaussian-integer coefficient lists (ZiPoly): the denominators are cleared
+once, the remainder chain is made primitive by a Gaussian-integer Euclid on
+its coefficients, and only the monic result becomes ExactScalars again.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DegreeZero, InexactDivision, MissingVariable
-from .scalars import ExactScalar
+from .errors import DegreeZero, InexactDivision, MissingVariable, PolyDomainError
+from .scalars import ExactScalar, gauss_divexact, gauss_gcd, gaussian_integers
 
 Exponents = tuple[int, ...]
 
@@ -34,9 +39,9 @@ class MultiPoly:
         for exps, coeff in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nv:
-                raise ValueError(f"exponent vector {exps} has wrong length for {self.vars}")
+                raise PolyDomainError(f"exponent vector {exps} has wrong length for {self.vars}")
             if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+                raise PolyDomainError(f"negative exponent in {exps}")
             coeff = ExactScalar.coerce(coeff)
             if not coeff.is_zero():
                 clean[exps] = clean.get(exps, ExactScalar.zero()) + coeff
@@ -77,7 +82,7 @@ class MultiPoly:
 
     def constant_value(self) -> ExactScalar:
         if not self.is_constant():
-            raise ValueError("polynomial is not constant")
+            raise PolyDomainError("polynomial is not constant")
         return next(iter(self.terms.values()), ExactScalar.zero())
 
     def degree(self, var: str) -> int:
@@ -105,7 +110,7 @@ class MultiPoly:
         if missing:
             for v in missing:
                 if self.degree(v) > 0:
-                    raise ValueError(f"cannot drop variable {v} of positive degree")
+                    raise PolyDomainError(f"cannot drop variable {v} of positive degree")
         index = {v: i for i, v in enumerate(self.vars)}
         terms: dict[Exponents, ExactScalar] = {}
         for exps, coeff in self.terms.items():
@@ -150,7 +155,7 @@ class MultiPoly:
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
-            raise ValueError("negative polynomial power")
+            raise PolyDomainError("negative polynomial power")
         result = MultiPoly.constant(1, self.vars)
         base = self
         while n:
@@ -240,15 +245,6 @@ class MultiPoly:
         d = self.degree(var)
         return [self.coefficient_wrt(var, k) for k in range(max(d, 0) + 1)]
 
-    @staticmethod
-    def from_coefficients_wrt(var: str, coeffs: Sequence["MultiPoly"]) -> "MultiPoly":
-        result = MultiPoly.zero((var,))
-        x = MultiPoly.variable(var)
-        for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                result = result + c * x ** k
-        return result
-
     def leading_wrt(self, var: str) -> "MultiPoly":
         return self.coefficient_wrt(var, self.degree(var))
 
@@ -257,7 +253,7 @@ class MultiPoly:
         cs = []
         for c in self.coefficients_wrt(var):
             if not c.is_constant():
-                raise ValueError(f"polynomial is not univariate in {var}")
+                raise PolyDomainError(f"polynomial is not univariate in {var}")
             cs.append(c.constant_value())
         return cs
 
@@ -280,7 +276,7 @@ class MultiPoly:
         if old not in self.vars:
             return self
         if new in self.vars:
-            raise ValueError(f"variable {new!r} already present")
+            raise PolyDomainError(f"variable {new!r} already present")
         vars = tuple(new if v == old else v for v in self.vars)
         return MultiPoly(vars, dict(self.terms))
 
@@ -436,8 +432,73 @@ def content_wrt(p: MultiPoly, var: str) -> MultiPoly:
     return monic_lex(g).with_vars(p.vars) if not g.is_zero() else g
 
 
+# -- univariate core on Gaussian integers ------------------------------------
+# A ZiPoly is a dense list of (re, im) int pairs, highest power first, with a
+# nonzero leading pair.
+
+ZiPoly = list[tuple[int, int]]
+
+
+def zi_coeffs(p: MultiPoly, var: str) -> tuple[int, ZiPoly]:
+    """(D, c) with p = (sum_k c[k] var^(d-k)) / D, D > 0, for a nonzero p
+    whose only live variable is `var`."""
+    d, i = p.degree(var), p.vars.index(var)
+    vals = [ExactScalar.zero()] * (d + 1)
+    for exps, coeff in p.terms.items():
+        vals[d - exps[i]] = coeff
+    D, re, im = gaussian_integers(vals)
+    return D, list(zip(re, im))
+
+
+def zi_derivative(c: ZiPoly) -> ZiPoly:
+    return [(xr * e, xi * e) for (xr, xi), e in zip(c, range(len(c) - 1, 0, -1))]
+
+
+def zi_primitive(c: ZiPoly) -> ZiPoly:
+    """c divided by the Gaussian-integer GCD of its coefficients."""
+    g = (functools.reduce(gauss_gcd, c, (0, 0)) if any(xi for _, xi in c)
+         else (math.gcd(*(xr for xr, _ in c)), 0))
+    return c if g[0] ** 2 + g[1] ** 2 == 1 else [gauss_divexact(*x, g) for x in c]
+
+
+def zi_gcd(a: ZiPoly, b: ZiPoly) -> ZiPoly:
+    """Primitive GCD of two nonzero ZiPolys (unique up to a unit of Z[i]):
+    the primitive pseudo-remainder chain."""
+    if len(a) < len(b):
+        a, b = b, a
+    b = zi_primitive(b)
+    while len(b) > 1:
+        (lr, li), r = b[0], a
+        while len(r) >= len(b):   # r <- lc(b) r - lc(r) x^k b, lead dropped
+            (cr, ci), tail = r[0], len(b)
+            r = [(lr * xr - li * xi - cr * yr + ci * yi, lr * xi + li * xr - cr * yi - ci * yr)
+                 for (xr, xi), (yr, yi) in zip(r[1:tail], b[1:])] + \
+                [(lr * xr - li * xi, lr * xi + li * xr) for xr, xi in r[tail:]]
+            lead = next((k for k, x in enumerate(r) if x != (0, 0)), len(r))
+            r = r[lead:]
+        if not r:
+            return b
+        a, b = b, zi_primitive(r)
+    return [(1, 0)]
+
+
+def zi_divexact(a: ZiPoly, b: ZiPoly) -> ZiPoly:
+    """The quotient a / b in Z[i][x]; InexactDivision unless it is exact
+    (by Gauss's lemma it is whenever b is primitive and divides a over Q(i))."""
+    q, r = [], list(a)
+    while len(r) >= len(b):
+        c = gauss_divexact(*r[0], b[0])
+        q.append(c)
+        r = [(xr - c[0] * yr + c[1] * yi, xi - c[0] * yi - c[1] * yr)
+             for (xr, xi), (yr, yi) in zip(r[1:len(b)], b[1:])] + r[len(b):]
+    if any(x != (0, 0) for x in r):
+        raise InexactDivision("polynomial division left a remainder in Z[i]")
+    return q
+
+
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """GCD over Gaussian rationals via the primitive pseudo-remainder chain.
+    """GCD over Gaussian rationals via the primitive pseudo-remainder chain,
+    on ZiPolys once a single variable is live.
 
     Normalized so the lex-leading coefficient is 1 (canonical up to units).
     """
@@ -448,26 +509,27 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return monic_lex(a)
     if a.is_constant() or b.is_constant():
         return MultiPoly.constant(1, a.vars)
-    var = next(v for v in a.vars if a.degree(v) > 0 or b.degree(v) > 0)
-    if a.degree(var) == 0 or b.degree(var) == 0:
-        # one input is free of `var`: gcd lives in the contents
-        ca = content_wrt(a, var) if a.degree(var) > 0 else a
-        cb = content_wrt(b, var) if b.degree(var) > 0 else b
-        return poly_gcd(ca, cb)
+    live = [v for v in a.vars if a.degree(v) > 0 or b.degree(v) > 0]
+    if len(live) == 1:
+        var = live[0]
+        g = zi_gcd(zi_coeffs(a, var)[1], zi_coeffs(b, var)[1])
+        (lr, li), n, d = g[0], g[0][0] ** 2 + g[0][1] ** 2, len(g) - 1
+        i = a.vars.index(var)
+        return MultiPoly(a.vars, {
+            (0,) * i + (d - k,) + (0,) * (len(a.vars) - i - 1): ExactScalar.of_fractions(
+                Fraction(xr * lr + xi * li, n), Fraction(xi * lr - xr * li, n))
+            for k, (xr, xi) in enumerate(g) if xr or xi})
+    var = live[0]
     cont_a, cont_b = content_wrt(a, var), content_wrt(b, var)
     g_cont = poly_gcd(cont_a, cont_b)
+    if a.degree(var) == 0 or b.degree(var) == 0:
+        return g_cont   # one input is free of `var`: gcd lives in the contents
     pa, pb = divexact(a, cont_a), divexact(b, cont_b)
     if pa.degree(var) < pb.degree(var):
         pa, pb = pb, pa
-    while True:
+    while True:   # pb stays primitive, so the last one is the primitive gcd
         r = pseudo_rem(pa, pb, var)
-        if r.is_zero():
-            g = pb
-            break
-        if r.degree(var) == 0:
-            g = MultiPoly.constant(1, a.vars)
+        if r.is_zero() or r.degree(var) == 0:
             break
         pa, pb = pb, divexact(r, content_wrt(r, var))
-    if g.degree(var) > 0:
-        g = divexact(g, content_wrt(g, var))
-    return monic_lex(g_cont * g)
+    return monic_lex(g_cont * pb) if r.is_zero() else g_cont

@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import InexactDivision
+
 RationalLike = Union[int, Fraction]
 
 
@@ -178,6 +180,33 @@ def gaussian_integers(values) -> tuple[int, list[int], list[int]]:
     D = math.lcm(*{x.denominator for c in values for x in (c.re, c.im)})
     return (D, [c.re.numerator * (D // c.re.denominator) for c in values],
             [c.im.numerator * (D // c.im.denominator) for c in values])
+
+
+def gauss_divexact(xr: int, xi: int, q: tuple[int, int]) -> tuple[int, int]:
+    """(xr + i xi) / q in Z[i]; InexactDivision unless the division is exact."""
+    qr, qi = q
+    if qi:
+        n = qr * qr + qi * qi
+        xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
+    else:
+        n = qr
+    a, ra = divmod(xr, n)
+    b, rb = divmod(xi, n)
+    if ra or rb:
+        raise InexactDivision(f"{q} does not divide ({xr}, {xi}) in Z[i]")
+    return a, b
+
+
+def gauss_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A GCD of two Gaussian integers (Euclid with the nearest quotient, so
+    each remainder has at most half the norm of the divisor)."""
+    (ar, ai), (br, bi) = a, b
+    while br or bi:
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
 
 
 def checked_complex(re: float, im: float = 0.0) -> complex:

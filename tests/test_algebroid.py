@@ -31,7 +31,7 @@ from aatkit.errors import (
     NotSquareFree,
     SingularCenter,
 )
-from aatkit.poly import MultiPoly
+from aatkit.poly import MultiPoly, monic_lex, poly_gcd
 
 
 # -- exact oracle for the polar branches at u = 0 ----------------------------
@@ -211,6 +211,80 @@ class TestSimpleCurves:
         u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
         with pytest.raises(NotSquareFree):
             AlgebroidCurve((z - u) ** 2)
+
+
+class TestSquareFreeCheck:
+    """The constructor proves square-freeness at one integer u0 and runs the
+    bivariate GCD only when no tried u0 gives that proof."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count the univariate GCDs at tried points and the bivariate GCDs."""
+        seen = {"zi_gcd": 0, "poly_gcd": 0}
+
+        def counting(name):
+            real = getattr(algebroid, name)
+
+            def wrapper(*args):
+                seen[name] += 1
+                return real(*args)
+            return wrapper
+        for name in seen:
+            monkeypatch.setattr(algebroid, name, counting(name))
+        return seen
+
+    @staticmethod
+    def uz():
+        return MultiPoly.variable("u"), MultiPoly.variable("z")
+
+    def test_repeated_factor_is_named(self, calls):
+        u, z = self.uz()
+        with pytest.raises(NotSquareFree) as exc:
+            AlgebroidCurve((z - u) ** 2 * (z + 1))
+        want = monic_lex((z - u).with_vars(("u", "z")))
+        assert str(exc.value) == f"repeated factor in z: {want!r}"
+        assert calls == {"zi_gcd": len(algebroid._SQF_POINTS), "poly_gcd": 1}
+
+    def test_u_content_factor_constructs(self, calls):
+        u, z = self.uz()
+        curve = AlgebroidCurve((u - 1) * (z ** 2 - u))
+        assert curve.n == 2
+        assert calls["poly_gcd"] == 0
+        # the bivariate check agrees: the u-only factor is not repeated in z
+        g = poly_gcd(curve.F, curve.F.derivative("z"))
+        assert g.degree("z") == 0
+
+    def test_specialization_moves_past_bad_points(self, calls):
+        # F(u0, z) = z^2 at u0 = 0, 1, -1; the proof comes at u0 = 2
+        u, z = self.uz()
+        AlgebroidCurve(z ** 2 - u * (u - 1) * (u + 1))
+        assert algebroid._SQF_POINTS[:4] == (0, 1, -1, 2)
+        assert calls == {"zi_gcd": 4, "poly_gcd": 0}
+
+    def test_p0_vanishing_at_first_point_is_skipped(self, calls):
+        u, z = self.uz()
+        assert algebroid._SQF_POINTS[0] == 0
+        AlgebroidCurve(u * z ** 2 - 1)
+        assert calls == {"zi_gcd": 1, "poly_gcd": 0}
+
+    def test_specialization_never_rejects(self, calls):
+        # disc_z = 4 prod (u - u0) vanishes at every tried point, yet F is
+        # square-free: the bivariate GCD must decide, and accept
+        u, z = self.uz()
+        disc_zero = MultiPoly.constant(1, ("u",))
+        for u0 in algebroid._SQF_POINTS:
+            disc_zero = disc_zero * (u - u0)
+        curve = AlgebroidCurve(z ** 2 - disc_zero)
+        assert curve.n == 2
+        assert calls == {"zi_gcd": len(algebroid._SQF_POINTS), "poly_gcd": 1}
+
+    def test_extra_variable_uses_bivariate_check(self, calls):
+        u, z = self.uz()
+        w = MultiPoly.variable("w")
+        AlgebroidCurve(z ** 2 - u * w)
+        assert calls == {"zi_gcd": 0, "poly_gcd": 1}
+        with pytest.raises(NotSquareFree):
+            AlgebroidCurve((z - w) ** 2 * (z - u))
 
 
 class TestSingularReport:

@@ -1,6 +1,7 @@
 """Differential tests against sympy and mpmath: resultants, discriminants,
-polynomial GCDs, exact series products and inverses, the doubling chain of
-sin, the builtin Taylor data in every field, and the numeric Taylor shift."""
+polynomial GCDs (univariate and bivariate), exact root isolation, exact
+series products and inverses, the doubling chain of sin, the builtin Taylor
+data in every field, and the numeric Taylor shift."""
 
 import math
 from fractions import Fraction
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aatkit.aat import _hp_element
-from aatkit.algebroid import _taylor_shift
+from aatkit.algebroid import AlgebroidCurve, _distinct_roots_exact, _taylor_shift
 from aatkit.elimination import discriminant, eliminate_chain, resultant
 from aatkit.functions import FunctionSpec
-from aatkit.poly import MultiPoly, poly_gcd, pseudo_rem
+from aatkit.poly import MultiPoly, divexact, monic_lex, poly_gcd, pseudo_rem
 from aatkit.scalars import ExactScalar
 from aatkit.series import TruncSeries
 
@@ -232,6 +233,87 @@ def test_poly_gcd_against_sympy(g, f1, f2):
     want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), *gens, domain=sympy.QQ_I)
     assert ours.total_degree() == want.total_degree()
     assert (want.LC() * ours - ours.LC() * want).is_zero
+
+
+# univariate operands: zero, constant and non-monic ones included
+poly_x = st.lists(gaussian, max_size=5).map(lambda cs: MultiPoly.from_univariate("x", cs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_x, poly_x, poly_x)
+def test_univariate_poly_gcd_against_sympy(g, f1, f2):
+    a, b = g * f1, g * f2
+    X = sympy.Symbol("x")
+    ours = poly_gcd(a, b)
+    want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), X, domain=sympy.QQ_I)
+    if want.is_zero:
+        assert ours.is_zero()
+        return
+    assert ours.terms[max(ours.terms)] == ExactScalar(1)       # monic
+    got = sympy.Poly(to_sympy(ours), X, domain=sympy.QQ_I)
+    assert got.degree() == want.degree()
+    assert (want.LC() * got - got.LC() * want).is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_x, poly_x, poly_x, st.sampled_from([1, -2, Fraction(1, 3)]))
+def test_univariate_poly_gcd_matches_bivariate_path(g, f1, f2, c):
+    # a dummy factor y + c makes both operands bivariate, so their GCD runs
+    # the multivariate chain, whose contents end in the univariate base case
+    a, b = g * f1, g * f2
+    dummy = MultiPoly.variable("y") + MultiPoly.constant(c, ("y",))
+    both = poly_gcd(a * dummy, b * dummy)
+    if a.is_zero() and b.is_zero():
+        assert both.is_zero() and poly_gcd(a, b).is_zero()
+        return
+    assert monic_lex(divexact(both, dummy)) == poly_gcd(a, b).with_vars(("x", "y"))
+
+
+# -- exact root isolation: pinned to the values of the MultiPoly implementation
+
+def _bench_curve(k: int) -> MultiPoly:
+    """The four curves of the seed-1 `curves` bench workload."""
+    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+    q = lambda a, b=1: MultiPoly.constant(Fraction(a, b), ("u",))
+    return [8 * u * z ** 3 + 3 * (1 - u) * z + (1 - u),
+            1 + 3 * z + q(5, 8) * u + q(15, 8) * u * z - 5 * u * z ** 3,
+            q(7, 4) + q(9, 4) * z + q(1, 2) * z ** 2 + z ** 3 - q(11, 8) * u
+            + q(11, 8) * u * z - q(11, 4) * u * z ** 2,
+            q(-3, 2) + q(9, 4) * z + z ** 2 + q(5, 2) * u - q(5, 4) * u * z][k]
+
+
+@pytest.mark.parametrize("k,want", [
+    (0, "[((1+0j), 2), ((-1+0j), 1), (0j, 1)]"),   # the golden cubic
+    (1, "[((1.6+0j), 1), ((-1.6+0j), 2), (0j, 1)]"),
+    (2, "[((2.278527831204536+2.802596928649634e-44j), 1), "
+        "((1.6883116883116882+0j), 1), ((-0.32108209742045+0.37007402096926395j), 1), "
+        "((-0.32108209742044996-0.370074020969264j), 1)]"),
+    (3, "[((9.233202097703344-0j), 1), ((0.766797902296655+0j), 1)]"),
+])
+def test_discriminant_roots_pinned(k, want):
+    assert repr(_distinct_roots_exact(discriminant(_bench_curve(k), "z"), "u")) == want
+
+
+@pytest.mark.parametrize("c,want", [
+    (1, "[(0j, 3)]"),
+    (-1, "[((1+0j), 1), ((-0.5+0j), 2)]"),
+    (2, "[((0.5489558363614118+6.162975822039155e-32j), 1), "
+        "((-0.2744779181807059+0.19625081581089757j), 1), "
+        "((-0.2744779181807059-0.1962508158108975j), 1)]"),
+])
+def test_golden_cubic_fibre_roots_pinned(c, want):
+    F = AlgebroidCurve(_bench_curve(0)).F
+    h = F.substitute_var("u", MultiPoly.constant(c, ("u",))).with_vars(("z",))
+    assert repr(_distinct_roots_exact(h, "z")) == want
+
+
+def test_gaussian_roots_with_multiplicities_pinned():
+    x = MultiPoly.variable("x")
+    a = MultiPoly.constant(ExactScalar(Fraction(1, 2), 1), ("x",))
+    p = (x - a) ** 2 * (3 * x ** 2 + 2) * (x + MultiPoly.constant(Fraction(3, 7), ("x",))) ** 3
+    assert repr(_distinct_roots_exact(p, "x")) == (
+        "[((-1.9885999477579128e-17-0.816496580927726j), 1), ((0.5+1j), 2), "
+        "((3.904774243765403e-17+0.8164965809277259j), 1), ((-0.42857142857142855+0j), 3)]")
 
 
 # -- builtin Taylor data ------------------------------------------------------------
