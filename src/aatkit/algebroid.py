@@ -86,12 +86,8 @@ class AlgebroidCurve:
         _SQF_POINTS (the proof in the class docstring); False proves nothing."""
         if set(self.F.vars) != {self.u_var, self.z_var}:
             return False
-        F, iu, iz = self.F, self.F.vars.index(self.u_var), self.F.vars.index(self.z_var)
-        _, re, im = gaussian_integers(F.terms.values())
         for u0 in _SQF_POINTS:   # f = D F(u0, z), highest power first
-            f = [(sum(x * u0 ** e[iu] for e, x in zip(F.terms, re) if e[iz] == k),
-                  sum(x * u0 ** e[iu] for e, x in zip(F.terms, im) if e[iz] == k))
-                 for k in range(self.n, -1, -1)]
+            f = [col[0] for col in reversed(_exact_shift(self, ExactScalar(u0))[1])]
             if f[0] != (0, 0) and len(zi_gcd(f, zi_derivative(f))) == 1:
                 return True
         return False
@@ -375,17 +371,47 @@ def _taylor_shift(coeffs, a: complex) -> list[complex]:
     return out
 
 
-def _local_array(curve: AlgebroidCurve, center) -> np.ndarray:
-    """Coefficient array of F(center + s, z) over (s-exp, z-exp)."""
-    exact_center = _as_exact(center)
-    if exact_center is not None:
-        shifted = curve.F.shift_var(curve.u_var, exact_center)
-        return _poly_to_array(shifted, curve.u_var, curve.z_var)
-    arr = _poly_to_array(curve.F, curve.u_var, curve.z_var)
-    out = np.zeros_like(arr)
-    for i in range(arr.shape[1]):
-        out[:, i] = _taylor_shift(arr[:, i], complex(center))
-    return out
+def _local_array(curve: AlgebroidCurve, center) -> tuple[np.ndarray, tuple[int, ZiPoly] | None]:
+    """The coefficient array of F(center + s, z) over (s-exp, z-exp), and at
+    an exact center c also (N, h), N F(c, z) = h a ZiPoly in z: the s^0 row
+    of _exact_shift, whose floats are the correctly rounded exact values."""
+    c = _as_exact(center)
+    if c is None:
+        arr = _poly_to_array(curve.F, curve.u_var, curve.z_var)
+        out = np.zeros_like(arr)
+        for i in range(arr.shape[1]):
+            out[:, i] = _taylor_shift(arr[:, i], complex(center))
+        return out, None
+    N, cols = _exact_shift(curve, c)
+    out = np.zeros((len(cols[0]), len(cols)), dtype=complex)
+    for i, col in enumerate(cols):
+        for l, (xr, xi) in enumerate(col):
+            out[l, i] = complex(xr / N, xi / N)
+    h = [col[0] for col in reversed(cols)]
+    return out, (N, h[next((k for k, x in enumerate(h) if x != (0, 0)), len(h)):])
+
+
+def _exact_shift(curve: AlgebroidCurve,
+                 c: ExactScalar) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(N, cols) with N F(c + s, z) = sum cols[i][l] s^l z^i: one Taylor
+    shift on Gaussian integers.  With c = w / m, du the degree in u and
+    Q_i(y) = m^du p_i(y / m) for the coefficient p_i of z^i,
+    p_i(c + s) = sum_l q_il m^(l - du) s^l, q_il the coefficients of Q_i(w + y)."""
+    F, u, z = curve.F, curve.u_var, curve.z_var
+    du, iu, iz = F.degree(u), F.vars.index(u), F.vars.index(z)
+    m = math.lcm(c.re.denominator, c.im.denominator)
+    wr, wi = int(c.re * m), int(c.im * m)
+    D, re, im = gaussian_integers(F.terms.values())
+    cols = [[(0, 0)] * (du + 1) for _ in range(F.degree(z) + 1)]
+    for e, xr, xi in zip(F.terms, re, im):
+        cols[e[iz]][e[iu]] = (xr * m ** (du - e[iu]), xi * m ** (du - e[iu]))
+    for col in cols:
+        for k in range(du):
+            for j in range(du - 1, k - 1, -1):
+                (xr, xi), (yr, yi) = col[j], col[j + 1]
+                col[j] = (xr + wr * yr - wi * yi, xi + wr * yi + wi * yr)
+        col[:] = [(xr * m ** l, xi * m ** l) for l, (xr, xi) in enumerate(col)]
+    return D * m ** du, cols
 
 
 def _as_exact(center) -> ExactScalar | None:
@@ -459,9 +485,11 @@ def _distinct_roots_exact(p: MultiPoly, var: str) -> list[tuple[complex, int]]:
     image of that rational, so downstream exact recentering fires.
     """
     p = p.with_vars((var,))
-    if p.degree(var) < 1:
-        return []
-    D, c = zi_coeffs(p, var)
+    return _roots_zi(*zi_coeffs(p, var)) if p.degree(var) >= 1 else []
+
+
+def _roots_zi(D: int, c: ZiPoly) -> list[tuple[complex, int]]:
+    """_distinct_roots_exact of c / D, c of degree >= 1."""
     g = zi_gcd(c, zi_derivative(c))
     (lr, li), sqf = g[0], zi_divexact(c, g)
     sqf = [(xr * lr - xi * li, xr * li + xi * lr) for xr, xi in sqf]  # p / monic gcd
@@ -682,18 +710,11 @@ def _vanishing_branches(H: np.ndarray, n_terms: int,
 def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSystem]:
     """All branch systems (one per conjugacy class) at a finite center."""
     n_terms = order + 4
-    H = _local_array(curve, center)
+    H, h0 = _local_array(curve, center)
     scale = float(np.abs(H).max())
     systems: list[BranchSystem] = []
-
-    exact_center = _as_exact(center)
-    h0_exact = None
-    if exact_center is not None:
-        h0_exact = curve.F.substitute_var(
-            curve.u_var, MultiPoly.constant(exact_center, (curve.u_var,)))
-    if h0_exact is not None and h0_exact.degree(curve.z_var) >= 1:
-        finite_roots = _distinct_roots_exact(
-            h0_exact.with_vars((curve.z_var,)), curve.z_var)
+    if h0 is not None and len(h0[1]) >= 2:
+        finite_roots = _roots_zi(*h0)
     else:
         finite_roots = _distinct_roots(H[0, :])
 
@@ -830,7 +851,7 @@ class _Laurent:
 
 def _curve_coeff_arrays(H: np.ndarray, e: int, hi: int) -> list["_Laurent"]:
     """Laurent arrays of the z-coefficients of F(center + tau^e, z): the
-    columns of H = _local_array(curve, center), spread by e."""
+    columns of H = _local_array(curve, center)[0], spread by e."""
     out = []
     for col in H.T:
         col = col[: (hi - 1) // e + 1]
@@ -879,7 +900,7 @@ def branch_residual(curve: AlgebroidCurve, branch: PuiseuxBranch,
     """
     e, low = branch.e, branch.low_exp
     hi = branch.order
-    cs = _curve_coeff_arrays(_local_array(curve, branch.center), e,
+    cs = _curve_coeff_arrays(_local_array(curve, branch.center)[0], e,
                              hi + curve.n * max(-low, 0) + 4)
     z = _Laurent(low, np.array(branch.coeffs, dtype=complex))
     acc = _Laurent.zero(hi)

@@ -162,7 +162,7 @@ def _parse_complex(text: str) -> complex:
             return checked_complex(float(re_s), float(im_s))
         z = complex(t)
         return checked_complex(z.real, z.imag)
-    except ValueError:
+    except (ValueError, InvariantViolation):
         raise SchemaError(f"cannot parse complex number {text!r}")
 
 

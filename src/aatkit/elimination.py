@@ -5,12 +5,15 @@ eliminated: one pseudo-division of the higher-degree operand by the other
 (the first step of the Euclidean reduction of a resultant; Collins 1967,
 Brown and Traub 1971) replaces an (m+n)-row Sylvester matrix by one of
 n + k rows, k the degree of the pseudo-remainder, and fraction-free Bareiss
-elimination over the polynomial ring takes the determinant of what is
-left.  In the doubling chain one operand is the link, whose degree n in
-the eliminated variable is f's degree in x, so the determinant has at most
-2n - 1 rows whatever the degree of the accumulated relation: none is
-needed when f is linear in x (the resultant is then the pseudo-remainder,
-up to sign), and 3 rows suffice for the sin chain.
+elimination (Bareiss 1968) takes the determinant of what is left.  In the
+doubling chain one operand is the link, whose degree n in the eliminated
+variable is f's degree in x, so the determinant has at most 2n - 1 rows
+whatever the degree of the accumulated relation: none is needed when f is
+linear in x (the resultant is then the pseudo-remainder, up to sign), and
+3 rows suffice for the sin chain.  Both steps run on Gaussian-integer
+arrays: each operand is read once over one denominator, its other
+variables Kronecker-packed into one (x_0 -> t, x_1 -> t^B_0, ...), and only
+the result becomes a MultiPoly, its coefficients the exact x / D.
 
 PolyInW models a polynomial in one distinguished variable W whose
 coefficients live either in the exact polynomial ring (MultiPoly) or in a
@@ -26,6 +29,8 @@ last variable with the first.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import (
@@ -35,98 +40,136 @@ from .errors import (
     OrderExhausted,
     PreconditionFailed,
 )
-from .poly import (MultiPoly, divexact, monic_lex, poly_squarefree_content,
-                   pseudo_rem)
-from .scalars import ExactScalar
-from .series import BiSeries
+from .poly import (MultiPoly, ZiPoly, divexact, monic_lex, poly_squarefree_content,
+                   zi_divexact)
+from .scalars import ExactScalar, gaussian_integers
+from .series import BiSeries, _line_product
 
 Coefficient = Union[MultiPoly, BiSeries]
 
 
-# -- Sylvester resultant -----------------------------------------------------
+# -- resultants on Gaussian-integer arrays ------------------------------------
+# An operand p is read as rows: D p = sum_k rows[k] var^(d-k), row k the image
+# phi(c) of a coefficient c in Z[i][x_0, ..] under x_j -> t^(B_0 .. B_(j-1)),
+# a ZiPoly in t ([] is zero).  phi is a ring homomorphism into the domain
+# Z[i][t], so the pseudo-division and Bareiss, run on the images, compute the
+# image of their result: exact divisions stay exact, and zero tests and
+# degrees in var may be read from the images, since Res(B, prem(A, B)) enters
+# only as lc(B)^k prod R(roots of B), for any k >= deg R.  Reading the result
+# back needs phi one-to-one on it: B_j above its degree in x_j.  Res(f, g) is
+# homogeneous of degree deg g in the coefficients of f and deg f in those of
+# g, so B_j = deg g deg_j f + deg f deg_j g + 1 (a discriminant: (2n - 2)
+# deg_j f + 1), which also keeps every leading coefficient's image nonzero.
 
-def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:
-    m, n = f.degree(var), g.degree(var)
-    fc = f.coefficients_wrt(var)
-    gc = g.coefficients_wrt(var)
-    size = m + n
-    rest = tuple(v for v in sorted(set(f.vars) | set(g.vars)) if v != var)
-    zero = MultiPoly.zero(rest)
-    rows: list[list[MultiPoly]] = []
-    for r in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(fc)):
-            row[r + k] = c.with_vars(rest)
-        rows.append(row)
-    for r in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(gc)):
-            row[r + k] = c.with_vars(rest)
-        rows.append(row)
-    return rows
+def _rows(p: MultiPoly, var: str, rest: tuple[str, ...],
+          radix: list[int]) -> tuple[int, list[ZiPoly]]:
+    iv, d = p.vars.index(var), p.degree(var)
+    at = [(p.vars.index(v), math.prod(radix[:j])) for j, v in enumerate(rest) if v in p.vars]
+    D, re, im = gaussian_integers(p.terms.values())
+    rows: list[dict] = [{} for _ in range(d + 1)]
+    for e, xr, xi in zip(p.terms, re, im):
+        rows[d - e[iv]][sum(e[i] * w for i, w in at)] = (xr, xi)
+    return D, [[r.get(s, (0, 0)) for s in range(max(r), -1, -1)] if r else []
+               for r in rows]
 
 
-def bareiss_det(matrix: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant; every division is exact by construction."""
-    n = len(matrix)
-    if n == 0:
-        return MultiPoly.constant(1)
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = MultiPoly.constant(1, m[0][0].vars)
+def _unpacked(c: ZiPoly, D: int, rest: tuple[str, ...], radix: list[int]) -> MultiPoly:
+    """phi^-1(c) / D; D < 0 flips the sign."""
+    w = [math.prod(radix[:j]) for j in range(len(radix))]
+    return MultiPoly(rest, {tuple(s // x % b for x, b in zip(w, radix)):
+                            ExactScalar.of_fractions(Fraction(xr, D), Fraction(xi, D))
+                            for s, (xr, xi) in enumerate(reversed(c)) if xr or xi})
+
+
+def _mul(a: ZiPoly, b: ZiPoly) -> ZiPoly:
+    """a b, Kronecker-packed into big integers (series._line_product)."""
+    if not a or not b:
+        return []
+    return list(zip(*_line_product(*zip(*a), *zip(*b), len(a) + len(b) - 1)))
+
+
+def _cross(a: ZiPoly, p: ZiPoly, c: ZiPoly, q: ZiPoly) -> ZiPoly:
+    """a p - c q."""
+    x, y = _mul(a, p), _mul(c, q)
+    n = max(len(x), len(y))
+    x, y = [(0, 0)] * (n - len(x)) + x, [(0, 0)] * (n - len(y)) + y
+    out = [(xr - yr, xi - yi) for (xr, xi), (yr, yi) in zip(x, y)]
+    return out[next((k for k, v in enumerate(out) if v != (0, 0)), n):]
+
+
+def _power(a: ZiPoly, e: int) -> ZiPoly:
+    out = [(1, 0)]
+    for _ in range(e):
+        out = _mul(out, a)
+    return out
+
+
+def _prem(a: list[ZiPoly], b: list[ZiPoly]) -> list[ZiPoly]:
+    """pseudo_rem on rows: lc(b)^(da-db+1) a mod b."""
+    lb, owed = b[0], len(a) - len(b) + 1
+    while len(a) >= len(b):
+        a = [_cross(x, lb, a[0], y) for x, y in zip(a[1:], b[1:])] + \
+            [_mul(x, lb) for x in a[len(b):]]
+        a = a[next((k for k, x in enumerate(a) if x), len(a)):]
+        owed -= 1
+    return [_mul(x, _power(lb, owed)) for x in a] if owed and a else a
+
+
+def _bareiss(m: list[list[ZiPoly]]) -> tuple[int, ZiPoly]:
+    """(sign, det) with the determinant sign * det, fraction-free; every
+    division is exact by Sylvester's identity."""
+    n, sign, prev = len(m), 1, [(1, 0)]
     for r in range(n - 1):
-        if m[r][r].is_zero():
-            swap = next((i for i in range(r + 1, n) if not m[i][r].is_zero()), None)
+        if not m[r][r]:
+            swap = next((i for i in range(r + 1, n) if m[i][r]), None)
             if swap is None:
-                return MultiPoly.zero(m[0][0].vars)
-            m[r], m[swap] = m[swap], m[r]
-            sign = -sign
+                return 1, []
+            m[r], m[swap], sign = m[swap], m[r], -sign
         pivot = m[r][r]
         for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = m[i][j] * pivot - m[i][r] * m[r][j]
-                m[i][j] = divexact(num, prev)
-            m[i][r] = MultiPoly.zero(pivot.vars)
+            m[i][r + 1:] = [zi_divexact(_cross(x, pivot, m[i][r], y), prev)
+                            for x, y in zip(m[i][r + 1:], m[r][r + 1:])]
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    return sign, m[-1][-1]
+
+
+def _res_rows(f: list[ZiPoly], g: list[ZiPoly]) -> tuple[int, ZiPoly]:
+    """(sign, res) with Res(f, g) = sign * res, for rows of positive degree.
+
+    With A the operand of higher degree m, B the other (degree n >= 1,
+    leading coefficient l) and R = prem(A, B) = l^(m-n+1) A mod B of degree
+    k, every root b of B has R(b) = l^(m-n+1) A(b), so Res(B, A) =
+    l^(m-k) Res(B, R) / l^((m-n+1) n), an exact division by
+    l^((n-1)(m-n)+k).  Res(B, R) is R^n when k = 0, zero when R is, and
+    otherwise the Bareiss determinant of the (n+k)-row Sylvester matrix.
+    Res(f, g) is (-1)^(mn) Res(g, f).
+    """
+    swap = len(f) >= len(g)
+    A, B = (f, g) if swap else (g, f)
+    m, n = len(A) - 1, len(B) - 1
+    R = _prem(A, B)
+    k = len(R) - 1
+    if k < 0:
+        return 1, []
+    sign, res = (1, _power(R[0], n)) if k == 0 else _bareiss(
+        [[[]] * r + B + [[]] * (k - 1 - r) for r in range(k)]
+        + [[[]] * r + R + [[]] * (n - 1 - r) for r in range(n)])
+    e = (n - 1) * (m - n) + k
+    return -sign if swap and m * n % 2 else sign, zi_divexact(res, _power(B[0], e))
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Exact Sylvester resultant Res(f, g) in `var`, over the sorted union
     of the inputs' other variables; it vanishes at a specialization of them
-    iff f and g share a root there (or both leading coefficients vanish).
-
-    One pseudo-division shrinks the determinant first.  With A the operand
-    of higher degree m, B the other (degree n >= 1, leading coefficient
-    l) and R = prem(A, B) = l^(m-n+1) A mod B of degree k, every root b of
-    B has R(b) = l^(m-n+1) A(b), so
-
-        Res(B, A) = l^(m-k) Res(B, R) / l^((m-n+1) n),
-
-    an exact division by l^((n-1)(m-n)+k).  Res(B, R) is R^n when k = 0,
-    zero when R is, and otherwise the Bareiss determinant of the (n+k)-row
-    Sylvester matrix instead of the (m+n)-row one of f and g.  Res(f, g) is
-    (-1)^(mn) Res(g, f).
-    """
-    if f.degree(var) <= 0 or g.degree(var) <= 0:
+    iff f and g share a root there (or both leading coefficients vanish)."""
+    m, n = f.degree(var), g.degree(var)
+    if m <= 0 or n <= 0:
         raise DegreeZero(f"both inputs need positive degree in {var!r}")
     rest = tuple(v for v in sorted(set(f.vars) | set(g.vars)) if v != var)
-    swap = f.degree(var) >= g.degree(var)
-    A, B = (f, g) if swap else (g, f)
-    m, n = A.degree(var), B.degree(var)
-    R = pseudo_rem(A, B, var)
-    k = R.degree(var)
-    if k < 0:
-        return MultiPoly.zero(rest)
-    if k == 0:
-        res = R.coefficient_wrt(var, 0).with_vars(rest) ** n
-    else:
-        res = bareiss_det(sylvester_matrix(B, R, var))
-    e = (n - 1) * (m - n) + k
-    if e:
-        res = divexact(res, B.leading_wrt(var).with_vars(rest) ** e)
-    return -res if swap and m * n % 2 else res
+    radix = [n * f.degree(v) + m * g.degree(v) + 1 for v in rest]
+    (Df, F), (Dg, G) = _rows(f, var, rest, radix), _rows(g, var, rest, radix)
+    sign, res = _res_rows(F, G)
+    return _unpacked(res, sign * Df ** n * Dg ** m, rest, radix)
 
 
 def discriminant(f: MultiPoly, var: str) -> MultiPoly:
@@ -134,12 +177,13 @@ def discriminant(f: MultiPoly, var: str) -> MultiPoly:
     n = f.degree(var)
     if n < 2:
         raise DegreeTooLow(f"discriminant needs degree >= 2 in {var!r}")
-    res = resultant(f, f.derivative(var), var)
-    lc = f.leading_wrt(var).with_vars(res.vars)
-    disc = divexact(res, lc)
-    if (n * (n - 1) // 2) % 2:
-        disc = -disc
-    return disc
+    rest = tuple(v for v in sorted(f.vars) if v != var)
+    radix = [(2 * n - 2) * f.degree(v) + 1 for v in rest]
+    D, F = _rows(f, var, rest, radix)     # f = F / D, f' = F' / D
+    sign, res = _res_rows(F, [[(xr * e, xi * e) for xr, xi in row]
+                              for row, e in zip(F, range(n, 0, -1))])
+    return _unpacked(zi_divexact(res, F[0]), (-1) ** (n * (n - 1) // 2) * sign
+                     * D ** (2 * n - 2), rest, radix)
 
 
 # -- polynomials in W over a coefficient domain -------------------------------

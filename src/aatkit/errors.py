@@ -112,7 +112,8 @@ class PreconditionFailed(AatkitError):
 
 
 class ShiftDegenerate(AatkitError):
-    """A zero shift was supplied to the reduction."""
+    """A zero shift was supplied to the reduction, or a zero or non-finite
+    period to its verification."""
 
 
 # -- period layer ---------------------------------------------------------
@@ -140,4 +141,5 @@ class SchemaError(AatkitError):
 
 
 class InvariantViolation(AatkitError):
-    """Parsed object violates a domain-type invariant (e.g. p0 == 0)."""
+    """Parsed object violates a domain-type invariant (e.g. p0 == 0, or a
+    complex value that must be finite is NaN or infinite)."""

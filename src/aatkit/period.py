@@ -34,6 +34,7 @@ from .errors import (
     InsufficientRoots,
     NoEqualPair,
     PreconditionFailed,
+    ShiftDegenerate,
 )
 from .functions import FunctionSpec, _rational_var
 from .poly import MultiPoly
@@ -221,7 +222,7 @@ def verify_period(f: FunctionSpec, omega: complex, samples: int = 100,
     """max |phi(u + omega) - phi(u)| over seeded random regular points."""
     omega = complex(omega)
     if omega == 0 or not np.isfinite(abs(omega)):
-        raise ValueError("omega must be finite and nonzero")
+        raise ShiftDegenerate("omega must be finite and nonzero")
     rng = np.random.default_rng(seed ^ 0x5EED)
     worst = 0.0
     got = 0

@@ -197,18 +197,7 @@ class MultiPoly:
         for v in self.vars:
             if self.degree(v) > 0 and v not in assignment:
                 raise MissingVariable(f"assignment missing variable {v!r}")
-        return self._eval_horner(assignment)
-
-    def _eval_horner(self, assignment: Mapping[str, complex]) -> complex:
-        live = [v for v in self.vars if self.degree(v) > 0]
-        if not live:
-            return complex(self.constant_value())
-        v = live[0]
-        z = complex(assignment[v])
-        acc = 0j
-        for k in range(self.degree(v), -1, -1):
-            acc = acc * z + self.coefficient_wrt(v, k)._eval_horner(assignment)
-        return acc
+        return _eval_horner(list(self.terms.items()), 0, self.vars, assignment)
 
     def substitute(self, values: Mapping[str, object], one) -> object:
         """Evaluate in an arbitrary commutative ring.
@@ -326,6 +315,23 @@ class MultiPoly:
             im = Fraction(int(t.get("im", ["0", "1"])[0]), int(t.get("im", ["0", "1"])[1]))
             terms[tuple(t["exps"])] = ExactScalar(re, im)
         return MultiPoly(vars, terms)
+
+
+def _eval_horner(items: list, start: int, vars: Sequence[str],
+                 assignment: Mapping[str, complex]) -> complex:
+    """Horner in the first live variable from position `start` on, over the
+    terms grouped by its power; exact coefficients become floats at the
+    leaf (a constant group has at most one term)."""
+    i = next((i for i in range(start, len(vars)) if any(e[i] for e, _ in items)), None)
+    if i is None:
+        return complex(items[0][1]) if items else 0j
+    groups: list[list] = [[] for _ in range(max(e[i] for e, _ in items) + 1)]
+    for item in items:
+        groups[item[0][i]].append(item)
+    acc = 0j
+    for g in reversed(groups):
+        acc = acc * complex(assignment[vars[i]]) + _eval_horner(g, i + 1, vars, assignment)
+    return acc
 
 
 def _coerce_poly(value, vars: Sequence[str]) -> MultiPoly:

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import InexactDivision
+from .errors import InexactDivision, InvariantViolation
 
 RationalLike = Union[int, Fraction]
 
@@ -213,7 +213,7 @@ def checked_complex(re: float, im: float = 0.0) -> complex:
     """Build a complex value, rejecting NaN and infinities."""
     z = complex(re, im)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite complex value {z!r}")
+        raise InvariantViolation(f"non-finite complex value {z!r}")
     return z
 
 

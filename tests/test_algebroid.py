@@ -213,6 +213,29 @@ class TestSimpleCurves:
             AlgebroidCurve((z - u) ** 2)
 
 
+@pytest.mark.parametrize("center", [0, 1, -2, Fraction(1, 2), Fraction(-5, 3),
+                                    0.75 - 0.25j, 1j, 0.3 + 0.1j])
+@pytest.mark.parametrize("k", range(3))
+def test_exact_recentering_matches_multipoly_shift(k, center):
+    # the Gaussian-integer Taylor shift gives the floats of the exact
+    # MultiPoly shift F(c + s, z), and its s^0 row the roots of F(c, z)
+    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+    q = lambda a, b=1: MultiPoly.constant(Fraction(a, b), ("u",))
+    F = [8 * u * z ** 3 + 3 * (1 - u) * z + (1 - u),
+         q(7, 4) + q(9, 4) * z + z ** 3 - q(11, 8) * u * u + q(11, 4) * u * z ** 2,
+         q(1, 3) * u ** 3 * z ** 2 - z + u][k]
+    curve = AlgebroidCurve(F)
+    H, h0 = algebroid._local_array(curve, center)
+    c = algebroid._as_exact(center)
+    assert (h0 is None) == (c is None)
+    if c is None:
+        return
+    want = algebroid._poly_to_array(curve.F.shift_var("u", c), "u", "z")
+    assert repr(H.tolist()) == repr(want.tolist())
+    fibre = curve.F.substitute_var("u", MultiPoly.constant(c, ("u",))).with_vars(("z",))
+    assert repr(algebroid._roots_zi(*h0)) == repr(algebroid._distinct_roots_exact(fibre, "z"))
+
+
 class TestSquareFreeCheck:
     """The constructor proves square-freeness at one integer u0 and runs the
     bivariate GCD only when no tried u0 gives that proof."""

@@ -122,6 +122,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("omega,want", [("0", (1, "ShiftDegenerate")),
+                                            ("0,0", (1, "ShiftDegenerate")),
+                                            ("nan", (2, "SchemaError")),
+                                            ("1,inf", (2, "SchemaError"))])
+    def test_bad_period_is_one_typed_error(self, files, capsys, omega, want):
+        code = run_command(["period", "verify", "--fn", files["exp"],
+                            "--omega", omega])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert (code, rep["error"]["type"]) == want and out.err == ""
+
 
 class TestSpecErrors:
     """Bad function specs give one typed JSON error, never a traceback."""

@@ -60,11 +60,12 @@ gaussian = st.builds(ExactScalar,
 
 
 @st.composite
-def poly_in(draw, z_degree: int, lead=None):
-    """A polynomial of exact degree z_degree in z over Q(i)[u, w]; `lead`
-    fixes its leading coefficient in z."""
+def poly_in(draw, z_degree: int, lead=None, uw: int = 1):
+    """A polynomial of exact degree z_degree in z over Q(i)[u, w], of degree
+    at most uw in u and in w below z_degree; `lead` fixes its leading
+    coefficient in z."""
     terms = draw(st.dictionaries(
-        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, z_degree - 1)),
+        st.tuples(st.integers(0, uw), st.integers(0, uw), st.integers(0, z_degree - 1)),
         gaussian, max_size=5))
     p = MultiPoly(("u", "w", "z"), terms)
     if lead is None:
@@ -129,6 +130,60 @@ class TestResultantAgainstSympy:
         assert pseudo_rem(A, B, "z").degree("z") <= 0
         self.check(A, B)
         self.check(B, A)
+
+
+    # the other variables are Kronecker-packed into one; these cases stress
+    # the packing with higher degrees and operands on other variable sets
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3))
+    def test_packed_higher_degrees(self, data, df, dg):
+        u, w = MultiPoly.variable("u"), MultiPoly.variable("w")
+        lead = data.draw(st.sampled_from([None, (u * w - 2).with_vars(("u", "w")),
+                                          (u ** 2 + 3 * w ** 2).with_vars(("u", "w"))]))
+        self.check(data.draw(poly_in(df, uw=3)), data.draw(poly_in(dg, lead=lead, uw=2)))
+
+    def test_radix_bound_reached(self):
+        # deg_u Res = deg g deg_u f + deg f deg_u g = 2: the packing radix
+        # of u is exactly one above it
+        u, w, z = (MultiPoly.variable(v) for v in "uwz")
+        got = self.check(u * z + 2 * u + w, u * z + 3 * u - w)
+        assert got == (u ** 2 - 2 * u * w).with_vars(("u", "w"))
+        disc = discriminant(u * z ** 2 + w * z + u, "z")
+        assert disc == (w ** 2 - 4 * u ** 2).with_vars(("u", "w"))
+
+    def test_vanishing_leading_coefficients(self):
+        # both leading coefficients vanish at u = w = 1, so the resultant does
+        u, w, z = (MultiPoly.variable(v) for v in "uwz")
+        got = self.check((u - w) * z ** 2 + z + 1, (w - 1) * z + u)
+        assert got.eval({"u": 1, "w": 1}) == 0
+
+    def test_common_factor_gives_zero(self):
+        u, w, z = (MultiPoly.variable(v) for v in "uwz")
+        h = u * z - w ** 2
+        got = self.check(h * (z ** 2 + w), h * (z - u * w + 1))
+        assert got.is_zero() and got.vars == ("u", "w")
+
+    def test_constant_remainder_k0(self):
+        u, w, z = (MultiPoly.variable(v) for v in "uwz")
+        assert pseudo_rem(z ** 3 - u * z + w, z - w, "z").degree("z") == 0
+        # Res(f, g) = (-1)^3 lc(g)^3 f(w / 2)
+        assert self.check(z ** 3 - u * z + w, 2 * z - w) == \
+            (4 * u * w - w ** 3 - 8 * w).with_vars(("u", "w"))
+
+    def test_disjoint_variables(self):
+        u, w, z = (MultiPoly.variable(v) for v in "uwz")
+        f, g = (z ** 2 - u).with_vars(("z", "u")), (z ** 3 - w * z + 1).with_vars(("w", "z"))
+        self.check(f, g)
+        self.check(g, f)
+
+    def test_result_vars(self):
+        # the sorted union of the other variables, dead ones kept
+        f = MultiPoly(("y", "z", "c"), {(1, 1, 0): 1, (0, 0, 0): 3})
+        g = MultiPoly(("z", "a"), {(2, 0): 1, (0, 1): -1})
+        got = resultant(f, g, "z")
+        assert got.vars == ("a", "c", "y")
+        assert same(got, sympy_resultant(f, g))
 
 
 @settings(max_examples=25, deadline=None)
@@ -280,6 +335,20 @@ def _bench_curve(k: int) -> MultiPoly:
             q(7, 4) + q(9, 4) * z + q(1, 2) * z ** 2 + z ** 3 - q(11, 8) * u
             + q(11, 8) * u * z - q(11, 4) * u * z ** 2,
             q(-3, 2) + q(9, 4) * z + z ** 2 + q(5, 2) * u - q(5, 4) * u * z][k]
+
+
+@pytest.mark.parametrize("k,want", [
+    (0, [(1, "-864"), (2, "864"), (3, "864"), (4, "-864")]),
+    (1, [(1, "540"), (2, "675/2"), (3, "-3375/16"), (4, "-16875/128")]),
+    (2, [(0, "-5915/64"), (1, "-2431/16"), (2, "-19723/128"), (3, "1331/4"),
+         (4, "-102487/1024")]),
+    (3, [(0, "177/16"), (1, "-125/8"), (2, "25/16")]),
+])
+def test_bench_discriminants_pinned(k, want):
+    # the values of the MultiPoly Sylvester/Bareiss implementation
+    terms = [{"exps": [e], "re": (q.split("/") + ["1"])[:2], "im": ["0", "1"]}
+             for e, q in want]
+    assert discriminant(_bench_curve(k), "z").to_json_dict() == {"vars": ["u"], "terms": terms}
 
 
 @pytest.mark.parametrize("k,want", [

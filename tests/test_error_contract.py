@@ -18,9 +18,7 @@ UNTYPED = {"ValueError", "ZeroDivisionError"}
 ALLOWED = Counter({
     ("algebroid.py", "ZeroDivisionError", "_series_inv"): 1,
     ("algebroid.py", "ZeroDivisionError", "inv"): 1,        # _Laurent.inv
-    ("period.py", "ValueError", "verify_period"): 1,
     ("scalars.py", "ZeroDivisionError", "__truediv__"): 1,
-    ("scalars.py", "ValueError", "checked_complex"): 1,
 })
 
 

@@ -111,6 +111,33 @@ class TestMultiPoly:
         F = 8 * u * z ** 3 + 3 * (1 - u) * z + (1 - u)
         assert abs(poly_eval(F, {"u": 0, "z": -1 / 3})) < 1e-15
 
+    @staticmethod
+    def recursive_eval(p: MultiPoly, assignment) -> complex:
+        """The Horner recursion through coefficient_wrt sub-polynomials that
+        MultiPoly.eval replaced; eval must keep its floating-point result."""
+        live = [v for v in p.vars if p.degree(v) > 0]
+        if not live:
+            return complex(p.constant_value())
+        v = live[0]
+        acc = 0j
+        for k in range(p.degree(v), -1, -1):
+            acc = acc * complex(assignment[v]) + \
+                TestMultiPoly.recursive_eval(p.coefficient_wrt(v, k), assignment)
+        return acc
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(
+               st.tuples(*[st.integers(0, 3)] * 4),
+               st.builds(ExactScalar, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+                         st.sampled_from([0, 0, Fraction(1, 3), -2])),
+               max_size=8),
+           st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False), min_size=4, max_size=4),
+           st.permutations("uvwx"))
+    def test_eval_matches_the_recursion(self, terms, point, names):
+        p = MultiPoly(names, terms)
+        assignment = dict(zip(names, point))
+        assert repr(p.eval(assignment)) == repr(self.recursive_eval(p, assignment))
+
     def test_eval_missing_variable(self):
         U, V = MultiPoly.variable("U"), MultiPoly.variable("V")
         with pytest.raises(MissingVariable):
