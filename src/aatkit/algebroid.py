@@ -6,7 +6,10 @@ exact preprocessing wherever the data allows it:
 
 * all n local branches at any finite center (and at infinity via u -> 1/t),
   as fractional-power expansions z = sum c_k (u - c)^{k/e} found by the
-  Newton-polygon construction followed by series Newton iteration;
+  Newton-polygon construction followed by series Newton iteration.  Every
+  branch is polished as a power series: the poles at a zero of p_0 are
+  z = 1/w with w a zero branch of the reversed curve w^n F(u, 1/w), polished
+  there and inverted once;
 * the singular-point inventory (zeros of p_0, discriminant roots, infinity)
   with each point classified by its local branch structure;
 * numeric analytic continuation along a polyline (Euler predictor, Newton
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import (
     AmbiguousMatching,
     CorrectionDiverged,
+    DivisionByZeroSeries,
     InvariantViolation,
     NearSingular,
     NotSquareFree,
@@ -552,7 +556,7 @@ def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 def _series_inv(a: np.ndarray, n: int) -> np.ndarray:
     if a[0] == 0:
-        raise ZeroDivisionError("series inverse needs a nonzero constant term")
+        raise DivisionByZeroSeries("series inverse needs a nonzero constant term")
     out = np.zeros(n, dtype=complex)
     out[0] = 1.0 / a[0]
     for k in range(1, n):
@@ -653,31 +657,35 @@ def _duval_transform(H: np.ndarray, q: int, m: int, l: int, xi: complex,
     return out
 
 
-def _vanishing_branches(H: np.ndarray, n_terms: int,
-                        depth: int = 0) -> list[tuple[complex, int, np.ndarray]]:
+def _vanishing_branches(H: np.ndarray, n_terms: int, depth: int = 0
+                        ) -> list[tuple[complex, int, np.ndarray, int | None]]:
     """All branch systems with y(0) = 0 of H(s, y) = 0.
 
-    Returns (mu, e, coeffs) triples parametrized by s = mu * t^e and
-    y = sum coeffs[k] t^k with valuation >= 1 (or exactly zero).
+    Returns (mu, e, coeffs, v) parametrized by s = mu * t^e and
+    y = sum coeffs[k] t^k, where v >= 1 is the valuation of y in t, read from
+    the polygon: the side's shift, or for a simple root the first significant
+    s-row of H(s, 0).  v is None for the branch y = 0 itself.
     """
     if depth > _MAX_DEPTH:
         raise RootFindingFailure("Newton-polygon recursion exceeded max depth")
     scale = float(np.abs(H).max())
     if scale == 0:
         raise RootFindingFailure("zero polynomial in polygon recursion")
-    out: list[tuple[complex, int, np.ndarray]] = []
-    if np.abs(H[:, 0]).max() <= _SUPPORT_REL * scale:
+    thr = _SUPPORT_REL * scale
+    out: list[tuple[complex, int, np.ndarray, int | None]] = []
+    if np.abs(H[:, 0]).max() <= thr:
         # y divides H exactly: y = 0 itself is a branch
-        out.append((1.0 + 0j, 1, np.zeros(n_terms, dtype=complex)))
+        out.append((1.0 + 0j, 1, np.zeros(n_terms, dtype=complex), None))
         H = H[:, 1:]
         if H.shape[1] <= 1:
             return out
-        if np.abs(H[:, 0]).max() <= _SUPPORT_REL * scale:
+        if np.abs(H[:, 0]).max() <= thr:
             raise RootFindingFailure("unexpected repeated exact branch")
-    if abs(H[0, 0]) > _SUPPORT_REL * scale:
+    if abs(H[0, 0]) > thr:
         return out  # y = 0 is not a root at s = 0
-    if H.shape[1] > 1 and abs(H[0, 1]) > _SUPPORT_REL * scale:
-        out.append((1.0 + 0j, 1, _newton_series(H, n_terms)))
+    if H.shape[1] > 1 and abs(H[0, 1]) > thr:
+        v = next(j for j in range(1, H.shape[0]) if abs(H[j, 0]) > thr)
+        out.append((1.0 + 0j, 1, _newton_series(H, n_terms), v))
         return out
     for q, m, l, pts in _polygon_sides(_support_mins(H)):
         ia = pts[0][0]
@@ -690,17 +698,17 @@ def _vanishing_branches(H: np.ndarray, n_terms: int,
             if g < 0:
                 ub, vb = -ub, -vb
             Ht = _duval_transform(H, q, m, l, xi, ub, vb, n_terms)
-            for mu_i, e_i, arr_i in _vanishing_branches(Ht, n_terms, depth + 1):
+            for mu_i, e_i, arr_i, _v in _vanishing_branches(Ht, n_terms, depth + 1):
                 mu = xi ** vb * mu_i ** q
                 e = e_i * q
-                shift = e_i * m
+                shift = e_i * m   # y = t^shift mu_i^m (xi^ub + y_i), xi != 0
                 inner = arr_i.copy()
                 inner[0] += xi ** ub
                 ser = np.zeros(n_terms, dtype=complex)
                 take = min(n_terms - shift, len(inner))
                 if take > 0:
                     ser[shift: shift + take] = (mu_i ** m) * inner[:take]
-                out.append((mu, e, ser))
+                out.append((mu, e, ser, shift))
     return out
 
 
@@ -723,13 +731,13 @@ def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSyst
         if mult == 1:
             ser = _newton_series(Hz, n_terms)
             ser[0] += zeta
-            systems.append(_polish_system(curve, H, 1.0 + 0j, 1, ser, 0, order))
+            systems.append(BranchSystem(1, 0, _polish(H, 1.0 + 0j, 1, ser, order), order))
             continue
         got = 0
-        for mu, e, arr in _vanishing_branches(Hz, n_terms):
+        for mu, e, arr, _v in _vanishing_branches(Hz, n_terms):
             full = arr.copy()
             full[0] += zeta
-            systems.append(_polish_system(curve, H, mu, e, full, 0, order))
+            systems.append(BranchSystem(e, 0, _polish(H, mu, e, full, order), order))
             got += e
         if got != mult:
             raise RootFindingFailure(
@@ -745,12 +753,11 @@ def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSyst
     if n_inf > 0:
         R = _reverse_y(H, curve.n)
         got = 0
-        for mu, e, arr in _vanishing_branches(R, n_terms + curve.n * n_terms // 2):
-            v = _first_significant(arr)
+        for mu, e, w, v in _vanishing_branches(R, n_terms):
             if v is None:
                 raise RootFindingFailure("polar branch with zero w-series")
-            low, inv = _laurent_inverse(arr, v, n_terms + v)
-            systems.append(_polish_system(curve, H, mu, e, inv, low, order))
+            w = _polish(R, mu, e, w, order + 2 * v)
+            systems.append(BranchSystem(e, -v, _series_inv(w[v:], order + v), order))
             got += e
         if got != n_inf:
             raise RootFindingFailure(
@@ -764,130 +771,59 @@ def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSyst
     return systems
 
 
-def _first_significant(arr: np.ndarray) -> int | None:
-    scale = float(np.abs(arr).max())
-    if scale == 0:
-        return None
-    idx = np.nonzero(np.abs(arr) > 1e-9 * scale)[0]
-    return int(idx[0]) if len(idx) else None
+def _polish(H: np.ndarray, mu: complex, e: int, coeffs: np.ndarray,
+            order: int) -> np.ndarray:
+    """The power series y(tau), s = tau^e, of a root of H(s, y) = 0 to
+    `order` terms: `coeffs` in t with s = mu t^e rescaled to tau, then
+    Newton-polished.
 
-
-def _laurent_inverse(arr: np.ndarray, v: int, n: int) -> tuple[int, np.ndarray]:
-    """Invert w(t) = t^v * unit(t): returns (low = -v, coefficients)."""
-    unit = arr[v:]
-    if len(unit) < n:
-        unit = np.pad(unit, (0, n - len(unit)))
-    return -v, _series_inv(unit[:n], n)
-
-
-def _polish_system(curve: AlgebroidCurve, H: np.ndarray, mu: complex, e: int,
-                   coeffs: np.ndarray, low: int, order: int) -> BranchSystem:
-    """Rescale to (u - c) = tau^e and Newton-polish against the curve, whose
-    local array at c is H."""
+    Where F_z = H_y along the branch has valuation v > 0, the Newton step
+    divides by tau^v * unit.  v is the first coefficient of F_z that is
+    significant against the same Horner run on absolute values, so a
+    coefficient is judged on its own rounding scale, not on the largest one.
+    """
     lam = mu ** (1.0 / e) if e > 1 else complex(mu)
-    n = order - low
-    scaled = np.zeros(n, dtype=complex)
-    for k in range(min(n, len(coeffs))):
-        scaled[k] = coeffs[k] * lam ** (-(low + k))
-    polished = _laurent_newton_polish(curve, H, e, low, scaled, order)
-    return BranchSystem(e=e, low=low, coeffs=polished, order=order)
-
-
-class _Laurent:
-    """Minimal Laurent-array arithmetic truncated at a shared high exponent."""
-
-    __slots__ = ("low", "a")
-
-    def __init__(self, low: int, a: np.ndarray):
-        self.low = int(low)
-        self.a = np.asarray(a, dtype=complex)
-
-    @staticmethod
-    def zero(hi: int) -> "_Laurent":
-        return _Laurent(0, np.zeros(max(hi, 1), dtype=complex))
-
-    def add(self, other: "_Laurent", hi: int) -> "_Laurent":
-        low = min(self.low, other.low)
-        n = max(hi - low, 1)
-        out = np.zeros(n, dtype=complex)
-        for src in (self, other):
-            start = src.low - low
-            take = min(len(src.a), n - start)
-            if take > 0:
-                out[start: start + take] += src.a[:take]
-        return _Laurent(low, out)
-
-    def mul(self, other: "_Laurent", hi: int) -> "_Laurent":
-        low = self.low + other.low
-        n = hi - low
-        if n <= 0:
-            return _Laurent(low, np.zeros(1, dtype=complex))
-        return _Laurent(low, _conv(self.a, other.a, n))
-
-    def scale(self, c: complex) -> "_Laurent":
-        return _Laurent(self.low, self.a * c)
-
-    def neg(self) -> "_Laurent":
-        return _Laurent(self.low, -self.a)
-
-    def valuation(self, rel: float = 1e-12) -> int | None:
-        scale = float(np.abs(self.a).max()) if self.a.size else 0.0
-        if scale == 0:
-            return None
-        idx = np.nonzero(np.abs(self.a) > rel * scale)[0]
-        return self.low + int(idx[0]) if len(idx) else None
-
-    def inv(self, hi: int) -> "_Laurent":
-        v = self.valuation()
+    y = np.zeros(order, dtype=complex)
+    for k in range(min(order, len(coeffs))):
+        y[k] = coeffs[k] * lam ** (-k)
+    hi = order + e
+    cs = _spread(H, e, hi)
+    dcs = [c * i for i, c in enumerate(cs)][1:]
+    dcs_abs = [np.abs(c) for c in dcs]
+    y_scale = float(np.abs(y).max()) if y.size else 1.0
+    for _ in range(4):
+        r = _horner_series(cs, y, hi)
+        if float(np.abs(r).max()) <= 1e-15 * max(1.0, y_scale):
+            break
+        d = _horner_series(dcs, y, hi)
+        d_abs = _horner_series(dcs_abs, np.abs(y), hi).real
+        v = next((k for k in range(hi) if abs(d[k]) > _SUPPORT_REL * d_abs[k]), None)
         if v is None:
-            raise ZeroDivisionError("inverting a zero Laurent series")
-        shift = v - self.low
-        m = max(hi + v, 1)
-        unit = self.a[shift:]
-        if len(unit) < m:
-            unit = np.pad(unit, (0, m - len(unit)))
-        return _Laurent(-v, _series_inv(unit[:m], m))
+            raise RootFindingFailure("F_z vanishes along the branch to the working order")
+        step = _conv(r[v:], _series_inv(d[v:], hi - v), hi - v)
+        y = np.pad(y, (0, hi - len(y)))
+        y[: hi - v] -= step
+    return y[:order]
 
 
-def _curve_coeff_arrays(H: np.ndarray, e: int, hi: int) -> list["_Laurent"]:
-    """Laurent arrays of the z-coefficients of F(center + tau^e, z): the
-    columns of H = _local_array(curve, center)[0], spread by e."""
+def _spread(H: np.ndarray, e: int, n: int) -> list[np.ndarray]:
+    """The z-coefficients of H(tau^e, z) as ascending arrays of n terms in
+    tau: the columns of H, spread by e."""
     out = []
     for col in H.T:
-        col = col[: (hi - 1) // e + 1]
-        dense = np.zeros(hi, dtype=complex)
+        col = col[: (n - 1) // e + 1]
+        dense = np.zeros(n, dtype=complex)
         dense[: e * len(col): e] = col
-        out.append(_Laurent(0, dense))
+        out.append(dense)
     return out
 
 
-def _laurent_newton_polish(curve: AlgebroidCurve, H: np.ndarray, e: int, low: int,
-                           coeffs: np.ndarray, order: int) -> np.ndarray:
-    hi_work = order + e + curve.n * max(-low, 0)
-    cs = _curve_coeff_arrays(H, e, hi_work + curve.n * max(-low, 0) + 4)
-    dcs = [c.scale(i) for i, c in enumerate(cs)][1:]
-    z = _Laurent(low, np.array(coeffs, dtype=complex))
-
-    def horner(zz: _Laurent, coeff_list: list) -> _Laurent:
-        acc = _Laurent.zero(hi_work)
-        for c in reversed(coeff_list):
-            acc = acc.mul(zz, hi_work).add(c, hi_work)
-        return acc
-
-    z_scale = float(np.abs(z.a).max()) if z.a.size else 1.0
-    for _ in range(4):
-        r = horner(z, cs)
-        if float(np.abs(r.a).max()) <= 1e-15 * max(1.0, z_scale):
-            break
-        d = horner(z, dcs)
-        z = z.add(r.mul(d.inv(hi_work), hi_work).neg(), hi_work)
-    out = np.zeros(order - low, dtype=complex)
-    start = z.low - low
-    for k in range(len(z.a)):
-        idx = start + k
-        if 0 <= idx < len(out):
-            out[idx] = z.a[k]
-    return out
+def _horner_series(cs: list[np.ndarray], y: np.ndarray, n: int) -> np.ndarray:
+    """sum_i cs[i] y^i truncated to n terms."""
+    acc = np.zeros(n, dtype=complex)
+    for c in reversed(cs):
+        acc = _conv(acc, y, n) + c[:n]
+    return acc
 
 
 def branch_residual(curve: AlgebroidCurve, branch: PuiseuxBranch,
@@ -897,27 +833,29 @@ def branch_residual(curve: AlgebroidCurve, branch: PuiseuxBranch,
     Returns (valuation, max_relative_residual): the first t-exponent whose
     residual coefficient is significant relative to the term scale, or None
     if the residual vanishes to the checked order.
+
+    With z = t^low y, low = min(low_exp, 0), it evaluates the power series
+    t^(-n low) F = sum_i c_i(t) t^((n - i)(-low)) y^i and offsets the
+    valuation by n low.
     """
-    e, low = branch.e, branch.low_exp
-    hi = branch.order
-    cs = _curve_coeff_arrays(_local_array(curve, branch.center)[0], e,
-                             hi + curve.n * max(-low, 0) + 4)
-    z = _Laurent(low, np.array(branch.coeffs, dtype=complex))
-    acc = _Laurent.zero(hi)
-    power = _Laurent(0, np.array([1.0 + 0j]))
+    n, hi = curve.n, branch.order
+    low = min(branch.low_exp, 0)
+    y = np.concatenate([np.zeros(branch.low_exp - low, dtype=complex),
+                        np.array(branch.coeffs, dtype=complex)])
+    v = -low
+    cs = _spread(_local_array(curve, branch.center)[0], branch.e, hi + n * v)
+    acc = np.zeros(hi + n * v, dtype=complex)
+    power = np.array([1.0 + 0j])
     term_scale = 0.0
-    for c in cs:
-        t = c.mul(power, hi)
-        if t.a.size:
-            term_scale = max(term_scale, float(np.abs(t.a).max()))
-        acc = acc.add(t, hi)
-        power = power.mul(z, hi)
+    for i, c in enumerate(cs):
+        term = _conv(c, power, hi + i * v)      # c_i y^i from t^(i low) on
+        term_scale = max(term_scale, float(np.abs(term).max()))
+        acc[(n - i) * v:] += term
+        power = _conv(power, y, hi + (i + 1) * v)
     scale = max(term_scale, 1.0)
-    if not acc.a.size:
-        return None, 0.0
-    sig = np.nonzero(np.abs(acc.a) > rel * scale)[0]
-    val = acc.low + int(sig[0]) if len(sig) else None
-    return val, float(np.abs(acc.a).max() / scale)
+    sig = np.nonzero(np.abs(acc) > rel * scale)[0]
+    val = n * low + int(sig[0]) if len(sig) else None
+    return val, float(np.abs(acc).max() / scale)
 
 
 def puiseux_expand(curve: AlgebroidCurve, center, order: int) -> list[PuiseuxBranch]:

@@ -28,6 +28,11 @@ class InexactDivision(AatkitError):
     """Exact polynomial division left a nonzero remainder."""
 
 
+class DivisionByZeroScalar(AatkitError, ZeroDivisionError):
+    """Division by an exact zero scalar.  It is also a ZeroDivisionError,
+    so arithmetic code that catches that keeps working."""
+
+
 class PolyDomainError(AatkitError):
     """A polynomial operation got an argument outside its domain: a bad
     exponent vector, a negative power, or a variable it cannot take, drop

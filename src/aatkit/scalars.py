@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import InexactDivision, InvariantViolation
+from .errors import DivisionByZeroScalar, InexactDivision, InvariantViolation
 
 RationalLike = Union[int, Fraction]
 
@@ -99,7 +99,7 @@ class ExactScalar:
             return NotImplemented
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
-            raise ZeroDivisionError("division by zero ExactScalar")
+            raise DivisionByZeroScalar("division by zero ExactScalar")
         return ExactScalar(
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,

@@ -8,6 +8,7 @@ solves the residual equations coefficient by coefficient with Fractions).
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from aatkit.algebroid import (
     track_branch,
 )
 from aatkit.errors import (
+    AatkitError,
     InvariantViolation,
     NearSingular,
     NotSquareFree,
@@ -211,6 +213,94 @@ class TestSimpleCurves:
         u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
         with pytest.raises(NotSquareFree):
             AlgebroidCurve((z - u) ** 2)
+
+
+# -- poles: the zero branches of the reversed curve ----------------------------
+
+def _check_at_p0_zero(curve, c, mult, order=12):
+    """puiseux_expand at a zero c of p0 of multiplicity `mult`.
+
+    By Vieta, the branches with negative exponents carry the whole zero of
+    p0: sum low_exp / e over them is -mult.  Each branch also passes the
+    substitution-residual bound of the bench and agrees with a root of
+    F(c + delta, .) at a delta well inside the distance to the next
+    singular point.
+    """
+    branches = puiseux_expand(curve, c, order)
+    assert sum(Fraction(b.low_exp, b.e) for b in branches if b.low_exp < 0) == -mult
+    for b in branches:
+        val, _rel = branch_residual(curve, b)
+        assert val is None or val >= order - curve.n * max(-b.low_exp, 0)
+    dist = min((abs(s - c) for s in curve.singular_locations()
+                if abs(s - c) > 1e-8 * max(1.0, abs(c))), default=1.0)
+    u = c + 1e-3 * dist * cmath.exp(0.7j)
+    roots = curve.roots_at(u)
+    for b in branches:
+        z = b.eval(u)
+        assert min(abs(z - r) for r in roots) < 1e-8 * max(1.0, abs(z))
+    return branches
+
+
+def _probe_curve():
+    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+    return AlgebroidCurve(2 - z + z ** 2 + 3 * z ** 3 + u - u * z - 2 * u * z ** 2
+                          - 2 * u * z ** 3)
+
+
+def _sweep_curves():
+    """The first 40 curves with a non-constant p0 that construct: n = 2 or 3,
+    the coefficient of each u^j z^i (i <= n, j <= 2) drawn from [-3, 3]."""
+    rng = random.Random(5)
+    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+    out = []
+    while len(out) < 40:
+        n = rng.randint(2, 3)
+        F = MultiPoly.zero(("u", "z"))
+        for i in range(n + 1):
+            for j in range(3):
+                F = F + rng.randint(-3, 3) * u ** j * z ** i
+        try:
+            curve = AlgebroidCurve(F)
+        except AatkitError:
+            continue
+        if curve.p_coeffs[0].degree("u") >= 1:
+            out.append(curve)
+    return out
+
+
+class TestPoles:
+    def test_probe_pole(self):
+        # w = 1/z has valuation 1, but its coefficients grow geometrically:
+        # the next singular point, 1.686, is 0.19 away
+        curve = _probe_curve()
+        point = [p for p in singular_points(curve).points if p.location == 1.5]
+        assert [(p.kind, p.source) for p in point] == [("pole", "p0-zero")]
+        branches = _check_at_p0_zero(curve, 1.5, 1)
+        assert [(b.e, b.low_exp) for b in branches if b.low_exp < 0] == [(1, -1)]
+
+    def test_sweep(self):
+        curves = _sweep_curves()
+        zeros = 0
+        for curve in curves:
+            for c, mult in algebroid._distinct_roots_exact(curve.p_coeffs[0], "u"):
+                _check_at_p0_zero(curve, c, mult)
+                zeros += 1
+        assert zeros == 74
+
+    def test_regular_branch_with_large_coefficients(self):
+        # F_z along the branch z ~ -2.325 starts at 11.3 while its
+        # coefficients reach 4.9e13: the polish must judge each coefficient
+        # on its own scale.  The t^8 coefficient is -147542437.077 (mpmath
+        # Taylor expansion of the root at 60 digits).
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        curve = AlgebroidCurve(
+            -2 - 3 * z + z ** 2 - 2 * z ** 3 + 3 * u - 2 * u * z - 3 * u * z ** 3
+            + 3 * u ** 2 + u ** 2 * z - 2 * u ** 2 * z ** 2 + 3 * u ** 2 * z ** 3)
+        c = (3 + math.sqrt(33)) / 6
+        branches = _check_at_p0_zero(curve, c, 1)
+        b = [b for b in branches if abs(b.coefficient(0) + 2.325) < 1e-3]
+        assert len(b) == 1 and b[0].low_exp == 0
+        assert abs(b[0].coefficient(8) + 147542437.077) < 1e-9 * 1.5e8
 
 
 @pytest.mark.parametrize("center", [0, 1, -2, Fraction(1, 2), Fraction(-5, 3),

@@ -36,6 +36,9 @@ def files(tmp_path_factory):
         "g_sin": dump("g_sin.json", quartic.to_json_dict()),
         "cubic": dump("cubic.json", {"type": "curve", "n": 3,
                                      "p": [p.to_json_dict() for p in cubic]}),
+        "probe": dump("probe.json", AlgebroidCurve(
+            2 - z + z ** 2 + 3 * z ** 3 + u - u * z - 2 * u * z ** 2
+            - 2 * u * z ** 3).to_json_dict()),
         "bad_curve": dump("bad_curve.json", {
             "type": "curve", "n": 1,
             "p": [MultiPoly.zero(("u",)).to_json_dict(),
@@ -181,6 +184,17 @@ class TestReports:
                 else p["location"] for p in rep["points"]}
         assert (0.0, 0.0) in locs and (1.0, 0.0) in locs and \
             (-1.0, 0.0) in locs and "infinity" in locs
+
+    def test_pole_reports(self, files, capsys):
+        # the pole at u = 1.5 of the probe curve, a simple zero of p0
+        code, rep = run_json(["algebroid", "singular", "--curve", files["probe"]], capsys)
+        assert code == 0
+        assert {"location": [1.5, 0.0], "kind": "pole", "cycle_structure": [1, 1, 1],
+                "source": "p0-zero"} in rep["points"]
+        code, rep = run_json(["algebroid", "expand", "--curve", files["probe"],
+                              "--center", "1.5"], capsys)
+        assert code == 0
+        assert sorted(b["low_exp"] for b in rep["branches"]) == [-1, 0, 0]
 
     def test_monodromy_cycles(self, files, capsys):
         code, rep = run_json(["algebroid", "monodromy", "--curve",

@@ -1,8 +1,10 @@
 """Differential tests against sympy and mpmath: resultants, discriminants,
 polynomial GCDs (univariate and bivariate), exact root isolation, exact
 series products and inverses, the doubling chain of sin, the builtin Taylor
-data in every field, and the numeric Taylor shift."""
+data in every field, and the numeric Taylor shift; and pins of Puiseux
+branches and of the residual oracle."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aatkit.aat import _hp_element
-from aatkit.algebroid import AlgebroidCurve, _distinct_roots_exact, _taylor_shift
+from aatkit.algebroid import (AlgebroidCurve, PuiseuxBranch, _distinct_roots_exact,
+                              _taylor_shift, branch_residual, puiseux_expand)
 from aatkit.elimination import discriminant, eliminate_chain, resultant
 from aatkit.functions import FunctionSpec
 from aatkit.poly import MultiPoly, divexact, monic_lex, poly_gcd, pseudo_rem
@@ -383,6 +386,72 @@ def test_gaussian_roots_with_multiplicities_pinned():
     assert repr(_distinct_roots_exact(p, "x")) == (
         "[((-1.9885999477579128e-17-0.816496580927726j), 1), ((0.5+1j), 2), "
         "((3.904774243765403e-17+0.8164965809277259j), 1), ((-0.42857142857142855+0j), 3)]")
+
+
+# -- Puiseux branches and the residual oracle, pinned to the values of the
+# Laurent-series implementation
+
+@pytest.mark.parametrize("k,digest", [
+    (0, "782cd72a21bb8ce6b50424bc6b7349ad8117b8c3043e7f865373fc21ca73c594"),
+    (1, "2d8836d5dbc8af08f0d85d306094ace9310a75c8cbc3a8745555bef0bf67bbe1"),
+    (2, "ac2cfbdc78310a27bc60cc933c3a68f425ed94dae8cf26aafaf34396935e3e40"),
+])
+def test_regular_branches_pinned(k, digest):
+    # the sha256 of the repr of the coefficient lists of the branches with
+    # e = 1 and low_exp = 0 at every singular point, at the bench's order 12
+    curve = AlgebroidCurve(_bench_curve(k))
+    locs = sorted(curve.singular_locations(), key=lambda t: (t.real, t.imag))
+    regular = [b.coeffs for c in locs for b in puiseux_expand(curve, c, 12)
+               if (b.e, b.low_exp) == (1, 0)]
+    assert hashlib.sha256(repr(regular).encode()).hexdigest() == digest
+
+
+def _pin_curve(name: str) -> MultiPoly:
+    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+    return {"golden": _bench_curve(0),
+            "quadratic": 1 + 2 * z - z ** 2 - 2 * u - 2 * u * z - 2 * u * z ** 2
+            - 3 * u ** 2 + 3 * u ** 2 * z ** 2,
+            "cubic": -1 + 3 * z - 3 * z ** 2 + z ** 3 - 3 * u * z + 2 * u * z ** 2
+            - 2 * u * z ** 3 + u ** 2 - 2 * u ** 2 * z ** 2 - 3 * u ** 2 * z ** 3}[name]
+
+
+# (curve, center, e, low_exp, coefficients at order 6, branch_residual)
+RESIDUAL_PINS = [
+    ("golden", 0, 2, -1,
+     [(-7.499399432609231e-17+0.6123724356957945j), (0.16666666666666669+0j),
+      (-2.916433112681368e-17-0.2381448361039201j),
+      (-0.04938271604938269+1.2095277028615829e-17j),
+      (-3.182615499949905e-17-0.08662675916478574j),
+      (-0.005486968449931403+2.6878393396924027e-18j),
+      (-1.9713641912708782e-17-0.03219482045996313j)],
+     "(None, 1.966521892667305e-16)"),
+    ("golden", 0, 1, 0,
+     [(-0.3333333333333333+0j), (0.09876543209876543+0j), (0.010973936899862837+0j),
+      (0.0272316211959559+0j), (0.006237130117297445+0j), (0.014502010501566425+0j)],
+     "(None, 0.0)"),
+    ("quadratic", 1, 2, -1,
+     [(-1-1.2246467991473532e-16j), (0.25+0j), (-0.65625+8.036744619404505e-17j),
+      (-0.1875+4.592425496802574e-17j), (0.35595703125-1.3077649168629206e-16j),
+      (0.140625-6.888638245203862e-17j), (-0.3566436767578125+2.1838126858879919e-16j)],
+     "(None, 1.1526087521386854e-16)"),
+    ("quadratic", Fraction(-1, 3), 1, -1,
+     [(0.6666666666666666+0j), (0.5+0j), (-2.0816681711721685e-17+0j), (-0.84375+0j),
+      (0.6328125000000001+0j), (-1.4238281250000002+0j), (0.7119140625000002+0j)],
+     "(None, 1.691768418476429e-16)"),
+    ("cubic", -1, 1, -1,
+     [(1.75+0j), (-1.044642857142857+0j), (-0.3665725218658889+0j),
+      (-0.3408096793746649+0j), (-0.4634391517333484+0j), (-0.6849677662791249+0j),
+      (-1.067823943231578+0j)],
+     "(5, 0.38009555956900354)"),
+]
+
+
+@pytest.mark.parametrize("name,center,e,low,coeffs,want", RESIDUAL_PINS)
+def test_branch_residual_pinned(name, center, e, low, coeffs, want):
+    # branches as the Laurent implementation printed them, pole branches
+    # included; the oracle on power-series arrays gives the same bits
+    branch = PuiseuxBranch(complex(center), e, low, coeffs, 6)
+    assert repr(branch_residual(AlgebroidCurve(_pin_curve(name)), branch)) == want
 
 
 # -- builtin Taylor data ------------------------------------------------------------

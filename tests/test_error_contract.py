@@ -15,11 +15,7 @@ import aatkit
 UNTYPED = {"ValueError", "ZeroDivisionError"}
 
 # (module, exception, enclosing function) -> number of raise sites
-ALLOWED = Counter({
-    ("algebroid.py", "ZeroDivisionError", "_series_inv"): 1,
-    ("algebroid.py", "ZeroDivisionError", "inv"): 1,        # _Laurent.inv
-    ("scalars.py", "ZeroDivisionError", "__truediv__"): 1,
-})
+ALLOWED: Counter = Counter()
 
 
 def _untyped_raises(path: Path) -> Counter:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from aatkit import poly
 from aatkit.cli import parse_spec_data
-from aatkit.errors import (AatkitError, DegreeZero, InexactDivision, MissingVariable,
-                           PolyDomainError, SchemaError)
+from aatkit.errors import (AatkitError, DegreeZero, DivisionByZeroScalar, InexactDivision,
+                           MissingVariable, PolyDomainError, SchemaError)
 from aatkit.poly import (
     MultiPoly,
     content_wrt,
@@ -291,6 +291,16 @@ def test_divexact_by_zero_is_typed():
     with pytest.raises(InexactDivision) as info:
         divexact(z + 1, MultiPoly.zero(("z",)))
     assert isinstance(info.value, AatkitError)
+
+
+@pytest.mark.parametrize("divide", [lambda: ExactScalar(1, 2) / ExactScalar(0),
+                                    lambda: 3 / ExactScalar(0),
+                                    lambda: ExactScalar(0) ** -2])
+def test_scalar_division_by_zero_is_typed(divide):
+    with pytest.raises(DivisionByZeroScalar) as info:
+        divide()
+    assert isinstance(info.value, AatkitError)
+    assert isinstance(info.value, ZeroDivisionError)   # old except clauses still catch it
 
 
 # -- typed errors: one case per raise site of poly.py -------------------------
