@@ -90,8 +90,9 @@ class AlgebroidCurve:
         _SQF_POINTS (the proof in the class docstring); False proves nothing."""
         if set(self.F.vars) != {self.u_var, self.z_var}:
             return False
+        cols = _zi_columns(self)[1]
         for u0 in _SQF_POINTS:   # f = D F(u0, z), highest power first
-            f = [col[0] for col in reversed(_exact_shift(self, ExactScalar(u0))[1])]
+            f = [_zi_horner(col, u0) for col in reversed(cols)]
             if f[0] != (0, 0) and len(zi_gcd(f, zi_derivative(f))) == 1:
                 return True
         return False
@@ -401,14 +402,10 @@ def _exact_shift(curve: AlgebroidCurve,
     shift on Gaussian integers.  With c = w / m, du the degree in u and
     Q_i(y) = m^du p_i(y / m) for the coefficient p_i of z^i,
     p_i(c + s) = sum_l q_il m^(l - du) s^l, q_il the coefficients of Q_i(w + y)."""
-    F, u, z = curve.F, curve.u_var, curve.z_var
-    du, iu, iz = F.degree(u), F.vars.index(u), F.vars.index(z)
     m = math.lcm(c.re.denominator, c.im.denominator)
     wr, wi = int(c.re * m), int(c.im * m)
-    D, re, im = gaussian_integers(F.terms.values())
-    cols = [[(0, 0)] * (du + 1) for _ in range(F.degree(z) + 1)]
-    for e, xr, xi in zip(F.terms, re, im):
-        cols[e[iz]][e[iu]] = (xr * m ** (du - e[iu]), xi * m ** (du - e[iu]))
+    D, cols = _zi_columns(curve, m)
+    du = len(cols[0]) - 1
     for col in cols:
         for k in range(du):
             for j in range(du - 1, k - 1, -1):
@@ -416,6 +413,27 @@ def _exact_shift(curve: AlgebroidCurve,
                 col[j] = (xr + wr * yr - wi * yi, xi + wr * yi + wi * yr)
         col[:] = [(xr * m ** l, xi * m ** l) for l, (xr, xi) in enumerate(col)]
     return D * m ** du, cols
+
+
+def _zi_columns(curve: AlgebroidCurve,
+                m: int = 1) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(D, cols) with D m^du F(u / m, z) = sum cols[i][j] u^j z^i in
+    Gaussian integers, du the degree of F in u."""
+    F, u, z = curve.F, curve.u_var, curve.z_var
+    du, iu, iz = F.degree(u), F.vars.index(u), F.vars.index(z)
+    D, re, im = gaussian_integers(F.terms.values())
+    cols = [[(0, 0)] * (du + 1) for _ in range(F.degree(z) + 1)]
+    for e, xr, xi in zip(F.terms, re, im):
+        cols[e[iz]][e[iu]] = (xr * m ** (du - e[iu]), xi * m ** (du - e[iu]))
+    return D, cols
+
+
+def _zi_horner(col: list[tuple[int, int]], x: int) -> tuple[int, int]:
+    """sum col[j] x^j for Gaussian integers col[j] and an integer x."""
+    ar = ai = 0
+    for xr, xi in reversed(col):
+        ar, ai = ar * x + xr, ai * x + xi
+    return ar, ai
 
 
 def _as_exact(center) -> ExactScalar | None:
@@ -970,7 +988,19 @@ def _track(curve: AlgebroidCurve, starts: list[complex], path: list[complex],
     one shared step: Euler predictor (dz/du = -F_u / F_z) and Newton
     corrector on z-coefficient vectors built once per u (the operations of
     `AlgebroidCurve.eval`); a failed corrector or guard halves the step.
-    The guard is `_pairwise_guard` for all n sheets, else `_nearest_root_guard`."""
+    The guard is `_pairwise_guard` for all n sheets, else `_nearest_root_guard`.
+
+    Step policy.  Fewer than n sheets restart every segment at 1% of it
+    and grow by 1.6 per accepted step up to a quarter of it.  All n sheets
+    carry one step |du| across segments, grown by 1.6 per accepted full
+    step and capped at `_step_cap`, half the distance from u to the
+    singular set: the sheets are analytic on that disc, so the predictor
+    stays within half their convergence radius.  A segment end shortens a
+    step without shrinking the carried one.
+
+    Clearance.  NearSingular is raised when the chord [u, u_next] of a
+    trial step, not only its end, passes within clearance_rel * max(1,
+    |u_next|) of a singular point, so no step skips over one."""
     if len(path) < 2:
         return [complex(s) for s in starts]
     if singular is None:
@@ -982,19 +1012,22 @@ def _track(curve: AlgebroidCurve, starts: list[complex], path: list[complex],
     if None in zs:
         raise RootFindingFailure(f"start value {starts[zs.index(None)]} "
                                  f"does not satisfy the curve at u={u}")
+    lockstep = len(zs) == curve.n
+    step = _step_cap(u, singular)   # the carried |du| of a lockstep call
     for a, b in zip(path, path[1:]):
         a, b = complex(a), complex(b)
         seg = b - a
         if abs(seg) == 0:
             continue
-        t, h = 0.0, 0.01
+        t, h = 0.0, step / abs(seg) if lockstep else 0.01
         while t < 1.0:
-            h = min(h, 1.0 - t)
-            u_next = a + (t + h) * seg
+            dt = min(h, 1.0 - t)
+            u_next = a + (t + dt) * seg
             margin = clearance_rel * max(1.0, abs(u_next))
             for s in singular:
-                if abs(u_next - s) < margin:
-                    raise NearSingular(f"path point {u_next} within {margin:.2e} of {s}")
+                if abs(_foot(s, u, u_next) - s) < margin:
+                    raise NearSingular(f"path step [{u}, {u_next}] within "
+                                       f"{margin:.2e} of {s}")
             ds = [_horner(fz, z) for z in zs]
             ok = 0 not in ds
             if ok:
@@ -1002,18 +1035,27 @@ def _track(curve: AlgebroidCurve, starts: list[complex], path: list[complex],
                 preds = [z - _horner(fu, z) / d * (u_next - u) for z, d in zip(zs, ds)]
                 corrs = [_newton_correct(f, fz_next, p, tol, 12) for p in preds]
                 ok = None not in corrs and (
-                    _pairwise_guard(preds, corrs) if len(zs) == curve.n else
+                    _pairwise_guard(preds, corrs) if lockstep else
                     all(_nearest_root_guard(curve, u_next, f[::-1], p, c)
                         for p, c in zip(preds, corrs)))
             if ok:
                 u, zs, fz, fu = u_next, corrs, fz_next, _at_u(rows_u, u_next)
-                t += h
-                h = min(h * 1.6, 0.25)
+                t += dt
+                if lockstep:
+                    h = min(h * 1.6 if dt == h else h, _step_cap(u, singular) / abs(seg))
+                else:
+                    h = min(dt * 1.6, 0.25)
             else:
-                h *= 0.5
+                h = dt * 0.5
                 if h < 1e-12:
                     raise CorrectionDiverged(f"step floor reached near u={u_next}")
+        step = h * abs(seg)
     return zs
+
+
+def _step_cap(u: complex, singular: list[complex]) -> float:
+    """Half the distance from u to the nearest singular point (inf if none)."""
+    return 0.5 * min((abs(u - s) for s in singular), default=math.inf)
 
 
 def _newton_correct(f: list[complex], fz: list[complex], z: complex,
@@ -1086,19 +1128,25 @@ def _separation_bound(cs: list[complex], z0: complex) -> float:
     return r if abs(b[0]) < (2.0 / 3.0) * b1 * r else 0.0
 
 
+def _foot(s: complex, a: complex, b: complex) -> complex:
+    """The point of the segment [a, b] nearest to s."""
+    t = ((s - a) / (b - a)).real if b != a else 0.0
+    return a + min(max(t, 0.0), 1.0) * (b - a)
+
+
 def _safe_stem(a: complex, b: complex, singular: list[complex],
                margin: float, depth: int = 0) -> list[complex]:
-    """Polyline from a to b detouring around singular points on the way."""
+    """Polyline from a to b detouring around every singular point s whose
+    distance to the segment is below min(margin, |s - a| / 2, |s - b| / 2):
+    a point near an end, like the loop's own center seen from the circle
+    start, is passed at half its distance to that end."""
     if depth > 8 or abs(b - a) == 0:
         return [a, b]
     direction = (b - a) / abs(b - a)
     for s in singular:
-        t = ((s - a) / (b - a)).real if abs(b - a) > 0 else 0.0
-        if not 0.02 < t < 0.98:
-            continue
-        foot = a + t * (b - a)
+        foot = _foot(s, a, b)
         d = abs(foot - s)
-        if d >= margin:
+        if d >= min(margin, 0.5 * abs(s - a), 0.5 * abs(s - b)):
             continue
         others = [abs(s - o) for o in singular
                   if abs(s - o) > _DEDUPE_TOL * max(1.0, abs(s))]
@@ -1135,7 +1183,13 @@ def monodromy(curve: AlgebroidCurve, base: complex, around: complex,
               singular: list[complex] | None = None) -> MonodromyPermutation:
     """Permutation of the branch values after one positive circuit along
     `_loop_path`, all n sheets tracked together.  Branch indices refer to
-    the roots of F(base, .) sorted by (real, imaginary) part."""
+    the roots of F(base, .) sorted by (real, imaginary) part.
+
+    The stem detours around every singular point it would pass closer than
+    its clearance (`_safe_stem`).  Tracking carries one step across the
+    loop's segments, capped at half the distance to the singular set, and
+    raises NearSingular when a step's chord passes within the loop's
+    clearance of a singular point (`_track`)."""
     if singular is None:
         singular = curve.singular_locations()
     base, around = complex(base), complex(around)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aatkit import algebroid
+from aatkit import algebroid, cli
 from aatkit.algebroid import (
     AlgebroidCurve,
     branch_residual,
@@ -33,7 +33,9 @@ from aatkit.errors import (
     NotSquareFree,
     SingularCenter,
 )
+from aatkit.elimination import discriminant
 from aatkit.poly import MultiPoly, monic_lex, poly_gcd
+from aatkit.scalars import ExactScalar
 
 
 # -- exact oracle for the polar branches at u = 0 ----------------------------
@@ -400,6 +402,53 @@ class TestSquareFreeCheck:
             AlgebroidCurve((z - w) ** 2 * (z - u))
 
 
+def _squarefree_draw():
+    """300 curves with coefficients in [-3, 3]: of degree 2-3 in z and at
+    most 2 in u, every fifth times a u-only square (u - c)^2; every fourth
+    one instead (z - a - b u)^2 times a factor of degree 1-2 in z and 0-1
+    in u."""
+    rng = random.Random(11)
+    u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+    out = []
+    for k in range(300):
+        repeated = k % 4 == 0
+        n = rng.randint(1, 2) if repeated else rng.randint(2, 3)
+        F = MultiPoly.zero(("u", "z"))
+        for i in range(n + 1):
+            for j in range(rng.randint(1, 2) if repeated else 3):
+                F = F + rng.randint(-3, 3) * u ** j * z ** i
+        if repeated:
+            F = F * (z - rng.randint(-2, 2) - rng.randint(-2, 2) * u) ** 2
+        elif k % 5 == 0:
+            F = F * (u - rng.randint(-2, 2)) ** 2
+        out.append(F)
+    return out
+
+
+def test_squarefree_proof_matches_discriminant():
+    # the specialization reads F(u0, z) by a Gaussian-integer Horner: each
+    # curve is accepted exactly when disc_z F is not zero, else rejected
+    # with the message naming gcd(F, F_z); the Horner rows are the s^0 rows
+    # of the Taylor shift at u0
+    verdicts = {"accepted": 0, "rejected": 0}
+    for F in _squarefree_draw():
+        F = F.with_vars(("u", "z"))
+        if discriminant(F, "z").is_zero():
+            g = poly_gcd(F, F.derivative("z"))
+            with pytest.raises(NotSquareFree) as exc:
+                AlgebroidCurve(F)
+            assert str(exc.value) == f"repeated factor in z: {g!r}"
+            verdicts["rejected"] += 1
+            continue
+        curve = AlgebroidCurve(F)
+        cols = algebroid._zi_columns(curve)[1]
+        for u0 in algebroid._SQF_POINTS:
+            shifted = algebroid._exact_shift(curve, ExactScalar(u0))[1]
+            assert [algebroid._zi_horner(c, u0) for c in cols] == [c[0] for c in shifted]
+        verdicts["accepted"] += 1
+    assert verdicts == {"accepted": 225, "rejected": 75}
+
+
 class TestSingularReport:
     def test_reference_cubic_inventory(self, golden_cubic):
         rep = singular_points(golden_cubic)
@@ -668,22 +717,97 @@ def _pool_curves():
 @pytest.mark.parametrize("case", range(7))
 def test_lockstep_matches_sheet_by_sheet(case, golden_cubic, sqrt_curve):
     # every sheet tracked alone by the public track_branch along the same
-    # loop gives the permutation of the lockstep loop
+    # loop (restarting its step on every segment) gives the permutation of
+    # the lockstep loop (carrying its step), at 48, 96 and 192 nodes
     u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
     curve, base = ([(golden_cubic, 3.0 + 0j), (sqrt_curve, 1.5j),
                     (AlgebroidCurve(z * z - (1 - u * u)), 0.5 + 1.5j)]
                    + _pool_curves())[case]
     sing = curve.singular_locations()
-    for around in sing:
-        path, rel = algebroid._loop_path(base, around, sing, 48)
-        starts = sorted((complex(r) for r in curve.roots_at(base)),
-                        key=lambda w: (round(w.real, 10), round(w.imag, 10)))
-        ends = [track_branch(curve, s, path, clearance_rel=rel, singular=sing)
-                for s in starts]
-        perm = tuple(min(range(len(starts)), key=lambda i: abs(e - starts[i]))
-                     for e in ends)
-        assert all(abs(e - starts[i]) < 1e-8 for e, i in zip(ends, perm))
-        assert monodromy(curve, base, around).perm == perm
+    starts = sorted((complex(r) for r in curve.roots_at(base)),
+                    key=lambda w: (round(w.real, 10), round(w.imag, 10)))
+    for nodes in (48, 96, 192):
+        for around in sing:
+            path, rel = algebroid._loop_path(base, around, sing, nodes)
+            ends = [track_branch(curve, s, path, clearance_rel=rel, singular=sing)
+                    for s in starts]
+            perm = tuple(min(range(len(starts)), key=lambda i: abs(e - starts[i]))
+                         for e in ends)
+            assert all(abs(e - starts[i]) < 1e-8 for e, i in zip(ends, perm))
+            assert monodromy(curve, base, around, nodes=nodes).perm == perm
+
+
+def test_step_budget_bench_loops(monkeypatch):
+    # the carried, distance-capped step: the 12 loops of the seed-1 bench
+    # curves take about one guard call per circle node (6,019 calls when
+    # every segment restarted at 1% of its length)
+    calls = []
+    guard = algebroid._pairwise_guard
+
+    def counting_guard(preds, corrs):
+        calls.append(len(preds))
+        return guard(preds, corrs)
+
+    monkeypatch.setattr(algebroid, "_pairwise_guard", counting_guard)
+    loops = 0
+    for curve, base in _pool_curves():
+        for around in curve.singular_locations():
+            monodromy(curve, base, around)
+            loops += 1
+    assert loops == 12
+    assert len(calls) <= 2000
+
+
+class TestStems:
+    """`_safe_stem` clears every singular point along the whole stem."""
+
+    def test_singular_point_next_to_the_circle_start(self):
+        # from the CLI default base the straight stem runs along the real
+        # axis through the discriminant root 1.5747 at 99% of its length
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        curve = AlgebroidCurve(-1 + 3 * z ** 2 - 2 * u + u * z - 2 * u * z ** 2)
+        sing = curve.singular_locations()
+        base = cli._default_monodromy_base(curve, 1.5)
+        path, _rel = algebroid._loop_path(base, 1.5 + 0j, sing, 48)
+        hit = min(sing, key=lambda s: abs(s - 1.5747))
+        assert abs(hit - 1.5747) < 1e-4 and abs(base.imag) < 1e-12
+        assert all(abs(algebroid._foot(s, a, b) - s) > 1e-3
+                   for a, b in zip(path, path[1:]) for s in sing)
+        assert monodromy(curve, base, 1.5).is_identity()
+
+    def test_stem_through_a_node(self):
+        # the straight stem of this loop runs through the node u = 1, where
+        # two sheets meet without ramification; crossing it swapped them
+        curve = _sweep_curves()[13]
+        around = min(curve.singular_locations(), key=lambda s: abs(s - 0.74597))
+        base = cli._default_monodromy_base(curve, around)
+        assert monodromy(curve, base, around).cycle_type() == [2]
+
+    def test_no_detour_around_the_loop_center(self):
+        # the center lies on the stem's line just past the circle start,
+        # within the margin: it is passed at half its distance, not detoured
+        stem = algebroid._safe_stem(4 + 0j, 1.1 + 0j, [1 + 0j], 0.5)
+        assert stem == [4 + 0j, 1.1 + 0j]
+        # a singular point on the stem near its end is detoured
+        stem = algebroid._safe_stem(4 + 0j, 1.1 + 0j, [1 + 0j, 1.14 + 0j], 0.5)
+        assert len(stem) > 2
+        assert all(abs(algebroid._foot(1.14, a, b) - 1.14) > 0.01
+                   for a, b in zip(stem, stem[1:]))
+
+
+def test_sweep_monodromy_matches_singular_points():
+    # every finite singular point of the 40 sweep curves, from the CLI
+    # default base: the loop's cycle type is the branch cycle structure
+    loops = 0
+    for curve in _sweep_curves():
+        for p in singular_points(curve).points:
+            if p.location is None:
+                continue
+            base = cli._default_monodromy_base(curve, p.location)
+            assert monodromy(curve, base, p.location).cycle_type() == \
+                p.cycle_structure, (curve.F, p.location)
+            loops += 1
+    assert loops == 309
 
 
 def _big_circle_perm(curve, base, radius):

@@ -39,6 +39,8 @@ def files(tmp_path_factory):
         "probe": dump("probe.json", AlgebroidCurve(
             2 - z + z ** 2 + 3 * z ** 3 + u - u * z - 2 * u * z ** 2
             - 2 * u * z ** 3).to_json_dict()),
+        "stem": dump("stem.json", AlgebroidCurve(
+            -1 + 3 * z ** 2 - 2 * u + u * z - 2 * u * z ** 2).to_json_dict()),
         "bad_curve": dump("bad_curve.json", {
             "type": "curve", "n": 1,
             "p": [MultiPoly.zero(("u",)).to_json_dict(),
@@ -203,6 +205,15 @@ class TestReports:
         assert code == 0
         assert sorted(len(c) for c in rep["cycles"]) == [3]
         assert sorted(rep["perm"]) == [1, 2, 3]  # 1-based indices
+
+    def test_monodromy_default_base_stem(self, files, capsys):
+        # the default base 5.516 lies on the real axis, and the straight
+        # stem to the circle around 1.5 runs through the discriminant root
+        # 1.5747 just before the circle start: the stem must detour
+        code, rep = run_json(["algebroid", "monodromy", "--curve", files["stem"],
+                              "--around", "1.5"], capsys)   # one JSON object
+        assert code == 0
+        assert rep["perm"] == [1, 2] and rep["cycles"] == [[1], [2]]
 
     def test_period_find(self, files, capsys):
         code, rep = run_json(["period", "find", "--fn", files["tan"],
