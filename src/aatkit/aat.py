@@ -21,8 +21,10 @@ algebraic_relation finds a polynomial relation between two functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, product, repeat
 
 import numpy as np
 
@@ -53,6 +55,8 @@ from .series import (
     TruncSeries,
     _common,
     _line_powers,
+    _max_bits,
+    _pack,
     compose_shift,
     radius_estimate,
 )
@@ -223,46 +227,70 @@ def verify_aat(G: MultiPoly, f: FunctionSpec, order: int = 16, base=None,
 # ---------------------------------------------------------------------------
 # discovery
 
-def _grlex_monomials(bounds: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """Monomial box in graded-lex order with U < V < W."""
-    monos = [(i, j, k)
-             for i in range(bounds[0] + 1)
-             for j in range(bounds[1] + 1)
-             for k in range(bounds[2] + 1)]
-    monos.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
-    return monos
+def _grlex(m: tuple[int, ...]) -> tuple:
+    """Graded-lex sort key of an exponent tuple, the first variable least."""
+    return sum(m), tuple(-e for e in m)
+
+
+def _grlex_monomials(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Monomial box in graded-lex order (U < V < W, X < Y)."""
+    return sorted(product(*(range(b + 1) for b in bounds)), key=_grlex)
 
 
 def normalize_relation(p: MultiPoly) -> MultiPoly:
     """Scale so the first nonzero coefficient in graded-lex order is 1."""
     if p.is_zero():
         return p
-    vars = p.vars
-    items = sorted(p.terms.items(), key=lambda t: (sum(t[0]),
-                                                   tuple(-e for e in t[0])))
-    lead = items[0][1]
+    lead = min(p.terms.items(), key=lambda t: _grlex(t[0]))[1]
     return p.scale(ExactScalar.one() / lead)
 
 
-def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[ExactScalar]]:
-    """Reduced kernel basis: one vector per free column f, with 1 at f and 0
-    at the other free columns (the basis read off the reduced row echelon form).
+_P, _I = 2147483629, 629208553         # _P = 1 (mod 4) and _I**2 = -1 (mod _P)
 
-    Fraction-free: each row is scaled to Gaussian integers by the lcm of its
-    denominators, then Bareiss elimination divides every update exactly by
-    the previous pivot, so entries stay minors of the matrix.  The pivot
-    columns are its column rank profile.  Each kernel vector is solved in
-    integers over the triangle of the pivots left of f, times that triangle's
-    last pivot Delta (Cramer: Delta x is integral), and only its entries
-    x = y / Delta become ExactScalars.
+
+def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[ExactScalar]]:
+    """_integer_nullspace of ExactScalar rows, each over its denominators' lcm."""
+    ints = [gaussian_integers(row)[1:] for row in rows]
+    return _integer_nullspace([r for r, _ in ints], [i for _, i in ints], ncols)
+
+
+def _integer_nullspace(re: list[list[int]], im: list[list[int]],
+                       ncols: int) -> list[list[ExactScalar]]:
+    """Reduced kernel basis of the Gaussian-integer rows re + i im (one
+    vector per free column f, 1 at f and 0 at the other free columns).
+
+    Bareiss runs on the pivot rows of an elimination modulo _P < 2**31 on
+    int64 residues, i -> _I mapping Z[i] onto the field F_p.  Those rows are
+    independent over Q(i), so their kernel holds the true one, and is it
+    (reduced basis and all) once each of its vectors passes the exact check
+    M v = 0 on all rows; should one fail (_P divides a minor the choice
+    relied on), Bareiss runs on all rows.
     """
-    re: list[list[int]] = []
-    im: list[list[int]] = []
-    for row in rows:
-        _, rr, ri = gaussian_integers(row)
-        if any(rr) or any(ri):
-            re.append(rr)
-            im.append(ri)
+    A = np.array([[(x + _I * y) % _P for x, y in zip(r, s)] for r, s in zip(re, im)],
+                 dtype=np.int64).reshape(len(re), ncols)
+    keep, k = list(range(len(re))), 0
+    for c in range(ncols):
+        nz = np.flatnonzero(A[k:, c])
+        if nz.size:
+            p = k + int(nz[0])
+            A[[k, p]], keep[k], keep[p] = A[[p, k]], keep[p], keep[k]
+            A[k + 1:] = (A[k + 1:] * A[k, c] - np.outer(A[k + 1:, c], A[k])) % _P
+            k += 1
+    if k == ncols:                      # full column rank: the kernel is zero
+        return []
+    basis = _bareiss_kernel([re[i] for i in keep[:k]], [im[i] for i in keep[:k]], ncols)
+    return basis if _annihilates(re, im, basis, ncols) else _bareiss_kernel(re, im, ncols)
+
+
+def _bareiss_kernel(re: list[list[int]], im: list[list[int]],
+                    ncols: int) -> list[list[ExactScalar]]:
+    """The reduced kernel basis of the Gaussian-integer rows re + i im, by
+    fraction-free Bareiss elimination (each update divided exactly by the
+    previous pivot, so entries stay minors; the pivot columns are the column
+    rank profile).  The vector of a free column f is solved in integers over
+    the pivots left of f times the last of them, Delta (Cramer: Delta x is
+    integral); only its entries y / Delta are rational."""
+    re, im = [list(r) for r in re], [list(s) for s in im]
     pivots: list[int] = []
     prev = (1, 0)
     for c in range(ncols):
@@ -313,8 +341,21 @@ def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[Exa
     return basis
 
 
-def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[np.ndarray]:
-    """Thresholded-SVD kernel, reduced to row-echelon form over the columns.
+def _annihilates(re: list[list[int]], im: list[list[int]],
+                 basis: list[list[ExactScalar]], ncols: int) -> bool:
+    """M v = 0 exactly for every v in basis, M = re + i im, with w = v scaled
+    to Z[i] and each column of M packed into one integer per part (Kronecker):
+    an entry of M w sums ncols terms, each below 2**(bits_M + bits_w + 1)."""
+    ws = [gaussian_integers(v)[1:] for v in basis]
+    slot = _max_bits(re + im) + _max_bits([x for w in ws for x in w]) + ncols.bit_length() + 2
+    cr, ci = ([_pack(list(c), slot) for c in zip(*m)] for m in (re, im))
+    return not any(sum(a * x - b * y for a, b, x, y in zip(cr, ci, wr, wi))
+                   or sum(a * y + b * x for a, b, x, y in zip(cr, ci, wr, wi))
+                   for wr, wi in ws)
+
+
+def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[list[ExactScalar | None]]:
+    """Thresholded-SVD kernel, reduced to row-echelon form and rationalized.
 
     The echelon pass makes the basis canonical (each vector supported on a
     distinct leading monomial), so minimal relations surface as-is instead
@@ -331,7 +372,7 @@ def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[np.ndarray]:
         if sv <= rel * max(smax, 1e-300):
             basis.append(vh[idx].conj())
     if len(basis) <= 1:
-        return basis
+        return [_clean_numeric_vec(v) for v in basis]
     rows = np.array(basis)
     r = 0
     for c in range(ncols):
@@ -347,7 +388,7 @@ def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[np.ndarray]:
             if i != r:
                 rows[i] = rows[i] - rows[i, c] * rows[r]
         r += 1
-    return [rows[i] for i in range(r)]
+    return [_clean_numeric_vec(rows[i]) for i in range(r)]
 
 
 def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
@@ -358,8 +399,7 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     monomials U^i V^j W^k in the box and returns its kernel as normalized
     polynomials; an empty list means no relation at these bounds.
     """
-    d_u, d_v, d_w = degree_bounds
-    min_order = 2 * (d_u + d_v + d_w) + 4
+    min_order = 2 * sum(degree_bounds) + 4
     if order < min_order:
         raise OrderTooLow(f"order {order} < required {min_order} for bounds "
                           f"{degree_bounds}")
@@ -367,41 +407,49 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
         base = f.default_base()
     U, V, W = _elements_uvw(f, base, order)
     monos = _grlex_monomials(degree_bounds)
-    upow = _powers(U, d_u)
-    vpow = _powers(V, d_v)
-    wpow = _powers(W, d_w)
-    columns = [upow[i] * vpow[j] * wpow[k] for (i, j, k) in monos]
-    n_rows_order = min(c.order for c in columns)
-    rows = [[col.coefficient(p, q) for col in columns]
-            for p in range(n_rows_order) for q in range(n_rows_order - p)]
-    return _kernel_relations(rows, U.exact and V.exact and W.exact, monos,
-                             ("U", "V", "W"))
-
-
-def _kernel_relations(rows: list[list], exact: bool, monos: list[tuple],
-                      vars: tuple[str, ...]) -> list[MultiPoly]:
-    """The kernel of the coefficient matrix `rows` (one column per monomial)
-    as normalized relations: exactly when the data is exact, else by the
-    thresholded SVD with rationalized entries."""
-    if exact:
-        vecs = _exact_nullspace(rows, len(monos))
+    n = min(U.order, V.order, W.order)
+    cols = _uvw_columns(U, V, W, monos, n)
+    # the row of x^p y^q is entry q of row p + q of each column's triangle,
+    # over the lcm of the column denominators (1 on the binary scale)
+    at = [(p + q) * (p + q + 1) // 2 + q for p in range(n) for q in range(n - p)]
+    L = math.lcm(*(c.den for c in cols))
+    flat = [([x * m for x in chain(*c.re)], [y * m for y in chain(*c.im)])
+            for c, m in ((c, L // c.den) for c in cols)]
+    re, im = [[r[k] for r, _ in flat] for k in at], [[i[k] for _, i in flat] for k in at]
+    if all(c.exact for c in cols):
+        vecs = _integer_nullspace(re, im, len(monos))
     else:
-        A = np.array([[complex(c) for c in row] for row in rows], dtype=complex)
-        vecs = [_clean_numeric_vec(v) for v in _numeric_nullspace(A)]
-    polys = []
-    for vec in vecs:
-        terms = {m: c for m, c in zip(monos, vec) if c is not None and not c.is_zero()}
-        if terms:
-            polys.append(normalize_relation(MultiPoly(vars, terms)))
-    return polys
+        vecs = _numeric_nullspace(np.array(
+            [[complex(math.ldexp(x, c.exp), math.ldexp(y, c.exp))
+              for x, y, c in zip(r, i, cols)] for r, i in zip(re, im)]))
+    return _kernel_relations(vecs, monos, ("U", "V", "W"))
+
+
+def _uvw_columns(U: BiSeries, V: BiSeries, W: BiSeries,
+                 monos: list[tuple[int, int, int]], n: int) -> list[BiSeries]:
+    """U^i V^j W^k for (i, j, k) in monos to order n, U a series in x alone
+    and V one in y alone: U^i V^j is one outer product of exact line powers,
+    scaled once, and W^k enters by one product, none for k = 0."""
+    U, V = _common(U, V)
+    ups = _line_powers(*U.line(0), max(m[0] for m in monos), n)
+    vps = _line_powers(*V.line(1), max(m[1] for m in monos), n)
+    wps = _powers(W.truncate(n), max(m[2] for m in monos))
+    return [uv * wps[k] if k else uv for i, j, k in monos
+            for uv in [BiSeries.from_outer([(ups[i], vps[j])], n, U.den ** i * V.den ** j,
+                                           None if U.exact else i * U.exp + j * V.exp)]]
+
+
+def _kernel_relations(vecs: list[list], monos: list[tuple],
+                      vars: tuple[str, ...]) -> list[MultiPoly]:
+    """Kernel vectors (entries per monomial, None if dropped) as relations."""
+    terms = ({m: c for m, c in zip(monos, v) if c is not None and not c.is_zero()}
+             for v in vecs)
+    return [normalize_relation(MultiPoly(vars, t)) for t in terms if t]
 
 
 def _powers(s, top: int) -> list:
     """[1, s, ..., s^top] of a TruncSeries or BiSeries by repeated products."""
-    out = [s ** 0]
-    for _ in range(top):
-        out.append(out[-1] * s)
-    return out
+    return list(accumulate(repeat(s, top), operator.mul, initial=s ** 0))
 
 
 def _clean_numeric_vec(vec: np.ndarray) -> list[ExactScalar | None]:
@@ -578,9 +626,10 @@ def _schwarz_chain(G: MultiPoly, f: FunctionSpec, base, shifts, order: int,
         shifted_family = [s + k for s in family]
         shifted = _family_gcd(G, f, base, shifted_family, order, zero_tol,
                               force_hp)
-        trial = gcd_in_w(carrier, shifted)
+        trial = gcd_in_w(carrier, shifted, monic=False)   # normalized if kept
         if trial.degree == carrier.degree:
             break
+        trial = monic_in_w(trial)
         if trial.degree < 1:
             raise ChainCollapse("GCD degenerated to degree zero")
         carrier = trial
@@ -801,14 +850,15 @@ def algebraic_relation(f, g, bounds: tuple[int, int], order: int = 16,
     sy = gs.element_at(base, order)
     if sx.exact != sy.exact:
         sx, sy = sx.to_numeric(), sy.to_numeric()
-    monos = [(i, j) for i in range(d_f + 1) for j in range(d_g + 1)]
-    monos.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
+    monos = _grlex_monomials(bounds)
     xp = _powers(sx, d_f)
     yp = _powers(sy, d_g)
     columns = [xp[i] * yp[j] for (i, j) in monos]
     n_rows = min(c.order for c in columns)
     rows = [[col.coefficient(k) for col in columns] for k in range(n_rows)]
-    polys = _kernel_relations(rows, sx.exact, monos, ("X", "Y"))
+    vecs = (_exact_nullspace(rows, len(monos)) if sx.exact
+            else _numeric_nullspace(np.array(rows, dtype=complex)))
+    polys = _kernel_relations(vecs, monos, ("X", "Y"))
     if not polys:
         return None
     polys.sort(key=lambda p: (p.total_degree(), len(p.terms)))

@@ -255,11 +255,11 @@ def _series_invertible(c: BiSeries, tol: float) -> bool:
 
 
 def _gcd_series(a: PolyInW, b: PolyInW) -> PolyInW:
-    """Euclid over the truncated-series fraction field.
+    """Euclid over the truncated-series fraction field, not normalized.
 
     True division when the divisor's leading coefficient is invertible
     (nonzero constant term); a pseudo-division step otherwise, which stays in
-    the ring and washes out in the final monic normalization.
+    the ring and washes out in gcd_in_w's monic normalization.
     """
     tol = a.zero_tol
     if a.degree < b.degree:
@@ -285,7 +285,7 @@ def _gcd_series(a: PolyInW, b: PolyInW) -> PolyInW:
                 raise OrderExhausted(
                     "leading term failed to cancel at the working order")
         a, b = b, r
-    return _monic_series(a)
+    return a
 
 
 def _monic_series(p: PolyInW) -> PolyInW:
@@ -345,8 +345,9 @@ def _gcd_poly(a: PolyInW, b: PolyInW) -> PolyInW:
     return a
 
 
-def gcd_in_w(a: PolyInW, b: PolyInW) -> PolyInW:
-    """Monic GCD in the distinguished variable over the coefficient field.
+def gcd_in_w(a: PolyInW, b: PolyInW, monic: bool = True) -> PolyInW:
+    """Monic GCD in the distinguished variable over the coefficient field
+    (series coefficients: the Euclid remainder as it is, if not `monic`).
 
     For series coefficients a coefficient counts as zero when its valuation
     reaches the working order (numeric mode: below zero_tol relative to the
@@ -359,7 +360,7 @@ def gcd_in_w(a: PolyInW, b: PolyInW) -> PolyInW:
         return a
     if isinstance(a.leading(), MultiPoly):
         return _gcd_poly(a, b)
-    return _gcd_series(a, b)
+    return _monic_series(_gcd_series(a, b)) if monic else _gcd_series(a, b)
 
 
 def monic_in_w(p: PolyInW) -> PolyInW:

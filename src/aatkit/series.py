@@ -473,7 +473,11 @@ def _round_div(n: int, d: int) -> int:
 
 
 def _pack(vals: list[int], slot: int) -> int:
-    """Kronecker substitution: sum vals[k] * 2**(k*slot), signed entries."""
+    """Kronecker substitution: sum vals[k] * 2**(k*slot), signed entries.
+    A long list is packed by halves, which keeps the cost near linear."""
+    if len(vals) > 32:
+        h = len(vals) // 2
+        return _pack(vals[:h], slot) + (_pack(vals[h:], slot) << h * slot)
     x = 0
     for v in reversed(vals):
         x = (x << slot) + v
@@ -887,18 +891,23 @@ class BiSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "BiSeries":
-        scalar = not isinstance(other, BiSeries)
-        a, b = _common(self, BiSeries.const(other, 1) if scalar else other)
+        if not isinstance(other, BiSeries):
+            other = BiSeries.const(other, self.order)
+        a, b = _common(self, other)
         den, exp = a.den * b.den, None if a.exp is None else a.exp + b.exp
-        if scalar:                        # one Gaussian factor, rounded first
-            gr, gi = b.re[0][0], b.im[0][0]
-            pairs = [list(zip(ra, rb)) for ra, rb in zip(a.re, a.im)]
-            return BiSeries([[x * gr - y * gi for x, y in r] for r in pairs],
-                            [[x * gi + y * gr for x, y in r] for r in pairs],
-                            a.order, den, exp)
         va = a.valuation() or 0
         vb = b.valuation() or 0
         order = min(a.order + vb, b.order + va)
+        if not any(map(any, chain(a.re[1:], a.im[1:]))):
+            a, b = b, a
+        if not any(map(any, chain(b.re[1:], b.im[1:]))):
+            # b is constant (only row 0 is nonzero): one Gaussian factor,
+            # the product rounded once
+            gr, gi = b.re[0][0], b.im[0][0]
+            pairs = [list(zip(ra, rb)) for ra, rb in zip(a.re[:order], a.im)]
+            return BiSeries([[x * gr - y * gi for x, y in r] for r in pairs],
+                            [[x * gi + y * gr for x, y in r] for r in pairs],
+                            order, den, exp)
         rows = _triangle_product(a.re, a.im, b.re, b.im, va, vb, order)
         return BiSeries([r[0] for r in rows], [r[1] for r in rows], order, den, exp)
 

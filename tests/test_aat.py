@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aatkit import aat
 from aatkit.elimination import PolyInW
@@ -502,20 +503,55 @@ class TestExactKernel:
     def test_discovery_matrices_match_gauss_jordan(self, monkeypatch, name,
                                                    bounds, dim):
         systems = []
-        fraction_free = aat._exact_nullspace
+        integer_kernel = aat._integer_nullspace
 
-        def spy(rows, ncols):
-            systems.append((rows, ncols))
-            return fraction_free(rows, ncols)
+        def spy(re, im, ncols):
+            systems.append((re, im, ncols))
+            return integer_kernel(re, im, ncols)
 
-        monkeypatch.setattr(aat, "_exact_nullspace", spy)
+        monkeypatch.setattr(aat, "_integer_nullspace", spy)
         f = _mobius_spec() if name == "mobius" else FunctionSpec.builtin(name)
         polys = discover_aat(f, bounds, order=16)
-        (rows, ncols), = systems
-        kernel = fraction_free(rows, ncols)
+        (re, im, ncols), = systems
+        assert all(type(x) is int for row in re + im for x in row)
+        rows = [[ExactScalar(x, y) for x, y in zip(r, i)] for r, i in zip(re, im)]
+        kernel = integer_kernel(re, im, ncols)
         assert kernel == _gauss_jordan_nullspace(rows, ncols)
         assert len(polys) == len(kernel)
         if dim is not None:
             assert len(kernel) == dim
         else:
             assert kernel
+
+    def test_rows_vanishing_mod_p_fall_back_to_all_rows(self, monkeypatch):
+        # rows 0 and 2 are multiples of p, so modulo p the row basis is row 1
+        # alone; its kernel has dimension 3, the check M v = 0 fails, and
+        # Bareiss runs again on all rows
+        p = aat._P
+        re = [[p, 0, 2 * p, p], [1, 1, 0, 0], [0, p, -p, 3 * p]]
+        im = [[0, p, 0, -p], [0, 0, 1, 0], [p, 0, 0, 0]]
+        calls = []
+        bareiss = aat._bareiss_kernel
+
+        def spy(r, i, ncols):
+            calls.append(len(r))
+            return bareiss(r, i, ncols)
+
+        monkeypatch.setattr(aat, "_bareiss_kernel", spy)
+        got = aat._integer_nullspace(re, im, 4)
+        assert calls == [1, 3]
+        rows = [[ExactScalar(x, y) for x, y in zip(r, i)] for r, i in zip(re, im)]
+        assert got == _gauss_jordan_nullspace(rows, 4)
+        assert len(got) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tall_rank_deficient_matches_gauss_jordan(self, data):
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(n + 1, 3 * n + 4))
+        rank = data.draw(st.integers(0, n - 1))
+        A = _random_matrix(random.Random(data.draw(st.integers(0, 10 ** 9))), m, n, rank)
+        # some rows scaled by p vanish modulo p and may force the fallback
+        for k in data.draw(st.sets(st.integers(0, m - 1), max_size=3)):
+            A[k] = [c * aat._P for c in A[k]]
+        assert aat._exact_nullspace(A, n) == _gauss_jordan_nullspace(A, n)

@@ -2,9 +2,10 @@
 polynomial GCDs (univariate and bivariate), exact root isolation, exact
 series products and inverses, the doubling chain of sin, the builtin Taylor
 data in every field, and the numeric Taylor shift; and pins of Puiseux
-branches and of the residual oracle."""
+branches, of the residual oracle and of CLI discovery and Schwarz reports."""
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from aatkit.aat import _hp_element
 from aatkit.algebroid import (AlgebroidCurve, PuiseuxBranch, _distinct_roots_exact,
                               _taylor_shift, branch_residual, puiseux_expand)
+from aatkit.cli import run_command
 from aatkit.elimination import discriminant, eliminate_chain, resultant
 from aatkit.functions import FunctionSpec
 from aatkit.poly import MultiPoly, divexact, monic_lex, poly_gcd, pseudo_rem
@@ -526,3 +528,70 @@ def test_numeric_taylor_shift_against_exact(cs, c):
     for k in range(10):
         w = complex(ex.coefficient(k))
         assert abs(num.coefficient(k) - w) <= 1e-12 * max(1.0, abs(w)) * scale
+
+
+# -- CLI reports, byte for byte (floats included): pinned to the values of the
+# entry-by-entry discovery matrix with Bareiss over all rows, and of the
+# Schwarz chain that normalized every trial GCD
+
+@pytest.fixture(scope="module")
+def report_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reports")
+    U, V, W = (MultiPoly.variable(v) for v in "UVW")
+    u = MultiPoly.variable("u")
+
+    def dump(name, data):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    files = {name: dump(name, {"type": "builtin", "name": name})
+             for name in ("exp", "tan", "cos", "sin")}
+    for k, (a, b, c, d) in enumerate([(2, 1, 1, 3), (-3, 4, 2, -1), (1, -2, -3, 4)]):
+        files[f"mobius{k}"] = dump(f"mobius{k}", FunctionSpec.rational(
+            a * u + b, c * u + d).to_json_dict())
+    relations = {"sin": (W ** 2 + U ** 2 - V ** 2) ** 2 - 4 * U ** 2 * W ** 2 * (1 - V ** 2),
+                 "cos": W ** 2 - 2 * U * V * W + U ** 2 + V ** 2 - 1,
+                 "tan": W * (1 - U * V) - (U + V), "exp": W - U * V}
+    for name, G in relations.items():
+        files[f"g_{name}"] = dump(f"g_{name}", G.to_json_dict())
+    return files
+
+
+REPORT_PINS = [
+    ("aat discover exp 2,2,2",
+     "aab2cf2bfdd401243f3e664e837b728dc1cce3f29a6a9b8261b555a47c88c3c9", "0"),
+    ("aat discover tan 2,2,2",
+     "405f1ee5a9b155fdc108a6d279403b85ec06d81664c3b9417323703f6fa4d168", "0"),
+    ("aat discover cos 2,2,2",
+     "9d4198e45d7e78774a7d81782cb71689b805de903072bfb57423dc496f81dc92", "0"),
+    ("aat discover sin 2,2,2",
+     "e1294ea4683fb2903e938c3516f3829b61644ba1a5a0418930e09332c0fb45a5", "1"),
+    ("aat discover mobius0",
+     "f7696dbd3086d55da51501ab85d082e882435d955c0fe7f633b9e8c029161b7c", "0"),
+    ("aat discover mobius1",
+     "9cd14b7bad0dbeebe8517d7c3516135f38ae345c3de01e13b48c5dcb101c9551", "0"),
+    ("aat discover mobius2",
+     "18e08813daecda391c43606994db670198e1ce3b50a4c7419f4c76bc2af04255", "0"),
+    ("reduce schwarz sin",
+     "5375f6c10a27bb055a22c519d6dffa2357e2703e2c79972571e0e5aa56f1be3b", "0"),
+    ("reduce schwarz cos",
+     "26d5e968945536741eadd26d2deb43febaadc72e4ef22f0fd8946ba171533052", "0"),
+    ("reduce schwarz tan",
+     "615f7aa1647ecc7fd4be5f13e9c6f42fb2d7825a9ce2a4da92399ffeb36ab477", "0"),
+    ("reduce schwarz exp",
+     "99b6b01ab8f508319686090945a1ccfe4cd7faf8fabef903ba5d18a576d4ed75", "0"),
+]
+
+
+@pytest.mark.parametrize("argv,want,code", REPORT_PINS, ids=[a for a, _, _ in REPORT_PINS])
+def test_cli_reports_pinned(report_files, capsys, argv, want, code):
+    words = argv.split()
+    if words[0] == "aat":           # aat discover <fn> [bounds]
+        cmd = ["aat", "discover", "--fn", report_files[words[2]]]
+        cmd += ["--bounds", words[3]] if len(words) > 3 else []
+    else:                           # reduce schwarz <fn>
+        cmd = ["reduce", "schwarz", "--poly", report_files[f"g_{words[2]}"],
+               "--fn", report_files[words[2]]]
+    assert str(run_command(cmd)) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want

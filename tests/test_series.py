@@ -25,6 +25,7 @@ from aatkit.series import (
     BiSeries,
     TruncSeries,
     _line_product,
+    _triangle_product,
     compose_shift,
     radius_estimate,
     rearrange_at,
@@ -770,3 +771,30 @@ class TestBinaryAndMixedScale:
         assert r.exact and not b.exact
         for got in (r * b, b * r, r + b, b + r, r - b, r * 0.5, b * Fraction(1, 3)):
             assert not got.exact and got.order == 4
+
+
+class TestConstantOperand:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_triangle_product(self, data):
+        # a constant operand (the zero series included) takes the
+        # one-Gaussian-factor branch; its result, order and scale are those
+        # of the full triangle product, on either scale
+        binary = data.draw(st.booleans())
+        a = data.draw(fixed_series() if binary else exact_biseries())
+        value = data.draw(st.one_of(st.just(ExactScalar(0)), gaussian_q))
+        c = BiSeries.const(value, data.draw(st.integers(1, 22)))
+        c = c.to_binary() if binary else c
+        assert not any(map(any, c.re[1:] + c.im[1:]))
+        for x, y in ((a, c), (c, a), (c, c)):
+            vx, vy = x.valuation() or 0, y.valuation() or 0
+            order = min(x.order + vy, y.order + vx)
+            rows = _triangle_product(x.re, x.im, y.re, y.im, vx, vy, order)
+            want = BiSeries([r[0] for r in rows], [r[1] for r in rows], order,
+                            x.den * y.den, None if x.exp is None else x.exp + y.exp)
+            got = x * y
+            assert (got.re, got.im, got.order, got.den, got.exp) == (
+                want.re, want.im, want.order, want.den, want.exp)
+        got, want = a * value, a * BiSeries.const(value, a.order)
+        assert (got.re, got.im, got.order, got.den, got.exp) == (
+            want.re, want.im, want.order, want.den, want.exp)
