@@ -21,14 +21,13 @@ algebraic_relation finds a polynomial relation between two functions.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, product, repeat
+from itertools import chain, product
 
 import numpy as np
 
-from .elimination import PolyInW, gcd_in_w, monic_in_w, resultant
+from .elimination import PolyInW, _gcd_series, gcd_in_w, monic_in_w, resultant
 from .errors import (
     AatkitError,
     ChainCollapse,
@@ -227,21 +226,20 @@ def verify_aat(G: MultiPoly, f: FunctionSpec, order: int = 16, base=None,
 # ---------------------------------------------------------------------------
 # discovery
 
-def _grlex(m: tuple[int, ...]) -> tuple:
-    """Graded-lex sort key of an exponent tuple, the first variable least."""
-    return sum(m), tuple(-e for e in m)
-
-
 def _grlex_monomials(bounds: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Monomial box in graded-lex order (U < V < W, X < Y)."""
-    return sorted(product(*(range(b + 1) for b in bounds)), key=_grlex)
+    return sorted(product(*(range(b + 1) for b in bounds)),
+                  key=lambda m: (sum(m), tuple(-e for e in m)))
 
 
 def normalize_relation(p: MultiPoly) -> MultiPoly:
     """Scale so the first nonzero coefficient in graded-lex order is 1."""
     if p.is_zero():
         return p
-    lead = min(p.terms.items(), key=lambda t: _grlex(t[0]))[1]
+    vars = p.vars
+    items = sorted(p.terms.items(), key=lambda t: (sum(t[0]),
+                                                   tuple(-e for e in t[0])))
+    lead = items[0][1]
     return p.scale(ExactScalar.one() / lead)
 
 
@@ -399,7 +397,8 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     monomials U^i V^j W^k in the box and returns its kernel as normalized
     polynomials; an empty list means no relation at these bounds.
     """
-    min_order = 2 * sum(degree_bounds) + 4
+    d_u, d_v, d_w = degree_bounds
+    min_order = 2 * (d_u + d_v + d_w) + 4
     if order < min_order:
         raise OrderTooLow(f"order {order} < required {min_order} for bounds "
                           f"{degree_bounds}")
@@ -419,22 +418,21 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     if all(c.exact for c in cols):
         vecs = _integer_nullspace(re, im, len(monos))
     else:
-        vecs = _numeric_nullspace(np.array(
-            [[complex(math.ldexp(x, c.exp), math.ldexp(y, c.exp))
-              for x, y, c in zip(r, i, cols)] for r, i in zip(re, im)]))
+        vecs = _numeric_nullspace(np.array([[c._value(x, y) for x, y, c in zip(r, i, cols)]
+                                            for r, i in zip(re, im)]))
     return _kernel_relations(vecs, monos, ("U", "V", "W"))
 
 
 def _uvw_columns(U: BiSeries, V: BiSeries, W: BiSeries,
                  monos: list[tuple[int, int, int]], n: int) -> list[BiSeries]:
-    """U^i V^j W^k for (i, j, k) in monos to order n, U a series in x alone
-    and V one in y alone: U^i V^j is one outer product of exact line powers,
-    scaled once, and W^k enters by one product, none for k = 0."""
+    """U^i V^j W^k for (i, j, k) in monos to order n, all on one scale (U a
+    series in x alone, V one in y alone): U^i V^j is one outer product of
+    exact line powers, scaled once, and W^k enters by one product if k > 0."""
     U, V = _common(U, V)
     ups = _line_powers(*U.line(0), max(m[0] for m in monos), n)
     vps = _line_powers(*V.line(1), max(m[1] for m in monos), n)
     wps = _powers(W.truncate(n), max(m[2] for m in monos))
-    return [uv * wps[k] if k else uv for i, j, k in monos
+    return [uv * wps[k] if k else _common(uv, W)[0] for i, j, k in monos
             for uv in [BiSeries.from_outer([(ups[i], vps[j])], n, U.den ** i * V.den ** j,
                                            None if U.exact else i * U.exp + j * V.exp)]]
 
@@ -449,7 +447,10 @@ def _kernel_relations(vecs: list[list], monos: list[tuple],
 
 def _powers(s, top: int) -> list:
     """[1, s, ..., s^top] of a TruncSeries or BiSeries by repeated products."""
-    return list(accumulate(repeat(s, top), operator.mul, initial=s ** 0))
+    out = [s ** 0]
+    for _ in range(top):
+        out.append(out[-1] * s)
+    return out
 
 
 def _clean_numeric_vec(vec: np.ndarray) -> list[ExactScalar | None]:
@@ -626,7 +627,7 @@ def _schwarz_chain(G: MultiPoly, f: FunctionSpec, base, shifts, order: int,
         shifted_family = [s + k for s in family]
         shifted = _family_gcd(G, f, base, shifted_family, order, zero_tol,
                               force_hp)
-        trial = gcd_in_w(carrier, shifted, monic=False)   # normalized if kept
+        trial = _gcd_series(carrier, shifted)     # normalized only if kept
         if trial.degree == carrier.degree:
             break
         trial = monic_in_w(trial)

@@ -15,7 +15,6 @@ report), 2 for usage or schema errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -316,7 +315,6 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool):
                         help="max total bound for discovery searches (default 4)")
 
 
-@functools.cache        # one parser per process: building it takes milliseconds
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _global_flags(common, suppress=True)

@@ -345,9 +345,8 @@ def _gcd_poly(a: PolyInW, b: PolyInW) -> PolyInW:
     return a
 
 
-def gcd_in_w(a: PolyInW, b: PolyInW, monic: bool = True) -> PolyInW:
-    """Monic GCD in the distinguished variable over the coefficient field
-    (series coefficients: the Euclid remainder as it is, if not `monic`).
+def gcd_in_w(a: PolyInW, b: PolyInW) -> PolyInW:
+    """Monic GCD in the distinguished variable over the coefficient field.
 
     For series coefficients a coefficient counts as zero when its valuation
     reaches the working order (numeric mode: below zero_tol relative to the
@@ -360,7 +359,7 @@ def gcd_in_w(a: PolyInW, b: PolyInW, monic: bool = True) -> PolyInW:
         return a
     if isinstance(a.leading(), MultiPoly):
         return _gcd_poly(a, b)
-    return _monic_series(_gcd_series(a, b)) if monic else _gcd_series(a, b)
+    return _monic_series(_gcd_series(a, b))
 
 
 def monic_in_w(p: PolyInW) -> PolyInW:

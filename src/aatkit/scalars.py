@@ -134,6 +134,9 @@ class ExactScalar:
     def is_one(self) -> bool:
         return self.re == 1 and self.im == 0
 
+    def is_rational(self) -> bool:
+        return self.im == 0
+
     def __bool__(self) -> bool:
         return not self.is_zero()
 

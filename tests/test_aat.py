@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aatkit import aat
+from aatkit.algebroid import AlgebroidCurve
 from aatkit.elimination import PolyInW
 from aatkit.aat import (
     algebraic_relation,
@@ -106,6 +107,18 @@ class TestDiscover:
         target = normalize_relation(
             W ** 2 + U ** 2 + V ** 2 - 2 * U * W - 2 * V * W - 2 * U * V)
         assert any(k == target for k in kernel)
+
+    def test_exact_u_v_with_numeric_w(self, uvw):
+        # z = sqrt(2u) from base 1/2: z(1/2) = 1 makes U and V exact while
+        # z(1) = sqrt(2) makes W numeric, so the columns without W must move
+        # to W's scale; the kernels are those discovery gave before the
+        # integer rows
+        U, V, W = uvw
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        f = FunctionSpec.algebroid(AlgebroidCurve(z * z - 2 * u), base=0.5)
+        assert [s.exact for s in aat._elements_uvw(f, 0.5, 16)] == [True, True, False]
+        assert discover_aat(f, (1, 1, 1), 16) == []
+        assert discover_aat(f, (2, 2, 2), 16) == [normalize_relation(U ** 2 + V ** 2 - W ** 2)]
 
     def test_round_trip(self, tan_spec):
         for k in discover_aat(tan_spec, (1, 1, 1), 16):
