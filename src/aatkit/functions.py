@@ -415,11 +415,14 @@ def _builtin_series(spec: FunctionSpec, eff, order: int) -> TruncSeries:
         # Fractions, not ExactScalars: each coefficient is one Fraction division
         center = ExactScalar(0)
         values = [Fraction(1)] if name == "exp" else [Fraction(0), Fraction(1)]
-    elif name == "tan" and abs(cmath.cos(c)) < 1e-9:
-        raise SingularCenter(f"tan has a pole at {c}")
     else:
         center = c
-        values = [cmath.exp(c)] if name == "exp" else [cmath.sin(c), cmath.cos(c)]
+        try:
+            values = [cmath.exp(c)] if name == "exp" else [cmath.sin(c), cmath.cos(c)]
+        except OverflowError:
+            raise SingularCenter(f"{name} overflows at {c}") from None
+        if name == "tan" and abs(values[1]) < 1e-9:
+            raise SingularCenter(f"tan has a pole at {c}")
     if name != "tan":
         return TruncSeries(center, builtin_taylor(name, values, order), exact=exact_zero)
     # one extra guard term keeps the quotient order at `order`

@@ -17,7 +17,12 @@ Newton iterations run in lockstep: every regular grid seed is one entry of a
 complex array, each pass evaluates phi, phi' and the regularity test once
 over all live seeds (FunctionSpec.eval_many and friends), and a seed leaves
 the array when it converges or dies.  Acceptance of the converged points
-(containment, residual, deduplication) stays scalar, in seed order.
+runs over arrays too: containment and residual masks, then deduplication in
+seed order (each kept root drops the later points within 1e-6 of it).
+The samplers (verify_period, the shift draw, aat.verify_aat) take the draws
+of a one-point-at-a-time loop from the same Generator, in chunks of the
+number of samples still needed, so they keep and evaluate exactly its
+points; an overflowing (inf or nan) value is dropped like a too large one.
 forsyth_fit covers a root set by arithmetic progressions with one common
 difference, flagging data that refuses the lattice model.
 """
@@ -54,9 +59,10 @@ class Region:
     y0: float
     y1: float
 
-    def contains(self, z: complex, pad: float = 0.0) -> bool:
-        return (self.x0 - pad <= z.real <= self.x1 + pad and
-                self.y0 - pad <= z.imag <= self.y1 + pad)
+    def contains(self, z, pad: float = 0.0):
+        """Whether z lies in the padded rectangle (elementwise on arrays)."""
+        return ((self.x0 - pad <= z.real) & (z.real <= self.x1 + pad) &
+                (self.y0 - pad <= z.imag) & (z.imag <= self.y1 + pad))
 
     def doubled(self) -> "Region":
         cx, cy = (self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2
@@ -143,8 +149,9 @@ def find_roots(f: FunctionSpec, C: complex, region: Region,
     for _ in range(max_doublings + 1):
         roots = _roots_in_region(f, C, reg)
         if len(roots) >= want:
-            res = max((abs(f.eval(r) - C) for r in roots), default=0.0)
-            return RootSet(C, reg, roots, res)
+            with np.errstate(all="ignore"):
+                res = np.abs(f.eval_many(np.array(roots, dtype=complex)) - C)
+            return RootSet(C, reg, roots, float(np.max(res, initial=0.0)))
         reg = reg.doubled()
     raise InsufficientRoots(
         f"found {len(roots)} roots of phi = {C} after {max_doublings} "
@@ -160,15 +167,14 @@ def _roots_in_region(f: FunctionSpec, C: complex, reg: Region) -> list[complex]:
     seeds = seeds[f.is_regular_many(seeds)]
     if seeds.size == 0:
         raise DerivativeVanishes("no usable Newton seeds in the region")
-    scale = max(1.0, abs(C))
-    found: list[complex] = []
-    for r in _newton_lockstep(f, C, seeds):
-        if not reg.contains(r, pad=1e-9):
-            continue
-        if abs(f.eval(r) - C) > _ROOT_RESIDUAL * scale:
-            continue
-        if all(abs(r - s) > _ROOT_SEPARATION for s in found):
-            found.append(r)
+    r = np.array(_newton_lockstep(f, C, seeds), dtype=complex)
+    with np.errstate(all="ignore"):
+        r = r[reg.contains(r, pad=1e-9)]
+        r = r[np.abs(f.eval_many(r) - C) <= _ROOT_RESIDUAL * max(1.0, abs(C))]
+        found: list[complex] = []
+        while r.size:  # the first left is kept, the points near it dropped
+            found.append(complex(r[0]))
+            r = r[np.abs(r - r[0]) > _ROOT_SEPARATION]
     found.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     return found
 
@@ -219,24 +225,28 @@ def _newton_lockstep(f: FunctionSpec, C: complex, seeds: np.ndarray,
 
 def verify_period(f: FunctionSpec, omega: complex, samples: int = 100,
                   seed: int = 0, box: float = 2.0) -> float:
-    """max |phi(u + omega) - phi(u)| over seeded random regular points."""
+    """max |phi(u + omega) - phi(u)| over seeded random regular points.
+
+    u is drawn uniformly in [-box, box]^2 (in chunks of the number still
+    needed) and kept when phi is regular at u and u + omega with both values
+    finite and at most 1e8 in modulus, until `samples` points are kept or
+    `samples * 20` drawn.  AllPointsSingular when none is kept.
+    """
     omega = complex(omega)
     if omega == 0 or not np.isfinite(abs(omega)):
         raise ShiftDegenerate("omega must be finite and nonzero")
     rng = np.random.default_rng(seed ^ 0x5EED)
-    worst = 0.0
-    got = 0
-    for _ in range(samples * 20):
-        if got >= samples:
-            break
-        u = complex(rng.uniform(-box, box), rng.uniform(-box, box))
-        if not (f.is_regular(u) and f.is_regular(u + omega)):
-            continue
-        a, b = f.eval(u), f.eval(u + omega)
-        if max(abs(a), abs(b)) > 1e8:
-            continue
-        worst = max(worst, abs(b - a))
-        got += 1
+    worst, got, drawn = 0.0, 0, 0
+    with np.errstate(all="ignore"):
+        while got < samples and drawn < samples * 20:
+            k = min(samples - got, samples * 20 - drawn)
+            drawn += k
+            u = rng.uniform(-box, box, size=(k, 2)).view(complex)[:, 0]
+            u = u[f.is_regular_many(u) & f.is_regular_many(u + omega)]
+            a, b = f.eval_many(u), f.eval_many(u + omega)
+            keep = np.maximum(np.abs(a), np.abs(b)) <= 1e8
+            worst = float(np.max(np.abs(b - a)[keep], initial=worst))
+            got += int(np.count_nonzero(keep))
     if got == 0:
         raise AllPointsSingular("no regular sample points for verification")
     return worst
@@ -273,10 +283,10 @@ def weierstrass_period(f: FunctionSpec, G: MultiPoly, seed: int = 0,
             rootset = find_roots(f, C2, region, m + 1)
         except InsufficientRoots:
             return PeriodReport([], None, None, "rational", seed)
-        upsilon = _draw_regular_shift(f, rootset.roots, rng)
-        if upsilon is None:
+        drawn = _draw_regular_shift(f, rootset.roots, rng)
+        if drawn is None:
             continue
-        values = [f.eval(upsilon + a) for a in rootset.roots]
+        values = drawn[1].tolist()
         scale = max(1.0, max(abs(v) for v in values))
         candidates = []
         for i in range(len(values)):
@@ -308,14 +318,19 @@ def weierstrass_period(f: FunctionSpec, G: MultiPoly, seed: int = 0,
 
 
 def _draw_regular_shift(f: FunctionSpec, roots: list[complex], rng,
-                        tries: int = 60) -> complex | None:
-    for _ in range(tries):
-        u = complex(rng.uniform(0.3, 1.7), rng.uniform(0.3, 1.7))
-        pts = [u] + [u + a for a in roots]
-        if all(f.is_regular(p) for p in pts):
-            vals = [f.eval(p) for p in pts]
-            if all(abs(v) < 1e8 for v in vals):
-                return u
+                        tries: int = 60) -> tuple[complex, np.ndarray] | None:
+    """A shift u drawn in [0.3, 1.7]^2 where phi is regular, finite and below
+    1e8 in modulus at u and every u + root, with phi at the u + root; None
+    after `tries` draws."""
+    offsets = np.array([0j, *roots])
+    with np.errstate(all="ignore"):
+        for _ in range(tries):
+            u = complex(rng.uniform(0.3, 1.7), rng.uniform(0.3, 1.7))
+            pts = u + offsets
+            if f.is_regular_many(pts).all():
+                vals = f.eval_many(pts)
+                if (np.abs(vals) < 1e8).all():
+                    return u, vals[1:]
     return None
 
 

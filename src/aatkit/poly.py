@@ -21,7 +21,10 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DegreeZero, InexactDivision, MissingVariable, PolyDomainError
+import numpy as np
+
+from .errors import (DegreeZero, InexactDivision, MissingVariable, PolyDomainError,
+                     SchemaError)
 from .scalars import ExactScalar, gauss_divexact, gauss_gcd, gaussian_integers
 
 Exponents = tuple[int, ...]
@@ -193,11 +196,14 @@ class MultiPoly:
         return MultiPoly(self.vars, terms)
 
     def eval(self, assignment: Mapping[str, complex]) -> complex:
-        """Horner evaluation; exact coefficients become floats at the leaf."""
+        """Horner evaluation; exact coefficients become floats at the leaf.
+        Values may also be complex ndarrays of one shape (elementwise)."""
         for v in self.vars:
             if self.degree(v) > 0 and v not in assignment:
                 raise MissingVariable(f"assignment missing variable {v!r}")
-        return _eval_horner(list(self.terms.items()), 0, self.vars, assignment)
+        vals = {v: x if isinstance(x := assignment[v], np.ndarray) else complex(x)
+                for v in self.vars if v in assignment}
+        return _eval_horner(list(self.terms.items()), 0, self.vars, vals)
 
     def substitute(self, values: Mapping[str, object], one) -> object:
         """Evaluate in an arbitrary commutative ring.
@@ -311,9 +317,9 @@ class MultiPoly:
         vars = data["vars"]
         terms: dict[Exponents, ExactScalar] = {}
         for t in data["terms"]:
-            re = Fraction(int(t["re"][0]), int(t["re"][1]))
-            im = Fraction(int(t.get("im", ["0", "1"])[0]), int(t.get("im", ["0", "1"])[1]))
-            terms[tuple(t["exps"])] = ExactScalar(re, im)
+            if len(t["exps"]) != len(vars):
+                raise SchemaError(f"exponent vector {t['exps']} does not match vars {vars}")
+            terms[tuple(t["exps"])] = ExactScalar.from_json(t["re"], t.get("im", ["0", "1"]))
         return MultiPoly(vars, terms)
 
 
@@ -330,7 +336,7 @@ def _eval_horner(items: list, start: int, vars: Sequence[str],
         groups[item[0][i]].append(item)
     acc = 0j
     for g in reversed(groups):
-        acc = acc * complex(assignment[vars[i]]) + _eval_horner(g, i + 1, vars, assignment)
+        acc = acc * assignment[vars[i]] + _eval_horner(g, i + 1, vars, assignment)
     return acc
 
 

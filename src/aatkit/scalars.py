@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import DivisionByZeroScalar, InexactDivision, InvariantViolation
+from .errors import DivisionByZeroScalar, InexactDivision, InvariantViolation, SchemaError
 
 RationalLike = Union[int, Fraction]
 
@@ -45,6 +45,12 @@ class ExactScalar:
         s = object.__new__(ExactScalar)
         s.re, s.im = re, im
         return s
+
+    @staticmethod
+    def from_json(re, im) -> "ExactScalar":
+        """From two JSON [numerator, denominator] pairs."""
+        (a, b), (c, d) = json_pair(re), json_pair(im)
+        return ExactScalar(Fraction(int(a), int(b)), Fraction(int(c), int(d)))
 
     @staticmethod
     def coerce(value) -> "ExactScalar":
@@ -207,6 +213,13 @@ def gauss_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
         ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
     return ar, ai
+
+
+def json_pair(x) -> list:
+    """A JSON list of length 2; SchemaError on any other shape."""
+    if not isinstance(x, list) or len(x) != 2:
+        raise SchemaError(f"expected a JSON pair, got {x!r}")
+    return x
 
 
 def checked_complex(re: float, im: float = 0.0) -> complex:

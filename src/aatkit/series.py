@@ -54,7 +54,7 @@ from .errors import (
     SingularCenter,
     TooFewCoefficients,
 )
-from .scalars import ExactScalar, gaussian_integers
+from .scalars import ExactScalar, gaussian_integers, json_pair
 
 _NUMERIC_ZERO_REL = 1e-12
 _ZERO = Fraction(0)
@@ -323,12 +323,10 @@ class TruncSeries:
         cre, cim = data["center"]
         if exact:
             center = ExactScalar(Fraction(cre), Fraction(cim))
-            coeffs = [ExactScalar(Fraction(int(k[0][0]), int(k[0][1])),
-                                  Fraction(int(k[1][0]), int(k[1][1])))
-                      for k in data["coeffs"]]
+            coeffs = [ExactScalar.from_json(*json_pair(k)) for k in data["coeffs"]]
         else:
             center = complex(cre, cim)
-            coeffs = [complex(k[0], k[1]) for k in data["coeffs"]]
+            coeffs = [complex(*json_pair(k)) for k in data["coeffs"]]
         return TruncSeries(center, coeffs, low=int(data["low"]),
                            order=int(data["order"]), exact=exact)
 

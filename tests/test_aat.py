@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,7 @@ from aatkit.errors import (
     PreconditionFailed,
     SchemaError,
     ShiftDegenerate,
+    SingularCenter,
 )
 from aatkit.functions import FunctionSpec, taylor_of_builtin
 from aatkit.poly import MultiPoly, monic_lex
@@ -77,6 +79,105 @@ class TestVerify:
         U, V, W = uvw
         with pytest.raises(OrderTooLowForDegree):
             verify_aat((W - U * V) ** 5, exp_spec, order=10)
+
+
+def _scalar_aat_sampler(G, f, base, samples=50, seed=0):
+    """(worst, kept (u, v) pairs, largest |phi| kept) of the old
+    one-pair-at-a-time sampling loop of numeric verify_aat."""
+    rng = np.random.default_rng(seed)
+    worst, kept, big, tries = 0.0, [], 0.0, 0
+    gscale = max(abs(complex(c)) for c in G.terms.values())
+    while len(kept) < samples and tries < samples * 20:
+        tries += 1
+        u = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3)) + base
+        v = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3)) + base
+        if not (f.is_regular(u) and f.is_regular(v) and f.is_regular(u + v)):
+            continue
+        fu, fv, fw = f.eval(u), f.eval(v), f.eval(u + v)
+        if max(abs(fu), abs(fv), abs(fw)) > 1e6:
+            continue
+        r = abs(G.eval({"U": fu, "V": fv, "W": fw}))
+        scale = gscale * max(1.0, abs(fu), abs(fv), abs(fw)) ** G.total_degree()
+        worst = max(worst, r / scale)
+        big = max(big, abs(fu), abs(fv), abs(fw))
+        kept.append((u, v))
+    return worst, kept, big
+
+
+class TestArraySampler:
+    """Numeric verify_aat samples the pairs, and evaluates the points, of
+    the one-pair-at-a-time loop it replaced."""
+
+    @pytest.mark.parametrize("case", ["sin", "cos", "tan", "exp", "exp_shifted",
+                                      "tan_shifted", "tan_element", "bad"])
+    def test_same_pairs_and_residual(self, case, uvw, sin_quartic, tan_poly,
+                                     monkeypatch):
+        U, V, W = uvw
+        tan = FunctionSpec.builtin("tan")
+        G, f, base = {
+            "sin": (sin_quartic, FunctionSpec.builtin("sin"), 0.3 + 0.2j),
+            "cos": (W ** 2 - 2 * U * V * W + U ** 2 + V ** 2 - 1,
+                    FunctionSpec.builtin("cos"), 0.15 + 0.25j),
+            "tan": (tan_poly, tan, 0.3 + 0.2j),
+            "exp": (W - U * V, FunctionSpec.builtin("exp"), 0.3 + 0.2j),
+            "exp_shifted": (U * V - 2 * W, FunctionSpec.builtin("exp").translate(
+                math.log(2.0)), None),
+            "tan_shifted": (tan_poly, tan.translate(1.2 + 0.1j), None),  # near a pole
+            "tan_element": (tan_poly, FunctionSpec.element(
+                tan.element_at(0, 24).to_numeric()), None),
+            "bad": (W - U - V, FunctionSpec.builtin("sin").translate(0.1), None),
+        }[case]
+        calls = []
+        real = FunctionSpec.eval_many
+
+        def spy(self, u):
+            calls.append((np.array(u), real(self, u)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(FunctionSpec, "eval_many", spy)
+        cert = verify_aat(G, f, base=base, seed=5)
+        assert cert.mode == "numeric"
+        want, kept, big = _scalar_aat_sampler(G, f, cert.base, seed=5)
+        assert abs(cert.residual_max - want) <= 1e-13 * max(1.0, big)
+        ours = []  # calls come as u, v, u + v per chunk
+        for (u, fu), (v, fv), (w, fw) in zip(calls[::3], calls[1::3], calls[2::3]):
+            assert np.array_equal(w, u + v)
+            keep = np.maximum(np.maximum(np.abs(fu), np.abs(fv)), np.abs(fw)) <= 1e6
+            ours += list(zip(u[keep].tolist(), v[keep].tolist()))
+        assert ours == kept
+
+    def test_algebroid_evaluations_match_the_scalar_loop(self, uvw, sqrt_curve,
+                                                         monkeypatch):
+        # phi = sqrt(u) from base 2 (an irrational value: numeric mode),
+        # irregular left of Re u = 1.9 so that the draws take several chunks
+        class LeftCut(FunctionSpec):
+            def is_regular(self, u):
+                return complex(u).real > 1.9 and super().is_regular(u)
+
+        U, V, W = uvw
+        f = LeftCut("algebroid", curve=sqrt_curve, base=2.0)
+        G = W ** 2 - U ** 2 - V ** 2
+        count = [0]
+        real = FunctionSpec.eval
+
+        def counting(self, u):
+            count[0] += 1
+            return real(self, u)
+
+        monkeypatch.setattr(FunctionSpec, "eval", counting)
+        want, kept, big = _scalar_aat_sampler(G, f, 2.0, samples=4)
+        scalar_evals, count[0] = count[0], 0
+        cert = verify_aat(G, f, order=12, base=2.0, samples=4)
+        assert cert.mode == "numeric" and cert.verified
+        assert abs(cert.residual_max - want) <= 1e-13 * big
+        assert count[0] == scalar_evals == 3 * len(kept)
+
+    def test_overflowing_element_is_typed(self, uvw, exp_spec):
+        U, V, W = uvw
+        with pytest.raises(OverflowError):  # the scalar evaluation still raises
+            exp_spec.eval(800.0)
+        with pytest.raises(SingularCenter):
+            verify_aat(W - U * V, exp_spec.translate(800))
 
 
 class TestDiscover:

@@ -60,6 +60,20 @@ def files(tmp_path_factory):
         "zero_den": dump("zero_den.json", {
             "type": "builtin", "name": "rational", "numer": u.to_json_dict(),
             "denom": MultiPoly.zero(("u",)).to_json_dict()}),
+        "exp_800": dump("exp_800.json", {"type": "builtin", "name": "exp",
+                                         "shift": [800, 0]}),
+        "short_re": dump("short_re.json", {"vars": ["u", "z"], "terms": [
+            {"exps": [0, 2], "re": [1], "im": ["0", "1"]},
+            {"exps": [1, 0], "re": ["1", "1"]}]}),
+        "short_exps": dump("short_exps.json", {"vars": ["u", "z"], "terms": [
+            {"exps": [2], "re": ["1", "1"]}, {"exps": [1, 0], "re": ["1", "1"]}]}),
+        "short_coeff": dump("short_coeff.json", {
+            "type": "element", "series": {"center": [0, 0], "low": 0, "order": 2,
+                                          "exact": True,
+                                          "coeffs": [[["1", "1"]], [["1", "1"], ["0", "1"]]]}}),
+        "short_float": dump("short_float.json", {
+            "type": "element", "series": {"center": [0, 0], "low": 0, "order": 2,
+                                          "exact": False, "coeffs": [[1.0], [1.0, 0.0]]}}),
         "root": root,
     }
 
@@ -137,6 +151,38 @@ class TestExitCodes:
         out = capsys.readouterr()
         rep = json.loads(out.out)  # exactly one JSON object
         assert (code, rep["error"]["type"]) == want and out.err == ""
+
+
+    @pytest.mark.parametrize("omega", ["800,0", "710.5,0"])
+    def test_overflowing_period_samples_are_dropped(self, files, capsys, omega):
+        # exp overflows at u + 800; at u + 710.5 the values that do not
+        # overflow all exceed the 1e8 bound, so no sample is left either
+        code = run_command(["period", "verify", "--fn", files["exp"],
+                            "--omega", omega])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert (code, rep["error"]["type"]) == (1, "AllPointsSingular")
+        assert out.err == ""
+
+    def test_overflowing_element_is_one_typed_error(self, files, capsys):
+        code = run_command(["aat", "verify", "--fn", files["exp_800"],
+                            "--poly", files["g_exp"]])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)
+        assert (code, rep["error"]["type"]) == (1, "SingularCenter")
+        assert "overflows" in rep["error"]["message"] and out.err == ""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["algebroid", "singular", "--curve", "short_re"], "[1]"),
+        (["algebroid", "singular", "--curve", "short_exps"], "[2]"),
+        (["aat", "verify", "--poly", "g_exp", "--fn", "short_coeff"], "[['1', '1']]"),
+        (["aat", "verify", "--poly", "g_exp", "--fn", "short_float"], "[1.0]")])
+    def test_malformed_json_term_is_a_schema_error(self, files, capsys, argv, needle):
+        code = run_command([files.get(a, a) for a in argv])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert (code, rep["error"]["type"]) == (2, "SchemaError") and out.err == ""
+        assert needle in rep["error"]["message"]
 
 
 class TestSpecErrors:

@@ -8,13 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aatkit.errors import InsufficientRoots
+from aatkit import period
+from aatkit.errors import AllPointsSingular, InsufficientRoots
 from aatkit.functions import FunctionSpec
 from aatkit.period import (
     DEFAULT_REGION,
     _ROOT_RESIDUAL,
     _ROOT_SEPARATION,
     Region,
+    _draw_regular_shift,
     _newton_lockstep,
     _reduce_candidates,
     find_roots,
@@ -312,6 +314,206 @@ class TestVerifyPeriod:
 
     def test_pole_dodging(self, tan_spec):
         assert verify_period(tan_spec, math.pi) < 1e-9
+
+
+# -- the one-point-at-a-time loops the array samplers replaced ----------------
+
+def _scalar_verify_period(f, omega, samples=100, seed=0, box=2.0):
+    """(worst, kept points, largest |phi| kept) of the old verify_period loop."""
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    worst, kept, big = 0.0, [], 0.0
+    for _ in range(samples * 20):
+        if len(kept) >= samples:
+            break
+        u = complex(rng.uniform(-box, box), rng.uniform(-box, box))
+        if not (f.is_regular(u) and f.is_regular(u + omega)):
+            continue
+        a, b = f.eval(u), f.eval(u + omega)
+        if max(abs(a), abs(b)) > 1e8:
+            continue
+        worst = max(worst, abs(b - a))
+        big = max(big, abs(a), abs(b))
+        kept.append(u)
+    return worst, kept, big
+
+
+def _scalar_draw_regular_shift(f, roots, rng, tries=60):
+    for _ in range(tries):
+        u = complex(rng.uniform(0.3, 1.7), rng.uniform(0.3, 1.7))
+        pts = [u] + [u + a for a in roots]
+        if all(f.is_regular(p) for p in pts):
+            vals = [f.eval(p) for p in pts]
+            if all(abs(v) < 1e8 for v in vals):
+                return u
+    return None
+
+
+def _scalar_accept(f, C, reg, converged):
+    """Root acceptance of converged Newton points, one point at a time."""
+    scale = max(1.0, abs(C))
+    found = []
+    for r in converged:
+        if not reg.contains(r, pad=1e-9):
+            continue
+        if abs(f.eval(r) - C) > _ROOT_RESIDUAL * scale:
+            continue
+        if all(abs(r - s) > _ROOT_SEPARATION for s in found):
+            found.append(r)
+    found.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    return found
+
+
+@pytest.fixture
+def eval_log(monkeypatch):
+    """Every FunctionSpec.eval_many call as (points, values)."""
+    calls = []
+    real = FunctionSpec.eval_many
+
+    def spy(self, u):
+        out = real(self, u)
+        calls.append((np.array(u), out))
+        return out
+
+    monkeypatch.setattr(FunctionSpec, "eval_many", spy)
+    return calls
+
+
+def _count_scalar_evals(monkeypatch):
+    count = [0]
+    real = FunctionSpec.eval
+
+    def counting(self, u):
+        count[0] += 1
+        return real(self, u)
+
+    monkeypatch.setattr(FunctionSpec, "eval", counting)
+    return count
+
+
+class Overflowing(FunctionSpec):
+    """exp with an infinite value wherever Re u > 1, as an overflow gives."""
+
+    def eval(self, u):
+        return complex("inf") if complex(u).real > 1 else super().eval(u)
+
+    def eval_many(self, u):
+        out = super().eval_many(u)
+        out[np.asarray(u).real > 1] = complex("inf")
+        return out
+
+
+def _sampler_specs():
+    u = MultiPoly.variable("u")
+    tan_element = FunctionSpec.builtin("tan").element_at(0, 24)
+    return [
+        (FunctionSpec.builtin("sin"), 2 * math.pi),
+        (FunctionSpec.builtin("sin"), math.pi),
+        (FunctionSpec.builtin("tan"), math.pi),
+        (FunctionSpec.builtin("exp"), 2j * math.pi),
+        (FunctionSpec.builtin("cos"), 1.0 + 0.5j),
+        (FunctionSpec.rational(u * u + 1, 2 * u - 1), 1.0),
+        (FunctionSpec.rational(3 * u + 1, u - Fraction(1, 3)), 0.25j),
+        (FunctionSpec.builtin("tan").translate(0.4 + 0.2j), math.pi),
+        (FunctionSpec.builtin("exp").translate(Fraction(1, 2)), 2j * math.pi),
+        (FunctionSpec.element(tan_element), 0.5),           # irregular off |u| < 1.26
+        (FunctionSpec.element(tan_element.to_numeric()), 0.1 + 0.1j),
+    ]
+
+
+class TestArraySamplers:
+    """verify_period, the shift draw and root acceptance against in-test
+    copies of the one-point-at-a-time loops they replaced."""
+
+    @pytest.mark.parametrize("i", range(11))
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_verify_period_keeps_the_scalar_prefix(self, i, seed, eval_log):
+        f, omega = _sampler_specs()[i]
+        want, kept, big = _scalar_verify_period(f, omega, seed=seed)
+        got = verify_period(f, omega, seed=seed)
+        assert abs(got - want) <= 1e-13 * max(1.0, big)
+        # calls alternate u, u + omega per chunk; the kept u are the old ones
+        ours = []
+        for (u, a), (w, b) in zip(eval_log[::2], eval_log[1::2]):
+            assert np.array_equal(w, u + omega)
+            ours += u[np.maximum(np.abs(a), np.abs(b)) <= 1e8].tolist()
+        assert ours == kept
+
+    def test_algebroid_evaluations_match_the_scalar_loop(self, monkeypatch,
+                                                         sqrt_curve):
+        class LeftCut(FunctionSpec):  # irregular draws make several chunks
+            def is_regular(self, u):
+                return complex(u).real > -1 and super().is_regular(u)
+
+        f = LeftCut("algebroid", curve=sqrt_curve, base=1.0)
+        count = _count_scalar_evals(monkeypatch)
+        want, kept, _big = _scalar_verify_period(f, 0.5, samples=6)
+        scalar_evals, count[0] = count[0], 0
+        assert verify_period(f, 0.5, samples=6) == want
+        assert count[0] == scalar_evals == 2 * len(kept)
+
+    @pytest.mark.parametrize("i", range(11))
+    def test_shift_draw_matches_the_scalar_loop(self, i):
+        f, omega = _sampler_specs()[i]
+        roots = [0.0, omega, 2 * omega]
+        want = _scalar_draw_regular_shift(f, roots, np.random.default_rng(i))
+        got = _draw_regular_shift(f, roots, np.random.default_rng(i))
+        assert (got and got[0]) == want
+        if got:
+            ref = [f.eval(want + a) for a in roots]
+            assert all(abs(a - b) <= 1e-13 * max(1.0, abs(b)) for a, b in zip(got[1], ref))
+
+    def test_root_acceptance_matches_the_scalar_loop(self, monkeypatch):
+        # the 40 cases of test_lockstep_matches_scalar_newton: the accepted
+        # roots of every lockstep output are exactly the scalar loop's
+        outputs = []
+        real = period._newton_lockstep
+
+        def recording(*args, **kw):
+            outputs.append(real(*args, **kw))
+            return outputs[-1]
+
+        monkeypatch.setattr(period, "_newton_lockstep", recording)
+        rng = random.Random(2024)
+        for i in range(40):
+            f = _random_spec(rng, i)
+            C = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            if f.name == "rational":
+                h = rng.uniform(3, 10)
+                reg = Region(-h, h, -h, h)
+            else:
+                x0, y0 = rng.uniform(-25, 5), rng.uniform(-10, 2)
+                reg = Region(x0, x0 + rng.uniform(2, 40), y0, y0 + rng.uniform(1, 20))
+            rs = find_roots(f, C, reg, 0, max_doublings=0)
+            assert rs.roots == _scalar_accept(f, C, reg, outputs[-1]), (f.label(), C)
+            ref = max((abs(f.eval(r) - C) for r in rs.roots), default=0.0)
+            assert abs(rs.residual_max - ref) <= 1e-15 * max(1.0, abs(C))
+
+
+class TestOverflow:
+    """Samples whose value overflows are dropped like values above the
+    magnitude bound; the scalar FunctionSpec.eval still raises."""
+
+    def test_all_overflowing_is_all_points_singular(self, exp_spec):
+        with pytest.raises(AllPointsSingular):
+            verify_period(exp_spec, 800.0)
+        with pytest.raises(AllPointsSingular):  # the rest exceed 1e8
+            verify_period(exp_spec, 710.5)
+
+    def test_residual_over_the_finite_samples(self):
+        f = Overflowing("builtin", name="exp")
+        want, kept, big = _scalar_verify_period(f, 2j * math.pi)
+        assert len(kept) == 100 and all(u.real <= 1 for u in kept)
+        got = verify_period(f, 2j * math.pi)
+        assert abs(got - want) <= 1e-13 * big and got < 1e-12
+
+    def test_shift_draw_redraws_after_an_overflow(self, exp_spec):
+        assert _draw_regular_shift(exp_spec, [800.0], np.random.default_rng(0)) is None
+        f = Overflowing("builtin", name="exp")
+        u, vals = _draw_regular_shift(f, [0.0, 0.25j], np.random.default_rng(0))
+        first = np.random.default_rng(0).uniform(0.3, 1.7)
+        assert first > 1 and u.real <= 1  # the first draw overflowed
+        assert u == _scalar_draw_regular_shift(f, [0.0, 0.25j], np.random.default_rng(0))
+        assert np.all(np.isfinite(vals))
 
 
 class TestForsythFit:

@@ -1,7 +1,9 @@
 """Exact scalars and sparse polynomial arithmetic."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,6 +139,25 @@ class TestMultiPoly:
         p = MultiPoly(names, terms)
         assignment = dict(zip(names, point))
         assert repr(p.eval(assignment)) == repr(self.recursive_eval(p, assignment))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+               st.tuples(*[st.integers(0, 3)] * 3),
+               st.builds(ExactScalar, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+                         st.sampled_from([0, Fraction(1, 3), -2])),
+               max_size=8),
+           st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False), min_size=15,
+                    max_size=15))
+    def test_eval_over_arrays_is_elementwise(self, terms, values):
+        p = MultiPoly("UVW", terms)
+        cols = [np.array(values[i::3]) for i in range(3)]
+        got = p.eval(dict(zip("UVW", cols)))
+        for k in range(5):
+            at = [c[k] for c in cols]
+            want = p.eval(dict(zip("UVW", at)))
+            size = sum(abs(complex(c)) * math.prod(abs(x) ** e for x, e in zip(at, exps))
+                       for exps, c in p.terms.items())  # Horner's error scale
+            assert abs(np.broadcast_to(got, (5,))[k] - want) <= 1e-14 * max(1.0, size)
 
     def test_eval_missing_variable(self):
         U, V = MultiPoly.variable("U"), MultiPoly.variable("V")
