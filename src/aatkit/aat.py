@@ -47,18 +47,17 @@ from .functions import (
     rational_taylor,
 )
 from .poly import MultiPoly, monic_lex, poly_squarefree_content
-from .scalars import ExactScalar, gauss_divexact, gaussian_integers
+from .scalars import ExactScalar, rationalize
 from .series import (
     PREC_BITS,
     BiSeries,
     TruncSeries,
     _common,
     _line_powers,
-    _max_bits,
-    _pack,
     compose_shift,
     radius_estimate,
 )
+from .zi import gaussian_integers, nullspace
 
 DEFAULT_SCHWARZ_ORDER = 24
 
@@ -240,120 +239,15 @@ def normalize_relation(p: MultiPoly) -> MultiPoly:
     """Scale so the first nonzero coefficient in graded-lex order is 1."""
     if p.is_zero():
         return p
-    vars = p.vars
     items = sorted(p.terms.items(), key=lambda t: (sum(t[0]),
                                                    tuple(-e for e in t[0])))
     lead = items[0][1]
     return p.scale(ExactScalar.one() / lead)
 
 
-_P, _I = 2147483629, 629208553         # _P = 1 (mod 4) and _I**2 = -1 (mod _P)
-
-
 def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[ExactScalar]]:
-    """_integer_nullspace of ExactScalar rows, each over its denominators' lcm."""
-    ints = [gaussian_integers(row)[1:] for row in rows]
-    return _integer_nullspace([r for r, _ in ints], [i for _, i in ints], ncols)
-
-
-def _integer_nullspace(re: list[list[int]], im: list[list[int]],
-                       ncols: int) -> list[list[ExactScalar]]:
-    """Reduced kernel basis of the Gaussian-integer rows re + i im (one
-    vector per free column f, 1 at f and 0 at the other free columns).
-
-    Bareiss runs on the pivot rows of an elimination modulo _P < 2**31 on
-    int64 residues, i -> _I mapping Z[i] onto the field F_p.  Those rows are
-    independent over Q(i), so their kernel holds the true one, and is it
-    (reduced basis and all) once each of its vectors passes the exact check
-    M v = 0 on all rows; should one fail (_P divides a minor the choice
-    relied on), Bareiss runs on all rows.
-    """
-    A = np.array([[(x + _I * y) % _P for x, y in zip(r, s)] for r, s in zip(re, im)],
-                 dtype=np.int64).reshape(len(re), ncols)
-    keep, k = list(range(len(re))), 0
-    for c in range(ncols):
-        nz = np.flatnonzero(A[k:, c])
-        if nz.size:
-            p = k + int(nz[0])
-            A[[k, p]], keep[k], keep[p] = A[[p, k]], keep[p], keep[k]
-            A[k + 1:] = (A[k + 1:] * A[k, c] - np.outer(A[k + 1:, c], A[k])) % _P
-            k += 1
-    if k == ncols:                      # full column rank: the kernel is zero
-        return []
-    basis = _bareiss_kernel([re[i] for i in keep[:k]], [im[i] for i in keep[:k]], ncols)
-    return basis if _annihilates(re, im, basis, ncols) else _bareiss_kernel(re, im, ncols)
-
-
-def _bareiss_kernel(re: list[list[int]], im: list[list[int]],
-                    ncols: int) -> list[list[ExactScalar]]:
-    """The reduced kernel basis of the Gaussian-integer rows re + i im, by
-    fraction-free Bareiss elimination (each update divided exactly by the
-    previous pivot, so entries stay minors; the pivot columns are the column
-    rank profile).  The vector of a free column f is solved in integers over
-    the pivots left of f times the last of them, Delta (Cramer: Delta x is
-    integral); only its entries y / Delta are rational."""
-    re, im = [list(r) for r in re], [list(s) for s in im]
-    pivots: list[int] = []
-    prev = (1, 0)
-    for c in range(ncols):
-        k = len(pivots)
-        if k == len(re):
-            break
-        p = next((i for i in range(k, len(re)) if re[i][c] or im[i][c]), None)
-        if p is None:
-            continue
-        re[k], re[p], im[k], im[p] = re[p], re[k], im[p], im[k]
-        pr, pi, kr, ki = re[k][c], im[k][c], re[k], im[k]
-        live = []
-        for i in range(k + 1, len(re)):
-            xr, xi = re[i], im[i]
-            lr, li = xr[c], xi[c]
-            xr[c] = xi[c] = 0
-            for j in range(c + 1, ncols):
-                ar, ai, br, bi = xr[j], xi[j], kr[j], ki[j]
-                xr[j], xi[j] = gauss_divexact(pr * ar - pi * ai - lr * br + li * bi,
-                                               pr * ai + pi * ar - lr * bi - li * br,
-                                               prev)
-            if any(xr) or any(xi):
-                live.append(i)
-        re[k + 1:] = [re[i] for i in live]
-        im[k + 1:] = [im[i] for i in live]
-        pivots.append(c)
-        prev = (pr, pi)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        s = sum(1 for pc in pivots if pc < fc)
-        dr, di = (re[s - 1][pivots[s - 1]], im[s - 1][pivots[s - 1]]) if s else (1, 0)
-        y: list[tuple[int, int]] = [(0, 0)] * s
-        for t in range(s - 1, -1, -1):
-            xr, xi = -dr * re[t][fc] + di * im[t][fc], -dr * im[t][fc] - di * re[t][fc]
-            for u in range(t + 1, s):
-                ar, ai = re[t][pivots[u]], im[t][pivots[u]]
-                yr, yi = y[u]
-                xr -= ar * yr - ai * yi
-                xi -= ar * yi + ai * yr
-            y[t] = gauss_divexact(xr, xi, (re[t][pivots[t]], im[t][pivots[t]]))
-        vec = [ExactScalar.zero()] * ncols
-        vec[fc] = ExactScalar.one()
-        norm = dr * dr + di * di
-        for pc, (yr, yi) in zip(pivots, y):
-            vec[pc] = ExactScalar.of_fractions(Fraction(yr * dr + yi * di, norm),
-                                               Fraction(yi * dr - yr * di, norm))
-        basis.append(vec)
-    return basis
-
-
-def _annihilates(re: list[list[int]], im: list[list[int]],
-                 basis: list[list[ExactScalar]], ncols: int) -> bool:
-    """M v = 0 exactly for every v in basis, M = re + i im, with w = v scaled
-    to Z[i] and each column of M packed into one integer per part (Kronecker):
-    an entry of M w sums ncols terms, each below 2**(bits_M + bits_w + 1)."""
-    ws = [gaussian_integers(v)[1:] for v in basis]
-    slot = _max_bits(re + im) + _max_bits([x for w in ws for x in w]) + ncols.bit_length() + 2
-    cr, ci = ([_pack(list(c), slot) for c in zip(*m)] for m in (re, im))
-    return not any(sum(a * x - b * y for a, b, x, y in zip(cr, ci, wr, wi))
-                   or sum(a * y + b * x for a, b, x, y in zip(cr, ci, wr, wi))
-                   for wr, wi in ws)
+    """zi.nullspace of ExactScalar rows, each over its denominators' lcm."""
+    return nullspace([list(zip(*gaussian_integers(row)[1:])) for row in rows], ncols)
 
 
 def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[list[ExactScalar | None]]:
@@ -416,14 +310,14 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     # over the lcm of the column denominators (1 on the binary scale)
     at = [(p + q) * (p + q + 1) // 2 + q for p in range(n) for q in range(n - p)]
     L = math.lcm(*(c.den for c in cols))
-    flat = [([x * m for x in chain(*c.re)], [y * m for y in chain(*c.im)])
+    flat = [[(x * m, y * m) for x, y in zip(chain(*c.re), chain(*c.im))]
             for c, m in ((c, L // c.den) for c in cols)]
-    re, im = [[r[k] for r, _ in flat] for k in at], [[i[k] for _, i in flat] for k in at]
+    rows = [[col[k] for col in flat] for k in at]
     if all(c.exact for c in cols):
-        vecs = _integer_nullspace(re, im, len(monos))
+        vecs = nullspace(rows, len(monos))
     else:
-        vecs = _numeric_nullspace(np.array([[c._value(x, y) for x, y, c in zip(r, i, cols)]
-                                            for r, i in zip(re, im)]))
+        vecs = _numeric_nullspace(np.array([[c._value(*x) for x, c in zip(row, cols)]
+                                            for row in rows]))
     return _kernel_relations(vecs, monos, ("U", "V", "W"))
 
 
@@ -463,7 +357,6 @@ def _clean_numeric_vec(vec: np.ndarray) -> list[ExactScalar | None]:
     The vector is scaled by its largest entry first; entries that refuse a
     small rational form are kept as float-backed rationals.
     """
-    from .scalars import rationalize
     scale = max(abs(x) for x in vec)
     if scale == 0:
         return [None] * len(vec)
@@ -548,7 +441,6 @@ def _subst_const(G: MultiPoly, var: str, value, exact: bool) -> MultiPoly:
     if exact:
         c = ExactScalar.coerce(value)
     else:
-        from .scalars import rationalize
         re = rationalize(complex(value).real)
         im = rationalize(complex(value).imag)
         if re is None or im is None:

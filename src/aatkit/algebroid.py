@@ -40,10 +40,10 @@ from .errors import (
     RootFindingFailure,
     SingularCenter,
 )
-from .poly import (MultiPoly, ZiPoly, poly_gcd, zi_coeffs, zi_derivative,
-                   zi_divexact, zi_gcd)
-from .scalars import ExactScalar, gaussian_integers, rationalize
+from .poly import MultiPoly, poly_gcd, zi_coeffs
+from .scalars import ExactScalar, rationalize
 from .series import TruncSeries
+from .zi import ZiPoly, gaussian_integers, zi_derivative, zi_divexact, zi_gcd, zi_horner
 
 _SUPPORT_REL = 1e-10
 _CLUSTER_REL = 2e-6
@@ -92,7 +92,7 @@ class AlgebroidCurve:
             return False
         cols = _zi_columns(self)[1]
         for u0 in _SQF_POINTS:   # f = D F(u0, z), highest power first
-            f = [_zi_horner(col, u0) for col in reversed(cols)]
+            f = [zi_horner(col, (u0, 0)) for col in reversed(cols)]
             if f[0] != (0, 0) and len(zi_gcd(f, zi_derivative(f))) == 1:
                 return True
         return False
@@ -408,32 +408,24 @@ def _exact_shift(curve: AlgebroidCurve,
     du = len(cols[0]) - 1
     for col in cols:
         for k in range(du):
-            for j in range(du - 1, k - 1, -1):
-                (xr, xi), (yr, yi) = col[j], col[j + 1]
+            for j in range(1, du - k + 1):
+                (xr, xi), (yr, yi) = col[j], col[j - 1]
                 col[j] = (xr + wr * yr - wi * yi, xi + wr * yi + wi * yr)
-        col[:] = [(xr * m ** l, xi * m ** l) for l, (xr, xi) in enumerate(col)]
+        col[:] = [(xr * m ** l, xi * m ** l) for l, (xr, xi) in enumerate(reversed(col))]
     return D * m ** du, cols
 
 
 def _zi_columns(curve: AlgebroidCurve,
                 m: int = 1) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(D, cols) with D m^du F(u / m, z) = sum cols[i][j] u^j z^i in
-    Gaussian integers, du the degree of F in u."""
+    """(D, cols) with D m^du F(u / m, z) = sum cols[i][j] u^(du-j) z^i in
+    Gaussian integers, du the degree of F in u: cols[i] is a ZiPoly in u."""
     F, u, z = curve.F, curve.u_var, curve.z_var
     du, iu, iz = F.degree(u), F.vars.index(u), F.vars.index(z)
     D, re, im = gaussian_integers(F.terms.values())
     cols = [[(0, 0)] * (du + 1) for _ in range(F.degree(z) + 1)]
     for e, xr, xi in zip(F.terms, re, im):
-        cols[e[iz]][e[iu]] = (xr * m ** (du - e[iu]), xi * m ** (du - e[iu]))
+        cols[e[iz]][du - e[iu]] = (xr * m ** (du - e[iu]), xi * m ** (du - e[iu]))
     return D, cols
-
-
-def _zi_horner(col: list[tuple[int, int]], x: int) -> tuple[int, int]:
-    """sum col[j] x^j for Gaussian integers col[j] and an integer x."""
-    ar = ai = 0
-    for xr, xi in reversed(col):
-        ar, ai = ar * x + xr, ai * x + xi
-    return ar, ai
 
 
 def _as_exact(center) -> ExactScalar | None:
@@ -541,11 +533,8 @@ def _snap_root(c: ZiPoly, r: complex) -> complex:
     if re is None or im is None:
         return r
     m = math.lcm(re.denominator, im.denominator)   # q = (wr + i wi) / m
-    wr, wi = re.numerator * (m // re.denominator), im.numerator * (m // im.denominator)
-    ar, ai, mk = 0, 0, 1                            # m^d c(q), by Horner
-    for xr, xi in c:
-        ar, ai, mk = ar * wr - ai * wi + xr * mk, ar * wi + ai * wr + xi * mk, mk * m
-    return complex(float(re), float(im)) if ar == ai == 0 else r
+    w = (re.numerator * (m // re.denominator), im.numerator * (m // im.denominator))
+    return complex(float(re), float(im)) if zi_horner(c, w, m) == (0, 0) else r
 
 
 def _polish_poly_root(f: list[complex], df: list[complex], r: complex,

@@ -2,18 +2,14 @@
 
 The resultant is the exact Sylvester determinant, reduced before it is
 eliminated: one pseudo-division of the higher-degree operand by the other
-(the first step of the Euclidean reduction of a resultant; Collins 1967,
-Brown and Traub 1971) replaces an (m+n)-row Sylvester matrix by one of
-n + k rows, k the degree of the pseudo-remainder, and fraction-free Bareiss
-elimination (Bareiss 1968) takes the determinant of what is left.  In the
-doubling chain one operand is the link, whose degree n in the eliminated
-variable is f's degree in x, so the determinant has at most 2n - 1 rows
-whatever the degree of the accumulated relation: none is needed when f is
-linear in x (the resultant is then the pseudo-remainder, up to sign), and
-3 rows suffice for the sin chain.  Both steps run on Gaussian-integer
-arrays: each operand is read once over one denominator, its other
-variables Kronecker-packed into one (x_0 -> t, x_1 -> t^B_0, ...), and only
-the result becomes a MultiPoly, its coefficients the exact x / D.
+(Collins 1967, Brown and Traub 1971) leaves a Sylvester matrix of n + k
+rows, k the degree of the pseudo-remainder (at most 2n - 1 in the doubling
+chain, n the degree of f in x), whose determinant fraction-free Bareiss
+elimination (Bareiss 1968) takes.  Both steps run on packed scalars: each
+coefficient's other variables are Kronecker-packed into one, t, evaluated
+at t = 2^S, so it is one Gaussian integer for aatkit.zi's zi_prem and
+determinant.  S lies above an a-priori bound (_res_rows) on every value
+tested for zero and on the result, the one value unpacked.
 
 PolyInW models a polynomial in one distinguished variable W whose
 coefficients live either in the exact polynomial ring (MultiPoly) or in a
@@ -30,7 +26,6 @@ last variable with the first.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import (
@@ -40,122 +35,102 @@ from .errors import (
     OrderExhausted,
     PreconditionFailed,
 )
-from .poly import (MultiPoly, ZiPoly, divexact, monic_lex, poly_squarefree_content,
-                   zi_divexact)
-from .scalars import ExactScalar, gaussian_integers
-from .series import BiSeries, _line_product
+from .poly import MultiPoly, divexact, monic_lex, poly_gcd, poly_squarefree_content
+from .scalars import ExactScalar
+from .series import BiSeries
+from .zi import (ZiPoly, _unpack, determinant, gauss_divexact, gauss_pow, gaussian_integers,
+                 gaussian_scalar, zi_prem)
 
 Coefficient = Union[MultiPoly, BiSeries]
+Image = dict[int, tuple[int, int]]
 
 
-# -- resultants on Gaussian-integer arrays ------------------------------------
+# -- resultants on packed scalars ----------------------------------------------
 # An operand p is read as rows: D p = sum_k rows[k] var^(d-k), row k the image
 # phi(c) of a coefficient c in Z[i][x_0, ..] under x_j -> t^(B_0 .. B_(j-1)),
-# a ZiPoly in t ([] is zero).  phi is a ring homomorphism into the domain
-# Z[i][t], so the pseudo-division and Bareiss, run on the images, compute the
-# image of their result: exact divisions stay exact, and zero tests and
-# degrees in var may be read from the images, since Res(B, prem(A, B)) enters
-# only as lc(B)^k prod R(roots of B), for any k >= deg R.  Reading the result
-# back needs phi one-to-one on it: B_j above its degree in x_j.  Res(f, g) is
-# homogeneous of degree deg g in the coefficients of f and deg f in those of
-# g, so B_j = deg g deg_j f + deg f deg_j g + 1 (a discriminant: (2n - 2)
-# deg_j f + 1), which also keeps every leading coefficient's image nonzero.
+# a {t-exponent: (re, im)} map.  phi and the evaluation at t = 2^S are ring
+# homomorphisms, so the pseudo-division and Bareiss, run on the packed
+# images, compute the packed image of their result, and exact divisions stay
+# exact; a value is zero exactly when its image is while its t-coefficients
+# are below 2^(S-1) in size.  Degrees in var may be read from the images,
+# since Res(B, prem(A, B)) enters only as lc(B)^k prod R(roots of B), for any
+# k >= deg R.  Reading the result back needs phi one-to-one on it: B_j above
+# its degree in x_j.  Res(f, g) is homogeneous of degree deg g in the
+# coefficients of f and deg f in those of g, so B_j = deg g deg_j f +
+# deg f deg_j g + 1 (a discriminant: (2n - 2) deg_j f + 1), which also keeps
+# every leading coefficient's image nonzero.
 
 def _rows(p: MultiPoly, var: str, rest: tuple[str, ...],
-          radix: list[int]) -> tuple[int, list[ZiPoly]]:
+          radix: list[int]) -> tuple[int, list[Image]]:
     iv, d = p.vars.index(var), p.degree(var)
     at = [(p.vars.index(v), math.prod(radix[:j])) for j, v in enumerate(rest) if v in p.vars]
     D, re, im = gaussian_integers(p.terms.values())
-    rows: list[dict] = [{} for _ in range(d + 1)]
+    rows: list[Image] = [{} for _ in range(d + 1)]
     for e, xr, xi in zip(p.terms, re, im):
         rows[d - e[iv]][sum(e[i] * w for i, w in at)] = (xr, xi)
-    return D, [[r.get(s, (0, 0)) for s in range(max(r), -1, -1)] if r else []
-               for r in rows]
+    return D, rows
 
 
-def _unpacked(c: ZiPoly, D: int, rest: tuple[str, ...], radix: list[int]) -> MultiPoly:
-    """phi^-1(c) / D; D < 0 flips the sign."""
-    w = [math.prod(radix[:j]) for j in range(len(radix))]
-    return MultiPoly(rest, {tuple(s // x % b for x, b in zip(w, radix)):
-                            ExactScalar.of_fractions(Fraction(xr, D), Fraction(xi, D))
-                            for s, (xr, xi) in enumerate(reversed(c)) if xr or xi})
+def _norm(c: Image) -> int:
+    """N(c) = sum |re| + |im| over the terms of c: it bounds every
+    t-coefficient of c, and N(c c') <= N(c) N(c')."""
+    return sum(abs(xr) + abs(xi) for xr, xi in c.values())
 
 
-def _mul(a: ZiPoly, b: ZiPoly) -> ZiPoly:
-    """a b, Kronecker-packed into big integers (series._line_product)."""
-    if not a or not b:
-        return []
-    return list(zip(*_line_product(*zip(*a), *zip(*b), len(a) + len(b) - 1)))
+def _packed(rows: list[Image], S: int) -> ZiPoly:
+    return [(sum(xr << S * s for s, (xr, _) in c.items()),
+             sum(xi << S * s for s, (_, xi) in c.items())) for c in rows]
 
 
-def _cross(a: ZiPoly, p: ZiPoly, c: ZiPoly, q: ZiPoly) -> ZiPoly:
-    """a p - c q."""
-    x, y = _mul(a, p), _mul(c, q)
-    n = max(len(x), len(y))
-    x, y = [(0, 0)] * (n - len(x)) + x, [(0, 0)] * (n - len(y)) + y
-    out = [(xr - yr, xi - yi) for (xr, xi), (yr, yi) in zip(x, y)]
-    return out[next((k for k, v in enumerate(out) if v != (0, 0)), n):]
+def _unpacked(c: tuple[int, int], S: int, D: int, rest: tuple[str, ...],
+              radix: list[int]) -> MultiPoly:
+    """phi^-1 of the image packed at t = 2^S, over D; D < 0 flips the sign."""
+    w, n = [math.prod(radix[:j]) for j in range(len(radix))], math.prod(radix)
+    return MultiPoly(rest, {tuple(s // q % b for q, b in zip(w, radix)): gaussian_scalar(x, y, D)
+                            for s, (x, y) in enumerate(zip(*(_unpack(v, n, S) for v in c)))
+                            if x or y})
 
 
-def _power(a: ZiPoly, e: int) -> ZiPoly:
-    out = [(1, 0)]
-    for _ in range(e):
-        out = _mul(out, a)
-    return out
-
-
-def _prem(a: list[ZiPoly], b: list[ZiPoly]) -> list[ZiPoly]:
-    """pseudo_rem on rows: lc(b)^(da-db+1) a mod b."""
-    lb, owed = b[0], len(a) - len(b) + 1
-    while len(a) >= len(b):
-        a = [_cross(x, lb, a[0], y) for x, y in zip(a[1:], b[1:])] + \
-            [_mul(x, lb) for x in a[len(b):]]
-        a = a[next((k for k, x in enumerate(a) if x), len(a)):]
-        owed -= 1
-    return [_mul(x, _power(lb, owed)) for x in a] if owed and a else a
-
-
-def _bareiss(m: list[list[ZiPoly]]) -> tuple[int, ZiPoly]:
-    """(sign, det) with the determinant sign * det, fraction-free; every
-    division is exact by Sylvester's identity."""
-    n, sign, prev = len(m), 1, [(1, 0)]
-    for r in range(n - 1):
-        if not m[r][r]:
-            swap = next((i for i in range(r + 1, n) if m[i][r]), None)
-            if swap is None:
-                return 1, []
-            m[r], m[swap], sign = m[swap], m[r], -sign
-        pivot = m[r][r]
-        for i in range(r + 1, n):
-            m[i][r + 1:] = [zi_divexact(_cross(x, pivot, m[i][r], y), prev)
-                            for x, y in zip(m[i][r + 1:], m[r][r + 1:])]
-        prev = pivot
-    return sign, m[-1][-1]
-
-
-def _res_rows(f: list[ZiPoly], g: list[ZiPoly]) -> tuple[int, ZiPoly]:
-    """(sign, res) with Res(f, g) = sign * res, for rows of positive degree.
+def _res_rows(f: list[Image], g: list[Image]) -> tuple[tuple[int, int], int]:
+    """(Res(f, g) packed at t = 2^S, S) for rows of positive degree.
 
     With A the operand of higher degree m, B the other (degree n >= 1,
     leading coefficient l) and R = prem(A, B) = l^(m-n+1) A mod B of degree
     k, every root b of B has R(b) = l^(m-n+1) A(b), so Res(B, A) =
     l^(m-k) Res(B, R) / l^((m-n+1) n), an exact division by
-    l^((n-1)(m-n)+k).  Res(B, R) is R^n when k = 0, zero when R is, and
-    otherwise the Bareiss determinant of the (n+k)-row Sylvester matrix.
-    Res(f, g) is (-1)^(mn) Res(g, f).
+    l^((n-1)(m-n)+k); Res(B, R) is the Bareiss determinant of the (n+k)-row
+    Sylvester matrix, and Res(f, g) = (-1)^(mn) Res(g, f).  S bounds:
+    * each pseudo-remainder: a step r <- l r - lc(r) x^j B at most multiplies
+      the largest N of r by 2 N(B), so every remainder, times its owed power
+      of l too, is at most P = (2 max N(B))^(m-n+1) max N(A);
+    * each Bareiss entry, pivots included: a minor of the Sylvester matrix of
+      B and R, so at most the product of its row sums of N, k <= n - 1 rows
+      of B and n rows of R: (sum N(B))^(n-1) (n P)^n;
+    * the result: the product of the row sums of the Sylvester matrix of f
+      and g.  A discriminant Res(f, f') / lc(f) is the determinant of that
+      matrix with its first column (lc and n lc) divided by lc, whose row
+      sums are no larger.
+    The divisions by l^e and by lc are exact in Z[i][t], and evaluation at
+    2^S is a ring map, so they need no bound of their own.
     """
     swap = len(f) >= len(g)
     A, B = (f, g) if swap else (g, f)
     m, n = len(A) - 1, len(B) - 1
-    R = _prem(A, B)
+    nA, nB = [_norm(c) for c in A], [_norm(c) for c in B]
+    P = (2 * max(nB)) ** (m - n + 1) * max(nA)
+    bound = max(P, sum(nB) ** (n - 1) * (n * P) ** n, sum(nA) ** n * sum(nB) ** m)
+    S = bound.bit_length() + 1
+    A, B = _packed(A, S), _packed(B, S)
+    R = zi_prem(A, B)
     k = len(R) - 1
     if k < 0:
-        return 1, []
-    sign, res = (1, _power(R[0], n)) if k == 0 else _bareiss(
-        [[[]] * r + B + [[]] * (k - 1 - r) for r in range(k)]
-        + [[[]] * r + R + [[]] * (n - 1 - r) for r in range(n)])
-    e = (n - 1) * (m - n) + k
-    return -sign if swap and m * n % 2 else sign, zi_divexact(res, _power(B[0], e))
+        return (0, 0), S
+    z = [(0, 0)]
+    xr, xi = determinant([z * r + B + z * (k - 1 - r) for r in range(k)]
+                         + [z * r + R + z * (n - 1 - r) for r in range(n)])
+    if swap and m * n % 2:
+        xr, xi = -xr, -xi
+    return gauss_divexact(xr, xi, gauss_pow(B[0], (n - 1) * (m - n) + k)), S
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
@@ -168,8 +143,8 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     rest = tuple(v for v in sorted(set(f.vars) | set(g.vars)) if v != var)
     radix = [n * f.degree(v) + m * g.degree(v) + 1 for v in rest]
     (Df, F), (Dg, G) = _rows(f, var, rest, radix), _rows(g, var, rest, radix)
-    sign, res = _res_rows(F, G)
-    return _unpacked(res, sign * Df ** n * Dg ** m, rest, radix)
+    res, S = _res_rows(F, G)
+    return _unpacked(res, S, Df ** n * Dg ** m, rest, radix)
 
 
 def discriminant(f: MultiPoly, var: str) -> MultiPoly:
@@ -180,10 +155,10 @@ def discriminant(f: MultiPoly, var: str) -> MultiPoly:
     rest = tuple(v for v in sorted(f.vars) if v != var)
     radix = [(2 * n - 2) * f.degree(v) + 1 for v in rest]
     D, F = _rows(f, var, rest, radix)     # f = F / D, f' = F' / D
-    sign, res = _res_rows(F, [[(xr * e, xi * e) for xr, xi in row]
-                              for row, e in zip(F, range(n, 0, -1))])
-    return _unpacked(zi_divexact(res, F[0]), (-1) ** (n * (n - 1) // 2) * sign
-                     * D ** (2 * n - 2), rest, radix)
+    res, S = _res_rows(F, [{s: (xr * e, xi * e) for s, (xr, xi) in c.items()}
+                           for c, e in zip(F, range(n, 0, -1))])
+    return _unpacked(gauss_divexact(*res, _packed(F[:1], S)[0]), S,
+                     (-1) ** (n * (n - 1) // 2) * D ** (2 * n - 2), rest, radix)
 
 
 # -- polynomials in W over a coefficient domain -------------------------------
@@ -310,8 +285,6 @@ def _monic_series(p: PolyInW) -> PolyInW:
 
 def _gcd_poly(a: PolyInW, b: PolyInW) -> PolyInW:
     """Primitive pseudo-remainder chain over the rational-function field."""
-    from .poly import content_wrt, poly_gcd  # local: avoids polluting module API
-
     def prim(p: PolyInW) -> PolyInW:
         live = [c for c in p.coeffs if not c.is_zero()]
         if not live:

@@ -61,6 +61,10 @@ class DivisionByZeroSeries(AatkitError):
     """Divisor is identically zero to the available order."""
 
 
+class NumericOverflow(AatkitError):
+    """A binary-scale series value lies beyond the double range."""
+
+
 # -- elimination layer ----------------------------------------------------
 
 class OrderExhausted(AatkitError):

@@ -9,23 +9,24 @@ aligned by name (sorted union) before combining.
 Division, GCD and square-free reduction are the classical primitive
 pseudo-remainder constructions (Collins 1967).  The multivariate GCD recurses
 through contents down to one live variable, and there it runs on dense
-Gaussian-integer coefficient lists (ZiPoly): the denominators are cleared
-once, the remainder chain is made primitive by a Gaussian-integer Euclid on
-its coefficients, and only the monic result becomes ExactScalars again.
+Gaussian-integer coefficient lists (aatkit.zi's ZiPoly): the denominators
+are cleared once, the remainder chain (zi_prem) is made primitive by a
+Gaussian-integer Euclid on its coefficients, and only the monic result
+becomes ExactScalars again.  Resultants (aatkit.elimination) read each
+coefficient in the eliminated variable as one Gaussian integer: its other
+variables packed into t = 2^S, S above an a-priori bound on every value.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import (DegreeZero, InexactDivision, MissingVariable, PolyDomainError,
                      SchemaError)
-from .scalars import ExactScalar, gauss_divexact, gauss_gcd, gaussian_integers
+from .scalars import ExactScalar
+from .zi import ZiPoly, gaussian_integers, gaussian_scalar, zi_gcd
 
 Exponents = tuple[int, ...]
 
@@ -444,12 +445,7 @@ def content_wrt(p: MultiPoly, var: str) -> MultiPoly:
     return monic_lex(g).with_vars(p.vars) if not g.is_zero() else g
 
 
-# -- univariate core on Gaussian integers ------------------------------------
-# A ZiPoly is a dense list of (re, im) int pairs, highest power first, with a
-# nonzero leading pair.
-
-ZiPoly = list[tuple[int, int]]
-
+# -- the univariate core on Gaussian integers (aatkit.zi) ------------------------
 
 def zi_coeffs(p: MultiPoly, var: str) -> tuple[int, ZiPoly]:
     """(D, c) with p = (sum_k c[k] var^(d-k)) / D, D > 0, for a nonzero p
@@ -460,52 +456,6 @@ def zi_coeffs(p: MultiPoly, var: str) -> tuple[int, ZiPoly]:
         vals[d - exps[i]] = coeff
     D, re, im = gaussian_integers(vals)
     return D, list(zip(re, im))
-
-
-def zi_derivative(c: ZiPoly) -> ZiPoly:
-    return [(xr * e, xi * e) for (xr, xi), e in zip(c, range(len(c) - 1, 0, -1))]
-
-
-def zi_primitive(c: ZiPoly) -> ZiPoly:
-    """c divided by the Gaussian-integer GCD of its coefficients."""
-    g = (functools.reduce(gauss_gcd, c, (0, 0)) if any(xi for _, xi in c)
-         else (math.gcd(*(xr for xr, _ in c)), 0))
-    return c if g[0] ** 2 + g[1] ** 2 == 1 else [gauss_divexact(*x, g) for x in c]
-
-
-def zi_gcd(a: ZiPoly, b: ZiPoly) -> ZiPoly:
-    """Primitive GCD of two nonzero ZiPolys (unique up to a unit of Z[i]):
-    the primitive pseudo-remainder chain."""
-    if len(a) < len(b):
-        a, b = b, a
-    b = zi_primitive(b)
-    while len(b) > 1:
-        (lr, li), r = b[0], a
-        while len(r) >= len(b):   # r <- lc(b) r - lc(r) x^k b, lead dropped
-            (cr, ci), tail = r[0], len(b)
-            r = [(lr * xr - li * xi - cr * yr + ci * yi, lr * xi + li * xr - cr * yi - ci * yr)
-                 for (xr, xi), (yr, yi) in zip(r[1:tail], b[1:])] + \
-                [(lr * xr - li * xi, lr * xi + li * xr) for xr, xi in r[tail:]]
-            lead = next((k for k, x in enumerate(r) if x != (0, 0)), len(r))
-            r = r[lead:]
-        if not r:
-            return b
-        a, b = b, zi_primitive(r)
-    return [(1, 0)]
-
-
-def zi_divexact(a: ZiPoly, b: ZiPoly) -> ZiPoly:
-    """The quotient a / b in Z[i][x]; InexactDivision unless it is exact
-    (by Gauss's lemma it is whenever b is primitive and divides a over Q(i))."""
-    q, r = [], list(a)
-    while len(r) >= len(b):
-        c = gauss_divexact(*r[0], b[0])
-        q.append(c)
-        r = [(xr - c[0] * yr + c[1] * yi, xi - c[0] * yi - c[1] * yr)
-             for (xr, xi), (yr, yi) in zip(r[1:len(b)], b[1:])] + r[len(b):]
-    if any(x != (0, 0) for x in r):
-        raise InexactDivision("polynomial division left a remainder in Z[i]")
-    return q
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -528,8 +478,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         (lr, li), n, d = g[0], g[0][0] ** 2 + g[0][1] ** 2, len(g) - 1
         i = a.vars.index(var)
         return MultiPoly(a.vars, {
-            (0,) * i + (d - k,) + (0,) * (len(a.vars) - i - 1): ExactScalar.of_fractions(
-                Fraction(xr * lr + xi * li, n), Fraction(xi * lr - xr * li, n))
+            (0,) * i + (d - k,) + (0,) * (len(a.vars) - i - 1):
+            gaussian_scalar(xr * lr + xi * li, xi * lr - xr * li, n)
             for k, (xr, xi) in enumerate(g) if xr or xi})
     var = live[0]
     cont_a, cont_b = content_wrt(a, var), content_wrt(b, var)

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import DivisionByZeroScalar, InexactDivision, InvariantViolation, SchemaError
+from .errors import DivisionByZeroScalar, InvariantViolation, SchemaError
 
 RationalLike = Union[int, Fraction]
 
@@ -140,9 +140,6 @@ class ExactScalar:
     def is_one(self) -> bool:
         return self.re == 1 and self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -178,41 +175,6 @@ def _operand(value) -> ExactScalar | None:
     if isinstance(value, (int, Fraction)):
         return ExactScalar(value)
     return None
-
-
-def gaussian_integers(values) -> tuple[int, list[int], list[int]]:
-    """(D, re, im) with values[k] = (re[k] + i im[k]) / D for ExactScalar
-    values, D > 0 the lcm of their denominators."""
-    D = math.lcm(*{x.denominator for c in values for x in (c.re, c.im)})
-    return (D, [c.re.numerator * (D // c.re.denominator) for c in values],
-            [c.im.numerator * (D // c.im.denominator) for c in values])
-
-
-def gauss_divexact(xr: int, xi: int, q: tuple[int, int]) -> tuple[int, int]:
-    """(xr + i xi) / q in Z[i]; InexactDivision unless the division is exact."""
-    qr, qi = q
-    if qi:
-        n = qr * qr + qi * qi
-        xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
-    else:
-        n = qr
-    a, ra = divmod(xr, n)
-    b, rb = divmod(xi, n)
-    if ra or rb:
-        raise InexactDivision(f"{q} does not divide ({xr}, {xi}) in Z[i]")
-    return a, b
-
-
-def gauss_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """A GCD of two Gaussian integers (Euclid with the nearest quotient, so
-    each remainder has at most half the norm of the divisor)."""
-    (ar, ai), (br, bi) = a, b
-    while br or bi:
-        n = br * br + bi * bi
-        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
-        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
-        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
-    return ar, ai
 
 
 def json_pair(x) -> list:

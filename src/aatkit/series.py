@@ -49,15 +49,16 @@ from .errors import (
     CenterMismatch,
     DivisionByZeroSeries,
     InvariantViolation,
+    NumericOverflow,
     OutsideDisc,
     SchemaError,
     SingularCenter,
     TooFewCoefficients,
 )
-from .scalars import ExactScalar, gaussian_integers, json_pair
+from .scalars import ExactScalar, json_pair
+from .zi import _max_bits, _pack, _unpack, gaussian_integers, gaussian_scalar
 
 _NUMERIC_ZERO_REL = 1e-12
-_ZERO = Fraction(0)
 
 
 def _is_exact_scalar(c) -> bool:
@@ -470,32 +471,6 @@ def _round_div(n: int, d: int) -> int:
     return q
 
 
-def _pack(vals: list[int], slot: int) -> int:
-    """Kronecker substitution: sum vals[k] * 2**(k*slot), signed entries.
-    A long list is packed by halves, which keeps the cost near linear."""
-    if len(vals) > 32:
-        h = len(vals) // 2
-        return _pack(vals[:h], slot) + (_pack(vals[h:], slot) << h * slot)
-    x = 0
-    for v in reversed(vals):
-        x = (x << slot) + v
-    return x
-
-
-def _unpack(x: int, n: int, slot: int) -> list[int]:
-    """Inverse of _pack for n entries that each fit in slot - 1 bits."""
-    full = 1 << slot
-    mask, half = full - 1, full >> 1
-    out = []
-    for _ in range(n):
-        v = x & mask
-        if v >= half:
-            v -= full
-        out.append(v)
-        x = (x - v) >> slot
-    return out
-
-
 def _pack_rows(re: list[list[int]], im: list[list[int]],
                slot: int) -> list[tuple[int, int, int, int]]:
     """Per row: the number z of leading zero entries, then the packed real
@@ -524,10 +499,6 @@ def _row_product(pa: list, pb: list, d: int, ks: range,
         s2 += ai * bi << z
         s3 += asum * bsum << z
     return _unpack(s1 - s2, d + 1, slot), _unpack(s3 - s1 - s2, d + 1, slot)
-
-
-def _max_bits(rows: list[list[int]]) -> int:
-    return max(map(abs, chain.from_iterable(rows)), default=0).bit_length()
 
 
 def _triangle_product(ar: list[list[int]], ai: list[list[int]],
@@ -582,7 +553,7 @@ def _exact_product(a: list[ExactScalar], b: list[ExactScalar],
     db, br, bi = gaussian_integers(b[:n])
     D = da * db
     re, im = _line_product(ar, ai, br, bi, n)
-    return [_gaussian_scalar(x, y, D) for x, y in zip(re, im)]
+    return [gaussian_scalar(x, y, D) for x, y in zip(re, im)]
 
 
 def _exact_inverse(a: list[ExactScalar]) -> list[ExactScalar]:
@@ -616,15 +587,9 @@ def _exact_inverse(a: list[ExactScalar]) -> list[ExactScalar]:
     out = []
     cr, ci, den = D * gr, -D * gi, norm          # D conj(g)^(k+1), |g|^(2(k+1))
     for u, v in zip(br, bi):
-        out.append(_gaussian_scalar(u * cr - v * ci, u * ci + v * cr, den))
+        out.append(gaussian_scalar(u * cr - v * ci, u * ci + v * cr, den))
         cr, ci, den = cr * gr + ci * gi, ci * gr - cr * gi, den * norm
     return out
-
-
-def _gaussian_scalar(x: int, y: int, D: int) -> ExactScalar:
-    """The ExactScalar (x + i y) / D, D > 0."""
-    return ExactScalar.of_fractions(Fraction(x, D) if x else _ZERO,
-                                    Fraction(y, D) if y else _ZERO)
 
 
 def _floor_log2(n: int, d: int) -> int:
@@ -658,6 +623,15 @@ def _row_recurrence(ar: list[list[int]], ai: list[list[int]], n: int,
         bits_b = max(bits_b, _max_bits([rr, ri]))
         pb += _pack_rows([rr], [ri], slot)
     return re, im
+
+
+def _ldexp(m, e: int) -> float:
+    """m * 2**e as a float; NumericOverflow when it is beyond the double
+    range (a binary-scale value read as a complex)."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        raise NumericOverflow(f"{m:.6g} * 2**{e} overflows a double") from None
 
 
 def _common(a: "BiSeries", b: "BiSeries") -> tuple["BiSeries", "BiSeries"]:
@@ -792,8 +766,8 @@ class BiSeries:
 
     def _value(self, x: int, y: int):
         if self.exp is None:
-            return _gaussian_scalar(x, y, self.den)
-        return complex(math.ldexp(x, self.exp), math.ldexp(y, self.exp))
+            return gaussian_scalar(x, y, self.den)
+        return complex(_ldexp(x, self.exp), _ldexp(y, self.exp))
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -825,7 +799,7 @@ class BiSeries:
             return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
         best = max((a * a + b * b for ra, rb in zip(self.re, self.im)
                     for a, b in zip(ra, rb)), default=0)
-        return math.ldexp(math.sqrt(best), self.exp)
+        return _ldexp(math.sqrt(best), self.exp)
 
     def valuation(self, tol: float = 0.0) -> int | None:
         """Minimal total degree with a nonzero coefficient; on the binary

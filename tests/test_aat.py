@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aatkit import aat
+from aatkit import aat, zi
 from aatkit.algebroid import AlgebroidCurve
 from aatkit.elimination import PolyInW
 from aatkit.aat import (
@@ -617,19 +617,19 @@ class TestExactKernel:
     def test_discovery_matrices_match_gauss_jordan(self, monkeypatch, name,
                                                    bounds, dim):
         systems = []
-        integer_kernel = aat._integer_nullspace
+        integer_kernel = zi.nullspace
 
-        def spy(re, im, ncols):
-            systems.append((re, im, ncols))
-            return integer_kernel(re, im, ncols)
+        def spy(m, ncols):
+            systems.append((m, ncols))
+            return integer_kernel(m, ncols)
 
-        monkeypatch.setattr(aat, "_integer_nullspace", spy)
+        monkeypatch.setattr(aat, "nullspace", spy)
         f = _mobius_spec() if name == "mobius" else FunctionSpec.builtin(name)
         polys = discover_aat(f, bounds, order=16)
-        (re, im, ncols), = systems
-        assert all(type(x) is int for row in re + im for x in row)
-        rows = [[ExactScalar(x, y) for x, y in zip(r, i)] for r, i in zip(re, im)]
-        kernel = integer_kernel(re, im, ncols)
+        (m, ncols), = systems
+        assert all(type(x) is int for row in m for pair in row for x in pair)
+        rows = [[ExactScalar(x, y) for x, y in r] for r in m]
+        kernel = integer_kernel(m, ncols)
         assert kernel == _gauss_jordan_nullspace(rows, ncols)
         assert len(polys) == len(kernel)
         if dim is not None:
@@ -641,18 +641,18 @@ class TestExactKernel:
         # rows 0 and 2 are multiples of p, so modulo p the row basis is row 1
         # alone; its kernel has dimension 3, the check M v = 0 fails, and
         # Bareiss runs again on all rows
-        p = aat._P
+        p = zi._P
         re = [[p, 0, 2 * p, p], [1, 1, 0, 0], [0, p, -p, 3 * p]]
         im = [[0, p, 0, -p], [0, 0, 1, 0], [p, 0, 0, 0]]
         calls = []
-        bareiss = aat._bareiss_kernel
+        bareiss = zi.bareiss
 
-        def spy(r, i, ncols):
-            calls.append(len(r))
-            return bareiss(r, i, ncols)
+        def spy(m, ncols):
+            calls.append(len(m))
+            return bareiss(m, ncols)
 
-        monkeypatch.setattr(aat, "_bareiss_kernel", spy)
-        got = aat._integer_nullspace(re, im, 4)
+        monkeypatch.setattr(zi, "bareiss", spy)
+        got = zi.nullspace([list(zip(r, i)) for r, i in zip(re, im)], 4)
         assert calls == [1, 3]
         rows = [[ExactScalar(x, y) for x, y in zip(r, i)] for r, i in zip(re, im)]
         assert got == _gauss_jordan_nullspace(rows, 4)
@@ -667,5 +667,5 @@ class TestExactKernel:
         A = _random_matrix(random.Random(data.draw(st.integers(0, 10 ** 9))), m, n, rank)
         # some rows scaled by p vanish modulo p and may force the fallback
         for k in data.draw(st.sets(st.integers(0, m - 1), max_size=3)):
-            A[k] = [c * aat._P for c in A[k]]
+            A[k] = [c * zi._P for c in A[k]]
         assert aat._exact_nullspace(A, n) == _gauss_jordan_nullspace(A, n)

@@ -36,6 +36,7 @@ from aatkit.errors import (
 from aatkit.elimination import discriminant
 from aatkit.poly import MultiPoly, monic_lex, poly_gcd
 from aatkit.scalars import ExactScalar
+from aatkit.zi import zi_horner
 
 
 # -- exact oracle for the polar branches at u = 0 ----------------------------
@@ -444,7 +445,7 @@ def test_squarefree_proof_matches_discriminant():
         cols = algebroid._zi_columns(curve)[1]
         for u0 in algebroid._SQF_POINTS:
             shifted = algebroid._exact_shift(curve, ExactScalar(u0))[1]
-            assert [algebroid._zi_horner(c, u0) for c in cols] == [c[0] for c in shifted]
+            assert [zi_horner(c, (u0, 0)) for c in cols] == [c[0] for c in shifted]
         verdicts["accepted"] += 1
     assert verdicts == {"accepted": 225, "rejected": 75}
 

@@ -62,6 +62,8 @@ def files(tmp_path_factory):
             "denom": MultiPoly.zero(("u",)).to_json_dict()}),
         "exp_800": dump("exp_800.json", {"type": "builtin", "name": "exp",
                                          "shift": [800, 0]}),
+        "exp_700": dump("exp_700.json", {"type": "builtin", "name": "exp",
+                                         "shift": [700, 0]}),
         "short_re": dump("short_re.json", {"vars": ["u", "z"], "terms": [
             {"exps": [0, 2], "re": [1], "im": ["0", "1"]},
             {"exps": [1, 0], "re": ["1", "1"]}]}),
@@ -171,6 +173,18 @@ class TestExitCodes:
         rep = json.loads(out.out)
         assert (code, rep["error"]["type"]) == (1, "SingularCenter")
         assert "overflows" in rep["error"]["message"] and out.err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["aat", "verify", "--fn", "exp_700", "--poly", "g_exp"],
+        ["aat", "discover", "--fn", "exp_700", "--bounds", "1,1,1"],
+        ["reduce", "schwarz", "--fn", "exp_700", "--poly", "g_exp"]])
+    def test_series_beyond_double_range_is_one_typed_error(self, files, capsys, argv):
+        # exp(700) is finite, but products of the element's coefficients
+        # leave the double range when they are read as complex numbers
+        code = run_command([files.get(a, a) for a in argv])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert (code, rep["error"]["type"]) == (1, "NumericOverflow") and out.err == ""
 
     @pytest.mark.parametrize("argv,needle", [
         (["algebroid", "singular", "--curve", "short_re"], "[1]"),

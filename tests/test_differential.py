@@ -59,9 +59,12 @@ def sympy_resultant(f: MultiPoly, g: MultiPoly, var: str = "z"):
                                              sympy.Symbol(var))
 
 
+# numerators and imaginary parts sometimes reach 2**64 in size, which
+# stresses the slot bound of the packed resultant
 gaussian = st.builds(ExactScalar,
-                     st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3])),
-                     st.sampled_from([0, 0, 1, -2]))
+                     st.builds(Fraction, st.integers(-5, 5) | st.sampled_from([2 ** 64, -2 ** 64]),
+                               st.sampled_from([1, 2, 3])),
+                     st.sampled_from([0, 0, 1, -2, 2 ** 64, -2 ** 64]))
 
 
 @st.composite

@@ -21,13 +21,8 @@ from aatkit.poly import (
     poly_mul,
     poly_squarefree_content,
     pseudo_rem,
-    zi_coeffs,
-    zi_derivative,
-    zi_divexact,
-    zi_gcd,
-    zi_primitive,
 )
-from aatkit.scalars import ExactScalar, gauss_divexact, gauss_gcd
+from aatkit.scalars import ExactScalar
 
 
 def brute_mul(a: MultiPoly, b: MultiPoly) -> dict:
@@ -352,37 +347,3 @@ def test_poly_domain_errors_are_typed(site):
 def test_bad_polynomial_file_is_a_schema_error(terms):
     with pytest.raises(SchemaError):
         parse_spec_data({"vars": ["u", "z"], "terms": terms})
-
-
-# -- the univariate core on Gaussian integers ----------------------------------
-
-UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-
-
-def test_gauss_gcd_and_exact_division():
-    g = gauss_gcd((3, 4), (5, 0))                # 3 + 4i = (2 + i)^2, 5 = (2 + i)(2 - i)
-    assert g[0] ** 2 + g[1] ** 2 == 5
-    assert gauss_divexact(3, 4, g) and gauss_divexact(5, 0, g)   # no remainder
-    assert gauss_gcd((0, 0), (1, 2)) == (1, 2) and gauss_gcd((1, 2), (0, 0)) == (1, 2)
-    assert gauss_gcd((6, 0), (4, 0)) in [(2 * a, 2 * b) for a, b in UNITS]
-    with pytest.raises(InexactDivision):
-        gauss_divexact(1, 0, (1, 1))
-
-
-def test_zi_gcd_is_primitive_and_divides():
-    x = MultiPoly.variable("x")
-    i = MultiPoly.constant(ExactScalar(0, 1), ("x",))
-    D, a = zi_coeffs((2 + 2 * i) * (x - i) ** 2 * (x + 3), "x")
-    _, b = zi_coeffs(6 * (x - i) * (x - 5), "x")
-    assert D == 1 and a[0] == (2, 2)
-    x_minus_i = [(1, 0), (0, -1)]
-    for g in (zi_gcd(a, b), zi_gcd(b, a), zi_gcd(a, zi_derivative(a))):
-        assert len(g) == 2 and g[0] in UNITS          # primitive, degree 1
-        assert zi_divexact(g, x_minus_i) == [g[0]]
-    assert zi_gcd(b, [(7, 0)]) == [(1, 0)]
-    assert zi_primitive([(4, 0), (6, 0)]) == [(2, 0), (3, 0)]
-    # 2 + 2i and 4i share (1 + i)^3; what is left is a unit times (1, 1 + i)
-    (ur, ui), rest = zi_primitive([(2, 2), (0, 4)])
-    assert (ur, ui) in UNITS and rest == (ur - ui, ur + ui)
-    with pytest.raises(InexactDivision):
-        zi_divexact(b, [(1, 0), (1, 0)])

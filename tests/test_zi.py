@@ -1,0 +1,95 @@
+"""The Gaussian-integer kernel: exact division and GCD of Gaussian integers,
+the univariate helpers, the one pseudo-remainder against MultiPoly's and the
+one Bareiss determinant against sympy."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from aatkit.errors import InexactDivision
+from aatkit.poly import MultiPoly, pseudo_rem, zi_coeffs
+from aatkit.scalars import ExactScalar
+from aatkit.zi import (determinant, gauss_divexact, gauss_gcd, zi_derivative, zi_divexact,
+                       zi_gcd, zi_prem, zi_primitive)
+
+UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+def test_gauss_gcd_and_exact_division():
+    g = gauss_gcd((3, 4), (5, 0))                # 3 + 4i = (2 + i)^2, 5 = (2 + i)(2 - i)
+    assert g[0] ** 2 + g[1] ** 2 == 5
+    assert gauss_divexact(3, 4, g) and gauss_divexact(5, 0, g)   # no remainder
+    assert gauss_gcd((0, 0), (1, 2)) == (1, 2) and gauss_gcd((1, 2), (0, 0)) == (1, 2)
+    assert gauss_gcd((6, 0), (4, 0)) in [(2 * a, 2 * b) for a, b in UNITS]
+    with pytest.raises(InexactDivision):
+        gauss_divexact(1, 0, (1, 1))
+
+
+def test_zi_gcd_is_primitive_and_divides():
+    x = MultiPoly.variable("x")
+    i = MultiPoly.constant(ExactScalar(0, 1), ("x",))
+    D, a = zi_coeffs((2 + 2 * i) * (x - i) ** 2 * (x + 3), "x")
+    _, b = zi_coeffs(6 * (x - i) * (x - 5), "x")
+    assert D == 1 and a[0] == (2, 2)
+    x_minus_i = [(1, 0), (0, -1)]
+    for g in (zi_gcd(a, b), zi_gcd(b, a), zi_gcd(a, zi_derivative(a))):
+        assert len(g) == 2 and g[0] in UNITS          # primitive, degree 1
+        assert zi_divexact(g, x_minus_i) == [g[0]]
+    assert zi_gcd(b, [(7, 0)]) == [(1, 0)]
+    assert zi_primitive([(4, 0), (6, 0)]) == [(2, 0), (3, 0)]
+    # 2 + 2i and 4i share (1 + i)^3; what is left is a unit times (1, 1 + i)
+    (ur, ui), rest = zi_primitive([(2, 2), (0, 4)])
+    assert (ur, ui) in UNITS and rest == (ur - ui, ur + ui)
+    with pytest.raises(InexactDivision):
+        zi_divexact(b, [(1, 0), (1, 0)])
+
+
+# zeros are frequent, so that remainders drop several degrees at once (the
+# owed power of lc(b)) and pivots are missing (row swaps, singular matrices)
+gauss = st.tuples(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 2 ** 40]),
+                  st.sampled_from([0, 0, 0, 1, -2, 5]))
+
+
+zipoly = st.lists(gauss, min_size=1, max_size=7).filter(lambda c: c[0] != (0, 0))
+
+
+def as_poly(c):
+    return MultiPoly.from_univariate("x", [ExactScalar(*z) for z in reversed(c)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(zipoly | st.just([]), zipoly)
+def test_zi_prem_matches_pseudo_rem(a, b):
+    want = pseudo_rem(as_poly(a), as_poly(b), "x")
+    D, c = zi_coeffs(want.with_vars(("x",)), "x") if not want.is_zero() else (1, [])
+    assert D == 1 and zi_prem(a, b) == c
+
+
+@st.composite
+def gaussian_matrix(draw):
+    """A square matrix of Gaussian integers; every third one gets a row
+    that is a combination of two others, so it is singular."""
+    n = draw(st.integers(1, 5))
+    m = [draw(st.lists(gauss, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 3 and draw(st.integers(0, 2)) == 0:
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        (pr, pi), (qr, qi) = draw(gauss), draw(gauss)
+        m[k] = [(pr * ar - pi * ai + qr * br - qi * bi, pr * ai + pi * ar + qr * bi + qi * br)
+                for (ar, ai), (br, bi) in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_matrix())
+def test_determinant_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    want = sympy.expand(sympy.Matrix([[re + sympy.I * im for re, im in row]
+                                      for row in m]).det())
+    assert determinant(m) == (int(sympy.re(want)), int(sympy.im(want)))
+
+
+def test_determinant_row_swaps_and_rank():
+    # a zero leading entry forces one swap (sign -1), a second one another
+    assert determinant([[(0, 0), (1, 0)], [(2, 1), (3, 0)]]) == (-2, -1)
+    assert determinant([[(0, 0), (0, 0), (1, 0)], [(0, 0), (1, 0), (0, 0)],
+                        [(1, 0), (0, 0), (0, 0)]]) == (-1, 0)
+    assert determinant([[(1, 1), (2, 2)], [(0, 1), (0, 2)]]) == (0, 0)
