@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -52,9 +52,9 @@ from .series import (
     PREC_BITS,
     BiSeries,
     TruncSeries,
-    _common,
-    _line_powers,
+    coefficient_rows,
     compose_shift,
+    outer_sums,
     radius_estimate,
 )
 from .zi import gaussian_integers, nullspace
@@ -181,22 +181,23 @@ def verify_aat(G: MultiPoly, f: FunctionSpec, order: int = 16, base=None,
     `tol`: pairs are drawn in chunks of the number still needed, at most
     `samples * 20`, and kept where phi is regular at u, v and u + v with the
     three values finite and at most 1e6 in modulus.  Refutations report the
-    first failing total degree.
+    first failing total degree.  The order checked, the smallest order of
+    the three elements, must exceed deg G.
     """
     _check_uvw_vars(G)
-    if order <= G.total_degree():
-        raise OrderTooLowForDegree(
-            f"order {order} must exceed deg G = {G.total_degree()}")
+    _check_degree(G, order)
     if base is None:
         base = f.default_base()
     U, V, W = _elements_uvw(f, base, order)
+    n = min(U.order, V.order, W.order)
+    _check_degree(G, n)
     residual = relation_residual(G, U, V, W)
     base_c = _to_complex(base)
     if residual.exact:
         val = residual.valuation()
         status = "verified" if val is None else "refuted"
-        return AatCertificate(G, order, status, "exact", base_c,
-                              residual_valuation=order if val is None else val,
+        return AatCertificate(G, n, status, "exact", base_c,
+                              residual_valuation=n if val is None else val,
                               first_failure=val)
     # numeric: series screen plus random sampling
     val = residual.valuation(tol=1e-7)
@@ -222,8 +223,15 @@ def verify_aat(G: MultiPoly, f: FunctionSpec, order: int = 16, base=None,
     if got == 0:
         raise SingularBasePoint("no regular sample points found")
     status = "verified" if (worst < tol and val is None) else "refuted"
-    return AatCertificate(G, order, status, "numeric", base_c,
+    return AatCertificate(G, n, status, "numeric", base_c,
                           residual_max=worst, first_failure=val)
+
+
+def _check_degree(G: MultiPoly, order: int):
+    """OrderTooLowForDegree unless the order exceeds the total degree of G."""
+    if order <= G.total_degree():
+        raise OrderTooLowForDegree(
+            f"order {order} must exceed deg G = {G.total_degree()}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,8 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
 
     Builds the linear system over the bivariate series coefficients of all
     monomials U^i V^j W^k in the box and returns its kernel as normalized
-    polynomials; an empty list means no relation at these bounds.
+    polynomials; an empty list means no relation at these bounds.  The
+    order and the smallest element order must reach 2 (d_u + d_v + d_w) + 4.
     """
     d_u, d_v, d_w = degree_bounds
     min_order = 2 * (d_u + d_v + d_w) + 4
@@ -305,34 +314,24 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     U, V, W = _elements_uvw(f, base, order)
     monos = _grlex_monomials(degree_bounds)
     n = min(U.order, V.order, W.order)
-    cols = _uvw_columns(U, V, W, monos, n)
-    # the row of x^p y^q is entry q of row p + q of each column's triangle,
-    # over the lcm of the column denominators (1 on the binary scale)
-    at = [(p + q) * (p + q + 1) // 2 + q for p in range(n) for q in range(n - p)]
-    L = math.lcm(*(c.den for c in cols))
-    flat = [[(x * m, y * m) for x, y in zip(chain(*c.re), chain(*c.im))]
-            for c, m in ((c, L // c.den) for c in cols)]
-    rows = [[col[k] for col in flat] for k in at]
+    if n < min_order:
+        raise OrderTooLow(f"element order {n} < required {min_order} for bounds "
+                          f"{degree_bounds}")
+    # the columns U^i V^j W^k on one scale (binary if W is): each distinct
+    # U^i V^j is one outer product, and W^k enters by one product if k > 0
+    keys = sorted({m[:2] for m in monos})
+    uvs = outer_sums(U, V, [{k: 1} for k in keys], n)
+    if not W.exact:
+        uvs = [uv.to_binary() for uv in uvs]
+    uv = dict(zip(keys, uvs))
+    wps = _powers(W.truncate(n), d_w)
+    cols = [uv[i, j] * wps[k] if k else uv[i, j] for i, j, k in monos]
+    rows = coefficient_rows(cols, n)
     if all(c.exact for c in cols):
         vecs = nullspace(rows, len(monos))
     else:
-        vecs = _numeric_nullspace(np.array([[c._value(*x) for x, c in zip(row, cols)]
-                                            for row in rows]))
+        vecs = _numeric_nullspace(np.array(rows))
     return _kernel_relations(vecs, monos, ("U", "V", "W"))
-
-
-def _uvw_columns(U: BiSeries, V: BiSeries, W: BiSeries,
-                 monos: list[tuple[int, int, int]], n: int) -> list[BiSeries]:
-    """U^i V^j W^k for (i, j, k) in monos to order n, all on one scale (U a
-    series in x alone, V one in y alone): U^i V^j is one outer product of
-    exact line powers, scaled once, and W^k enters by one product if k > 0."""
-    U, V = _common(U, V)
-    ups = _line_powers(*U.line(0), max(m[0] for m in monos), n)
-    vps = _line_powers(*V.line(1), max(m[1] for m in monos), n)
-    wps = _powers(W.truncate(n), max(m[2] for m in monos))
-    return [uv * wps[k] if k else _common(uv, W)[0] for i, j, k in monos
-            for uv in [BiSeries.from_outer([(ups[i], vps[j])], n, U.den ** i * V.den ** j,
-                                           None if U.exact else i * U.exp + j * V.exp)]]
 
 
 def _kernel_relations(vecs: list[list], monos: list[tuple],
@@ -386,13 +385,15 @@ def koebe_normalize(G: MultiPoly, p1, p2, p3, order: int | None = None) -> Multi
     Input: G(P1(x), P2(y), P3(x+y)) = 0 to the working order.  The chain
     specializes x = 0 and y = 0, eliminates the P3 slots by resultants, then
     the P2 slot, and returns Gbar with Gbar(P1(x), P1(y), P1(x+y)) = 0,
-    verified to the working order before returning.
+    verified to the working order (the smallest element order, which must
+    exceed deg G) before returning.
     """
     _check_uvw_vars(G)
     s1, s2, s3 = (_as_series(p) for p in (p1, p2, p3))
     if order is not None:
         s1, s2, s3 = (s.truncate(order) for s in (s1, s2, s3))
     work_order = min(s1.order, s2.order, s3.order)
+    _check_degree(G, work_order)
     pre = element_relation_residual(G, s1, s2, s3)
     if not _residual_ok(pre):
         raise PreconditionFailed("G does not annihilate (P1(x), P2(y), P3(x+y))")
@@ -579,47 +580,9 @@ def _shifted_poly_in_w(G: MultiPoly, f: FunctionSpec, base, sigma: complex,
 
 def _poly_in_w(G: MultiPoly, U: BiSeries, V: BiSeries, order: int) -> list[BiSeries]:
     """The coefficients of G(U, V, W) as a polynomial in W, to the given
-    order, for U a series in x only and V one in y only.
-
-    The W^k coefficient, sum of c_pq U^p V^q, is the sum over q of the outer
-    products R_q(x) V^q(y) with R_q = sum_p c_pq U^p.  U^p and V^q are exact
-    univariate Gaussian-integer rows over the common scale of U and V, each
-    c_pq enters at that scale (on the binary one rounded to the budget, as a
-    scalar product would round it), so each coefficient is summed exactly
-    and normalized once; no bivariate product is needed.
-    """
+    order, for U a series in x only and V one in y only (outer_sums)."""
     G = G.with_vars(("U", "V", "W"))
-    U, V = _common(U, V)
-    binary = not U.exact
-    ups = _line_powers(*U.line(0), G.degree("U"), order)
-    vqs = _line_powers(*V.line(1), G.degree("V"), order)
-    coeffs = []
-    for c in G.coefficients_wrt("W"):
-        terms = []           # (p, q, mantissa of c_pq, scale of c_pq U^p V^q)
-        for (p, q), value in c.terms.items():
-            k = BiSeries.const(value, 1)
-            if binary:
-                k = k.to_binary()
-                scale = k.exp + p * U.exp + q * V.exp
-            else:
-                scale = k.den * U.den ** p * V.den ** q
-            terms.append((p, q, k.re[0][0], k.im[0][0], scale))
-        if binary:       # exponents: align every term to the smallest, E
-            E = min((t[4] for t in terms), default=0)
-            terms = [(p, q, kr << e - E, ki << e - E) for p, q, kr, ki, e in terms]
-        else:            # denominators: bring every term over their lcm, E
-            E = math.lcm(*(t[4] for t in terms))
-            terms = [(p, q, kr * (E // d), ki * (E // d)) for p, q, kr, ki, d in terms]
-        rows: dict[int, tuple[list[int], list[int]]] = {}
-        for p, q, kr, ki in terms:
-            rr, ri = rows.setdefault(q, ([0] * order, [0] * order))
-            for i, (x, y) in enumerate(zip(*ups[p])):
-                rr[i] += kr * x - ki * y
-                ri[i] += kr * y + ki * x
-        pairs = [(r, vqs[q]) for q, r in rows.items()]
-        coeffs.append(BiSeries.from_outer(pairs, order, exp=E) if binary
-                      else BiSeries.from_outer(pairs, order, den=E))
-    return coeffs
+    return outer_sums(U, V, [c.terms for c in G.coefficients_wrt("W")], order)
 
 
 def _hp_element(f: FunctionSpec, center, element: TruncSeries,

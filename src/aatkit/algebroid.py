@@ -33,17 +33,19 @@ import numpy as np
 from .errors import (
     AmbiguousMatching,
     CorrectionDiverged,
-    DivisionByZeroSeries,
     InvariantViolation,
     NearSingular,
     NotSquareFree,
+    OrderTooLow,
     RootFindingFailure,
+    SchemaError,
     SingularCenter,
 )
 from .poly import MultiPoly, poly_gcd, zi_coeffs
 from .scalars import ExactScalar, rationalize
-from .series import TruncSeries
-from .zi import ZiPoly, gaussian_integers, zi_derivative, zi_divexact, zi_gcd, zi_horner
+from .series import TruncSeries, array_inverse, array_product
+from .zi import (ZiPoly, gaussian_integers, gaussian_scalar, zi_derivative, zi_divexact,
+                 zi_gcd, zi_horner, zi_shift)
 
 _SUPPORT_REL = 1e-10
 _CLUSTER_REL = 2e-6
@@ -398,33 +400,23 @@ def _local_array(curve: AlgebroidCurve, center) -> tuple[np.ndarray, tuple[int, 
 
 def _exact_shift(curve: AlgebroidCurve,
                  c: ExactScalar) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(N, cols) with N F(c + s, z) = sum cols[i][l] s^l z^i: one Taylor
-    shift on Gaussian integers.  With c = w / m, du the degree in u and
-    Q_i(y) = m^du p_i(y / m) for the coefficient p_i of z^i,
-    p_i(c + s) = sum_l q_il m^(l - du) s^l, q_il the coefficients of Q_i(w + y)."""
-    m = math.lcm(c.re.denominator, c.im.denominator)
-    wr, wi = int(c.re * m), int(c.im * m)
-    D, cols = _zi_columns(curve, m)
-    du = len(cols[0]) - 1
-    for col in cols:
-        for k in range(du):
-            for j in range(1, du - k + 1):
-                (xr, xi), (yr, yi) = col[j], col[j - 1]
-                col[j] = (xr + wr * yr - wi * yi, xi + wr * yi + wi * yr)
-        col[:] = [(xr * m ** l, xi * m ** l) for l, (xr, xi) in enumerate(reversed(col))]
-    return D * m ** du, cols
+    """(N, cols) with N F(c + s, z) = sum cols[i][l] s^l z^i in Gaussian
+    integers: with c = w / m and du the degree in u, cols[i] is the zi_shift
+    of the z^i column of _zi_columns, ascending, and N = D m^du."""
+    m, (wr,), (wi,) = gaussian_integers([c])
+    D, cols = _zi_columns(curve)
+    return D * m ** (len(cols[0]) - 1), [zi_shift(col, (wr, wi), m)[::-1] for col in cols]
 
 
-def _zi_columns(curve: AlgebroidCurve,
-                m: int = 1) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(D, cols) with D m^du F(u / m, z) = sum cols[i][j] u^(du-j) z^i in
-    Gaussian integers, du the degree of F in u: cols[i] is a ZiPoly in u."""
+def _zi_columns(curve: AlgebroidCurve) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(D, cols) with D F(u, z) = sum cols[i][j] u^(du-j) z^i in Gaussian
+    integers, du the degree of F in u: cols[i] is a ZiPoly in u of length du + 1."""
     F, u, z = curve.F, curve.u_var, curve.z_var
     du, iu, iz = F.degree(u), F.vars.index(u), F.vars.index(z)
     D, re, im = gaussian_integers(F.terms.values())
     cols = [[(0, 0)] * (du + 1) for _ in range(F.degree(z) + 1)]
     for e, xr, xi in zip(F.terms, re, im):
-        cols[e[iz]][du - e[iu]] = (xr * m ** (du - e[iu]), xi * m ** (du - e[iu]))
+        cols[e[iz]][du - e[iu]] = (xr, xi)
     return D, cols
 
 
@@ -554,46 +546,18 @@ def _polish_poly_root(f: list[complex], df: list[complex], r: complex,
 # ---------------------------------------------------------------------------
 # series-array helpers (dense ascending arrays in one parameter)
 
-def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    out = np.convolve(a[:n], b[:n])[:n]
-    if len(out) < n:
-        out = np.pad(out, (0, n - len(out)))
-    return out
-
-
-def _series_inv(a: np.ndarray, n: int) -> np.ndarray:
-    if a[0] == 0:
-        raise DivisionByZeroSeries("series inverse needs a nonzero constant term")
-    out = np.zeros(n, dtype=complex)
-    out[0] = 1.0 / a[0]
-    for k in range(1, n):
-        s = np.dot(a[1: k + 1], out[k - 1:: -1][: k])
-        out[k] = -s / a[0]
-    return out
-
-
-def _eval_poly_at_series(H: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """H(s, y(s)) truncated to n terms; H indexed [s-exp, y-exp]."""
-    J, I = H.shape
-    acc = np.zeros(n, dtype=complex)
-    for i in range(I - 1, -1, -1):
-        acc = _conv(acc, y, n)
-        upto = min(J, n)
-        acc[:upto] += H[:upto, i]
-    return acc
-
-
 def _newton_series(H: np.ndarray, n: int) -> np.ndarray:
     """Power series y(s), y(0) = 0, with H(s, y(s)) = O(s^n); simple root."""
     if H.shape[1] < 2 or H[0, 1] == 0:
         raise RootFindingFailure("Newton seed is not a simple root")
-    Hy = H[:, 1:] * np.arange(1, H.shape[1])[None, :]
+    cs = _spread(H, 1, n)
+    dcs = _spread(H[:, 1:] * np.arange(1, H.shape[1])[None, :], 1, n)
     y = np.zeros(n, dtype=complex)
     steps = max(1, math.ceil(math.log2(max(n, 2))) + 2)
     for _ in range(steps):
-        r = _eval_poly_at_series(H, y, n)
-        d = _eval_poly_at_series(Hy, y, n)
-        y = y - _conv(r, _series_inv(d, n), n)
+        r = _horner_series(cs, y, n)
+        d = _horner_series(dcs, y, n)
+        y = y - array_product(r, array_inverse(d, n), n)
     return y
 
 
@@ -764,7 +728,7 @@ def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSyst
             if v is None:
                 raise RootFindingFailure("polar branch with zero w-series")
             w = _polish(R, mu, e, w, order + 2 * v)
-            systems.append(BranchSystem(e, -v, _series_inv(w[v:], order + v), order))
+            systems.append(BranchSystem(e, -v, array_inverse(w[v:], order + v), order))
             got += e
         if got != n_inf:
             raise RootFindingFailure(
@@ -807,7 +771,7 @@ def _polish(H: np.ndarray, mu: complex, e: int, coeffs: np.ndarray,
         v = next((k for k in range(hi) if abs(d[k]) > _SUPPORT_REL * d_abs[k]), None)
         if v is None:
             raise RootFindingFailure("F_z vanishes along the branch to the working order")
-        step = _conv(r[v:], _series_inv(d[v:], hi - v), hi - v)
+        step = array_product(r[v:], array_inverse(d[v:], hi - v), hi - v)
         y = np.pad(y, (0, hi - len(y)))
         y[: hi - v] -= step
     return y[:order]
@@ -829,7 +793,7 @@ def _horner_series(cs: list[np.ndarray], y: np.ndarray, n: int) -> np.ndarray:
     """sum_i cs[i] y^i truncated to n terms."""
     acc = np.zeros(n, dtype=complex)
     for c in reversed(cs):
-        acc = _conv(acc, y, n) + c[:n]
+        acc = array_product(acc, y, n) + c[:n]
     return acc
 
 
@@ -855,10 +819,10 @@ def branch_residual(curve: AlgebroidCurve, branch: PuiseuxBranch,
     power = np.array([1.0 + 0j])
     term_scale = 0.0
     for i, c in enumerate(cs):
-        term = _conv(c, power, hi + i * v)      # c_i y^i from t^(i low) on
+        term = array_product(c, power, hi + i * v)      # c_i y^i from t^(i low) on
         term_scale = max(term_scale, float(np.abs(term).max()))
         acc[(n - i) * v:] += term
-        power = _conv(power, y, hi + (i + 1) * v)
+        power = array_product(power, y, hi + (i + 1) * v)
     scale = max(term_scale, 1.0)
     sig = np.nonzero(np.abs(acc) > rel * scale)[0]
     val = n * low + int(sig[0]) if len(sig) else None
@@ -893,32 +857,38 @@ def puiseux_expand_at_infinity(curve: AlgebroidCurve, order: int) -> list[Puiseu
 
 
 def exact_branch_element(curve: AlgebroidCurve, center, z0, order: int) -> TruncSeries:
-    """Exact Taylor element of a regular branch with rational data.
+    """Exact Taylor element of a regular branch with rational data: Newton's
+    z <- z - F / F_z on the _exact_shift columns of F(center + s, z).
 
-    Requires F(center, z0) = 0 and F_z(center, z0) != 0, both exactly;
-    raises SingularCenter otherwise.  Coefficients are Gaussian rationals.
+    Requires F(center, z0) = 0 and F_z(center, z0) != 0, both exactly (on
+    the s^0 row); raises SingularCenter otherwise, SchemaError unless center
+    and z0 are exact and OrderTooLow unless order >= 1.
     """
-    c = ExactScalar.coerce(center)
-    z0 = ExactScalar.coerce(z0)
-    Fc = curve.F.substitute_var(curve.u_var, MultiPoly.constant(c, (curve.u_var,)))
-    if not Fc.substitute_var(curve.z_var,
-                             MultiPoly.constant(z0, (curve.z_var,))).is_zero():
+    if order < 1:
+        raise OrderTooLow(f"order {order} < 1")
+    if not all(isinstance(v, (int, Fraction, ExactScalar)) for v in (center, z0)):
+        raise SchemaError("center and z0 must be int, Fraction or ExactScalar")
+    c, z0 = ExactScalar.coerce(center), ExactScalar.coerce(z0)
+    N, cols = _exact_shift(curve, c)
+    h = [col[0] for col in reversed(cols)]            # N F(c, z)
+    m, (wr,), (wi,) = gaussian_integers([z0])
+    if zi_horner(h, (wr, wi), m) != (0, 0):
         raise SingularCenter("z0 is not an exact root at the center")
-    Fz = curve.F.derivative(curve.z_var)
-    dval = Fz.substitute_var(curve.u_var, MultiPoly.constant(c, (curve.u_var,))) \
-             .substitute_var(curve.z_var, MultiPoly.constant(z0, (curve.z_var,)))
-    if dval.is_zero():
+    if zi_horner(zi_derivative(h), (wr, wi), m) == (0, 0):
         raise SingularCenter("branch is ramified or multiple at the center")
-    F_loc = curve.F.shift_var(curve.u_var, c)
-    Fz_loc = F_loc.derivative(curve.z_var)
-    x = TruncSeries.identity(c, order, exact=True)
-    one = TruncSeries.const(1, c, order, exact=True)
+
+    def series(col) -> TruncSeries:                    # col(s) / N to the order
+        cs = [gaussian_scalar(x, y, N) for x, y in col[:order]]
+        return TruncSeries(c, cs + [ExactScalar.zero()] * (order - len(cs)), exact=True)
+
+    ps = [series(col) for col in reversed(cols)]      # highest power of z first
     z = TruncSeries.const(z0, c, order, exact=True)
     steps = max(1, math.ceil(math.log2(max(order, 2))) + 1)
     for _ in range(steps):
-        fval = F_loc.substitute({curve.u_var: x, curve.z_var: z}, one)
-        dval_s = Fz_loc.substitute({curve.u_var: x, curve.z_var: z}, one)
-        z = (z - fval / dval_s).truncate(order)
+        f, fz = ps[0], TruncSeries.zeros(c, order, exact=True)
+        for p in ps[1:]:                               # Horner for F and F_z
+            f, fz = f * z + p, fz * z + f
+        z = (z - f / fz).truncate(order)
     return z
 
 

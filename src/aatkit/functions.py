@@ -47,9 +47,10 @@ from .errors import (
     SingularCenter,
     TooFewCoefficients,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, zi_coeffs
 from .scalars import ExactScalar, rationalize
 from .series import TruncSeries, radius_estimate
+from .zi import gaussian_integers, gaussian_scalar, zi_shift
 
 class FunctionSpec:
     """Tagged description of the function phi (possibly translated)."""
@@ -452,8 +453,8 @@ def _rational_series(spec: FunctionSpec, eff_exact, c: complex,
 
 def rational_taylor(spec: FunctionSpec, center) -> tuple[list, list]:
     """Ascending coefficients of P(center + t) and Q(center + t) of a
-    rational spec: an exact shift to an ExactScalar center, else the numeric
-    one of algebroid._taylor_shift."""
+    rational spec: the exact shift zi_shift to an ExactScalar center, else
+    the numeric one of algebroid._taylor_shift."""
     var = _rational_var(spec.numer, spec.denom)
 
     def shifted(p: MultiPoly) -> list:
@@ -461,9 +462,10 @@ def rational_taylor(spec: FunctionSpec, center) -> tuple[list, list]:
             return [ExactScalar.zero()]
         if not isinstance(center, ExactScalar):
             return _taylor_shift(p.univariate_coeffs(var), center)
-        if not center.is_zero():
-            p = p.shift_var(var, center)
-        return p.univariate_coeffs(var)
+        D, c = zi_coeffs(p.with_vars((var,)), var)
+        m, (wr,), (wi,) = gaussian_integers([center])
+        N = D * m ** (len(c) - 1)
+        return [gaussian_scalar(x, y, N) for x, y in reversed(zi_shift(c, (wr, wi), m))]
 
     return shifted(spec.numer), shifted(spec.denom)
 

@@ -27,14 +27,17 @@ by the data:
 
 An operation with a binary operand promotes the other one to binary.  Each
 operation runs one integer row routine for both scales and normalizes its
-result once, by a gcd or by one rounding: products pack every row into one
-big integer (Kronecker substitution) and multiply exactly
-(_triangle_product), and inverses run one row recurrence
-(_row_recurrence), fraction-free on the rational scale.
-Exact TruncSeries products pack each whole coefficient row into one big
-integer (_line_product), and exact TruncSeries inverses run a
-fraction-free recurrence on Gaussian integers (_exact_inverse); both build
-one Fraction per part of each result coefficient.
+result once, by a gcd or by one rounding.
+
+No other module reads series storage, and every series kernel is here:
+_triangle_product and _row_recurrence (BiSeries products, every row packed
+into one big integer and multiplied exactly, and inverses, fraction-free on
+the rational scale), _line_product and _exact_inverse (exact TruncSeries,
+one Fraction per part of each result coefficient), array_product and
+array_inverse (complex TruncSeries and algebroid's dense branch series),
+outer_sums (sum c_pq U^p V^q, U in x and V in y: the W-coefficients of an
+addition-theorem residual and discovery's columns) and coefficient_rows
+(the coefficient matrix of a list of BiSeries).
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     CenterMismatch,
@@ -183,7 +188,9 @@ class TruncSeries:
 
     def __add__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
-            return self + TruncSeries.const(other, self.center, self.order, self.exact)
+            # a complex scalar promotes an exact series, as in __mul__
+            s = self if _is_exact_scalar(other) else self.to_numeric()
+            return s + TruncSeries.const(other, s.center, s.order, s.exact)
         a, b = self._pair(other)
         low = min(a.low, b.low)
         order = min(a.order, b.order)
@@ -193,8 +200,6 @@ class TruncSeries:
     __radd__ = __add__
 
     def __sub__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.const(other, self.center, self.order, self.exact)
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncSeries":
@@ -220,17 +225,10 @@ class TruncSeries:
         order = min(a.order + vb, b.order + va)
         low = va + vb
         n = order - low
-        if a.exact:
-            out = _exact_product(a.coeffs[va - a.low:], b.coeffs[vb - b.low:], n)
-            return TruncSeries(a.center, out, low=low, order=order, exact=True)
-        out = [0j] * n
-        for i in range(va, a.order):
-            ci = a.coefficient(i)
-            if ci == 0:
-                continue
-            for j in range(vb, min(b.order, order - i)):
-                out[i + j - low] = out[i + j - low] + ci * b.coefficient(j)
-        return TruncSeries(a.center, out, low=low, order=order, exact=False)
+        xs, ys = a.coeffs[va - a.low:], b.coeffs[vb - b.low:]
+        out = (_exact_product(xs, ys, n) if a.exact
+               else array_product(np.array(xs), np.array(ys), n).tolist())
+        return TruncSeries(a.center, out, low=low, order=order, exact=a.exact)
 
     __rmul__ = __mul__
 
@@ -244,23 +242,16 @@ class TruncSeries:
         low = -v
         order = s.order - 2 * v
         n = order - low
-        if s.exact:
-            return TruncSeries(s.center, _exact_inverse(s.coeffs[:n]), low=low,
-                               order=order, exact=True)
-        inv0 = 1.0 / s.coeffs[0]
-        out = [0j] * n
-        out[0] = inv0
-        for k in range(1, n):
-            acc = 0j
-            for j in range(1, k + 1):
-                acc = acc + s.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncSeries(s.center, out, low=low, order=order, exact=False)
+        out = (_exact_inverse(s.coeffs[:n]) if s.exact
+               else array_inverse(np.array(s.coeffs[:n]), n).tolist())
+        return TruncSeries(s.center, out, low=low, order=order, exact=s.exact)
 
     def __truediv__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             if self.exact and _is_exact_scalar(other):
                 return self * (ExactScalar.one() / ExactScalar.coerce(other))
+            if complex(other) == 0:
+                raise DivisionByZeroSeries("division by a zero scalar")
             return self * (1.0 / complex(other))
         a, b = self._pair(other)
         return a * b.inverse()
@@ -271,14 +262,7 @@ class TruncSeries:
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        result = TruncSeries.const(1, self.center, self.order, self.exact)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, TruncSeries.const(1, self.center, self.order, self.exact))
 
     def derivative(self) -> "TruncSeries":
         if self.low == 0:
@@ -330,6 +314,16 @@ class TruncSeries:
             coeffs = [complex(*json_pair(k)) for k in data["coeffs"]]
         return TruncSeries(center, coeffs, low=int(data["low"]),
                            order=int(data["order"]), exact=exact)
+
+
+def _power(base, n: int, result):
+    """result times base**n for n >= 0, by repeated squaring."""
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 # -- spec operation surface ------------------------------------------------
@@ -592,6 +586,30 @@ def _exact_inverse(a: list[ExactScalar]) -> list[ExactScalar]:
     return out
 
 
+# -- complex array kernels --------------------------------------------------------
+
+def array_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of the product of two ascending complex
+    coefficient arrays."""
+    out = np.convolve(a[:n], b[:n])[:n]
+    if len(out) < n:
+        out = np.pad(out, (0, n - len(out)))
+    return out
+
+
+def array_inverse(a: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of 1/a for an ascending complex array a of
+    at least n entries with a[0] != 0."""
+    if a[0] == 0:
+        raise DivisionByZeroSeries("series inverse needs a nonzero constant term")
+    out = np.zeros(n, dtype=complex)
+    out[0] = 1.0 / a[0]
+    for k in range(1, n):
+        s = np.dot(a[1: k + 1], out[k - 1:: -1][: k])
+        out[k] = -s / a[0]
+    return out
+
+
 def _floor_log2(n: int, d: int) -> int:
     """floor(log2(n / d)) for integers n, d > 0."""
     t = n.bit_length() - d.bit_length()
@@ -721,26 +739,6 @@ class BiSeries:
         n = s.order if order is None else min(order, s.order)
         return BiSeries.from_coeffs(
             {(0, k) if slot else (k, 0): s.coefficient(k) for k in range(n)}, n)
-
-    @staticmethod
-    def from_outer(pairs, order: int, den: int = 1,
-                   exp: int | None = None) -> "BiSeries":
-        """The sum of r(x) s(y) over (r, s) in pairs, over den (exp None) or
-        times 2**exp, exact and then normalized once.
-
-        r and s are univariate Gaussian-integer rows, (re, im) pairs of
-        lists of at least `order` entries; zero entries of s are skipped."""
-        re, im = _triangle(order), _triangle(order)
-        for (rr, ri), (sr, si) in pairs:
-            for j in range(order):
-                a, b = sr[j], si[j]
-                if not (a or b):
-                    continue
-                for i in range(order - j):
-                    x, y = rr[i], ri[i]
-                    re[i + j][j] += x * a - y * b
-                    im[i + j][j] += x * b + y * a
-        return BiSeries(re, im, order, den, exp)
 
     def to_binary(self) -> "BiSeries":
         """This series on the binary scale: every mantissa rounded once to
@@ -888,14 +886,7 @@ class BiSeries:
     def __pow__(self, n: int) -> "BiSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        result = BiSeries.const(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiSeries.const(1, self.order))
 
     def inverse(self) -> "BiSeries":
         """Inverse of a series with nonzero constant term g = a_0, row by row.
@@ -952,6 +943,65 @@ class BiSeries:
             re = [[v * j for j, v in enumerate(r) if j] for r in self.re[1:]]
             im = [[v * j for j, v in enumerate(r) if j] for r in self.im[1:]]
         return BiSeries(re, im, self.order - 1, self.den, self.exp)
+
+
+def outer_sums(U: BiSeries, V: BiSeries, polys: list, order: int) -> list[BiSeries]:
+    """sum c_pq U^p V^q to the given order for each {(p, q): c_pq} of polys,
+    U a series in x alone and V one in y alone: the outer products R_q(x)
+    V^q(y), R_q = sum_p c_pq U^p, of exact Gaussian-integer line powers on
+    the common scale of U and V, each c_pq entering there (on the binary
+    scale rounded to PREC_BITS, as a scalar product would round it), summed
+    exactly and normalized once; no bivariate product is needed."""
+    U, V = _common(U, V)
+    ups = _line_powers(*U.line(0), max((p for c in polys for p, _ in c), default=0), order)
+    vqs = _line_powers(*V.line(1), max((q for c in polys for _, q in c), default=0), order)
+    out = []
+    for c in polys:
+        terms = []           # (p, q, mantissa of c_pq, scale of c_pq U^p V^q)
+        for (p, q), value in c.items():
+            k = BiSeries.const(value, 1)
+            if U.exact:
+                scale = k.den * U.den ** p * V.den ** q
+            else:
+                k = k.to_binary()
+                scale = k.exp + p * U.exp + q * V.exp
+            terms.append((p, q, k.re[0][0], k.im[0][0], scale))
+        if U.exact:      # denominators: bring every term over their lcm
+            den, exp = math.lcm(*(t[4] for t in terms)), None
+            terms = [(p, q, kr * (den // d), ki * (den // d)) for p, q, kr, ki, d in terms]
+        else:            # exponents: align every term to the smallest
+            den, exp = 1, min((t[4] for t in terms), default=0)
+            terms = [(p, q, kr << e - exp, ki << e - exp) for p, q, kr, ki, e in terms]
+        rows: dict[int, tuple[list[int], list[int]]] = {}
+        for p, q, kr, ki in terms:
+            rr, ri = rows.setdefault(q, ([0] * order, [0] * order))
+            for i, (x, y) in enumerate(zip(*ups[p])):
+                rr[i] += kr * x - ki * y
+                ri[i] += kr * y + ki * x
+        re, im = _triangle(order), _triangle(order)
+        for q, (rr, ri) in rows.items():
+            for j, (a, b) in enumerate(zip(*vqs[q])):
+                if not (a or b):
+                    continue
+                for i in range(order - j):
+                    x, y = rr[i], ri[i]
+                    re[i + j][j] += x * a - y * b
+                    im[i + j][j] += x * b + y * a
+        out.append(BiSeries(re, im, order, den, exp))
+    return out
+
+
+def coefficient_rows(cols: list[BiSeries], n: int) -> list[list]:
+    """The matrix with one row per x^p y^q, p + q < n (p ascending, then q),
+    holding that coefficient of each column: as Gaussian-integer pairs over
+    the lcm of the column denominators when every column is rational (a
+    common factor, which a kernel ignores), else as complex values."""
+    at = [(p + q, q) for p in range(n) for q in range(n - p)]
+    if not all(c.exact for c in cols):
+        return [[c._value(c.re[d][j], c.im[d][j]) for c in cols] for d, j in at]
+    L = math.lcm(*(c.den for c in cols))
+    ms = [L // c.den for c in cols]
+    return [[(c.re[d][j] * m, c.im[d][j] * m) for c, m in zip(cols, ms)] for d, j in at]
 
 
 def compose_shift(f: TruncSeries) -> BiSeries:

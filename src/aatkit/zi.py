@@ -182,6 +182,19 @@ def zi_horner(c: ZiPoly, w: tuple[int, int], m: int = 1) -> tuple[int, int]:
     return ar, ai
 
 
+def zi_shift(c: ZiPoly, w: tuple[int, int], m: int = 1) -> ZiPoly:
+    """m^d c(w / m + y) as a ZiPoly in y, for c of length d + 1, a Gaussian
+    integer w and an integer m > 0: the Taylor shift by w of Q(y) =
+    m^d c(y / m), by repeated synthetic division, then y^l scaled by m^l."""
+    (wr, wi), d = w, len(c) - 1
+    q = [(xr * m ** k, xi * m ** k) for k, (xr, xi) in enumerate(c)]
+    for k in range(d):
+        for j in range(1, d - k + 1):
+            (xr, xi), (yr, yi) = q[j], q[j - 1]
+            q[j] = (xr + wr * yr - wi * yi, xi + wr * yi + wi * yr)
+    return [(xr * m ** l, xi * m ** l) for l, (xr, xi) in zip(range(d, -1, -1), q)]
+
+
 # -- fraction-free elimination ------------------------------------------------------
 
 def bareiss(rows: list[ZiPoly], ncols: int) -> tuple[list[ZiPoly], list[int], int]:

@@ -35,7 +35,7 @@ from aatkit.errors import (
 from aatkit.functions import FunctionSpec, taylor_of_builtin
 from aatkit.poly import MultiPoly, monic_lex
 from aatkit.scalars import ExactScalar
-from aatkit.series import BiSeries, TruncSeries, compose_shift
+from aatkit.series import BiSeries, TruncSeries, _common, _line_powers, compose_shift
 
 
 def exp_like_element(scale: int, order: int = 16) -> TruncSeries:
@@ -357,6 +357,112 @@ class TestSingleEvaluator:
             ref = H.substitute({"U": U, "V": V, "W": W}, one)
             assert key(res) == key(ref)
             assert res.valuation() == ref.valuation()
+
+
+def _from_outer(pairs, order, den=1, exp=None):
+    """The sum of r(x) s(y) over (r, s) in pairs, over den or times 2**exp:
+    the BiSeries.from_outer that the two routines below used."""
+    re = [[0] * (d + 1) for d in range(order)]
+    im = [[0] * (d + 1) for d in range(order)]
+    for (rr, ri), (sr, si) in pairs:
+        for j in range(order):
+            a, b = sr[j], si[j]
+            if not (a or b):
+                continue
+            for i in range(order - j):
+                x, y = rr[i], ri[i]
+                re[i + j][j] += x * a - y * b
+                im[i + j][j] += x * b + y * a
+    return BiSeries(re, im, order, den, exp)
+
+
+def _old_uvw_columns(U, V, W, monos, n):
+    """discover_aat's columns as its former _uvw_columns built them: one
+    outer product per monomial, then one product by W^k."""
+    U, V = _common(U, V)
+    ups = _line_powers(*U.line(0), max(m[0] for m in monos), n)
+    vps = _line_powers(*V.line(1), max(m[1] for m in monos), n)
+    wps = aat._powers(W.truncate(n), max(m[2] for m in monos))
+    return [uv * wps[k] if k else _common(uv, W)[0] for i, j, k in monos
+            for uv in [_from_outer([(ups[i], vps[j])], n, U.den ** i * V.den ** j,
+                                   None if U.exact else i * U.exp + j * V.exp)]]
+
+
+def _old_poly_in_w(G, U, V, order):
+    """The former _poly_in_w, with its own term alignment."""
+    G = G.with_vars(("U", "V", "W"))
+    U, V = _common(U, V)
+    binary = not U.exact
+    ups = _line_powers(*U.line(0), G.degree("U"), order)
+    vqs = _line_powers(*V.line(1), G.degree("V"), order)
+    coeffs = []
+    for c in G.coefficients_wrt("W"):
+        terms = []
+        for (p, q), value in c.terms.items():
+            k = BiSeries.const(value, 1)
+            if binary:
+                k = k.to_binary()
+                scale = k.exp + p * U.exp + q * V.exp
+            else:
+                scale = k.den * U.den ** p * V.den ** q
+            terms.append((p, q, k.re[0][0], k.im[0][0], scale))
+        if binary:
+            E = min((t[4] for t in terms), default=0)
+            terms = [(p, q, kr << e - E, ki << e - E) for p, q, kr, ki, e in terms]
+        else:
+            E = math.lcm(*(t[4] for t in terms))
+            terms = [(p, q, kr * (E // d), ki * (E // d)) for p, q, kr, ki, d in terms]
+        rows = {}
+        for p, q, kr, ki in terms:
+            rr, ri = rows.setdefault(q, ([0] * order, [0] * order))
+            for i, (x, y) in enumerate(zip(*ups[p])):
+                rr[i] += kr * x - ki * y
+                ri[i] += kr * y + ki * x
+        pairs = [(r, vqs[q]) for q, r in rows.items()]
+        coeffs.append(_from_outer(pairs, order, exp=E) if binary
+                      else _from_outer(pairs, order, den=E))
+    return coeffs
+
+
+def _values(cols):
+    return [(c.exact, c.order, dict(c.coeffs)) for c in cols]
+
+
+class TestOuterSums:
+    """outer_sums against the two routines it replaced: equal coefficient
+    values on the rational scale, the binary one and the mixed one."""
+
+    @pytest.mark.parametrize("case", ["exp", "tan_binary", "sqrt_mixed"])
+    def test_discovery_columns_match_old_uvw_columns(self, monkeypatch, case):
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        f, base, bounds = {
+            "exp": (FunctionSpec.builtin("exp"), 0, (2, 2, 2)),
+            "tan_binary": (FunctionSpec.builtin("tan"), 0.4, (1, 1, 1)),
+            "sqrt_mixed": (FunctionSpec.algebroid(AlgebroidCurve(z * z - 2 * u), base=0.5),
+                           0.5, (2, 2, 2))}[case]
+        seen = []
+        real = aat.coefficient_rows
+        monkeypatch.setattr(aat, "coefficient_rows",
+                            lambda cols, n: seen.append(cols) or real(cols, n))
+        discover_aat(f, bounds, 16, base=base)
+        U, V, W = aat._elements_uvw(f, base, 16)
+        assert [x.exact for x in (U, V, W)] == {
+            "exp": [True] * 3, "tan_binary": [False] * 3,
+            "sqrt_mixed": [True, True, False]}[case]
+        want = _old_uvw_columns(U, V, W, aat._grlex_monomials(bounds), 16)
+        assert _values(seen[0]) == _values(want)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("name", ["tan", "sin", "exp"])
+    def test_poly_in_w_matches_old(self, uvw, tan_poly, sin_quartic, name, binary):
+        U_, V_, W_ = uvw
+        G = {"tan": tan_poly, "exp": W_ - U_ * V_ + Fraction(1, 3) * U_ ** 2,
+             "sin": sin_quartic}[name]
+        s = FunctionSpec.builtin(name).element_at(0, 12)
+        U, V = BiSeries.from_univariate(s, 0), BiSeries.from_univariate(s, 1)
+        if binary:
+            U, V = U.to_binary(), V.to_binary()
+        assert _values(aat._poly_in_w(G, U, V, 12)) == _values(_old_poly_in_w(G, U, V, 12))
 
 
 class TestSchwarz:

@@ -31,11 +31,14 @@ from aatkit.errors import (
     InvariantViolation,
     NearSingular,
     NotSquareFree,
+    OrderTooLow,
+    SchemaError,
     SingularCenter,
 )
 from aatkit.elimination import discriminant
 from aatkit.poly import MultiPoly, monic_lex, poly_gcd
 from aatkit.scalars import ExactScalar
+from aatkit.series import TruncSeries
 from aatkit.zi import zi_horner
 
 
@@ -823,11 +826,48 @@ def _big_circle_perm(curve, base, radius):
                  for e in ends)
 
 
+def _multipoly_newton(curve, center, z0, order):
+    """The Newton iteration of exact_branch_element on MultiPoly.shift_var
+    and MultiPoly.substitute, as the reference."""
+    c, z0 = ExactScalar.coerce(center), ExactScalar.coerce(z0)
+    F_loc = curve.F.shift_var(curve.u_var, c)
+    Fz_loc = F_loc.derivative(curve.z_var)
+    x = TruncSeries.identity(c, order, exact=True)
+    one = TruncSeries.const(1, c, order, exact=True)
+    z = TruncSeries.const(z0, c, order, exact=True)
+    for _ in range(max(1, math.ceil(math.log2(max(order, 2))) + 1)):
+        fval = F_loc.substitute({curve.u_var: x, curve.z_var: z}, one)
+        dval = Fz_loc.substitute({curve.u_var: x, curve.z_var: z}, one)
+        z = (z - fval / dval).truncate(order)
+    return z
+
+
 class TestExactElement:
     def test_coefficients(self, golden_cubic):
         el = exact_branch_element(golden_cubic, 0, Fraction(-1, 3), 6)
         assert [c.re for c in el.coeffs[:3]] == \
             [Fraction(-1, 3), Fraction(8, 81), Fraction(8, 729)]
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 16])
+    @pytest.mark.parametrize("case", ["golden", "square", "cube"])
+    def test_matches_multipoly_newton(self, golden_cubic, case, order):
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        curve, center, z0 = {
+            "golden": (golden_cubic, 0, Fraction(-1, 3)),
+            "square": (AlgebroidCurve(z ** 2 - 2 * u), Fraction(1, 2), -1),
+            "cube": (AlgebroidCurve(z ** 3 - 2 * u), Fraction(1, 2), 1)}[case]
+        got = exact_branch_element(curve, center, z0, order)
+        want = _multipoly_newton(curve, center, z0, order)
+        assert (got.center, got.low, got.order, got.exact) == \
+            (want.center, want.low, want.order, True)
+        assert got.coeffs == want.coeffs
+
+    @pytest.mark.parametrize("center,order,error", [
+        (Fraction(1, 2), 0, OrderTooLow), (0.5, 4, SchemaError)])
+    def test_typed_errors(self, center, order, error):
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        with pytest.raises(error):
+            exact_branch_element(AlgebroidCurve(z ** 2 - 2 * u), center, 1, order)
 
     def test_rejects_non_root(self, golden_cubic):
         with pytest.raises(SingularCenter):

@@ -76,6 +76,10 @@ def files(tmp_path_factory):
         "short_float": dump("short_float.json", {
             "type": "element", "series": {"center": [0, 0], "low": 0, "order": 2,
                                           "exact": False, "coeffs": [[1.0], [1.0, 0.0]]}}),
+        "e1": dump("e1.json", {"type": "series", "center": [0, 0], "low": 0, "order": 1,
+                               "exact": True, "coeffs": [[["1", "1"], ["0", "1"]]]}),
+        "e0": dump("e0.json", {"type": "series", "center": [0, 0], "low": 0, "order": 0,
+                               "exact": True, "coeffs": []}),
         "root": root,
     }
 
@@ -185,6 +189,20 @@ class TestExitCodes:
         out = capsys.readouterr()
         rep = json.loads(out.out)  # exactly one JSON object
         assert (code, rep["error"]["type"]) == (1, "NumericOverflow") and out.err == ""
+
+    @pytest.mark.parametrize("argv,error", [
+        (["aat", "discover", "--fn", "e1", "--bounds", "1,1,1"], "OrderTooLow"),
+        (["aat", "verify", "--fn", "e1", "--poly", "g_exp"], "OrderTooLowForDegree"),
+        (["reduce", "koebe", "--poly", "g_exp", "--p1", "e0", "--p2", "e0", "--p3", "e0"],
+         "OrderTooLowForDegree")])
+    def test_elements_shorter_than_the_order_are_one_typed_error(self, files, capsys,
+                                                                 argv, error):
+        # the engines judge the order the elements have (one coefficient, or
+        # none), not the order requested on the command line
+        code = run_command([files.get(a, a) for a in argv])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert (code, rep["error"]["type"]) == (1, error) and out.err == ""
 
     @pytest.mark.parametrize("argv,needle", [
         (["algebroid", "singular", "--curve", "short_re"], "[1]"),

@@ -289,6 +289,25 @@ class TestSeriesArith:
         with pytest.raises(InvariantViolation):
             TruncSeries(ExactScalar(0), [ExactScalar(1)] * 3, low=0, order=5)
 
+    @pytest.mark.parametrize("op,scalar", [
+        (lambda s: s + 0.5, 0.5), (lambda s: 0.5 - s, None), (lambda s: s + 1j, 1j),
+        (lambda s: s - 0.25, -0.25)])
+    def test_complex_scalar_promotes_sums_as_products(self, op, scalar):
+        # exact + 0.5 is complex, as exact * 0.5 is
+        s = TruncSeries(ExactScalar(0), [ExactScalar(1), ExactScalar(Fraction(1, 3), 2)],
+                        exact=True)
+        got = op(s)
+        want = [0.5 - 1, -complex(Fraction(1, 3), 2)] if scalar is None \
+            else [1 + scalar, complex(Fraction(1, 3), 2)]
+        assert not got.exact and (got.low, got.order) == (0, 2)
+        assert got.coeffs == [complex(c) for c in want]
+
+    @pytest.mark.parametrize("zero", [0, 0.0, 0j])
+    def test_complex_series_over_zero_scalar(self, zero):
+        s = TruncSeries(0.5, [1 + 1j, 2j], exact=False)
+        with pytest.raises(DivisionByZeroSeries):
+            s / zero
+
     def test_mixed_exactness_forbidden_silently(self):
         # promotion happens explicitly (to_numeric) or through pairing, never
         # by mixing inside one coefficient list
@@ -613,6 +632,71 @@ class TestExactTruncSeriesRows:
         re, im = _line_product([m] * n, [-m] * n, [m] * n, [m] * n, n)
         assert re == [2 * m * m * (k + 1) for k in range(n)]
         assert im == [0] * n
+
+
+# -- complex TruncSeries on the array kernels -------------------------------------
+
+def _loop_product(a, b):
+    """Complex TruncSeries product as the double loop it replaced, with the
+    valuation-aware order: (low, order, coeffs)."""
+    va, vb = a.valuation(), b.valuation()
+    order = min(a.order + vb, b.order + va)
+    low = va + vb
+    out = [0j] * (order - low)
+    for i in range(va, a.order):
+        ci = a.coefficient(i)
+        if ci == 0:
+            continue
+        for j in range(vb, min(b.order, order - i)):
+            out[i + j - low] = out[i + j - low] + ci * b.coefficient(j)
+    return low, order, out
+
+
+def _loop_inverse(b):
+    """Complex TruncSeries inverse as the recurrence loop it replaced, with
+    the exponents -v .. order - 2v: (low, order, coeffs)."""
+    v = b.valuation()
+    cs = [b.coefficient(k) for k in range(v, b.order)]
+    inv0 = 1.0 / cs[0]
+    out = [inv0]
+    for k in range(1, b.order - v):
+        acc = 0j
+        for j in range(1, k + 1):
+            acc = acc + cs[j] * out[k - j]
+        out.append(-inv0 * acc)
+    return -v, b.order - 2 * v, out
+
+
+@st.composite
+def complex_trunc(draw):
+    """A complex TruncSeries: low -3..3, orders 1..24 above it, up to three
+    zero leading entries, then a unit-sized leading coefficient."""
+    low, n = draw(st.integers(-3, 3)), draw(st.integers(1, 24))
+    part = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
+    cs = [complex(draw(part), draw(part)) for _ in range(n)]
+    lead = min(draw(st.integers(0, 3)), n - 1)
+    cs[:lead] = [0j] * lead
+    cs[lead] = draw(st.sampled_from([1, -1.5, 1j, 1 - 1j])) + cs[lead] / 4
+    return TruncSeries(0.25, cs, low=low, exact=False)
+
+
+def _assert_close(got, want):
+    low, order, coeffs = want
+    assert (got.exact, got.low, got.order) == (False, low, order)
+    scale = max(abs(c) for c in coeffs)
+    assert all(abs(g - w) <= 1e-13 * scale for g, w in zip(got.coeffs, coeffs))
+
+
+class TestComplexTruncSeriesKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(complex_trunc(), complex_trunc())
+    def test_product_matches_double_loop(self, a, b):
+        _assert_close(a * b, _loop_product(a, b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(complex_trunc())
+    def test_inverse_matches_recurrence_loop(self, b):
+        _assert_close(b.inverse(), _loop_inverse(b))
 
 
 # -- rational scale against ExactScalar dict references --------------------------

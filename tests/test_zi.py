@@ -2,6 +2,8 @@
 the univariate helpers, the one pseudo-remainder against MultiPoly's and the
 one Bareiss determinant against sympy."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from aatkit.errors import InexactDivision
 from aatkit.poly import MultiPoly, pseudo_rem, zi_coeffs
 from aatkit.scalars import ExactScalar
 from aatkit.zi import (determinant, gauss_divexact, gauss_gcd, zi_derivative, zi_divexact,
-                       zi_gcd, zi_prem, zi_primitive)
+                       zi_gcd, zi_prem, zi_primitive, zi_shift)
 
 UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
@@ -62,6 +64,17 @@ def test_zi_prem_matches_pseudo_rem(a, b):
     want = pseudo_rem(as_poly(a), as_poly(b), "x")
     D, c = zi_coeffs(want.with_vars(("x",)), "x") if not want.is_zero() else (1, [])
     assert D == 1 and zi_prem(a, b) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(zipoly, st.sampled_from([(0, 0, 1), (1, 0, 1), (-3, 0, 1), (0, 1, 1), (1, 2, 3),
+                                (-5, 1, 4), (0, -1, 2), (6, 3, 9)]))
+def test_zi_shift_matches_shift_var(c, center):
+    # m^d c(w / m + y), centers 0, integers and Gaussian w / m
+    wr, wi, m = center
+    want = as_poly(c).shift_var("x", ExactScalar(Fraction(wr, m), Fraction(wi, m)))
+    D, shifted = zi_coeffs(want.scale(ExactScalar(m ** (len(c) - 1))).with_vars(("x",)), "x")
+    assert D == 1 and zi_shift(c, (wr, wi), m) == shifted
 
 
 @st.composite
