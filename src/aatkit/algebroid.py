@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -73,6 +75,9 @@ class AlgebroidCurve:
         self.u_var = u_var
         self.z_var = z_var
         self.F = F.with_vars(tuple(sorted(set(F.vars) | {u_var, z_var})))
+        if live := [v for v in self.F.vars if v not in (u_var, z_var) and self.F.degree(v) > 0]:
+            raise InvariantViolation(f"curve in {u_var}, {z_var} has other variables: "
+                                     + ", ".join(live))
         self.n = self.F.degree(z_var)
         if self.n < 1:
             raise InvariantViolation("curve must have positive degree in z")
@@ -90,8 +95,6 @@ class AlgebroidCurve:
     def _squarefree_at_some_u0(self) -> bool:
         """True when F(u0, z) is square-free of degree n at some u0 of
         _SQF_POINTS (the proof in the class docstring); False proves nothing."""
-        if set(self.F.vars) != {self.u_var, self.z_var}:
-            return False
         cols = _zi_columns(self)[1]
         for u0 in _SQF_POINTS:   # f = D F(u0, z), highest power first
             f = [zi_horner(col, (u0, 0)) for col in reversed(cols)]
@@ -108,16 +111,21 @@ class AlgebroidCurve:
         z = MultiPoly.variable(z_var)
         F = MultiPoly.zero((u_var, z_var))
         for k, p in enumerate(p_list):
-            F = F + p.with_vars((u_var,)) * z ** (n - k)
+            F = F + p.with_vars([v for v in p.vars if v != z_var]) * z ** (n - k)
         return AlgebroidCurve(F, u_var, z_var)
 
     # numeric fast path: dense coefficient rows of F, F_u, F_z
     def _num(self) -> tuple[_Rows, _Rows, _Rows]:
+        """Rows of F, F_u, F_z from _zi_columns; k x / D, one int true
+        division, is correctly rounded, as complex(ExactScalar) is."""
         if self._arrays is None:
-            self._arrays = tuple(
-                _poly_to_rows(P, self.u_var, self.z_var)
-                for P in (self.F, self.F.derivative(self.u_var),
-                          self.F.derivative(self.z_var)))
+            D, cols = _zi_columns(self)
+            du = len(cols[0]) - 1
+            F = {(du - j, i): x for i, col in enumerate(cols)
+                 for j, x in enumerate(col) if x != (0, 0)}
+            Fu = {(j - 1, i): (j * xr, j * xi) for (j, i), (xr, xi) in F.items() if j}
+            Fz = {(j, i - 1): (i * xr, i * xi) for (j, i), (xr, xi) in F.items() if i}
+            self._arrays = tuple(_zi_rows(D, P) for P in (F, Fu, Fz))
         return self._arrays
 
     def eval(self, u: complex, z: complex) -> complex:
@@ -141,12 +149,11 @@ class AlgebroidCurve:
         return np.roots(cs[: nz[-1] + 1][::-1])
 
     def at_infinity(self) -> "AlgebroidCurve":
-        """The transformed curve under u -> 1/t (cleared denominators)."""
-        d = max(p.degree(self.u_var) for p in self.p_coeffs)
-        return AlgebroidCurve.from_p_list(
-            [MultiPoly((self.u_var,), {(d - k,): c for k, c in
-                                       enumerate(p.univariate_coeffs(self.u_var))})
-             for p in self.p_coeffs], self.u_var, self.z_var)
+        """u^d F(1/u, z), d the degree in u: each u-exponent e becomes d - e."""
+        iu, d = self.F.vars.index(self.u_var), self.F.degree(self.u_var)
+        return AlgebroidCurve(MultiPoly(self.F.vars, {
+            e[:iu] + (d - e[iu],) + e[iu + 1:]: c for e, c in self.F.terms.items()}),
+            self.u_var, self.z_var)
 
     def singular_locations(self) -> list[complex]:
         """Finite singular candidates: zeros of p0 and discriminant roots."""
@@ -331,28 +338,20 @@ def compose_permutations(first: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # numeric bivariate-polynomial helpers (arrays H[j, i] for s^j y^i)
 
-def _poly_to_array(F: MultiPoly, u_var: str, z_var: str) -> np.ndarray:
-    du, dz = max(F.degree(u_var), 0), max(F.degree(z_var), 0)
-    out = np.zeros((du + 1, dz + 1), dtype=complex)
-    if F.is_zero():
-        return out
-    iu = F.vars.index(u_var) if u_var in F.vars else None
-    iz = F.vars.index(z_var) if z_var in F.vars else None
-    for exps, coeff in F.terms.items():
-        j = exps[iu] if iu is not None else 0
-        i = exps[iz] if iz is not None else 0
-        out[j, i] += complex(coeff)
-    return out
-
-
 # F as a tuple over descending z-powers of tuples over descending u-powers
 _Rows = tuple[tuple[complex, ...], ...]
+# a branch system's (e, low, deferred coefficient array) in the polygon pass
+_System = tuple[int, int, Callable[[], np.ndarray]]
 
 
-def _poly_to_rows(F: MultiPoly, u_var: str, z_var: str) -> _Rows:
-    A = _poly_to_array(F, u_var, z_var)
-    return tuple(tuple(complex(c) for c in A[::-1, i])
-                 for i in range(A.shape[1] - 1, -1, -1))
+def _zi_rows(D: int, terms: dict[tuple[int, int], tuple[int, int]]) -> _Rows:
+    """Rows of sum x / D u^j z^i, x = terms[j, i] nonzero, trimmed to its degrees."""
+    du = max((j for j, _ in terms), default=0)
+    dz = max((i for _, i in terms), default=0)
+    rows = [[0j] * (du + 1) for _ in range(dz + 1)]
+    for (j, i), (xr, xi) in terms.items():
+        rows[dz - i][du - j] = complex(xr / D, xi / D)
+    return tuple(map(tuple, rows))
 
 
 def _horner(desc: tuple[complex, ...], x: complex) -> complex:
@@ -383,12 +382,9 @@ def _local_array(curve: AlgebroidCurve, center) -> tuple[np.ndarray, tuple[int, 
     an exact center c also (N, h), N F(c, z) = h a ZiPoly in z: the s^0 row
     of _exact_shift, whose floats are the correctly rounded exact values."""
     c = _as_exact(center)
-    if c is None:
-        arr = _poly_to_array(curve.F, curve.u_var, curve.z_var)
-        out = np.zeros_like(arr)
-        for i in range(arr.shape[1]):
-            out[:, i] = _taylor_shift(arr[:, i], complex(center))
-        return out, None
+    if c is None:   # the z^i row of F (ascending in u), Taylor-shifted, is column i
+        return np.array([_taylor_shift(row[::-1], complex(center))
+                         for row in reversed(curve._num()[0])]).T, None
     N, cols = _exact_shift(curve, c)
     out = np.zeros((len(cols[0]), len(cols)), dtype=complex)
     for i, col in enumerate(cols):
@@ -629,13 +625,14 @@ def _duval_transform(H: np.ndarray, q: int, m: int, l: int, xi: complex,
 
 
 def _vanishing_branches(H: np.ndarray, n_terms: int, depth: int = 0
-                        ) -> list[tuple[complex, int, np.ndarray, int | None]]:
+                        ) -> list[tuple[complex, int, Callable[[], np.ndarray], int | None]]:
     """All branch systems with y(0) = 0 of H(s, y) = 0.
 
     Returns (mu, e, coeffs, v) parametrized by s = mu * t^e and
-    y = sum coeffs[k] t^k, where v >= 1 is the valuation of y in t, read from
-    the polygon: the side's shift, or for a simple root the first significant
-    s-row of H(s, 0).  v is None for the branch y = 0 itself.
+    y = sum coeffs()[k] t^k, where v >= 1 is the valuation of y in t, read
+    from the polygon: the side's shift, or for a simple root the first
+    significant s-row of H(s, 0).  v is None for the branch y = 0 itself.
+    Each call of the deferred coeffs computes a fresh array.
     """
     if depth > _MAX_DEPTH:
         raise RootFindingFailure("Newton-polygon recursion exceeded max depth")
@@ -643,10 +640,10 @@ def _vanishing_branches(H: np.ndarray, n_terms: int, depth: int = 0
     if scale == 0:
         raise RootFindingFailure("zero polynomial in polygon recursion")
     thr = _SUPPORT_REL * scale
-    out: list[tuple[complex, int, np.ndarray, int | None]] = []
+    out: list[tuple[complex, int, Callable[[], np.ndarray], int | None]] = []
     if np.abs(H[:, 0]).max() <= thr:
         # y divides H exactly: y = 0 itself is a branch
-        out.append((1.0 + 0j, 1, np.zeros(n_terms, dtype=complex), None))
+        out.append((1.0 + 0j, 1, partial(np.zeros, n_terms, dtype=complex), None))
         H = H[:, 1:]
         if H.shape[1] <= 1:
             return out
@@ -656,7 +653,7 @@ def _vanishing_branches(H: np.ndarray, n_terms: int, depth: int = 0
         return out  # y = 0 is not a root at s = 0
     if H.shape[1] > 1 and abs(H[0, 1]) > thr:
         v = next(j for j in range(1, H.shape[0]) if abs(H[j, 0]) > thr)
-        out.append((1.0 + 0j, 1, _newton_series(H, n_terms), v))
+        out.append((1.0 + 0j, 1, partial(_newton_series, H, n_terms), v))
         return out
     for q, m, l, pts in _polygon_sides(_support_mins(H)):
         ia = pts[0][0]
@@ -673,14 +670,21 @@ def _vanishing_branches(H: np.ndarray, n_terms: int, depth: int = 0
                 mu = xi ** vb * mu_i ** q
                 e = e_i * q
                 shift = e_i * m   # y = t^shift mu_i^m (xi^ub + y_i), xi != 0
-                inner = arr_i.copy()
-                inner[0] += xi ** ub
-                ser = np.zeros(n_terms, dtype=complex)
-                take = min(n_terms - shift, len(inner))
-                if take > 0:
-                    ser[shift: shift + take] = (mu_i ** m) * inner[:take]
-                out.append((mu, e, ser, shift))
+                out.append((mu, e, partial(_lift, arr_i, xi ** ub, mu_i ** m, shift,
+                                           n_terms), shift))
     return out
+
+
+def _lift(inner: Callable[[], np.ndarray], c: complex, scale: complex,
+          shift: int, n_terms: int) -> np.ndarray:
+    """t^shift scale (c + inner()) to n_terms terms."""
+    arr = inner()
+    arr[0] += c
+    ser = np.zeros(n_terms, dtype=complex)
+    take = min(n_terms - shift, len(arr))
+    if take > 0:
+        ser[shift: shift + take] = scale * arr[:take]
+    return ser
 
 
 # ---------------------------------------------------------------------------
@@ -688,31 +692,31 @@ def _vanishing_branches(H: np.ndarray, n_terms: int, depth: int = 0
 
 def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSystem]:
     """All branch systems (one per conjugacy class) at a finite center."""
+    return sorted((BranchSystem(e, low, coeffs(), order)
+                   for e, low, coeffs in _polygon_systems(curve, center, order)),
+                  key=lambda s: _branch_key(s.low, s.e, s.coeffs))
+
+
+def _polygon_systems(curve: AlgebroidCurve, center, order: int) -> list[_System]:
+    """(e, low, coeffs) of every branch system at a finite center from one
+    Newton-polygon pass over order + 4 terms; coeffs() does all coefficient
+    work (shift to a simple root, series Newton, _polish, pole inversion)."""
     n_terms = order + 4
     H, h0 = _local_array(curve, center)
     scale = float(np.abs(H).max())
-    systems: list[BranchSystem] = []
+    systems: list[_System] = []
     if h0 is not None and len(h0[1]) >= 2:
         finite_roots = _roots_zi(*h0)
     else:
         finite_roots = _distinct_roots(H[0, :])
 
-    for zeta, mult in finite_roots:
-        Hz = _shift_y(H, zeta)
-        if mult == 1:
-            ser = _newton_series(Hz, n_terms)
-            ser[0] += zeta
-            systems.append(BranchSystem(1, 0, _polish(H, 1.0 + 0j, 1, ser, order), order))
-            continue
-        got = 0
-        for mu, e, arr, _v in _vanishing_branches(Hz, n_terms):
-            full = arr.copy()
-            full[0] += zeta
-            systems.append(BranchSystem(e, 0, _polish(H, mu, e, full, order), order))
-            got += e
-        if got != mult:
-            raise RootFindingFailure(
-                f"branch count mismatch at z = {zeta}: {got} != {mult}")
+    for zeta, mult in finite_roots:   # a simple root defers its Taylor shift
+        branches = ([(1.0 + 0j, 1, None, 0)] if mult == 1 else
+                    _vanishing_branches(_shift_y(H, zeta), n_terms))
+        if (got := sum(e for _mu, e, _arr, _v in branches)) != mult:
+            raise RootFindingFailure(f"branch count mismatch at z = {zeta}: {got} != {mult}")
+        systems += [(e, 0, partial(_polish_finite, H, zeta, mu, e, arr, order))
+                    for mu, e, arr, _v in branches]
 
     # polar branches: degree drop of F(center, .) counts them
     deg_at_center = 0
@@ -727,19 +731,27 @@ def expand_systems(curve: AlgebroidCurve, center, order: int) -> list[BranchSyst
         for mu, e, w, v in _vanishing_branches(R, n_terms):
             if v is None:
                 raise RootFindingFailure("polar branch with zero w-series")
-            w = _polish(R, mu, e, w, order + 2 * v)
-            systems.append(BranchSystem(e, -v, array_inverse(w[v:], order + v), order))
+            systems.append((e, -v, lambda mu=mu, e=e, w=w, v=v: array_inverse(
+                _polish(R, mu, e, w(), order + 2 * v)[v:], order + v)))
             got += e
         if got != n_inf:
             raise RootFindingFailure(
                 f"polar branch count mismatch: {got} != {n_inf}")
 
-    total = sum(s.e for s in systems)
+    total = sum(e for e, _low, _coeffs in systems)
     if total != curve.n:
         raise RootFindingFailure(
             f"branch completeness violated: sum e = {total} != n = {curve.n}")
-    systems.sort(key=lambda s: _branch_key(s.low, s.e, s.coeffs))
     return systems
+
+
+def _polish_finite(H: np.ndarray, zeta: complex, mu: complex, e: int,
+                   arr: Callable[[], np.ndarray] | None, order: int) -> np.ndarray:
+    """_polish of the branch zeta + arr() of H, or at a simple root (arr
+    None) of zeta + the series Newton root of H(s, zeta + y)."""
+    full = _newton_series(_shift_y(H, zeta), order + 4) if arr is None else arr()
+    full[0] += zeta
+    return _polish(H, mu, e, full, order)
 
 
 def _polish(H: np.ndarray, mu: complex, e: int, coeffs: np.ndarray,
@@ -896,26 +908,26 @@ def exact_branch_element(curve: AlgebroidCurve, center, z0, order: int) -> Trunc
 # singular-point inventory
 
 def singular_points(curve: AlgebroidCurve) -> SingularityReport:
-    """Classified singular candidates: p0 zeros, discriminant roots, infinity."""
+    """Classified singular candidates: p0 zeros, discriminant roots, infinity.
+    A kind reads only each system's e and sign of lowest exponent, fixed by
+    the Newton polygon (Duval): `_polygon_systems` at order 8, no coefficients."""
     locs, n_p0 = curve._singular()
     candidates = sorted(((r, "p0-zero" if k < n_p0 else "discriminant-root")
                          for k, r in enumerate(locs)),
                         key=lambda t: (round(t[0].real, 8), round(t[0].imag, 8)))
     points = []
     for loc, source in candidates:
-        systems = expand_systems(curve, loc, order=8)
-        kind, cyc = _classify(systems)
+        kind, cyc = _classify(_polygon_systems(curve, loc, 8))
         points.append(SingularPoint(loc, kind, cyc, source))
-    inf_systems = expand_systems(curve.at_infinity(), 0, order=8)
-    kind, cyc = _classify(inf_systems)
+    kind, cyc = _classify(_polygon_systems(curve.at_infinity(), 0, 8))
     points.append(SingularPoint(None, kind, cyc, "infinity"))
     return SingularityReport(points)
 
 
-def _classify(systems: list[BranchSystem]) -> tuple[str, list[int]]:
-    has_pole = any(s.low < 0 for s in systems)
-    has_cycle = any(s.e > 1 for s in systems)
-    cyc = sorted((s.e for s in systems), reverse=True)
+def _classify(systems: list[_System]) -> tuple[str, list[int]]:
+    """Kind and cycle structure of a point from its systems' e and low."""
+    cyc = sorted((e for e, _low, _coeffs in systems), reverse=True)
+    has_pole, has_cycle = any(low < 0 for _e, low, _coeffs in systems), cyc[0] > 1
     if has_pole and has_cycle:
         kind = "pole-and-branch"
     elif has_pole:
@@ -1138,7 +1150,7 @@ def _loop_path(base: complex, around: complex, singular: list[complex],
 
 
 def monodromy(curve: AlgebroidCurve, base: complex, around: complex,
-              nodes: int = 48,
+              nodes: int = 16,
               singular: list[complex] | None = None) -> MonodromyPermutation:
     """Permutation of the branch values after one positive circuit along
     `_loop_path`, all n sheets tracked together.  Branch indices refer to
@@ -1148,7 +1160,14 @@ def monodromy(curve: AlgebroidCurve, base: complex, around: complex,
     its clearance (`_safe_stem`).  Tracking carries one step across the
     loop's segments, capped at half the distance to the singular set, and
     raises NearSingular when a step's chord passes within the loop's
-    clearance of a singular point (`_track`)."""
+    clearance of a singular point (`_track`).
+
+    Loop size.  The circle's radius r is half the distance from `around` to
+    the nearest other singular point, so every inscribed N-gon, N >= 3,
+    winds once around `around` and no other point: `nodes` sets only the
+    step count.  A 16-gon chord, 2 r sin(pi/16) ~ 0.39 r, fits under the
+    cap at its point nearest the center, r cos(pi/16) / 2 ~ 0.49 r, so each
+    chord is one carried step; 12 nodes give 0.52 r chords, over the cap."""
     if singular is None:
         singular = curve.singular_locations()
     base, around = complex(base), complex(around)

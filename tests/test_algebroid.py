@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aatkit import algebroid, cli
 from aatkit.algebroid import (
@@ -309,6 +310,18 @@ class TestPoles:
         assert abs(b[0].coefficient(8) + 147542437.077) < 1e-9 * 1.5e8
 
 
+def _reference_array(F, u_var, z_var):
+    """The deleted algebroid._poly_to_array: H[j, i] = complex(coefficient
+    of u^j z^i), as numpy accumulates it."""
+    du, dz = max(F.degree(u_var), 0), max(F.degree(z_var), 0)
+    out = np.zeros((du + 1, dz + 1), dtype=complex)
+    iu = F.vars.index(u_var) if u_var in F.vars else None
+    iz = F.vars.index(z_var) if z_var in F.vars else None
+    for exps, coeff in F.terms.items():
+        out[exps[iu] if iu is not None else 0, exps[iz] if iz is not None else 0] += complex(coeff)
+    return out
+
+
 @pytest.mark.parametrize("center", [0, 1, -2, Fraction(1, 2), Fraction(-5, 3),
                                     0.75 - 0.25j, 1j, 0.3 + 0.1j])
 @pytest.mark.parametrize("k", range(3))
@@ -326,7 +339,7 @@ def test_exact_recentering_matches_multipoly_shift(k, center):
     assert (h0 is None) == (c is None)
     if c is None:
         return
-    want = algebroid._poly_to_array(curve.F.shift_var("u", c), "u", "z")
+    want = _reference_array(curve.F.shift_var("u", c), "u", "z")
     assert repr(H.tolist()) == repr(want.tolist())
     fibre = curve.F.substitute_var("u", MultiPoly.constant(c, ("u",))).with_vars(("z",))
     assert repr(algebroid._roots_zi(*h0)) == repr(algebroid._distinct_roots_exact(fibre, "z"))
@@ -397,13 +410,25 @@ class TestSquareFreeCheck:
         assert curve.n == 2
         assert calls == {"zi_gcd": len(algebroid._SQF_POINTS), "poly_gcd": 1}
 
-    def test_extra_variable_uses_bivariate_check(self, calls):
+    def test_extra_variable_is_rejected(self, calls):
+        # a variable other than u and z of positive degree is a typed error
+        # before any check runs (it once reached the bivariate GCD)
         u, z = self.uz()
-        w = MultiPoly.variable("w")
-        AlgebroidCurve(z ** 2 - u * w)
-        assert calls == {"zi_gcd": 0, "poly_gcd": 1}
-        with pytest.raises(NotSquareFree):
-            AlgebroidCurve((z - w) ** 2 * (z - u))
+        w, t = MultiPoly.variable("w"), MultiPoly.variable("t")
+        for F, names in [(z ** 2 - u * w, "w"), ((z - w) ** 2 * (z - u), "w"),
+                         (z ** 2 - u + t * w, "t, w")]:
+            with pytest.raises(InvariantViolation, match=f"other variables: {names}$"):
+                AlgebroidCurve(F)
+        assert calls == {"zi_gcd": 0, "poly_gcd": 0}
+
+    def test_degree_zero_variable_is_allowed(self, calls):
+        # a variable of degree 0 is dead: the specialization proof runs
+        # (F(0, z) = z^2 is not square-free, F(1, z) is)
+        u, z = self.uz()
+        curve = AlgebroidCurve((z ** 2 - u).with_vars(("t", "u", "z")))
+        assert curve.n == 2 and curve.F.vars == ("t", "u", "z")
+        assert calls == {"zi_gcd": 2, "poly_gcd": 0}
+        assert [b.coeffs[0] for b in puiseux_expand(curve, 1, 4)] == [-1, 1]
 
 
 def _squarefree_draw():
@@ -722,7 +747,7 @@ def _pool_curves():
 def test_lockstep_matches_sheet_by_sheet(case, golden_cubic, sqrt_curve):
     # every sheet tracked alone by the public track_branch along the same
     # loop (restarting its step on every segment) gives the permutation of
-    # the lockstep loop (carrying its step), at 48, 96 and 192 nodes
+    # the lockstep loop (carrying its step), at 16, 48, 96 and 192 nodes
     u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
     curve, base = ([(golden_cubic, 3.0 + 0j), (sqrt_curve, 1.5j),
                     (AlgebroidCurve(z * z - (1 - u * u)), 0.5 + 1.5j)]
@@ -730,7 +755,7 @@ def test_lockstep_matches_sheet_by_sheet(case, golden_cubic, sqrt_curve):
     sing = curve.singular_locations()
     starts = sorted((complex(r) for r in curve.roots_at(base)),
                     key=lambda w: (round(w.real, 10), round(w.imag, 10)))
-    for nodes in (48, 96, 192):
+    for nodes in (16, 48, 96, 192):
         for around in sing:
             path, rel = algebroid._loop_path(base, around, sing, nodes)
             ends = [track_branch(curve, s, path, clearance_rel=rel, singular=sing)
@@ -742,9 +767,10 @@ def test_lockstep_matches_sheet_by_sheet(case, golden_cubic, sqrt_curve):
 
 
 def test_step_budget_bench_loops(monkeypatch):
-    # the carried, distance-capped step: the 12 loops of the seed-1 bench
-    # curves take about one guard call per circle node (6,019 calls when
-    # every segment restarted at 1% of its length)
+    # the carried, distance-capped step on the default 16-gon, whose chords
+    # fit under the step cap: the 12 loops of the seed-1 bench curves take
+    # 318 guard calls (700 on a 48-gon; 6,019 when every segment restarted
+    # at 1% of its length)
     calls = []
     guard = algebroid._pairwise_guard
 
@@ -759,7 +785,7 @@ def test_step_budget_bench_loops(monkeypatch):
             monodromy(curve, base, around)
             loops += 1
     assert loops == 12
-    assert len(calls) <= 2000
+    assert len(calls) <= 400
 
 
 class TestStems:
@@ -876,3 +902,164 @@ class TestExactElement:
     def test_rejects_ramified(self, golden_cubic):
         with pytest.raises(SingularCenter):
             exact_branch_element(golden_cubic, 1, 0, 6)
+
+
+# -- the polygon pass and the integer rows ------------------------------------
+
+def _reference_rows(P, u_var="u", z_var="z"):
+    """The deleted _poly_to_rows: the rows of _reference_array."""
+    A = _reference_array(P, u_var, z_var)
+    return tuple(tuple(complex(c) for c in A[::-1, i])
+                 for i in range(A.shape[1] - 1, -1, -1))
+
+
+def _reference_at_infinity(curve):
+    """The old at_infinity: the curve rebuilt by from_p_list."""
+    d = max(p.degree(curve.u_var) for p in curve.p_coeffs)
+    return AlgebroidCurve.from_p_list(
+        [MultiPoly((curve.u_var,), {(d - k,): c for k, c in
+                                    enumerate(p.univariate_coeffs(curve.u_var))})
+         for p in curve.p_coeffs], curve.u_var, curve.z_var)
+
+
+def _reference_classify(systems):
+    """singular_points' classification over computed BranchSystems."""
+    has_pole = any(s.low < 0 for s in systems)
+    has_cycle = any(s.e > 1 for s in systems)
+    kind = ("pole-and-branch" if has_pole and has_cycle else "pole" if has_pole
+            else "critical" if has_cycle else "regular-for-some-branches")
+    return kind, sorted((s.e for s in systems), reverse=True)
+
+
+def _rows_match(curve):
+    F, u, z = curve.F, curve.u_var, curve.z_var
+    want = tuple(_reference_rows(P, u, z) for P in (F, F.derivative(u), F.derivative(z)))
+    fresh = AlgebroidCurve(F, u, z)   # _num() is cached per curve
+    return repr(fresh._num()) == repr(want)
+
+
+_gauss = st.builds(lambda a, b, c, d: ExactScalar(Fraction(a, b), Fraction(c, d)),
+                   st.integers(-9, 9), st.integers(1, 7),
+                   st.sampled_from([0, 0, 1, -3, 5]), st.integers(1, 5))
+
+
+@st.composite
+def _row_curves(draw):
+    """F = sum c_ji u^j z^i, n <= 3, degree <= 3 in u, Gaussian c_ji; with
+    constant p0, and with the top u-degree only in the z^0 column (so F_z
+    has a lower u-degree than F), each drawn often."""
+    n, du = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    const_p0, top_at_z0 = draw(st.booleans()), draw(st.booleans())
+    terms = {}
+    for i in range(n + 1):
+        top = 0 if i == n and const_p0 else du - 1 if i and top_at_z0 and du else du
+        for j in range(top + 1):
+            if draw(st.booleans()):
+                terms[(j, i)] = draw(_gauss)
+    terms[(0, n)] = draw(_gauss.filter(lambda c: not c.is_zero()))
+    if top_at_z0 or not terms.get((du, 0)):
+        terms[(du, 0)] = draw(_gauss.filter(lambda c: not c.is_zero()))
+    try:
+        return AlgebroidCurve(MultiPoly(("u", "z"), terms))
+    except AatkitError:
+        assume(False)
+
+
+class TestIntegerRows:
+    """_num() and at_infinity() read the integer columns, not MultiPoly."""
+
+    def test_sweep_and_pool_rows(self):
+        for curve in _sweep_curves() + [c for c, _base in _pool_curves()]:
+            assert _rows_match(curve), curve.F
+            assert _rows_match(curve.at_infinity()), curve.F
+
+    @settings(max_examples=150, deadline=None)
+    @given(_row_curves())
+    def test_drawn_rows(self, curve):
+        assert _rows_match(curve)
+
+    def test_drawn_shapes_are_covered(self):
+        # the shapes the draw is for: constant p0, F_u = 0, and F_z of
+        # lower u-degree than F
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        half = ExactScalar(Fraction(1, 2), Fraction(-1, 3))
+        for F in (z ** 3 - half * u ** 2 + u * z, z ** 2 + half * z - 3,
+                  (1 + u) * z ** 2 + z - half * u ** 3):
+            assert _rows_match(AlgebroidCurve(F))
+        rows_u = AlgebroidCurve(z ** 2 + half * z - 3)._num()[1]
+        assert rows_u == ((0j,),)
+
+    def test_float_center_local_arrays(self):
+        # at an inexact center the local array is the old one: each z^i
+        # column of _reference_array Taylor-shifted in u
+        center = complex(math.pi / 7, math.e / 5)
+        assert algebroid._as_exact(center) is None
+        for curve in _sweep_curves() + [c for c, _base in _pool_curves()]:
+            H, h0 = algebroid._local_array(curve, center)
+            arr = _reference_array(curve.F, "u", "z")
+            want = np.zeros_like(arr)
+            for i in range(arr.shape[1]):
+                want[:, i] = algebroid._taylor_shift(arr[:, i], center)
+            assert h0 is None and repr(H.tolist()) == repr(want.tolist())
+
+    def test_at_infinity_matches_from_p_list(self, golden_cubic, sqrt_curve):
+        curves = [golden_cubic, sqrt_curve] + _sweep_curves() + \
+            [c for c, _base in _pool_curves()]
+        for curve in curves:
+            got, want = curve.at_infinity(), _reference_at_infinity(curve)
+            assert got.F == want.F and got.F.vars == want.F.vars
+            assert [repr(p) for p in got.p_coeffs] == [repr(p) for p in want.p_coeffs]
+
+    def test_no_multipoly_arithmetic(self, monkeypatch):
+        curves = _sweep_curves() + [c for c, _base in _pool_curves()]
+        fresh = [AlgebroidCurve(c.F) for c in curves]
+        calls = []
+        for name in ("derivative", "__mul__", "__pow__"):
+            def spy(*args, name=name, orig=getattr(MultiPoly, name)):
+                calls.append(name)
+                return orig(*args)
+            monkeypatch.setattr(MultiPoly, name, spy)
+        for curve in fresh:
+            curve._num()
+            curve.at_infinity()._num()
+        assert calls == []
+        MultiPoly.variable("u") * 2   # the spy itself is live
+        assert calls == ["__mul__"]
+
+
+class TestPolygonOnly:
+    """singular_points reads each system's e and low from the polygon."""
+
+    def test_matches_classify_over_expand_systems(self):
+        for curve in _sweep_curves() + [c for c, _base in _pool_curves()]:
+            for p in singular_points(curve).points:
+                systems = (algebroid.expand_systems(curve, p.location, order=8)
+                           if p.location is not None else
+                           algebroid.expand_systems(curve.at_infinity(), 0, order=8))
+                assert (p.kind, p.cycle_structure) == _reference_classify(systems), \
+                    (curve.F, p.location)
+
+    def test_no_coefficient_work(self, golden_cubic, monkeypatch):
+        calls = []
+        for name in ("_newton_series", "_polish", "array_inverse"):
+            def spy(*args, name=name, orig=getattr(algebroid, name)):
+                calls.append(name)
+                return orig(*args)
+            monkeypatch.setattr(algebroid, name, spy)
+        curves = [golden_cubic, _probe_curve()] + _sweep_curves()[:10] + \
+            [c for c, _base in _pool_curves()]
+        for curve in curves:
+            singular_points(curve)
+        assert calls == []
+        # the same spies see the work of expand_systems
+        algebroid.expand_systems(golden_cubic, 0, order=8)
+        assert {"_newton_series", "_polish", "array_inverse"} <= set(calls)
+
+    def test_live_variable_is_a_typed_error(self):
+        # a curve in u, z and a live parameter t was expanded as if t = 1
+        u, z, t = (MultiPoly.variable(v) for v in "uzt")
+        with pytest.raises(InvariantViolation, match="other variables: t"):
+            AlgebroidCurve(z ** 2 - u + t)
+        with pytest.raises(InvariantViolation, match="other variables: t"):
+            AlgebroidCurve.from_p_list([MultiPoly.constant(1, ("u",)),
+                                        MultiPoly.zero(("u",)), t - u])

@@ -41,6 +41,11 @@ def files(tmp_path_factory):
             - 2 * u * z ** 3).to_json_dict()),
         "stem": dump("stem.json", AlgebroidCurve(
             -1 + 3 * z ** 2 - 2 * u + u * z - 2 * u * z ** 2).to_json_dict()),
+        "live_t": dump("live_t.json", {
+            "type": "curve", "n": 2,
+            "p": [MultiPoly.constant(1, ("u",)).to_json_dict(),
+                  MultiPoly.zero(("u",)).to_json_dict(),
+                  (MultiPoly.variable("t") - u).to_json_dict()]}),
         "bad_curve": dump("bad_curve.json", {
             "type": "curve", "n": 1,
             "p": [MultiPoly.zero(("u",)).to_json_dict(),
@@ -141,6 +146,16 @@ class TestExitCodes:
         assert code == 2 and out.err == ""
         assert rep["error"]["type"] == "SchemaError"
         assert needle in rep["error"]["message"]
+
+    def test_curve_with_live_parameter_is_one_typed_error(self, files, capsys):
+        # z^2 - u + t: a curve with a variable other than u and z of
+        # positive degree is rejected, not expanded at some value of t
+        code = run_command(["algebroid", "expand", "--curve", files["live_t"],
+                            "--center", "1"])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert (code, rep["error"]["type"]) == (2, "InvariantViolation") and out.err == ""
+        assert rep["error"]["message"] == "curve in u, z has other variables: t"
 
     def test_usage_error_exit_two(self, capsys):
         code = run_command(["aat", "verify"])  # missing required args
