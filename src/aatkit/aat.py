@@ -496,7 +496,7 @@ def schwarz_reduce(G: MultiPoly, f: FunctionSpec,
     if base is None:
         base = f.default_base()
     cert = verify_aat(G, f, order=min(order, 16), base=base)
-    if not cert.verified:
+    if not cert.verified or G.degree("W") < 1:      # G = 0 verifies trivially
         raise PreconditionFailed("G is not a verified addition theorem for f")
     if shifts is None:
         scale = _shift_scale(f, base)

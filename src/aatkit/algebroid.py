@@ -85,6 +85,7 @@ class AlgebroidCurve:
         self.p_coeffs = [zc[self.n - k] for k in range(self.n + 1)]
         if self.p_coeffs[0].is_zero():
             raise InvariantViolation("leading coefficient p0 is identically zero")
+        self._cols = _zi_columns(self)   # (D, cols), computed once per curve
         if self.n >= 2 and not self._squarefree_at_some_u0():
             g = poly_gcd(self.F, self.F.derivative(z_var))
             if g.degree(z_var) >= 1:
@@ -95,7 +96,7 @@ class AlgebroidCurve:
     def _squarefree_at_some_u0(self) -> bool:
         """True when F(u0, z) is square-free of degree n at some u0 of
         _SQF_POINTS (the proof in the class docstring); False proves nothing."""
-        cols = _zi_columns(self)[1]
+        cols = self._cols[1]
         for u0 in _SQF_POINTS:   # f = D F(u0, z), highest power first
             f = [zi_horner(col, (u0, 0)) for col in reversed(cols)]
             if f[0] != (0, 0) and len(zi_gcd(f, zi_derivative(f))) == 1:
@@ -119,7 +120,7 @@ class AlgebroidCurve:
         """Rows of F, F_u, F_z from _zi_columns; k x / D, one int true
         division, is correctly rounded, as complex(ExactScalar) is."""
         if self._arrays is None:
-            D, cols = _zi_columns(self)
+            D, cols = self._cols
             du = len(cols[0]) - 1
             F = {(du - j, i): x for i, col in enumerate(cols)
                  for j, x in enumerate(col) if x != (0, 0)}
@@ -400,7 +401,7 @@ def _exact_shift(curve: AlgebroidCurve,
     integers: with c = w / m and du the degree in u, cols[i] is the zi_shift
     of the z^i column of _zi_columns, ascending, and N = D m^du."""
     m, (wr,), (wi,) = gaussian_integers([c])
-    D, cols = _zi_columns(curve)
+    D, cols = curve._cols
     return D * m ** (len(cols[0]) - 1), [zi_shift(col, (wr, wi), m)[::-1] for col in cols]
 
 

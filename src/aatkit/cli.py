@@ -101,7 +101,8 @@ def parse_spec_data(data: dict, origin: str = "<data>"):
             return MultiPoly.from_json_dict(data)
         if kind == "series" or (kind is None and "coeffs" in data and "order" in data):
             return TruncSeries.from_json_dict(data)
-    except (AatkitError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+    except (AatkitError, ValueError, KeyError, TypeError, ZeroDivisionError,
+            OverflowError) as e:
         if isinstance(e, InvariantViolation):
             raise
         raise SchemaError(f"{origin}: {e}") from e
@@ -183,7 +184,10 @@ def _cmd_aat_verify(args, cfg: RunConfig):
 def _cmd_aat_discover(args, cfg: RunConfig):
     f = _load_function(args.fn)
     if args.bounds:
-        bounds_list = [tuple(int(x) for x in args.bounds.split(","))]
+        try:
+            bounds_list = [tuple(int(x) for x in args.bounds.split(","))]
+        except ValueError:
+            bounds_list = [()]
         if len(bounds_list[0]) != 3:
             raise SchemaError("--bounds must be three integers i,j,k")
     else:

@@ -316,8 +316,13 @@ class MultiPoly:
     @staticmethod
     def from_json_dict(data: dict) -> "MultiPoly":
         vars = data["vars"]
+        if not (isinstance(vars, list) and all(isinstance(v, str) for v in vars)
+                and len(set(vars)) == len(vars)):
+            raise SchemaError(f"vars must be a list of distinct names, got {vars!r}")
         terms: dict[Exponents, ExactScalar] = {}
         for t in data["terms"]:
+            if not all(type(e) is int for e in t["exps"]):
+                raise SchemaError(f"exponents must be integers, got {t['exps']!r}")
             if len(t["exps"]) != len(vars):
                 raise SchemaError(f"exponent vector {t['exps']} does not match vars {vars}")
             terms[tuple(t["exps"])] = ExactScalar.from_json(t["re"], t.get("im", ["0", "1"]))

@@ -50,6 +50,8 @@ class ExactScalar:
     def from_json(re, im) -> "ExactScalar":
         """From two JSON [numerator, denominator] pairs."""
         (a, b), (c, d) = json_pair(re), json_pair(im)
+        if not all(type(x) in (int, str) for x in (a, b, c, d)):
+            raise SchemaError(f"expected integers or integer strings, got {re!r}, {im!r}")
         return ExactScalar(Fraction(int(a), int(b)), Fraction(int(c), int(d)))
 
     @staticmethod

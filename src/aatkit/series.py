@@ -30,12 +30,12 @@ operation runs one integer row routine for both scales and normalizes its
 result once, by a gcd or by one rounding.
 
 No other module reads series storage, and every series kernel is here:
-_triangle_product and _row_recurrence (BiSeries products, every row packed
-into one big integer and multiplied exactly, and inverses, fraction-free on
-the rational scale), _line_product and _exact_inverse (exact TruncSeries,
-one Fraction per part of each result coefficient), array_product and
-array_inverse (complex TruncSeries and algebroid's dense branch series),
-outer_sums (sum c_pq U^p V^q, U in x and V in y: the W-coefficients of an
+_triangle_product, _row_recurrence and _line_product (BiSeries products and
+inverses, exact TruncSeries products) on one exact Kronecker row kernel
+(_pack_rows, _row_product), _exact_inverse (exact TruncSeries, one Fraction
+per part of each result coefficient), array_product and array_inverse
+(complex TruncSeries and algebroid's dense branch series), outer_sums
+(sum c_pq U^p V^q, U in x and V in y: the W-coefficients of an
 addition-theorem residual and discovery's columns) and coefficient_rows
 (the coefficient matrix of a list of BiSeries).
 """
@@ -445,6 +445,9 @@ def rearrange_at(s: TruncSeries, new_center, tol: float = 1e-9) -> TruncSeries:
 
 PREC_BITS = 160     # mantissa budget (45 decimal digits are 153 bits)
 _INV_GUARD = 32     # extra bits carried through the inverse recurrence
+# two Kronecker points from this slot width on: on order-24 real rows they took
+# 1.18x, 0.99x and 0.76x the one-point time at 132-, 172- and 332-bit slots
+_TWO_POINT_SLOT = 200
 
 
 def _round_shift(m: int, s: int) -> int:
@@ -465,34 +468,70 @@ def _round_div(n: int, d: int) -> int:
     return q
 
 
+def _plus_minus(vals: list[int], h: int) -> tuple[int, int]:
+    """sum vals[k] t**k at t = 2**h and t = -2**h, from its even and odd parts."""
+    even, odd = _pack(vals[::2], 2 * h), _pack(vals[1::2], 2 * h) << h
+    return even + odd, even - odd
+
+
 def _pack_rows(re: list[list[int]], im: list[list[int]],
-               slot: int) -> list[tuple[int, int, int, int]]:
-    """Per row: the number z of leading zero entries, then the packed real
-    parts, imaginary parts and their sum from entry z on (the sums give the
-    third product of Gauss's three-multiplication complex product)."""
-    out = []
+               slot: int) -> list[list[tuple[int, int, int, int]]]:
+    """Per Kronecker point, per row: its number z of leading zero entries,
+    then its real parts, imaginary parts and their sum from entry z on, at
+    t = 2**slot below _TWO_POINT_SLOT, else at t = +-2**h, h = ceil(slot/2),
+    (-1)**z folded in (Harvey's two-point substitution: half-width operands)."""
+    plus, minus = [], []
+    h = (slot + 1) // 2
     for ra, rb in zip(re, im):
         z = 0
         while z < len(ra) and not (ra[z] or rb[z]):
             z += 1
-        pr, pi = _pack(ra[z:], slot), _pack(rb[z:], slot)
-        out.append((z, pr, pi, pr + pi))
+        if slot < _TWO_POINT_SLOT:
+            pr, pi = _pack(ra[z:], slot), _pack(rb[z:], slot)
+        else:
+            (pr, mr), (pi, mi) = _plus_minus(ra[z:], h), _plus_minus(rb[z:], h)
+            if z & 1:
+                mr, mi = -mr, -mi
+            minus.append((z, mr, mi, mr + mi))
+        plus.append((z, pr, pi, pr + pi))
+    return [plus, minus] if minus else [plus]
+
+
+def _row_product(pa: list, pb: list, d: int, ks: range, slot: int,
+                 n: int) -> tuple[list[int], list[int]]:
+    """The first n coefficients (re, im) of the sum over k in ks of row k
+    of a times row d - k of b, from their _pack_rows forms; exact.  At each
+    point a pair of real rows costs one product, a real and a complex row
+    two, two complex rows three (Gauss); _split reads two points."""
+    w = slot if len(pa) == 1 else (slot + 1) // 2
+    sums = []
+    for qa, qb in zip(pa, pb):
+        sr = si = 0
+        for k in ks:
+            za, ar, ai, asum = qa[k]
+            zb, br, bi, bsum = qb[d - k]
+            z = (za + zb) * w
+            if ai and bi:
+                s1, s2 = ar * br, ai * bi
+                sr += s1 - s2 << z
+                si += asum * bsum - s1 - s2 << z
+            else:                        # a real row: one product per part
+                sr += ar * br << z
+                if ai or bi:
+                    si += (ai * br if ai else ar * bi) << z
+        sums.append((sr, si))
+    if len(sums) == 1:
+        return _unpack(sums[0][0], n, slot), _unpack(sums[0][1], n, slot)
+    return tuple(_split(p, m, n, w) for p, m in zip(*sums))
+
+
+def _split(p: int, m: int, n: int, h: int) -> list[int]:
+    """The first n coefficients of C(t) from p = C(2**h), m = C(-2**h): the
+    even ones from (p + m) / 2, the odd from (p - m) / 2**(h + 1)."""
+    out = [0] * n
+    out[::2] = _unpack((p + m) >> 1, (n + 1) // 2, 2 * h)
+    out[1::2] = _unpack((p - m) >> (h + 1), n // 2, 2 * h)
     return out
-
-
-def _row_product(pa: list, pb: list, d: int, ks: range,
-                 slot: int) -> tuple[list[int], list[int]]:
-    """Row d of a Gaussian product: the sum over k in ks of row k of a times
-    row d - k of b, from their _pack_rows forms; exact."""
-    s1 = s2 = s3 = 0
-    for k in ks:
-        za, ar, ai, asum = pa[k]
-        zb, br, bi, bsum = pb[d - k]
-        z = (za + zb) * slot
-        s1 += ar * br << z
-        s2 += ai * bi << z
-        s3 += asum * bsum << z
-    return _unpack(s1 - s2, d + 1, slot), _unpack(s3 - s1 - s2, d + 1, slot)
 
 
 def _triangle_product(ar: list[list[int]], ai: list[list[int]],
@@ -500,7 +539,8 @@ def _triangle_product(ar: list[list[int]], ai: list[list[int]],
                       va: int, vb: int, order: int) -> list[tuple[list[int], list[int]]]:
     """Rows d < order of the exact product of two triangular Gaussian-integer
     series, as (re, im) pairs; va and vb are the operands' valuations (the
-    rows below them are zero and skipped)."""
+    rows below them are zero and skipped), each row packed once and row d
+    the _row_product of the pairs of rows k and d - k."""
     # The coefficient of x^i y^j (i + j < order) sums (i+1)(j+1) <=
     # ((order+1)/2)**2 <= 2**(2L-2) pair terms, L = order.bit_length(), and
     # each real or imaginary part a_r b_r - a_i b_i, a_r b_i + a_i b_r is
@@ -510,7 +550,7 @@ def _triangle_product(ar: list[list[int]], ai: list[list[int]],
     pa, pb = _pack_rows(ar, ai, slot), _pack_rows(br, bi, slot)
     na, nb = len(ar), len(br)
     return [_row_product(pa, pb, d, range(max(va, d - nb + 1),
-                                          min(d - vb, na - 1) + 1), slot)
+                                          min(d - vb, na - 1) + 1), slot, d + 1)
             for d in range(order)]
 
 
@@ -523,10 +563,8 @@ def _line_product(ar: list[int], ai: list[int], br: list[int], bi: list[int],
     # is below 2**(bits_a + bits_b + 1) in size, so it fits a signed field
     # of slot bits with n < 2**n.bit_length()
     slot = _max_bits([ar, ai]) + _max_bits([br, bi]) + n.bit_length() + 2
-    xr, xi, yr, yi = (_pack(v[:n], slot) for v in (ar, ai, br, bi))
-    s1, s2 = xr * yr, xi * yi
-    return (_unpack(s1 - s2, n, slot),
-            _unpack((xr + xi) * (yr + yi) - s1 - s2, n, slot))
+    return _row_product(_pack_rows([ar[:n]], [ai[:n]], slot),
+                        _pack_rows([br[:n]], [bi[:n]], slot), 0, range(1), slot, n)
 
 
 def _line_powers(re: list[int], im: list[int], top: int,
@@ -624,8 +662,10 @@ def _row_recurrence(ar: list[list[int]], ai: list[list[int]], n: int,
                     b0: tuple[int, int], step) -> tuple[list, list]:
     """Rows b_0 .. b_(n-1) of b_d = step(a_1 b_(d-1) + ... + a_d b_0), the
     sum an exact row product of triangular Gaussian-integer rows and step a
-    map from its (re, im) entry lists to the next row's."""
+    map from its (re, im) entry lists to the next row's, zero to zero."""
     re, im = [[b0[0]]], [[b0[1]]]
+    if not any(map(any, chain(ar[1:], ai[1:]))):    # constant a: every sum is zero
+        return re + _triangle(n)[1:], im + _triangle(n)[1:]
     bits_a = _max_bits(ar + ai)
     bits_b = max(abs(b0[0]), abs(b0[1])).bit_length()
     slot, pa, pb = 0, [], []
@@ -635,11 +675,11 @@ def _row_recurrence(ar: list[list[int]], ai: list[list[int]], n: int,
             slot = need + 32
             pa = _pack_rows(ar, ai, slot)
             pb = _pack_rows(re, im, slot)
-        rr, ri = step(*_row_product(pa, pb, d, range(1, d + 1), slot))
+        rr, ri = step(*_row_product(pa, pb, d, range(1, d + 1), slot, d + 1))
         re.append(rr)
         im.append(ri)
         bits_b = max(bits_b, _max_bits([rr, ri]))
-        pb += _pack_rows([rr], [ri], slot)
+        pb = [q + row for q, row in zip(pb, _pack_rows([rr], [ri], slot))]
     return re, im
 
 

@@ -203,8 +203,10 @@ def bareiss(rows: list[ZiPoly], ncols: int) -> tuple[list[ZiPoly], list[int], in
     column moves up (flipping the sign), each row x below becomes
     (p x - l y) / prev for pivot p, x's entry l and the pivot row y, exact
     by Sylvester's identity, and zero rows are dropped.  Every entry is a
-    minor and the pivot columns are the column rank profile."""
+    minor and the pivot columns are the column rank profile.  A real matrix
+    is updated on the integers."""
     rows = [list(r) for r in rows]
+    real = not any(y for r in rows for _, y in r)
     pivots: list[int] = []
     sign, prev = 1, (1, 0)
     for c in range(ncols):
@@ -221,9 +223,14 @@ def bareiss(rows: list[ZiPoly], ncols: int) -> tuple[list[ZiPoly], list[int], in
         for x in rows[k + 1:]:
             lr, li = x[c]
             x[c] = (0, 0)
-            x[c + 1:] = tail = [gauss_divexact(pr * ar - pi * ai - lr * br + li * bi,
-                                               pr * ai + pi * ar - lr * bi - li * br, prev)
-                                for (ar, ai), (br, bi) in zip(x[c + 1:], top)]
+            if real:
+                tail = [gauss_divexact(pr * ar - lr * br, 0, prev)
+                        for (ar, _), (br, _) in zip(x[c + 1:], top)]
+            else:
+                tail = [gauss_divexact(pr * ar - pi * ai - lr * br + li * bi,
+                                       pr * ai + pi * ar - lr * bi - li * br, prev)
+                        for (ar, ai), (br, bi) in zip(x[c + 1:], top)]
+            x[c + 1:] = tail
             if any(map(any, tail)):
                 live.append(x)
         rows[k + 1:] = live

@@ -1026,6 +1026,28 @@ class TestIntegerRows:
         MultiPoly.variable("u") * 2   # the spy itself is live
         assert calls == ["__mul__"]
 
+    def test_columns_once_per_curve(self, monkeypatch):
+        # the square-free proof, singular_points, _num() and puiseux_expand
+        # at exact centers all read the (D, cols) the constructor computed
+        calls = []
+
+        def spy(curve, orig=algebroid._zi_columns):
+            calls.append(curve)
+            return orig(curve)
+
+        monkeypatch.setattr(algebroid, "_zi_columns", spy)
+        for F in [c.F for c in _sweep_curves()[:8] + [c for c, _base in _pool_curves()]]:
+            calls.clear()
+            curve = AlgebroidCurve(F)
+            report = singular_points(curve)
+            curve._num()
+            centers = [p.location for p in report.points if p.location is not None]
+            for center in centers + [Fraction(1, 3), 0]:
+                if algebroid._as_exact(center) is not None:
+                    puiseux_expand(curve, center, 6)
+            assert calls.count(curve) == 1, F
+            assert all(calls.count(c) == 1 for c in calls), F
+
 
 class TestPolygonOnly:
     """singular_points reads each system's e and low from the polygon."""

@@ -157,6 +157,13 @@ class TestExitCodes:
         assert (code, rep["error"]["type"]) == (2, "InvariantViolation") and out.err == ""
         assert rep["error"]["message"] == "curve in u, z has other variables: t"
 
+    @pytest.mark.parametrize("bounds", ["x,1,1", "1,1", "1.5,1,1"])
+    def test_bad_bounds_are_one_schema_error(self, files, capsys, bounds):
+        code = run_command(["aat", "discover", "--fn", files["exp"], "--bounds", bounds])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert (code, rep["error"]["type"]) == (2, "SchemaError") and out.err == ""
+
     def test_usage_error_exit_two(self, capsys):
         code = run_command(["aat", "verify"])  # missing required args
         capsys.readouterr()

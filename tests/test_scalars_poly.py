@@ -343,6 +343,8 @@ def test_poly_domain_errors_are_typed(site):
 @pytest.mark.parametrize("terms", [
     [{"exps": [1], "re": ["1", "1"]}],           # wrong length for (u, z)
     [{"exps": [0, -2], "re": ["1", "1"]}],       # negative exponent
+    [{"exps": [0.5, 0], "re": ["1", "1"]}],      # a float exponent int() would truncate
+    [{"exps": [1, 0], "re": [1.5, "1"]}],        # a float numerator, likewise
 ])
 def test_bad_polynomial_file_is_a_schema_error(terms):
     with pytest.raises(SchemaError):

@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aatkit import series
 from aatkit.errors import (
     CenterMismatch,
     DivisionByZeroSeries,
@@ -31,6 +33,7 @@ from aatkit.series import (
     rearrange_at,
     series_arith,
 )
+from aatkit.zi import _max_bits, _pack, _unpack
 
 
 def geometric(order=40, ratio=1):
@@ -882,3 +885,171 @@ class TestConstantOperand:
         got, want = a * value, a * BiSeries.const(value, a.order)
         assert (got.re, got.im, got.order, got.den, got.exp) == (
             want.re, want.im, want.order, want.den, want.exp)
+
+
+# -- the row kernel against the one-point Gaussian kernel it replaced --------------
+
+def _ref_pack_rows(re, im, slot):
+    """One-point packing at t = 2**slot: (leading zeros z, real parts,
+    imaginary parts, their sum) per row, from entry z on."""
+    out = []
+    for ra, rb in zip(re, im):
+        z = 0
+        while z < len(ra) and not (ra[z] or rb[z]):
+            z += 1
+        pr, pi = _pack(ra[z:], slot), _pack(rb[z:], slot)
+        out.append((z, pr, pi, pr + pi))
+    return out
+
+
+def _ref_row_product(pa, pb, d, ks, slot):
+    """Row d of a Gaussian product by three products per pair, always."""
+    s1 = s2 = s3 = 0
+    for k in ks:
+        za, ar, ai, asum = pa[k]
+        zb, br, bi, bsum = pb[d - k]
+        z = (za + zb) * slot
+        s1 += ar * br << z
+        s2 += ai * bi << z
+        s3 += asum * bsum << z
+    return _unpack(s1 - s2, d + 1, slot), _unpack(s3 - s1 - s2, d + 1, slot)
+
+
+def _ref_triangle_product(ar, ai, br, bi, va, vb, order):
+    slot = _max_bits(ar + ai) + _max_bits(br + bi) + 2 * order.bit_length()
+    pa, pb = _ref_pack_rows(ar, ai, slot), _ref_pack_rows(br, bi, slot)
+    na, nb = len(ar), len(br)
+    return [_ref_row_product(pa, pb, d, range(max(va, d - nb + 1),
+                                              min(d - vb, na - 1) + 1), slot)
+            for d in range(order)]
+
+
+def _ref_line_product(ar, ai, br, bi, n):
+    slot = _max_bits([ar, ai]) + _max_bits([br, bi]) + n.bit_length() + 2
+    xr, xi, yr, yi = (_pack(v[:n], slot) for v in (ar, ai, br, bi))
+    s1, s2 = xr * yr, xi * yi
+    return (_unpack(s1 - s2, n, slot),
+            _unpack((xr + xi) * (yr + yi) - s1 - s2, n, slot))
+
+
+def _ref_row_recurrence(ar, ai, n, b0, step):
+    """The inverse recurrence on the one-point kernel, every row computed."""
+    re, im = [[b0[0]]], [[b0[1]]]
+    bits_a = _max_bits(ar + ai)
+    bits_b = max(abs(b0[0]), abs(b0[1])).bit_length()
+    slot, pa, pb = 0, [], []
+    for d in range(1, n):
+        need = bits_a + bits_b + 2 * n.bit_length() + 4
+        if need > slot:
+            slot = need + 32
+            pa = _ref_pack_rows(ar, ai, slot)
+            pb = _ref_pack_rows(re, im, slot)
+        rr, ri = step(*_ref_row_product(pa, pb, d, range(1, d + 1), slot))
+        re.append(rr)
+        im.append(ri)
+        bits_b = max(bits_b, _max_bits([rr, ri]))
+        pb += _ref_pack_rows([rr], [ri], slot)
+    return re, im
+
+
+@st.composite
+def kernel_rows(draw, order=None):
+    """Triangular Gaussian-integer rows with entries of exactly `bits` bits
+    at their largest: real, complex or mixed rows, leading zeros of either
+    parity, zero rows, negative entries and a valuation."""
+    n = order if order is not None else draw(st.integers(1, 24))
+    bits = draw(st.integers(1, 190))
+    kind = draw(st.sampled_from(["real", "complex", "mixed"]))
+    low = draw(st.integers(0, n - 1)) if draw(st.booleans()) else 0
+    top = (1 << bits) - 1
+    part = st.integers(-top, top)
+    re, im = [], []
+    for d in range(n):
+        lead = draw(st.integers(0, d + 1))
+        zero_row = d < low or draw(st.integers(0, 5)) == 0
+        real = kind == "real" or (kind == "mixed" and draw(st.booleans()))
+        re.append([0 if zero_row or j < lead else draw(part) for j in range(d + 1)])
+        im.append([0 if zero_row or real or j < lead else draw(part) for j in range(d + 1)])
+    d = draw(st.integers(low, n - 1))
+    re[d][draw(st.integers(0, d))] = draw(st.sampled_from([top, -top]))
+    return re, im
+
+
+def _valuation(re, im):
+    return next((d for d, (a, b) in enumerate(zip(re, im)) if any(a) or any(b)), 0)
+
+
+class TestRowKernel:
+    """The two-point, real-aware kernel gives the one-point kernel's rows."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(kernel_rows(), kernel_rows())
+    def test_triangle_product_bit_identical(self, a, b):
+        va, vb = _valuation(*a), _valuation(*b)
+        order = min(len(a[0]) + vb, len(b[0]) + va)
+        assert _triangle_product(*a, *b, va, vb, order) == \
+            _ref_triangle_product(*a, *b, va, vb, order)
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("order", [1, 2, 7, 24])
+    def test_slots_around_the_crossover(self, shift, order):
+        # slot = bits_a + bits_b + 2 L: odd and even widths just below, at
+        # and just above the width where the second point starts
+        bits_b = 37
+        bits_a = series._TWO_POINT_SLOT + shift - bits_b - 2 * order.bit_length()
+        rng = np.random.default_rng(order * 3 + shift)
+        rows = []
+        for bits, real in ((bits_a, False), (bits_b, True), (bits_a, True)):
+            top = (1 << bits) - 1
+            re = [[int(v) % top - top // 2 for v in rng.integers(0, 2 ** 62, d + 1)]
+                  for d in range(order)]
+            im = [[0] * (d + 1) if real else [-x for x in r] for d, r in enumerate(re)]
+            re[-1][0] = top
+            rows.append((re, im))
+        for a, b in ((rows[0], rows[1]), (rows[1], rows[0]), (rows[2], rows[1]),
+                     (rows[0], rows[0])):
+            assert _triangle_product(*a, *b, 0, 0, order) == \
+                _ref_triangle_product(*a, *b, 0, 0, order)
+            assert _line_product(a[0][-1], a[1][-1], b[0][-1], b[1][-1], order) == \
+                _ref_line_product(a[0][-1], a[1][-1], b[0][-1], b[1][-1], order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows(), kernel_rows(), st.integers(1, 24))
+    def test_line_product_bit_identical(self, a, b, n):
+        x = [(r + [0] * n)[:n] for r in (a[0][-1], a[1][-1])]
+        y = [(r + [0] * n)[:n] for r in (b[0][-1], b[1][-1])]
+        assert _line_product(*x, *y, n) == _ref_line_product(*x, *y, n)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_inverse_bit_identical(self, data):
+        re, im = data.draw(kernel_rows())
+        binary = data.draw(st.booleans())
+        if not (re[0][0] or im[0][0]) or binary and _max_bits(re + im) > PREC_BITS:
+            re[0][0] = -(1 << _max_bits(re + im))   # g survives the binary rounding
+        if binary:
+            s = BiSeries(re, im, len(re), exp=data.draw(st.integers(-300, 40)))
+        else:
+            s = BiSeries(re, im, len(re), den=data.draw(st.integers(1, 10 ** 12)))
+        got = s.inverse()
+        with mock.patch.object(series, "_row_recurrence", _ref_row_recurrence):
+            want = s.inverse()
+        assert (got.re, got.im, got.order, got.den, got.exp) == (
+            want.re, want.im, want.order, want.den, want.exp)
+
+
+class TestConstantInverse:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_row_zero_alone(self, data):
+        # a series with only row 0 nonzero inverts without a row product,
+        # to the full recurrence's rows, order and scale, on either scale
+        value = data.draw(gaussian_q.filter(lambda c: not c.is_zero()))
+        c = BiSeries.const(value, data.draw(st.integers(1, 24)))
+        for s in (c, c.to_binary(), BiSeries(c.re, c.im, c.order, exp=-40)):
+            with mock.patch.object(series, "_row_product", side_effect=AssertionError):
+                got = s.inverse()
+            with mock.patch.object(series, "_row_recurrence", _ref_row_recurrence):
+                want = s.inverse()
+            assert (got.re, got.im, got.order, got.den, got.exp) == (
+                want.re, want.im, want.order, want.den, want.exp)

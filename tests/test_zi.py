@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from aatkit.errors import InexactDivision
 from aatkit.poly import MultiPoly, pseudo_rem, zi_coeffs
 from aatkit.scalars import ExactScalar
-from aatkit.zi import (determinant, gauss_divexact, gauss_gcd, zi_derivative, zi_divexact,
-                       zi_gcd, zi_prem, zi_primitive, zi_shift)
+from aatkit import zi
+from aatkit.zi import (bareiss, determinant, gauss_divexact, gauss_gcd, zi_derivative,
+                       zi_divexact, zi_gcd, zi_prem, zi_primitive, zi_shift)
 
 UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
@@ -106,3 +107,68 @@ def test_determinant_row_swaps_and_rank():
     assert determinant([[(0, 0), (0, 0), (1, 0)], [(0, 0), (1, 0), (0, 0)],
                         [(1, 0), (0, 0), (0, 0)]]) == (-1, 0)
     assert determinant([[(1, 1), (2, 2)], [(0, 1), (0, 2)]]) == (0, 0)
+
+
+def _gaussian_bareiss(rows, ncols):
+    """bareiss with every update on Gaussian integers (gauss_divexact), as
+    it ran before real matrices took the integer path: the reference."""
+    rows = [list(r) for r in rows]
+    pivots, sign, prev = [], 1, (1, 0)
+    for c in range(ncols):
+        k = len(pivots)
+        if k == len(rows):
+            break
+        p = next((i for i in range(k, len(rows)) if rows[i][c] != (0, 0)), None)
+        if p is None:
+            continue
+        if p != k:
+            rows[k], rows[p], sign = rows[p], rows[k], -sign
+        pr, pi = rows[k][c]
+        top, live = rows[k][c + 1:], []
+        for x in rows[k + 1:]:
+            lr, li = x[c]
+            x[c] = (0, 0)
+            x[c + 1:] = tail = [gauss_divexact(pr * ar - pi * ai - lr * br + li * bi,
+                                               pr * ai + pi * ar - lr * bi - li * br, prev)
+                                for (ar, ai), (br, bi) in zip(x[c + 1:], top)]
+            if any(map(any, tail)):
+                live.append(x)
+        rows[k + 1:] = live
+        pivots.append(c)
+        prev = (pr, pi)
+    return rows, pivots, sign
+
+
+@st.composite
+def real_matrix(draw):
+    """A rectangular integer matrix (zero imaginary parts), often rank
+    deficient: a repeated combination of two rows and zero columns."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 2 ** 40, -(3 ** 30)])
+    m = [[(draw(entry), 0) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(nrows)))[:3]
+        p, q = draw(entry), draw(entry)
+        m[k] = [(p * a + q * b, 0) for (a, _), (b, _) in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_matrix())
+def test_real_bareiss_matches_gaussian_path(m):
+    ncols = len(m[0])
+    assert bareiss(m, ncols) == _gaussian_bareiss(m, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_matrix())
+def test_real_nullspace_unchanged(m):
+    # the same kernel basis as with the Gaussian-path elimination inside
+    ncols = len(m[0])
+    got = zi.nullspace(m, ncols)
+    real_bareiss, zi.bareiss = zi.bareiss, _gaussian_bareiss
+    try:
+        want = zi.nullspace(m, ncols)
+    finally:
+        zi.bareiss = real_bareiss
+    assert got == want
