@@ -185,6 +185,8 @@ def verify_aat(G: MultiPoly, f: FunctionSpec, order: int = 16, base=None,
     the three elements, must exceed deg G.
     """
     _check_uvw_vars(G)
+    if G.is_zero():
+        raise PreconditionFailed("G is the zero polynomial, which relates nothing")
     _check_degree(G, order)
     if base is None:
         base = f.default_base()
@@ -590,42 +592,41 @@ def _hp_element(f: FunctionSpec, center, element: TruncSeries,
     """phi(center + t) on the binary scale in t = x (slot 0) or t = y (slot 1).
 
     exp, sin and cos need one or two transcendental values at the center,
-    taken from mpmath with guard bits and then scaled by 1/k! exactly; tan
-    and rational functions are fixed-point quotients of such series.  Other
-    specs convert `element`, their own Taylor data at the center.
+    taken from mpmath with guard bits as integers over one power of two:
+    their exact Taylor line (TruncSeries.taylor) is rounded once.  tan and
+    rational functions are fixed-point quotients of such series.  Other
+    specs round `element`, their own Taylor data at the center.
     """
     order = element.order
 
-    def fixed(values) -> BiSeries:
-        return BiSeries.from_coeffs({(0, k) if slot else (k, 0): v
-                                     for k, v in enumerate(values)}, order).to_binary()
+    def fixed(s: TruncSeries) -> BiSeries:
+        return BiSeries.from_univariate(s, slot).to_binary()
 
     if f.kind != "builtin":
-        return fixed([element.coefficient(k) for k in range(order)])
+        return fixed(element)
     eff = _to_complex(center) + _to_complex(f.shift)
     if f.name == "rational":
         # exact Taylor shift of P and Q to the (binary, hence exact) center
         c = ExactScalar(Fraction(eff.real), Fraction(eff.imag))
-        num, den = (fixed(cs) for cs in rational_taylor(f, c))
+        num, den = (fixed(s) for s in rational_taylor(f, c, order))
         return num * den.inverse()
     import mpmath as mp
     with mp.workprec(PREC_BITS + 32):
         z = mp.mpc(eff.real, eff.imag)
-        consts = [mp.exp(z)] if f.name == "exp" else [mp.sin(z), mp.cos(z)]
-        consts = [ExactScalar(_mpf_fraction(v.real), _mpf_fraction(v.imag))
-                  for v in consts]
+        values = [mp.exp(z)] if f.name == "exp" else [mp.sin(z), mp.cos(z)]
+    parts = [(-m if x < 0 else m, e) for v in values for x in (v.real, v.imag)
+             for m, e in [x.man_exp]]              # x = m 2^e
+    low = min(0, *(e for _, e in parts))
+    ints = [m << e - low for m, e in parts]        # over 2^-low
+    re, im = ints[::2], ints[1::2]
+
+    def taylor(g: str) -> BiSeries:
+        return fixed(TruncSeries.taylor(0, 1 << -low, builtin_taylor(g, re, order),
+                                        builtin_taylor(g, im, order)))
+
     if f.name != "tan":
-        return fixed(builtin_taylor(f.name, consts, order))
-    sin_t, cos_t = (fixed(builtin_taylor(g, consts, order)) for g in ("sin", "cos"))
-    return sin_t * cos_t.inverse()
-
-
-def _mpf_fraction(x) -> Fraction:
-    """The exact binary value of an mpmath real."""
-    man, exp = x.man_exp            # man is |mantissa|
-    if x < 0:
-        man = -man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        return taylor(f.name)
+    return taylor("sin") * taylor("cos").inverse()
 
 
 def _bi_keys(order: int):
@@ -656,11 +657,8 @@ def _extract_psi(p: PolyInW, base) -> TruncSeries:
             s = (-c).restrict_y0()
             center = _add_shift(base, base)
             if s.exact and isinstance(center, ExactScalar):
-                return TruncSeries(center, s.coeffs, low=s.low,
-                                   order=s.order, exact=True)
-            return TruncSeries(_to_complex(center),
-                               [complex(x) for x in s.coeffs],
-                               low=s.low, order=s.order, exact=False)
+                return s.with_center(center)
+            return s.to_numeric().with_center(_to_complex(center))
     # all coefficients constant: psi is a constant function
     c0 = p.coeffs[0]
     val = -c0.coefficient(0, 0)

@@ -38,6 +38,7 @@ from .errors import (
     InvariantViolation,
     NearSingular,
     NotSquareFree,
+    NumericOverflow,
     OrderTooLow,
     RootFindingFailure,
     SchemaError,
@@ -46,7 +47,7 @@ from .errors import (
 from .poly import MultiPoly, poly_gcd, zi_coeffs
 from .scalars import ExactScalar, rationalize
 from .series import TruncSeries, array_inverse, array_product
-from .zi import (ZiPoly, gaussian_integers, gaussian_scalar, zi_derivative, zi_divexact,
+from .zi import (ZiPoly, gaussian_integers, zi_derivative, zi_divexact,
                  zi_gcd, zi_horner, zi_shift)
 
 _SUPPORT_REL = 1e-10
@@ -891,8 +892,7 @@ def exact_branch_element(curve: AlgebroidCurve, center, z0, order: int) -> Trunc
         raise SingularCenter("branch is ramified or multiple at the center")
 
     def series(col) -> TruncSeries:                    # col(s) / N to the order
-        cs = [gaussian_scalar(x, y, N) for x, y in col[:order]]
-        return TruncSeries(c, cs + [ExactScalar.zero()] * (order - len(cs)), exact=True)
+        return TruncSeries.from_line(c, N, [x for x, _ in col], [y for _, y in col], order=order)
 
     ps = [series(col) for col in reversed(cols)]      # highest power of z first
     z = TruncSeries.const(z0, c, order, exact=True)
@@ -1135,7 +1135,8 @@ def _loop_path(base: complex, around: complex, singular: list[complex],
                nodes: int) -> tuple[list[complex], float]:
     """The loop of `monodromy`, a circle of radius half the distance from
     `around` to the nearest other singular point joined to `base` by
-    `_safe_stem`, and its clearance_rel, capped at a quarter of the radius."""
+    `_safe_stem`, and its clearance_rel, capped at a quarter of the radius;
+    NumericOverflow when a point of it has no finite modulus."""
     others = [abs(s - around) for s in singular
               if abs(s - around) > _DEDUPE_TOL * max(1.0, abs(around))]
     radius = 0.5 * min(others) if others else 0.5 * max(1.0, abs(around))
@@ -1147,6 +1148,8 @@ def _loop_path(base: complex, around: complex, singular: list[complex],
         scale = max(1.0, abs(base), abs(around))
         stem = _safe_stem(base, circle[0], singular, 0.05 * scale)
         path = stem + circle[1:] + stem[-2:: -1]
+    if not math.isfinite(max(abs(u.real) + abs(u.imag) for u in path)):   # bounds |u|
+        raise NumericOverflow(f"the loop around {around} leaves the double range")
     return path, min(1e-3, radius / (4 * max(1.0, abs(around) + radius)))
 
 

@@ -319,10 +319,17 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool):
                         help="max total bound for discovery searches (default 4)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise SchemaError: one JSON object, nothing on stderr."""
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     _global_flags(common, suppress=True)
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="aatkit",
         description="Algebraic addition theorems: verify, discover, expand, "
                     "reduce, and detect periods.")
@@ -419,33 +426,28 @@ def run_command(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
+        seed = args.seed
+        if (env_seed := os.environ.get("ATL_SEED")) is not None:
+            try:
+                seed = int(env_seed, 0)
+            except ValueError:
+                raise SchemaError("ATL_SEED must be an integer") from None
+    except SystemExit as e:          # --help printed its text
         return 2 if e.code not in (0, None) else 0
-    seed = args.seed
-    env_seed = os.environ.get("ATL_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed, 0)
-        except ValueError:
-            print(json.dumps({"error": {"type": "SchemaError",
-                                        "message": "ATL_SEED must be an integer"}}))
-            return 2
+    except SchemaError as e:         # a usage error or a bad ATL_SEED
+        print(json.dumps({"error": {"type": "SchemaError", "message": str(e)}}))
+        return 2
     cfg = RunConfig(order=args.order, tol=args.tol, seed=seed,
                     format=args.format, degree_cap=args.degree_cap)
     command = f"{args.group} {args.cmd}"
     try:
         cfg.validate()
         code, report = args.handler(args, cfg)
-    except (SchemaError, InvariantViolation) as e:
-        print(json.dumps({"command": command, "config": cfg.echo(),
-                          "error": {"type": type(e).__name__,
-                                    "message": str(e)}}, sort_keys=True))
-        return 2
     except AatkitError as e:
         print(json.dumps({"command": command, "config": cfg.echo(),
                           "error": {"type": type(e).__name__,
                                     "message": str(e)}}, sort_keys=True))
-        return 1
+        return 2 if isinstance(e, (SchemaError, InvariantViolation)) else 1
     report = {"command": command, "config": cfg.echo(), **report}
     if cfg.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))

@@ -8,8 +8,8 @@ chain, n the degree of f in x), whose determinant fraction-free Bareiss
 elimination (Bareiss 1968) takes.  Both steps run on packed scalars: each
 coefficient's other variables are Kronecker-packed into one, t, evaluated
 at t = 2^S, so it is one Gaussian integer for aatkit.zi's zi_prem and
-determinant.  S lies above an a-priori bound (_res_rows) on every value
-tested for zero and on the result, the one value unpacked.
+determinant.  S lies above an a-priori bound (_res_rows) on the result, the
+one value unpacked.
 
 PolyInW models a polynomial in one distinguished variable W whose
 coefficients live either in the exact polynomial ring (MultiPoly) or in a
@@ -50,10 +50,9 @@ Image = dict[int, tuple[int, int]]
 # phi(c) of a coefficient c in Z[i][x_0, ..] under x_j -> t^(B_0 .. B_(j-1)),
 # a {t-exponent: (re, im)} map.  phi and the evaluation at t = 2^S are ring
 # homomorphisms, so the pseudo-division and Bareiss, run on the packed
-# images, compute the packed image of their result, and exact divisions stay
-# exact; a value is zero exactly when its image is while its t-coefficients
-# are below 2^(S-1) in size.  Degrees in var may be read from the images,
-# since Res(B, prem(A, B)) enters only as lc(B)^k prod R(roots of B), for any
+# images, compute the packed image of their result whatever S is, and exact
+# divisions stay exact.  Degrees in var may be read from the images, since
+# Res(B, prem(A, B)) enters only as lc(B)^k prod R(roots of B), for any
 # k >= deg R.  Reading the result back needs phi one-to-one on it: B_j above
 # its degree in x_j.  Res(f, g) is homogeneous of degree deg g in the
 # coefficients of f and deg f in those of g, so B_j = deg g deg_j f +
@@ -99,27 +98,20 @@ def _res_rows(f: list[Image], g: list[Image]) -> tuple[tuple[int, int], int]:
     k, every root b of B has R(b) = l^(m-n+1) A(b), so Res(B, A) =
     l^(m-k) Res(B, R) / l^((m-n+1) n), an exact division by
     l^((n-1)(m-n)+k); Res(B, R) is the Bareiss determinant of the (n+k)-row
-    Sylvester matrix, and Res(f, g) = (-1)^(mn) Res(g, f).  S bounds:
-    * each pseudo-remainder: a step r <- l r - lc(r) x^j B at most multiplies
-      the largest N of r by 2 N(B), so every remainder, times its owed power
-      of l too, is at most P = (2 max N(B))^(m-n+1) max N(A);
-    * each Bareiss entry, pivots included: a minor of the Sylvester matrix of
-      B and R, so at most the product of its row sums of N, k <= n - 1 rows
-      of B and n rows of R: (sum N(B))^(n-1) (n P)^n;
-    * the result: the product of the row sums of the Sylvester matrix of f
-      and g.  A discriminant Res(f, f') / lc(f) is the determinant of that
-      matrix with its first column (lc and n lc) divided by lc, whose row
-      sums are no larger.
-    The divisions by l^e and by lc are exact in Z[i][t], and evaluation at
-    2^S is a ring map, so they need no bound of their own.
+    Sylvester matrix, and Res(f, g) = (-1)^(mn) Res(g, f).  S bounds only
+    the result, by the product of the row sums of N of the Sylvester matrix
+    of f and g (a discriminant Res(f, f') / lc(f) is the determinant of that
+    matrix with its first column divided by lc, whose row sums are no
+    larger); l, one of those row sums' terms, keeps a nonzero image.  The
+    rest needs no bound: zi_prem gives the one pseudo-remainder of the
+    images, a lead whose image vanishes only lowers k, Bareiss gives the
+    determinant of the image matrix, and the divisions by l^e and by lc are
+    exact in Z[i][t], so each is the image of the true value.
     """
     swap = len(f) >= len(g)
     A, B = (f, g) if swap else (g, f)
     m, n = len(A) - 1, len(B) - 1
-    nA, nB = [_norm(c) for c in A], [_norm(c) for c in B]
-    P = (2 * max(nB)) ** (m - n + 1) * max(nA)
-    bound = max(P, sum(nB) ** (n - 1) * (n * P) ** n, sum(nA) ** n * sum(nB) ** m)
-    S = bound.bit_length() + 1
+    S = (sum(map(_norm, A)) ** n * sum(map(_norm, B)) ** m).bit_length() + 1
     A, B = _packed(A, S), _packed(B, S)
     R = zi_prem(A, B)
     k = len(R) - 1

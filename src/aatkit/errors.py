@@ -62,7 +62,8 @@ class DivisionByZeroSeries(AatkitError):
 
 
 class NumericOverflow(AatkitError):
-    """A binary-scale series value lies beyond the double range."""
+    """A value lies beyond the double range: a binary-scale series value,
+    or a point of a monodromy loop."""
 
 
 # -- elimination layer ----------------------------------------------------

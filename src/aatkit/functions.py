@@ -15,11 +15,11 @@ whenever the function has rational Taylor data at a rational center).
 addition theorem at an awkward base point is moved to the origin.
 
 All builtin Taylor data comes from one generator, ``builtin_taylor``: the
-derivative cycle of exp, sin or cos at the center divided by k!, with the
-cycle values exact at 0 and complex doubles elsewhere (aat._hp_element
-feeds it the binary images of mpmath values); tan is the sin/cos quotient.
-A rational P/Q shifts P and Q exactly to an exact center and with
-algebroid._taylor_shift to any other one.
+derivative cycle of exp, sin or cos at the center.  Exact values (at 0, and
+mpmath mantissas in aat._hp_element) become one line over (order - 1)! by
+TruncSeries.taylor, complex doubles are divided by k!; tan is the sin/cos
+quotient.  A rational P/Q shifts P and Q by zi_shift to an exact center, as
+lines, and with algebroid._taylor_shift to any other one.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import (
 from .poly import MultiPoly, zi_coeffs
 from .scalars import ExactScalar, rationalize
 from .series import TruncSeries, radius_estimate
-from .zi import gaussian_integers, gaussian_scalar, zi_shift
+from .zi import gaussian_integers, zi_shift
 
 class FunctionSpec:
     """Tagged description of the function phi (possibly translated)."""
@@ -388,48 +388,49 @@ def _fmt_shift(v) -> str:
 # -- element construction -------------------------------------------------------
 
 def builtin_taylor(name: str, values: list, order: int) -> list:
-    """Taylor coefficients k < order of exp, sin or cos at a center c.
+    """The derivatives k < order of exp, sin or cos at a center c.
 
     `values` holds [exp c] for exp and [sin c, cos c] otherwise, in any
-    field: Fractions, complex floats or ExactScalars.  The
-    derivatives at c repeat with period p as the cycle [exp c],
-    [s, c, -s, -c] (sin) or [c, -s, -c, s] (cos), so coefficient k is
-    cycle[k mod p] / k!.  tan is the quotient of the sin and cos series,
-    taken by the caller in its own series type.
+    ring: complex floats, or the integer real or imaginary parts of values
+    over one denominator.  The derivatives at c repeat with period p as the
+    cycle [exp c], [s, c, -s, -c] (sin) or [c, -s, -c, s] (cos), so
+    derivative k is cycle[k mod p]; the Taylor coefficients are those over
+    k! (TruncSeries.taylor for exact data).  tan is the quotient of the sin
+    and cos series, taken by the caller in its own series type.
     """
     if name == "exp":
         cycle = values
     else:
         s, c = values
         cycle = [s, c, -s, -c] if name == "sin" else [c, -s, -c, s]
-    return [cycle[k % len(cycle)] / math.factorial(k) for k in range(order)]
+    return [cycle[k % len(cycle)] for k in range(order)]
 
 
 def _builtin_series(spec: FunctionSpec, eff, order: int) -> TruncSeries:
     name = spec.name
     eff_exact = _as_exactish(eff)
-    exact_zero = eff_exact is not None and eff_exact.is_zero()
     c = _to_complex(eff)
     if name == "rational":
         return _rational_series(spec, eff_exact, c, order)
-    if exact_zero:
-        # Fractions, not ExactScalars: each coefficient is one Fraction division
-        center = ExactScalar(0)
-        values = [Fraction(1)] if name == "exp" else [Fraction(0), Fraction(1)]
+    n = order + (name == "tan")      # a guard term keeps the quotient order at `order`
+    if eff_exact is not None and eff_exact.is_zero():
+        def series(g: str) -> TruncSeries:   # exp 0 = cos 0 = 1, sin 0 = 0
+            return TruncSeries.taylor(0, 1, builtin_taylor(g, [1] if g == "exp" else [0, 1], n),
+                                      [0] * n)
     else:
-        center = c
         try:
             values = [cmath.exp(c)] if name == "exp" else [cmath.sin(c), cmath.cos(c)]
         except OverflowError:
             raise SingularCenter(f"{name} overflows at {c}") from None
         if name == "tan" and abs(values[1]) < 1e-9:
             raise SingularCenter(f"tan has a pole at {c}")
+
+        def series(g: str) -> TruncSeries:
+            return TruncSeries(c, [d / math.factorial(k) for k, d in
+                                   enumerate(builtin_taylor(g, values, n))], exact=False)
     if name != "tan":
-        return TruncSeries(center, builtin_taylor(name, values, order), exact=exact_zero)
-    # one extra guard term keeps the quotient order at `order`
-    sin_s, cos_s = (TruncSeries(center, builtin_taylor(f, values, order + 1),
-                                exact=exact_zero) for f in ("sin", "cos"))
-    return (sin_s / cos_s).truncate(order)
+        return series(name)
+    return (series("sin") / series("cos")).truncate(order)
 
 
 def _rational_series(spec: FunctionSpec, eff_exact, c: complex,
@@ -442,30 +443,29 @@ def _rational_series(spec: FunctionSpec, eff_exact, c: complex,
         scale = max(abs(complex(x)) for x in spec.denom.terms.values())
         if abs(qv) < 1e-12 * max(scale, 1.0):
             raise SingularCenter(f"denominator vanishes at {c}")
-    center = eff_exact if exact else c
-    num, den = rational_taylor(spec, center)
-    if exact and den[0].is_zero():
+    ps, qs = rational_taylor(spec, eff_exact if exact else c, order)
+    if exact and qs.valuation() != 0:
         raise SingularCenter(f"denominator vanishes at {eff_exact}")
-    ps, qs = (TruncSeries(center, cs[:order] + [0] * (order - len(cs)), exact=exact)
-              for cs in (num, den))
     return (ps / qs).truncate(order)
 
 
-def rational_taylor(spec: FunctionSpec, center) -> tuple[list, list]:
-    """Ascending coefficients of P(center + t) and Q(center + t) of a
-    rational spec: the exact shift zi_shift to an ExactScalar center, else
-    the numeric one of algebroid._taylor_shift."""
+def rational_taylor(spec: FunctionSpec, center, order: int) -> tuple[TruncSeries, TruncSeries]:
+    """P(center + t) and Q(center + t) of a rational spec as elements of
+    the given order: the exact shift zi_shift to an ExactScalar center, as
+    lines, else the numeric one of algebroid._taylor_shift."""
     var = _rational_var(spec.numer, spec.denom)
 
-    def shifted(p: MultiPoly) -> list:
-        if p.is_zero():
-            return [ExactScalar.zero()]
+    def shifted(p: MultiPoly) -> TruncSeries:
         if not isinstance(center, ExactScalar):
-            return _taylor_shift(p.univariate_coeffs(var), center)
+            cs = _taylor_shift(p.univariate_coeffs(var), center) if not p.is_zero() else [0j]
+            return TruncSeries(center, cs[:order] + [0j] * (order - len(cs)), exact=False)
+        if p.is_zero():
+            return TruncSeries.zeros(center, order, exact=True)
         D, c = zi_coeffs(p.with_vars((var,)), var)
         m, (wr,), (wi,) = gaussian_integers([center])
-        N = D * m ** (len(c) - 1)
-        return [gaussian_scalar(x, y, N) for x, y in reversed(zi_shift(c, (wr, wi), m))]
+        line = zi_shift(c, (wr, wi), m)[::-1]
+        return TruncSeries.from_line(center, D * m ** (len(c) - 1), [x for x, _ in line],
+                                     [y for _, y in line], order=order)
 
     return shifted(spec.numer), shifted(spec.denom)
 
@@ -522,19 +522,8 @@ def _algebroid_series(spec: FunctionSpec, eff, order: int) -> TruncSeries:
 def _recenter_tag(s: TruncSeries, center, order: int) -> TruncSeries:
     """Relabel the element with the caller's center (shift bookkeeping)."""
     s = s.truncate(order)
-    if s.low > 0:
-        pad = [ExactScalar.zero() if s.exact else 0j] * s.low
-        s = TruncSeries(s.center, pad + list(s.coeffs), low=0, order=s.order,
-                        exact=s.exact)
-    if s.exact and isinstance(center, (int, Fraction, ExactScalar)):
-        return TruncSeries(ExactScalar.coerce(center), s.coeffs, low=s.low,
-                           order=s.order, exact=True)
     if s.exact:
-        ce = _as_exact(center)
-        if ce is not None:
-            return TruncSeries(ce, s.coeffs, low=s.low, order=s.order, exact=True)
-        sn = s.to_numeric()
-        return TruncSeries(complex(center), sn.coeffs, low=sn.low,
-                           order=sn.order, exact=False)
-    return TruncSeries(complex(center), s.coeffs, low=s.low, order=s.order,
-                       exact=False)
+        if (ce := _as_exactish(center)) is not None:
+            return s.with_center(ce)
+        s = s.to_numeric()
+    return s.with_center(complex(center))

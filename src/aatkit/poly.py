@@ -12,13 +12,18 @@ through contents down to one live variable, and there it runs on dense
 Gaussian-integer coefficient lists (aatkit.zi's ZiPoly): the denominators
 are cleared once, the remainder chain (zi_prem) is made primitive by a
 Gaussian-integer Euclid on its coefficients, and only the monic result
-becomes ExactScalars again.  Resultants (aatkit.elimination) read each
-coefficient in the eliminated variable as one Gaussian integer: its other
-variables packed into t = 2^S, S above an a-priori bound on every value.
+becomes ExactScalars again.  poly_squarefree_content first tries a
+certificate on images modulo zi._P (W. S. Brown 1971): constant image GCDs
+that keep the leading coefficient prove p content-free and square-free, and
+monic_lex(p) is the answer; any other input (a vanishing lead, a nonconstant
+GCD, _P in a denominator) runs the chain.  Resultants (aatkit.elimination)
+read each coefficient in the eliminated variable as one Gaussian integer:
+its other variables packed into t = 2^S, S above an a-priori bound.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,7 +31,7 @@ import numpy as np
 from .errors import (DegreeZero, InexactDivision, MissingVariable, PolyDomainError,
                      SchemaError)
 from .scalars import ExactScalar
-from .zi import ZiPoly, gaussian_integers, gaussian_scalar, zi_gcd
+from .zi import _I, _P, ZiPoly, gaussian_integers, gaussian_scalar, zi_gcd, zp_gcd
 
 Exponents = tuple[int, ...]
 
@@ -47,10 +52,12 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise PolyDomainError(f"negative exponent in {exps}")
             coeff = ExactScalar.coerce(coeff)
+            if exps in clean:               # a repeated exponent: merge in place
+                coeff = clean[exps] + coeff
             if not coeff.is_zero():
-                clean[exps] = clean.get(exps, ExactScalar.zero()) + coeff
-                if clean[exps].is_zero():
-                    del clean[exps]
+                clean[exps] = coeff
+            elif exps in clean:
+                del clean[exps]
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -373,9 +380,43 @@ def poly_squarefree_content(p: MultiPoly, var: str) -> MultiPoly:
     """
     if p.degree(var) <= 0:
         raise DegreeZero(f"{var!r} has degree {p.degree(var)} in {p!r}")
+    if _certified(p, var):
+        return monic_lex(p)
     prim = divexact(p, content_wrt(p, var))
     g = poly_gcd(prim, prim.derivative(var))
     return monic_lex(divexact(prim, g))
+
+
+def _certified(p: MultiPoly, var: str) -> bool:
+    """Whether images of p modulo _P (i -> _I, the variable at index j -> 2j
+    + 3 unless kept) prove p content-free and square-free in `var`: an image
+    keeping the leading coefficient of p keeps that of each factor (Gauss's
+    lemma), so constant image GCDs bound the true GCD's degree by 0."""
+    i, res = p.vars.index(var), []
+    for exps, c in p.terms.items():
+        (xr, dr), (xi, di) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
+        if dr % _P == 0 or di % _P == 0:
+            return False
+        res.append((exps, (xr * pow(dr, -1, _P) + _I * xi * pow(di, -1, _P)) % _P))
+
+    def image(j: int) -> list[list[int]]:   # per power of var: its image in u_j, top first
+        rows: dict = {}
+        for exps, x in res:
+            for v, e in enumerate(exps):
+                if e and v not in (i, j):
+                    x *= pow(2 * v + 3, e, _P)
+            row = rows.setdefault(exps[i], {})
+            row[exps[j]] = (row.get(exps[j], 0) + x) % _P
+        return [[row.get(e, 0) for e in range(max(row), -1, -1)] for row in rows.values()]
+
+    for j in set(range(len(p.vars))) - {i}:
+        cs = sorted(image(j), key=lambda c: not c[0])      # one keeping its lead first
+        if min(map(len, cs)) > 1 and (                      # else the content is free of u_j
+                not cs[0][0] or len(functools.reduce(zp_gcd, cs)) > 1):
+            return False
+    d, lead = p.degree(var), {len(r) - 1: r[0] for r in image(i)}
+    c = [lead.get(k, 0) for k in range(d, -1, -1)]
+    return c[0] != 0 and len(zp_gcd(c, [x * (d - k) % _P for k, x in enumerate(c[:-1])])) <= 1
 
 
 # -- division, content, gcd ----------------------------------------------------
@@ -390,7 +431,7 @@ def monic_lex(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     _, lead = lex_leading(p)
-    return p.scale(ExactScalar.one() / lead)
+    return p if lead.is_one() else p.scale(ExactScalar.one() / lead)
 
 
 def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -400,8 +441,8 @@ def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         raise InexactDivision("division by the zero polynomial")
     a, b = a.align(b)
     if b.is_constant():
-        inv = ExactScalar.one() / b.constant_value()
-        return a.scale(inv)
+        c = b.constant_value()
+        return a if c.is_one() else a.scale(ExactScalar.one() / c)
     quot_terms: dict[Exponents, ExactScalar] = {}
     rem = a
     lead_b, cb = lex_leading(b)

@@ -1,17 +1,16 @@
 """Truncated power series with explicit centers, in one and two variables.
 
 A TruncSeries represents f(z) = sum c_k (z - center)^k for k in
-[low, order), plus an unknown tail O((z-center)^order).  Coefficients are
-either all ExactScalar (exact mode) or all complex (numeric mode); the two
-never mix inside one series, and promotion exact -> numeric is explicit and
-one-way via ``to_numeric``.  Negative ``low`` gives finite Laurent tails for
-pole-type elements.
-
-Every operation records the order to which its output is trustworthy, so
-callers (and tests) never compare coefficients beyond validity.
-``rearrange_at`` re-expands an element about a new center with one
-generalized-binomial loop over the coefficient field: exact when the series
-and the new center are, complex otherwise.
+[low, order), plus an unknown tail O((z-center)^order).  An exact series
+stores one Gaussian-integer line over one denominator, reduced (c_k =
+(re + i im) / den, the same line a BiSeries row of rational scale holds),
+and reads its coefficients as ExactScalars; a numeric one stores complex
+values.  The modes never mix inside one series; promotion exact -> numeric
+is explicit and one-way via ``to_numeric``.  Negative ``low`` gives finite
+Laurent tails for pole-type elements.  Every operation records the order
+to which its output is trustworthy.  ``rearrange_at`` re-expands an element
+about a new center: by zi_shift on the line when the series and the new
+center are exact, by a generalized-binomial loop on complex values else.
 
 BiSeries is the two-variable analogue with total-degree truncation: the
 expansions of f(u+v) and the bivariate coefficients of addition-theorem
@@ -32,12 +31,11 @@ result once, by a gcd or by one rounding.
 No other module reads series storage, and every series kernel is here:
 _triangle_product, _row_recurrence and _line_product (BiSeries products and
 inverses, exact TruncSeries products) on one exact Kronecker row kernel
-(_pack_rows, _row_product), _exact_inverse (exact TruncSeries, one Fraction
-per part of each result coefficient), array_product and array_inverse
-(complex TruncSeries and algebroid's dense branch series), outer_sums
-(sum c_pq U^p V^q, U in x and V in y: the W-coefficients of an
-addition-theorem residual and discovery's columns) and coefficient_rows
-(the coefficient matrix of a list of BiSeries).
+(_pack_rows, _row_product), _line_inverse (exact TruncSeries),
+array_product and array_inverse (complex TruncSeries and algebroid's dense
+branch series), outer_sums (sum c_pq U^p V^q, U in x and V in y: the
+W-coefficients of an addition-theorem residual and discovery's columns) and
+coefficient_rows (the coefficient matrix of a list of BiSeries).
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from .errors import (
     TooFewCoefficients,
 )
 from .scalars import ExactScalar, json_pair
-from .zi import _max_bits, _pack, _unpack, gaussian_integers, gaussian_scalar
+from .zi import _max_bits, _pack, _unpack, gaussian_integers, gaussian_scalar, zi_shift
 
 _NUMERIC_ZERO_REL = 1e-12
 
@@ -70,99 +68,129 @@ def _is_exact_scalar(c) -> bool:
     return isinstance(c, (ExactScalar, int, Fraction))
 
 
-def _coerce_coeffs(coeffs: Sequence, exact: bool) -> list:
-    if exact:
-        return [ExactScalar.coerce(c) for c in coeffs]
-    return [complex(c) for c in coeffs]
-
-
 class TruncSeries:
-    """Function element: coefficients for exponents low .. order-1."""
+    """Function element: coefficients for exponents low .. order-1, exact
+    ones (re[k] + i im[k]) / den with den > 0 coprime to the numerators."""
 
-    __slots__ = ("center", "low", "coeffs", "order", "exact")
+    __slots__ = ("center", "low", "order", "exact", "den", "re", "im", "_vals")
 
     def __init__(self, center, coeffs: Sequence, low: int = 0,
                  order: int | None = None, exact: bool | None = None):
+        coeffs = list(coeffs)
         if exact is None:
             exact = all(_is_exact_scalar(c) for c in coeffs) and (
                 _is_exact_scalar(center) or center == 0)
-        self.exact = bool(exact)
+        self.exact, self.low = bool(exact), int(low)
+        self.order = int(order) if order is not None else self.low + len(coeffs)
+        if len(coeffs) != self.order - self.low:
+            raise InvariantViolation("coefficient list length must equal order - low")
         if self.exact:
             self.center = ExactScalar.coerce(center if _is_exact_scalar(center) else 0)
+            self.den, self.re, self.im = gaussian_integers([ExactScalar.coerce(c) for c in coeffs])
+            self._vals = None
         else:
-            self.center = complex(center)
-        self.low = int(low)
-        self.coeffs = _coerce_coeffs(coeffs, self.exact)
-        self.order = int(order) if order is not None else self.low + len(self.coeffs)
-        if len(self.coeffs) != self.order - self.low:
-            raise InvariantViolation("coefficient list length must equal order - low")
+            self.center, self.den, self.re, self.im = complex(center), None, None, None
+            self._vals = [complex(c) for c in coeffs]
 
     # -- basics -------------------------------------------------------------
 
     @staticmethod
+    def from_line(center, den: int, re: list[int], im: list[int], low: int = 0,
+                  order: int | None = None) -> "TruncSeries":
+        """The exact series with coefficient low + k equal to (re[k] + i im[k])
+        / den, den > 0, cut or padded with zeros to the order."""
+        n = len(re) if order is None else order - low
+        re, im = re[:n] + [0] * (n - len(re)), im[:n] + [0] * (n - len(im))
+        g = math.gcd(den, *re, *im)
+        if g != 1:
+            den, re, im = den // g, [x // g for x in re], [y // g for y in im]
+        s = object.__new__(TruncSeries)
+        s.center, s.low, s.order, s.exact = ExactScalar.coerce(center), low, low + n, True
+        s.den, s.re, s.im, s._vals = den, re, im, None
+        return s
+
+    @staticmethod
+    def taylor(center, den: int, re: list[int], im: list[int]) -> "TruncSeries":
+        """The exact element sum d_k t^k / k! from the derivatives d_k =
+        (re[k] + i im[k]) / den at the center: numerators over den (n - 1)!."""
+        top = math.factorial(max(len(re) - 1, 0))
+        w = [top // math.factorial(k) for k in range(len(re))]
+        return TruncSeries.from_line(center, den * top, [x * f for x, f in zip(re, w)],
+                                     [y * f for y, f in zip(im, w)])
+
+    @staticmethod
     def zeros(center, order: int, exact: bool, low: int = 0) -> "TruncSeries":
-        n = order - low
-        fill = [ExactScalar.zero()] * n if exact else [0j] * n
-        return TruncSeries(center, fill, low=low, order=order, exact=exact)
+        return TruncSeries(center, [0] * (order - low), low=low, order=order, exact=exact)
 
     @staticmethod
     def const(value, center, order: int, exact: bool) -> "TruncSeries":
-        s = TruncSeries.zeros(center, order, exact)
-        s.coeffs[0 - s.low] = ExactScalar.coerce(value) if exact else complex(value)
-        return s
+        return TruncSeries(center, [value] + [0] * (order - 1), exact=exact)
 
     @staticmethod
     def identity(center, order: int, exact: bool) -> "TruncSeries":
         """The local coordinate (z - center) itself."""
-        s = TruncSeries.zeros(center, order, exact)
-        if order > 1:
-            s.coeffs[1] = ExactScalar.one() if exact else 1 + 0j
-        return s
+        return TruncSeries(center, ([0, 1] + [0] * order)[:order], exact=exact)
+
+    @property
+    def coeffs(self) -> list:
+        """Coefficients low .. order-1: ExactScalars (exact) or complex."""
+        if self._vals is None:
+            self._vals = [gaussian_scalar(x, y, self.den) for x, y in zip(self.re, self.im)]
+        return self._vals
 
     def coefficient(self, k: int):
         if k < self.low or k >= self.order:
             return ExactScalar.zero() if self.exact else 0j
         return self.coeffs[k - self.low]
 
-    def _coeff_is_zero(self, c, scale: float = 1.0) -> bool:
+    def _nonzero(self) -> list[bool]:
+        """Per coefficient: nonzero (numeric: above 1e-12 of the largest)."""
         if self.exact:
-            return c.is_zero()
-        return abs(c) <= _NUMERIC_ZERO_REL * scale
-
-    def _scale_hint(self) -> float:
-        m = max((abs(complex(c)) for c in self.coeffs), default=0.0)
-        return m if m > 0 else 1.0
+            return [bool(x or y) for x, y in zip(self.re, self.im)]
+        m = max((abs(c) for c in self._vals), default=0.0)
+        cut = _NUMERIC_ZERO_REL * (m if m > 0 else 1.0)
+        return [not abs(c) <= cut for c in self._vals]
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None if all zero."""
-        scale = None if self.exact else self._scale_hint()
-        for k in range(self.low, self.order):
-            c = self.coefficient(k)
-            if not self._coeff_is_zero(c, scale if scale is not None else 1.0):
-                return k
-        return None
+        return next((self.low + k for k, nz in enumerate(self._nonzero()) if nz), None)
 
     def is_zero(self) -> bool:
         return self.valuation() is None
 
+    def _span(self, low: int, order: int) -> "TruncSeries":
+        """The coefficients for exponents low .. order-1, zero outside self's."""
+        def pick(xs: list, zero) -> list:
+            return [xs[k - self.low] if self.low <= k < self.order else zero
+                    for k in range(low, order)]
+
+        if self.exact:
+            return TruncSeries.from_line(self.center, self.den, pick(self.re, 0),
+                                         pick(self.im, 0), low)
+        return TruncSeries(self.center, pick(self._vals, 0j), low=low, order=order, exact=False)
+
     def normalized_low(self) -> "TruncSeries":
         """Strip leading zero coefficients (raise low to the valuation)."""
         v = self.valuation()
-        if v is None or v == self.low:
-            return self
-        return TruncSeries(self.center, self.coeffs[v - self.low:], low=v,
-                           order=self.order, exact=self.exact)
+        return self if v is None or v == self.low else self._span(v, self.order)
 
     def truncate(self, order: int) -> "TruncSeries":
-        order = min(order, self.order)
-        return TruncSeries(self.center, self.coeffs[: order - self.low],
-                           low=self.low, order=order, exact=self.exact)
+        return self if order >= self.order else self._span(self.low, order)
+
+    def with_center(self, center) -> "TruncSeries":
+        """The same coefficients about another center (an ExactScalar for an
+        exact series), padded with zeros down to exponent 0."""
+        s = self._span(min(self.low, 0), self.order)
+        s.center = center
+        return s
 
     def to_numeric(self) -> "TruncSeries":
         """Explicit one-way promotion of coefficients to complex."""
         if not self.exact:
             return self
-        return TruncSeries(complex(self.center), [complex(c) for c in self.coeffs],
+        d = self.den                     # x / d is float(Fraction(x, d))
+        return TruncSeries(complex(self.center),
+                           [complex(x / d, y / d) for x, y in zip(self.re, self.im)],
                            low=self.low, order=self.order, exact=False)
 
     def _same_center(self, other: "TruncSeries") -> bool:
@@ -183,8 +211,10 @@ class TruncSeries:
     # -- arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.center, [-c for c in self.coeffs],
-                           low=self.low, order=self.order, exact=self.exact)
+        if self.exact:
+            return self * -1
+        return TruncSeries(self.center, [-c for c in self._vals],
+                           low=self.low, order=self.order, exact=False)
 
     def __add__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
@@ -192,10 +222,16 @@ class TruncSeries:
             s = self if _is_exact_scalar(other) else self.to_numeric()
             return s + TruncSeries.const(other, s.center, s.order, s.exact)
         a, b = self._pair(other)
-        low = min(a.low, b.low)
-        order = min(a.order, b.order)
+        low, order = min(a.low, b.low), min(a.order, b.order)
+        if a.exact:
+            sa, sb = a._span(low, order), b._span(low, order)
+            den = math.lcm(sa.den, sb.den)
+            fa, fb = den // sa.den, den // sb.den
+            return TruncSeries.from_line(a.center, den,
+                                         [x * fa + y * fb for x, y in zip(sa.re, sb.re)],
+                                         [x * fa + y * fb for x, y in zip(sa.im, sb.im)], low)
         coeffs = [a.coefficient(k) + b.coefficient(k) for k in range(low, order)]
-        return TruncSeries(a.center, coeffs, low=low, order=order, exact=a.exact)
+        return TruncSeries(a.center, coeffs, low=low, order=order, exact=False)
 
     __radd__ = __add__
 
@@ -208,16 +244,17 @@ class TruncSeries:
     def __mul__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             if self.exact and _is_exact_scalar(other):
-                c = ExactScalar.coerce(other)
-                return TruncSeries(self.center, [k * c for k in self.coeffs],
-                                   low=self.low, order=self.order, exact=True)
+                D, (x,), (y,) = gaussian_integers([ExactScalar.coerce(other)])
+                return TruncSeries.from_line(
+                    self.center, self.den * D,
+                    [u * x - v * y for u, v in zip(self.re, self.im)],
+                    [u * y + v * x for u, v in zip(self.re, self.im)], self.low)
             z = complex(other)
             s = self.to_numeric()
-            return TruncSeries(s.center, [k * z for k in s.coeffs],
+            return TruncSeries(s.center, [k * z for k in s._vals],
                                low=s.low, order=s.order, exact=False)
         a, b = self._pair(other)
-        va = a.valuation()
-        vb = b.valuation()
+        va, vb = a.valuation(), b.valuation()
         if va is None or vb is None:
             low = a.low + b.low
             order = min(a.order + b.low, b.order + a.low)
@@ -225,10 +262,12 @@ class TruncSeries:
         order = min(a.order + vb, b.order + va)
         low = va + vb
         n = order - low
-        xs, ys = a.coeffs[va - a.low:], b.coeffs[vb - b.low:]
-        out = (_exact_product(xs, ys, n) if a.exact
-               else array_product(np.array(xs), np.array(ys), n).tolist())
-        return TruncSeries(a.center, out, low=low, order=order, exact=a.exact)
+        ka, kb = va - a.low, vb - b.low
+        if a.exact:
+            re, im = _line_product(a.re[ka:], a.im[ka:], b.re[kb:], b.im[kb:], n)
+            return TruncSeries.from_line(a.center, a.den * b.den, re, im, low)
+        out = array_product(np.array(a._vals[ka:]), np.array(b._vals[kb:]), n).tolist()
+        return TruncSeries(a.center, out, low=low, order=order, exact=False)
 
     __rmul__ = __mul__
 
@@ -239,12 +278,12 @@ class TruncSeries:
         s = self.normalized_low()
         # shift to valuation zero, invert the unit part, shift back; the
         # result exponents are -v .. (order - 2v)
-        low = -v
-        order = s.order - 2 * v
+        low, order = -v, s.order - 2 * v
         n = order - low
-        out = (_exact_inverse(s.coeffs[:n]) if s.exact
-               else array_inverse(np.array(s.coeffs[:n]), n).tolist())
-        return TruncSeries(s.center, out, low=low, order=order, exact=s.exact)
+        if s.exact:
+            return TruncSeries.from_line(s.center, *_line_inverse(s.den, s.re[:n], s.im[:n]), low)
+        out = array_inverse(np.array(s._vals[:n]), n).tolist()
+        return TruncSeries(s.center, out, low=low, order=order, exact=False)
 
     def __truediv__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
@@ -265,21 +304,22 @@ class TruncSeries:
         return _power(self, n, TruncSeries.const(1, self.center, self.order, self.exact))
 
     def derivative(self) -> "TruncSeries":
-        if self.low == 0:
-            coeffs = [self.coefficient(k) * k for k in range(1, self.order)]
-            return TruncSeries(self.center, coeffs, low=0, order=self.order - 1,
-                               exact=self.exact)
-        # exponent k maps to k-1; the k = 0 slot differentiates to zero
-        coeffs = [self.coefficient(k) * k for k in range(self.low, self.order)]
-        return TruncSeries(self.center, coeffs, low=self.low - 1,
-                           order=self.order - 1, exact=self.exact)
+        # exponent k maps to k - 1; from low = 0 the k = 0 slot (zero) drops
+        skip = 1 if self.low == 0 else 0
+        ks, low = range(self.low + skip, self.order), self.low - 1 + skip
+        if self.exact:
+            return TruncSeries.from_line(self.center, self.den,
+                                         [x * k for k, x in zip(ks, self.re[skip:])],
+                                         [y * k for k, y in zip(ks, self.im[skip:])], low)
+        return TruncSeries(self.center, [c * k for k, c in zip(ks, self._vals[skip:])],
+                           low=low, order=self.order - 1, exact=False)
 
     def eval(self, z: complex) -> complex:
         """Numeric evaluation of the truncated element at a point."""
         w = complex(z) - complex(self.center)
         acc = 0j
-        for k in range(self.order - 1, self.low - 1, -1):
-            acc = acc * w + complex(self.coefficient(k))
+        for c in reversed(self.to_numeric()._vals):
+            acc = acc * w + c
         if self.low:
             acc *= w ** self.low
         return acc
@@ -345,11 +385,10 @@ def radius_estimate(s: TruncSeries) -> float:
     Returns math.inf when the coefficients decay super-geometrically (entire
     behavior); raises TooFewCoefficients below 8 nonzero coefficients.
     """
-    items = [(k, abs(complex(s.coefficient(k))))
-             for k in range(max(s.low, 1), s.order)]
+    num = s.to_numeric()
+    items = [(k, abs(num.coefficient(k))) for k in range(max(s.low, 1), s.order)]
     nonzero = [(k, a) for k, a in items if a > 0]
-    if sum(1 for k in range(s.low, s.order)
-           if not s._coeff_is_zero(s.coefficient(k), s._scale_hint())) < 8:
+    if sum(s._nonzero()) < 8:
         raise TooFewCoefficients("radius estimate needs >= 8 nonzero coefficients")
     if not nonzero:
         raise TooFewCoefficients("no usable coefficients")
@@ -367,16 +406,15 @@ def radius_estimate(s: TruncSeries) -> float:
 
 def _tail_radius(s: TruncSeries) -> float:
     """Local decay rate of the last few coefficients (for tail bounds)."""
-    ks = [k for k in range(max(s.low, 1), s.order)
-          if abs(complex(s.coefficient(k))) > 0]
+    s = s.to_numeric()
+    ks = [k for k in range(max(s.low, 1), s.order) if abs(s.coefficient(k)) > 0]
     if len(ks) < 2:
         return math.inf
     k1 = ks[-1]
     k0 = ks[max(0, len(ks) - 6)]
     if k1 == k0:
         return math.inf
-    a1 = abs(complex(s.coefficient(k1)))
-    a0 = abs(complex(s.coefficient(k0)))
+    a1, a0 = abs(s.coefficient(k1)), abs(s.coefficient(k0))
     if a1 == 0 or a0 == 0:
         return math.inf
     ratio = (a1 / a0) ** (1.0 / (k1 - k0))
@@ -394,12 +432,8 @@ def rearrange_at(s: TruncSeries, new_center, tol: float = 1e-9) -> TruncSeries:
     `tol` relative to the local coefficient scale.
     """
     exact = s.exact and _is_exact_scalar(new_center)
-    if exact:
-        target = ExactScalar.coerce(new_center)
-        dd = target - s.center
-    else:
-        target = complex(new_center)
-        dd = target - complex(s.center)
+    target = ExactScalar.coerce(new_center) if exact else complex(new_center)
+    dd = target - (s.center if exact else complex(s.center))
     if dd == 0:
         return s
     d = abs(dd)
@@ -422,15 +456,26 @@ def rearrange_at(s: TruncSeries, new_center, tol: float = 1e-9) -> TruncSeries:
             break
     if new_order <= 0:
         raise OutsideDisc("no coefficient satisfies the tail tolerance")
-    src = s if exact else s.to_numeric()
-    zero, binom0 = (ExactScalar.zero(), Fraction(1)) if exact else (0j, 1.0)
-    out = [zero] * new_order
+    if exact:
+        # t^L s(t), L = max(-low, 0), is a polynomial: zi_shift moves it to
+        # the new center exactly, and then it is divided by (t + dd)^L
+        L = max(-s.low, 0)
+        m, (wr,), (wi,) = gaussian_integers([dd])
+        t = s._span(-L, s.order)
+        c = zi_shift(list(zip(t.re[::-1], t.im[::-1])), (wr, wi), m)[::-1]
+        out = TruncSeries.from_line(target, t.den * m ** (len(c) - 1), [x for x, _ in c],
+                                    [y for _, y in c], order=new_order)
+        if L:
+            out = (out / (TruncSeries.identity(target, new_order, True) + dd) ** L)
+        return out.with_center(target)
+    src = s.to_numeric()
+    out = [0j] * new_order
     for nn in range(src.low, src.order):
         a = src.coefficient(nn)
         if a == 0:
             continue
         # (z-c)^nn = (w + d)^nn with w = z - s; generalized binomial for nn < 0
-        binom, dpow = binom0, dd ** nn
+        binom, dpow = 1.0, dd ** nn
         for j in range(0, new_order):
             if j > 0:
                 binom = binom * (nn - (j - 1)) / j
@@ -438,7 +483,7 @@ def rearrange_at(s: TruncSeries, new_center, tol: float = 1e-9) -> TruncSeries:
             if nn >= 0 and j > nn:
                 break
             out[j] = out[j] + a * binom * dpow
-    return TruncSeries(target, out, low=0, order=new_order, exact=exact)
+    return TruncSeries(target, out, low=0, order=new_order, exact=False)
 
 
 # -- Gaussian-integer row kernels ------------------------------------------------
@@ -576,30 +621,17 @@ def _line_powers(re: list[int], im: list[int], top: int,
     return out
 
 
-def _exact_product(a: list[ExactScalar], b: list[ExactScalar],
-                   n: int) -> list[ExactScalar]:
-    """The first n coefficients of the product of two exact coefficient
-    lists, as Gaussian-integer rows over the product of their common
-    denominators; one Fraction per nonzero part."""
-    da, ar, ai = gaussian_integers(a[:n])
-    db, br, bi = gaussian_integers(b[:n])
-    D = da * db
-    re, im = _line_product(ar, ai, br, bi, n)
-    return [gaussian_scalar(x, y, D) for x, y in zip(re, im)]
+def _line_inverse(den: int, ar: list[int], ai: list[int]) -> tuple[int, list[int], list[int]]:
+    """(D, re, im): the first len(ar) coefficients of 1/a over D, for the
+    line a = (ar + i ai) / den with a_0 != 0.
 
-
-def _exact_inverse(a: list[ExactScalar]) -> list[ExactScalar]:
-    """The first len(a) coefficients of 1/a for exact a with a[0] != 0.
-
-    With a = A / D over the Gaussian integers and g = A_0, the inverse is
-    b_k = D B_k / g^(k+1), where B_0 = 1 and
+    With A = ar + i ai and g = A_0, the inverse is b_k = den B_k / g^(k+1),
+    where B_0 = 1 and
     B_k = -(A_1 g^0 B_(k-1) + A_2 g^1 B_(k-2) + ... + A_k g^(k-1) B_0):
-    a fraction-free recurrence of Gaussian-integer products and sums.  Each
-    b_k then becomes one Fraction per part, D B_k conj(g)^(k+1) over
-    |g|^(2(k+1)).
+    a fraction-free recurrence of Gaussian-integer products and sums.  Then
+    b_k is den B_k conj(g)^(k+1) |g|^(2(n-1-k)) over D = |g|^(2n).
     """
-    n = len(a)
-    D, ar, ai = gaussian_integers(a)
+    n = len(ar)
     gr, gi = ar[0], ai[0]
     pr, pi = [0] * n, [0] * n          # A_j g^(j-1)
     xr, xi = 1, 0
@@ -616,12 +648,14 @@ def _exact_inverse(a: list[ExactScalar]) -> list[ExactScalar]:
         br.append(-sr)
         bi.append(-si)
     norm = gr * gr + gi * gi
-    out = []
-    cr, ci, den = D * gr, -D * gi, norm          # D conj(g)^(k+1), |g|^(2(k+1))
-    for u, v in zip(br, bi):
-        out.append(gaussian_scalar(u * cr - v * ci, u * ci + v * cr, den))
-        cr, ci, den = cr * gr + ci * gi, ci * gr - cr * gi, den * norm
-    return out
+    re, im = [], []
+    cr, ci = den * gr, -den * gi                 # den conj(g)^(k+1)
+    for k, (u, v) in enumerate(zip(br, bi)):
+        f = norm ** (n - 1 - k)
+        re.append((u * cr - v * ci) * f)
+        im.append((u * ci + v * cr) * f)
+        cr, ci = cr * gr + ci * gi, ci * gr - cr * gi
+    return norm ** n, re, im
 
 
 # -- complex array kernels --------------------------------------------------------
@@ -777,6 +811,10 @@ class BiSeries:
             if v is None or v < 0:
                 raise SingularCenter("cannot expand a polar element")
         n = s.order if order is None else min(order, s.order)
+        if s.exact:                       # a placement of the line
+            t = s._span(0, n)
+            return BiSeries(*([[0] * d + [x] if slot else [x] + [0] * d for d, x in enumerate(xs)]
+                              for xs in (t.re, t.im)), n, t.den)
         return BiSeries.from_coeffs(
             {(0, k) if slot else (k, 0): s.coefficient(k) for k in range(n)}, n)
 

@@ -159,6 +159,19 @@ def zi_gcd(a: ZiPoly, b: ZiPoly) -> ZiPoly:
     return [(1, 0)]
 
 
+def zp_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A GCD modulo _P of two polynomials given as residue lists, highest
+    power first, a with a nonzero lead: its length minus one is its degree."""
+    while any(b):
+        b = b[next(k for k, x in enumerate(b) if x):]
+        inv = pow(b[0], -1, _P)
+        while len(a) >= len(b):        # a <- a - (a_0 / b_0) x^k b, lead dropped
+            q = a[0] * inv % _P
+            a = [(x - q * y) % _P for x, y in zip(a[1:len(b)], b[1:])] + a[len(b):]
+        a, b = b, a
+    return a
+
+
 def zi_divexact(a: ZiPoly, b: ZiPoly) -> ZiPoly:
     """The quotient a / b in Z[i][x]; InexactDivision unless it is exact
     (by Gauss's lemma it is whenever b is primitive and divides a over Q(i))."""

@@ -55,6 +55,7 @@ def files(tmp_path_factory):
         "g_cos": dump("g_cos.json",
                       (W ** 2 - 2 * U * V * W + U ** 2 + V ** 2 - 1).to_json_dict()),
         "g_in_x": dump("g_in_x.json", (W - U * x).to_json_dict()),
+        "g_zero": dump("g_zero.json", {"vars": ["U", "V", "W"], "terms": []}),
         "g_zero_den": dump("g_zero_den.json", {
             "vars": ["U", "V", "W"],
             "terms": [{"exps": [0, 0, 1], "re": ["1", "0"], "im": ["0", "1"]}]}),
@@ -166,8 +167,34 @@ class TestExitCodes:
 
     def test_usage_error_exit_two(self, capsys):
         code = run_command(["aat", "verify"])  # missing required args
-        capsys.readouterr()
-        assert code == 2
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert code == 2 and out.err == ""
+        assert rep["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("argv", [["aat", "discover", "--fn", "f.json",
+                                       "--bounds", "-1,1,1"],  # a value read as a flag
+                                      ["reduce", "double", "--poly", "g.json", "--m", "x"]])
+    def test_bad_flag_value_is_one_schema_error(self, capsys, argv):
+        code = run_command(argv)
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert code == 2 and out.err == ""
+        assert rep["error"]["type"] == "SchemaError"
+
+    def test_help_still_prints_help(self, capsys):
+        assert run_command(["aat", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: aatkit aat")
+
+    @pytest.mark.parametrize("argv", [["aat", "verify", "--poly", "{g}", "--fn", "{f}"],
+                                      ["period", "find", "--poly", "{g}", "--fn", "{f}"]])
+    def test_zero_relation_is_rejected(self, files, capsys, argv):
+        # the zero polynomial relates nothing: it must not verify
+        code = run_command([a.format(g=files["g_zero"], f=files["exp"]) for a in argv])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert code == 1 and out.err == ""
+        assert rep["error"]["type"] == "PreconditionFailed"
 
     @pytest.mark.parametrize("omega,want", [("0", (1, "ShiftDegenerate")),
                                             ("0,0", (1, "ShiftDegenerate")),

@@ -20,7 +20,7 @@ from aatkit.elimination import discriminant, eliminate_chain, resultant
 from aatkit.functions import FunctionSpec
 from aatkit.poly import MultiPoly, divexact, monic_lex, poly_gcd, pseudo_rem
 from aatkit.scalars import ExactScalar
-from aatkit.series import TruncSeries
+from aatkit.series import PREC_BITS, BiSeries, TruncSeries
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -159,6 +159,24 @@ class TestResultantAgainstSympy:
         assert got == (u ** 2 - 2 * u * w).with_vars(("u", "w"))
         disc = discriminant(u * z ** 2 + w * z + u, "z")
         assert disc == (w ** 2 - 4 * u ** 2).with_vars(("u", "w"))
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_slot_bounds_only_the_result(self, monkeypatch, case):
+        # the slot S bounds the resultant alone: the Bareiss determinant
+        # Res(B, prem(A, B)) outgrows it, and its image at t = 2^S still
+        # divides down to the image of the resultant
+        from aatkit import elimination
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        A, B = [(z ** 5 + u, 9 * z ** 2 + u * z + 1), (z ** 4 + u * z + 1, 16 * z ** 2 + u),
+                (z ** 6 + u, (u + 8) * z ** 2 + z + u)][case]
+        slots, res_rows = [], elimination._res_rows
+        monkeypatch.setattr(elimination, "_res_rows",
+                            lambda f, g: slots.append(res_rows(f, g)) or slots[-1])
+        got = resultant(A, B, "z")
+        det = sympy.Poly(sympy.resultant(to_sympy(B), to_sympy(pseudo_rem(A, B, "z")),
+                                         sympy.Symbol("z")), sympy.Symbol("u"))
+        assert max(abs(int(c)) for c in det.coeffs()).bit_length() > slots[0][1]
+        assert same(got, sympy_resultant(A, B))
 
     def test_vanishing_leading_coefficients(self):
         # both leading coefficients vanish at u = w = 1, so the resultant does
@@ -502,6 +520,46 @@ def test_fixed_point_elements_against_mpmath(name, center, slot):
         for k in range(n):
             got = mpmath.mpc(mpmath.ldexp(re[k], h.exp), mpmath.ldexp(im[k], h.exp))
             assert abs(got - want[k]) <= mpmath.ldexp(scale, -150)
+
+
+def _fraction_route(name, center, order, slot):
+    """The binary-scale element by way of Fractions: each mpmath value as
+    an ExactScalar, each Taylor coefficient divided by k! on it, the series
+    built from the coefficient dict and rounded once (tan: sin / cos)."""
+    def frac(x):
+        man, exp = x.man_exp
+        man = -man if x < 0 else man
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+    with mpmath.workprec(PREC_BITS + 32):
+        z = mpmath.mpc(center.real, center.imag)
+        vals = [mpmath.exp(z)] if name == "exp" else [mpmath.sin(z), mpmath.cos(z)]
+    vals = [ExactScalar(frac(v.real), frac(v.imag)) for v in vals]
+
+    def fixed(g):
+        if g == "exp":
+            cycle = vals
+        else:
+            s, c = vals
+            cycle = [s, c, -s, -c] if g == "sin" else [c, -s, -c, s]
+        return BiSeries.from_coeffs({(0, k) if slot else (k, 0):
+                                     cycle[k % len(cycle)] / math.factorial(k)
+                                     for k in range(order)}, order).to_binary()
+
+    return fixed("sin") * fixed("cos").inverse() if name == "tan" else fixed(name)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("center", [0.3, 0.25j, -0.5 + 0.125j])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_fixed_point_elements_match_the_fraction_route(name, center, slot):
+    # the mantissas from integers over one power of two are those of the
+    # same rational built from Fractions, at every order
+    f = FunctionSpec.builtin(name)
+    for order in range(1, 25):
+        got = _hp_element(f, center, f.element_at(center, order), slot)
+        want = _fraction_route(name, center, order, slot)
+        assert (got.re, got.im, got.exp, got.order) == (want.re, want.im, want.exp, want.order)
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,8 @@ allowed by name below; a new one fails the test, and a mended one must be
 taken off the list, so the count can only fall.
 
 It also fuzzes the command line: every subcommand runs on mutated input
-JSON and must print exactly one JSON object and exit with 0, 1 or 2.
+JSON, and the value-taking flags on mutated argv values, and must print
+exactly one JSON object and exit with 0, 1 or 2.
 """
 
 import ast
@@ -183,6 +184,8 @@ def _with(name, key, data):
     {"exps": [float("inf"), 0, 1], "re": ["1", "1"], "im": ["0", "1"]}]}))
 @example(_with("reduce schwarz", "g", {"vars": ["U", "V", "W"], "terms": []}))
 @example(_with("reduce koebe", "a", {**_SERIES, "center": [float("inf"), 0]}))
+@example(_with("aat verify", "g", {"vars": ["U", "V", "W"], "terms": []}))
+@example(_with("period find", "g", {"vars": ["U", "V", "W"], "terms": []}))
 def test_mutated_json_is_one_json_object(fuzz_dir, case):
     name, files = case
     argv, _ = _COMMANDS[name]
@@ -196,3 +199,51 @@ def test_mutated_json_is_one_json_object(fuzz_dir, case):
     assert code in (0, 1, 2)
     report = json.loads(out.getvalue())
     assert isinstance(report, dict)
+
+
+# -- the same contract under mutated argv values -----------------------------------
+
+# (command, flag): each value-taking flag, in a command whose files are valid
+_FLAGS = [("aat discover", "--bounds"), ("algebroid expand", "--center"),
+          ("reduce schwarz", "--shifts"), ("reduce double", "--m"),
+          ("period verify", "--omega"), ("algebroid monodromy", "--around"),
+          ("algebroid monodromy", "--base")]
+# tokens joined by separators, never by nothing: an integer stays at most 3,
+# so no chain length or degree bound can make a run slow
+_ARG = st.lists(st.sampled_from(["-1", "0", "1", "2", "3", "0.5", "-0.25", "1e308", "nan",
+                                 "inf", "j", "2j", "1+2j", "x", "", "--m"]),
+                min_size=1, max_size=3).flatmap(
+    lambda ts: st.lists(st.sampled_from([",", ";", " ", "+", "/"]), min_size=len(ts) - 1,
+                        max_size=len(ts) - 1).map(
+        lambda ss: ts[0] + "".join(s + t for s, t in zip(ss, ts[1:]))))
+
+
+def _argv(name, flag, value, paths):
+    argv = [a.format(**paths) for a in _COMMANDS[name][0]]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.sampled_from(_FLAGS), _ARG)
+# argparse's own usage errors, which printed usage on stderr and nothing on
+# stdout: a value that looks like a flag, and a value of the wrong type
+@example(("aat discover", "--bounds"), "-1,1,1")
+@example(("reduce double", "--m"), "x")
+# a loop around a point near the double limit, whose modulus overflowed
+@example(("algebroid monodromy", "--around"), "1e308,1e308")
+def test_mutated_argv_is_one_json_object(fuzz_dir, flag, value):
+    name, option = flag
+    paths = {}
+    for key, data in _COMMANDS[name][1].items():
+        paths[key] = fuzz_dir / f"argv-{key}.json"
+        paths[key].write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(_argv(name, option, value, paths) + ["--order", "8"])
+    assert code in (0, 1, 2) and err.getvalue() == ""
+    assert isinstance(json.loads(out.getvalue()), dict)

@@ -2,12 +2,13 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aatkit import poly
+from aatkit import poly, zi
 from aatkit.cli import parse_spec_data
 from aatkit.errors import (AatkitError, DegreeZero, DivisionByZeroScalar, InexactDivision,
                            MissingVariable, PolyDomainError, SchemaError)
@@ -205,6 +206,71 @@ class TestSquareFreeContent:
         sqf = poly_squarefree_content(p, "z")
         g = poly_gcd(sqf, sqf.derivative("z"))
         assert g.is_constant()
+
+
+def _chain(p, var):
+    """The GCD chain of poly_squarefree_content without its certificate:
+    divide out the content, then the GCD with the derivative."""
+    prim = divexact(p, content_wrt(p, var))
+    return monic_lex(divexact(prim, poly_gcd(prim, prim.derivative(var))))
+
+
+@st.composite
+def _factor(draw, vars):
+    """A small polynomial with Gaussian-rational coefficients."""
+    part = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 5]))
+    coeff = st.builds(ExactScalar, part, st.one_of(st.just(0), part))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 1)] * len(vars)), coeff,
+                                 min_size=1, max_size=3))
+    return MultiPoly(vars, terms)
+
+
+@st.composite
+def _planted(draw):
+    """A polynomial in x and up to two more variables, times a planted
+    square and a planted content (free of x) when drawn."""
+    vars = ("x",) + tuple(draw(st.sampled_from([(), ("y",), ("y", "z")])))
+    p = draw(_factor(vars))
+    if draw(st.booleans()):
+        p = p * draw(_factor(vars)) ** 2
+    if len(vars) > 1 and draw(st.booleans()):
+        p = p * draw(_factor(vars[1:])).with_vars(vars)
+    return p
+
+
+class TestSquareFreeCertificate:
+    """poly_squarefree_content proves most inputs content-free and
+    square-free on images modulo zi._P and returns monic_lex(p) for them;
+    every other input runs the GCD chain."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_planted())
+    def test_equals_the_gcd_chain(self, p):
+        if p.degree("x") <= 0:
+            return
+        got, want = poly_squarefree_content(p, "x"), _chain(p, "x")
+        assert repr(got) == repr(want) and list(got.terms) == list(want.terms)
+
+    def _runs_chain(self, p):
+        with mock.patch.object(poly, "content_wrt", wraps=poly.content_wrt) as spy:
+            got = poly_squarefree_content(p, "x")
+        assert got == _chain(p, "x") and list(got.terms) == list(_chain(p, "x").terms)
+        return spy.call_count > 0
+
+    def test_forced_fallbacks_run_the_chain(self):
+        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+        repeated = (x + 1) ** 2 * (x + 2)
+        # y is the variable at index 1, so its point is 2 * 1 + 3 = 5
+        lead_vanishes = (y - 5) * x ** 2 + x + y
+        den_is_p = x ** 2 + x * Fraction(1, zi._P) + 1
+        assert all(self._runs_chain(p) for p in (repeated, lead_vanishes, den_is_p))
+        assert poly_squarefree_content(lead_vanishes, "x") == monic_lex(lead_vanishes)
+
+    def test_certified_inputs_skip_the_chain(self):
+        x, y, z = (MultiPoly.variable(v) for v in "xyz")
+        for p in (x ** 2 + 1, (x - y) * (x + y + 1), y * x ** 2 + z * x + y * z + 1):
+            assert not self._runs_chain(p)
+            assert poly_squarefree_content(p, "x") == monic_lex(p)
 
 
 class TestGcdDivision:

@@ -626,6 +626,79 @@ class TestExactTruncSeriesRows:
         assert got.coeffs == want
         assert (got * b).coefficient(0) == ExactScalar.one()
 
+    @settings(max_examples=100, deadline=None)
+    @given(exact_trunc(), exact_trunc(), st.integers(-4, 30),
+           st.sampled_from([2, Fraction(-3, 7), ExactScalar(Fraction(1, 3), -2)]))
+    def test_operations_match_exactscalar_lists(self, a, b, cut, k):
+        # each operation against the same one on the ExactScalar coefficient
+        # lists: values, exponents, repr and JSON
+        ca = [a.coefficient(j) for j in range(a.low, a.order)]
+        low, order = min(a.low, b.low), min(a.order, b.order)
+        checks = [
+            (a + b, low, [a.coefficient(j) + b.coefficient(j) for j in range(low, order)]),
+            (-a, a.low, [-c for c in ca]),
+            (a * k, a.low, [c * k for c in ca]),
+            (a / k, a.low, [c / k for c in ca]),
+            (a.derivative(), a.low - (a.low != 0),
+             [a.coefficient(j) * j for j in range(a.low + (a.low == 0), a.order)]),
+            (a.truncate(max(cut, a.low)), a.low, ca[:max(cut - a.low, 0)]),
+        ]
+        v = a.valuation()
+        checks.append((a.normalized_low(), v, ca[v - a.low:]))
+        quotient = a / b
+        _, _, inv = _list_inverse(b)
+        ref = TruncSeries(ExactScalar(0), inv, low=-b.valuation(), exact=True)
+        checks.append((quotient, *_list_product(a, ref)[::2]))
+        for got, low, want in checks:
+            assert got.exact and (got.low, got.order) == (low, low + len(want))
+            assert got.coeffs == want
+            assert [got.coefficient(j) for j in range(low, got.order)] == want
+            assert repr(got) == (f"TruncSeries(center=0, low={low}, order={low + len(want)}, "
+                                 f"exact, coeffs={want!r})")
+            assert got.to_json_dict()["coeffs"] == [
+                [[str(c.re.numerator), str(c.re.denominator)],
+                 [str(c.im.numerator), str(c.im.denominator)]] for c in want]
+            # the stored line is reduced: one positive denominator, coprime
+            assert got.den > 0 and math.gcd(got.den, *got.re, *got.im) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_trunc(), st.sampled_from([Fraction(1, 8), ExactScalar(0, Fraction(-1, 16)),
+                                           ExactScalar(Fraction(1, 20), Fraction(1, 32))]))
+    def test_rearrange_matches_the_binomial_loop(self, s, target):
+        # the generalized-binomial loop on ExactScalars (low < 0 included)
+        # that the exact zi_shift replaced
+        s = TruncSeries(ExactScalar(0), [c / 1000 ** k for k, c in
+                                         enumerate(s.coefficient(j) for j in range(s.low, s.order))],
+                        low=s.low, exact=True)
+        try:
+            got = rearrange_at(s, target)
+        except (OutsideDisc, TooFewCoefficients):
+            return
+        dd = ExactScalar.coerce(target)
+        want = [ExactScalar.zero()] * got.order
+        for nn in range(s.low, s.order):
+            binom, dpow = Fraction(1), dd ** nn
+            for j in range(got.order):
+                if j:
+                    binom, dpow = binom * (nn - j + 1) / j, dpow / dd
+                if nn < 0 or j <= nn:
+                    want[j] = want[j] + s.coefficient(nn) * binom * dpow
+        assert (got.exact, got.low, got.center) == (True, 0, dd)
+        assert got.coeffs == want
+
+    def test_lines_placed_as_bivariate_series(self):
+        # an exact element enters a BiSeries as its line, equal to the
+        # coefficient-dict route, in x and in y, with and without a cut
+        s = TruncSeries(ExactScalar(0), [ExactScalar(Fraction(k + 1, 3 ** k), -k)
+                                         for k in range(9)], low=-1, exact=True)
+        s = s * TruncSeries.identity(ExactScalar(0), 9, exact=True)
+        for slot, order in ((0, None), (1, None), (0, 5), (1, 5)):
+            got = BiSeries.from_univariate(s, slot, order)
+            n = s.order if order is None else order
+            want = BiSeries.from_coeffs({(0, k) if slot else (k, 0): s.coefficient(k)
+                                         for k in range(n)}, n)
+            assert (got.re, got.im, got.den, got.order) == (want.re, want.im, want.den, want.order)
+
     @pytest.mark.parametrize("n", [1, 7, 16, 33])
     @pytest.mark.parametrize("bits", [1, 9, 64, 200])
     def test_worst_case_entries_fit_the_slot(self, n, bits):
