@@ -190,7 +190,14 @@ def verify_aat(G: MultiPoly, f: FunctionSpec, order: int = 16, base=None,
     _check_degree(G, order)
     if base is None:
         base = f.default_base()
-    U, V, W = _elements_uvw(f, base, order)
+    return _verify_elements(G, f, base, _elements_uvw(f, base, order), tol, samples, seed)
+
+
+def _verify_elements(G: MultiPoly, f: FunctionSpec, base, uvw: tuple, tol: float = 1e-9,
+                     samples: int = 50, seed: int = 0) -> AatCertificate:
+    """verify_aat on the elements (U, V, W) of f at the base, for a nonzero
+    G in (U, V, W)."""
+    U, V, W = uvw
     n = min(U.order, V.order, W.order)
     _check_degree(G, n)
     residual = relation_residual(G, U, V, W)
@@ -260,9 +267,23 @@ def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[Exa
     return nullspace([list(zip(*gaussian_integers(row)[1:])) for row in rows], ncols)
 
 
-def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[list[ExactScalar | None]]:
-    """Thresholded-SVD kernel, reduced to row-echelon form and rationalized.
+_SVD_GAP = 1e4      # the least ratio s_(k-1) / s_k that separates a kernel
+_DROP_REL = 1e-9    # kernel coefficients below this share of the largest are zero
 
+
+def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[list[ExactScalar | None]]:
+    """SVD kernel at the largest singular-value gap, reduced to row-echelon
+    form and rationalized.
+
+    With singular values s_0 >= s_1 >= ... (zeros for the columns beyond
+    the rows) relative to s_0 and floored at the double precision eps, the
+    kernel is spanned by the right singular vectors k, k + 1, ... for the
+    boundary k with the largest ratio s_(k-1) / s_k among those with s_k at
+    most rel and a ratio of at least _SVD_GAP; it is empty when there is
+    none, and everything when A is zero.  A cluster of small singular
+    values with no gap is noise at the elements' precision, not a kernel.
+    A kernel vector is then known to about s_k / s_(k-1) (Wedin's bound),
+    so coefficients below that share of the largest are dropped as noise.
     The echelon pass makes the basis canonical (each vector supported on a
     distinct leading monomial), so minimal relations surface as-is instead
     of arbitrary rotations of the kernel.
@@ -270,15 +291,18 @@ def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[list[ExactScala
     if A.size == 0:
         return []
     _u, s, vh = np.linalg.svd(A)
-    smax = s[0] if len(s) else 0.0
     ncols = A.shape[1]
-    basis = []
-    for idx in range(ncols):
-        sv = s[idx] if idx < len(s) else 0.0
-        if sv <= rel * max(smax, 1e-300):
-            basis.append(vh[idx].conj())
+    k, floor = 0, _DROP_REL
+    if len(s) and s[0] > 0:
+        rs = np.maximum(np.pad(s / s[0], (0, ncols - len(s))), np.finfo(float).eps)
+        gaps = np.where(rs[1:] <= rel, rs[:-1] / rs[1:], 0.0)
+        if not len(gaps) or gaps.max() < _SVD_GAP:
+            return []
+        k = 1 + int(np.argmax(gaps))
+        floor = max(floor, 1.0 / gaps[k - 1])
+    basis = [vh[idx].conj() for idx in range(k, ncols)]
     if len(basis) <= 1:
-        return [_clean_numeric_vec(v) for v in basis]
+        return [_clean_numeric_vec(v, floor) for v in basis]
     rows = np.array(basis)
     r = 0
     for c in range(ncols):
@@ -294,7 +318,7 @@ def _numeric_nullspace(A: np.ndarray, rel: float = 1e-8) -> list[list[ExactScala
             if i != r:
                 rows[i] = rows[i] - rows[i, c] * rows[r]
         r += 1
-    return [_clean_numeric_vec(rows[i]) for i in range(r)]
+    return [_clean_numeric_vec(rows[i], floor) for i in range(r)]
 
 
 def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
@@ -306,14 +330,20 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     polynomials; an empty list means no relation at these bounds.  The
     order and the smallest element order must reach 2 (d_u + d_v + d_w) + 4.
     """
-    d_u, d_v, d_w = degree_bounds
-    min_order = 2 * (d_u + d_v + d_w) + 4
+    min_order = 2 * sum(degree_bounds) + 4
     if order < min_order:
         raise OrderTooLow(f"order {order} < required {min_order} for bounds "
                           f"{degree_bounds}")
     if base is None:
         base = f.default_base()
-    U, V, W = _elements_uvw(f, base, order)
+    return _discover_elements(_elements_uvw(f, base, order), degree_bounds)
+
+
+def _discover_elements(uvw: tuple, degree_bounds: tuple[int, int, int]) -> list[MultiPoly]:
+    """discover_aat on the elements (U, V, W), whose order must reach
+    2 (d_u + d_v + d_w) + 4."""
+    U, V, W = uvw
+    d_w, min_order = degree_bounds[2], 2 * sum(degree_bounds) + 4
     monos = _grlex_monomials(degree_bounds)
     n = min(U.order, V.order, W.order)
     if n < min_order:
@@ -352,11 +382,12 @@ def _powers(s, top: int) -> list:
     return out
 
 
-def _clean_numeric_vec(vec: np.ndarray) -> list[ExactScalar | None]:
+def _clean_numeric_vec(vec: np.ndarray, floor: float = _DROP_REL) -> list[ExactScalar | None]:
     """Rationalize a numeric kernel vector for readable output.
 
-    The vector is scaled by its largest entry first; entries that refuse a
-    small rational form are kept as float-backed rationals.
+    The vector is scaled by its largest entry first; entries below floor
+    are dropped (None), and those that refuse a small rational form are
+    kept as float-backed rationals.
     """
     scale = max(abs(x) for x in vec)
     if scale == 0:
@@ -365,7 +396,7 @@ def _clean_numeric_vec(vec: np.ndarray) -> list[ExactScalar | None]:
     v = vec / vec[idx]
     out: list[ExactScalar | None] = []
     for x in v:
-        if abs(x) < 1e-9:
+        if abs(x) < floor:
             out.append(None)
             continue
         re = rationalize(x.real, 10 ** 6)

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 from .aat import (
     _check_uvw_vars,
-    discover_aat,
+    _discover_elements,
+    _elements_uvw,
+    _verify_elements,
     koebe_normalize,
     schwarz_reduce,
     verify_aat,
@@ -192,11 +194,16 @@ def _cmd_aat_discover(args, cfg: RunConfig):
             raise SchemaError("--bounds must be three integers i,j,k")
     else:
         bounds_list = [(d, d, d) for d in range(1, cfg.degree_cap + 1)]
+    # the elements (U, V, W) once per order: shared by that order's boxes
+    # and the round trip of their relations
+    base, elements = f.default_base(), {}
     kernel: list[MultiPoly] = []
     bounds_used = None
     for b in bounds_list:
         order = max(cfg.order, 2 * sum(b) + 4)
-        kernel = discover_aat(f, b, order=order)
+        if order not in elements:
+            elements[order] = _elements_uvw(f, base, order)
+        kernel = _discover_elements(elements[order], b)
         if kernel:
             bounds_used = b
             break
@@ -207,8 +214,8 @@ def _cmd_aat_discover(args, cfg: RunConfig):
     }
     if kernel:
         order = max(cfg.order, 2 * sum(bounds_used) + 4)
-        checks = [verify_aat(p, f, order=order, tol=cfg.tol, seed=cfg.seed).verified
-                  for p in kernel]
+        checks = [_verify_elements(p, f, base, elements[order], tol=cfg.tol,
+                                   seed=cfg.seed).verified for p in kernel]
         report["round_trip_verified"] = checks
     return (0 if kernel else 1), report
 

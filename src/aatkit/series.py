@@ -22,11 +22,18 @@ by the data:
   gcd-normalized, so the representation of a series is unique;
 * binary (complex data, and the Schwarz chain's fixed-point elements): the
   rows times 2**exp, each result rounded once (half to even) to PREC_BITS
-  bits when its exact value needs more.
+  bits when its exact value needs more, row by row.
 
 An operation with a binary operand promotes the other one to binary.  Each
 operation runs one integer row routine for both scales and normalizes its
-result once, by a gcd or by one rounding.
+result once, by a gcd or by one rounding.  Zero parts cost nothing: each
+kernel looks at its data (a zero list, a zero packed value, a real g), so
+an all-zero row packs to 0 and 0 unpacks to zeros, rounding keeps a zero
+row as it is, sums, differences and negation skip zero rows, a real row
+over a real g is one division per entry in the binary inverse, outer_sums
+takes one product per term when everything is real, and max_abs reads
+max |re| of a real series.  A real series thus does the real half of the
+work, with the same integers a complex one would give.
 
 No other module reads series storage, and every series kernel is here:
 _triangle_product, _row_recurrence and _line_product (BiSeries products and
@@ -495,13 +502,13 @@ _INV_GUARD = 32     # extra bits carried through the inverse recurrence
 _TWO_POINT_SLOT = 200
 
 
-def _round_shift(m: int, s: int) -> int:
-    """m / 2**s (s > 0) rounded to the nearest integer, ties to even."""
-    t = m + (1 << (s - 1))
-    q = t >> s
-    if q & 1 and not t & ((1 << s) - 1):
-        q -= 1
-    return q
+def _round_rows(rows: list[list[int]], s: int) -> list[list[int]]:
+    """Every entry divided by 2**s (s > 0) and rounded to the nearest
+    integer, ties to even (a tie is an entry whose low s bits are 2**(s-1));
+    a zero row is kept as it is."""
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    return [[(v + half) >> s if v & mask != half else (v >> s) + ((v >> s) & 1)
+             for v in r] if any(r) else r for r in rows]
 
 
 def _round_div(n: int, d: int) -> int:
@@ -513,8 +520,28 @@ def _round_div(n: int, d: int) -> int:
     return q
 
 
+def _add_rows(A: list[list[int]], B: list[list[int]], n: int, fa: int,
+              fb: int) -> list[list[int]]:
+    """Rows fa A_d + fb B_d for d < n.  A term whose factor or row is zero
+    is skipped, and a row times 1 is the row itself (rows are never changed
+    in place)."""
+    out = []
+    for ra, rb in zip(A[:n], B):
+        ta, tb = fa and any(ra), fb and any(rb)
+        if ta and tb:
+            out.append([x * fa + y * fb for x, y in zip(ra, rb)])
+        elif ta or tb:
+            r, f = (ra, fa) if ta else (rb, fb)
+            out.append(r if f == 1 else [x * f for x in r])
+        else:
+            out.append([0] * len(ra))
+    return out
+
+
 def _plus_minus(vals: list[int], h: int) -> tuple[int, int]:
     """sum vals[k] t**k at t = 2**h and t = -2**h, from its even and odd parts."""
+    if not any(vals):
+        return 0, 0
     even, odd = _pack(vals[::2], 2 * h), _pack(vals[1::2], 2 * h) << h
     return even + odd, even - odd
 
@@ -574,6 +601,8 @@ def _split(p: int, m: int, n: int, h: int) -> list[int]:
     """The first n coefficients of C(t) from p = C(2**h), m = C(-2**h): the
     even ones from (p + m) / 2, the odd from (p - m) / 2**(h + 1)."""
     out = [0] * n
+    if not (p or m):
+        return out
     out[::2] = _unpack((p + m) >> 1, (n + 1) // 2, 2 * h)
     out[1::2] = _unpack((p - m) >> (h + 1), n // 2, 2 * h)
     return out
@@ -764,8 +793,7 @@ class BiSeries:
             top = max(_max_bits(re), _max_bits(im))
             if top > PREC_BITS:
                 s = top - PREC_BITS
-                re = [[_round_shift(v, s) for v in r] for r in re]
-                im = [[_round_shift(v, s) for v in r] for r in im]
+                re, im = _round_rows(re, s), _round_rows(im, s)
                 exp += s
             elif top == 0:
                 exp = 0
@@ -871,10 +899,22 @@ class BiSeries:
         return [r[j] for r in self.re], [r[j] for r in self.im]
 
     def max_abs(self) -> float:
+        """The largest coefficient modulus, as a float: on the rational scale
+        the largest |complex(c)|, each part correctly rounded (x / D is
+        float(Fraction(x, D))); on the binary scale from the integer
+        max(a**2 + b**2), max(|a|)**2 for a real series."""
+        real = not any(map(any, self.im))
         if self.exp is None:
-            return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
-        best = max((a * a + b * b for ra, rb in zip(self.re, self.im)
-                    for a, b in zip(ra, rb)), default=0)
+            D = self.den
+            if real:
+                return max(map(abs, chain.from_iterable(self.re)), default=0) / D
+            return max((abs(complex(x / D, y / D)) for ra, rb in zip(self.re, self.im)
+                        for x, y in zip(ra, rb)), default=0.0)
+        if real:
+            best = max(map(abs, chain.from_iterable(self.re)), default=0) ** 2
+        else:
+            best = max((a * a + b * b for ra, rb in zip(self.re, self.im)
+                        for a, b in zip(ra, rb)), default=0)
         return _ldexp(math.sqrt(best), self.exp)
 
     def valuation(self, tol: float = 0.0) -> int | None:
@@ -909,11 +949,12 @@ class BiSeries:
     # -- arithmetic ------------------------------------------------------------
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries([[-v for v in r] for r in self.re],
-                        [[-v for v in r] for r in self.im],
+        return BiSeries(_add_rows(self.re, self.im, self.order, -1, 0),
+                        _add_rows(self.im, self.re, self.order, -1, 0),
                         self.order, self.den, self.exp)
 
-    def __add__(self, other) -> "BiSeries":
+    def _plus(self, other, sign: int) -> "BiSeries":
+        """self + sign * other, on the common scale of the two."""
         if not isinstance(other, BiSeries):
             other = BiSeries.const(other, self.order)
         a, b = _common(self, other)
@@ -924,16 +965,21 @@ class BiSeries:
         else:
             den, exp = 1, min(a.exp, b.exp)
             fa, fb = 1 << a.exp - exp, 1 << b.exp - exp
-        re = [[x * fa + y * fb for x, y in zip(ra, rb)]
-              for ra, rb in zip(a.re[:order], b.re)]
-        im = [[x * fa + y * fb for x, y in zip(ra, rb)]
-              for ra, rb in zip(a.im[:order], b.im)]
-        return BiSeries(re, im, order, den, exp)
+        return BiSeries(_add_rows(a.re, b.re, order, fa, sign * fb),
+                        _add_rows(a.im, b.im, order, fa, sign * fb), order, den, exp)
+
+    def __add__(self, other) -> "BiSeries":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "BiSeries":
-        return self + (-other)
+        # -other rounds again when a mantissa of other was rounded up to
+        # 2**PREC_BITS; then the difference is the sum with that negation
+        if (isinstance(other, BiSeries) and other.exp is not None
+                and _max_bits(other.re + other.im) > PREC_BITS):
+            return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "BiSeries":
         return (-self) + other
@@ -952,10 +998,8 @@ class BiSeries:
             # b is constant (only row 0 is nonzero): one Gaussian factor,
             # the product rounded once
             gr, gi = b.re[0][0], b.im[0][0]
-            pairs = [list(zip(ra, rb)) for ra, rb in zip(a.re[:order], a.im)]
-            return BiSeries([[x * gr - y * gi for x, y in r] for r in pairs],
-                            [[x * gi + y * gr for x, y in r] for r in pairs],
-                            order, den, exp)
+            return BiSeries(_add_rows(a.re, a.im, order, gr, -gi),
+                            _add_rows(a.re, a.im, order, gi, gr), order, den, exp)
         rows = _triangle_product(a.re, a.im, b.re, b.im, va, vb, order)
         return BiSeries([r[0] for r in rows], [r[1] for r in rows], order, den, exp)
 
@@ -989,6 +1033,8 @@ class BiSeries:
                         _round_div(si * gr - sr * gi, norm))
 
             def step(sr: list[int], si: list[int]) -> tuple[list, list]:
+                if not (gi or any(si)):   # real row, real g: -x / g, rounded
+                    return [_round_div(-x if gr > 0 else x, abs(gr)) for x in sr], [0] * len(sr)
                 row = [div(-x, -y) for x, y in zip(sr, si)]
                 return [c[0] for c in row], [c[1] for c in row]
 
@@ -1031,8 +1077,9 @@ def outer_sums(U: BiSeries, V: BiSeries, polys: list, order: int) -> list[BiSeri
     scale rounded to PREC_BITS, as a scalar product would round it), summed
     exactly and normalized once; no bivariate product is needed."""
     U, V = _common(U, V)
-    ups = _line_powers(*U.line(0), max((p for c in polys for p, _ in c), default=0), order)
-    vqs = _line_powers(*V.line(1), max((q for c in polys for _, q in c), default=0), order)
+    (ur, ui), (vr, vi) = U.line(0), V.line(1)
+    ups = _line_powers(ur, ui, max((p for c in polys for p, _ in c), default=0), order)
+    vqs = _line_powers(vr, vi, max((q for c in polys for _, q in c), default=0), order)
     out = []
     for c in polys:
         terms = []           # (p, q, mantissa of c_pq, scale of c_pq U^p V^q)
@@ -1050,21 +1097,29 @@ def outer_sums(U: BiSeries, V: BiSeries, polys: list, order: int) -> list[BiSeri
         else:            # exponents: align every term to the smallest
             den, exp = 1, min((t[4] for t in terms), default=0)
             terms = [(p, q, kr << e - exp, ki << e - exp) for p, q, kr, ki, e in terms]
+        # U, V and every c_pq real: one product per term, no imaginary part
+        real = not (any(ui) or any(vi) or any(t[3] for t in terms))
         rows: dict[int, tuple[list[int], list[int]]] = {}
         for p, q, kr, ki in terms:
             rr, ri = rows.setdefault(q, ([0] * order, [0] * order))
             for i, (x, y) in enumerate(zip(*ups[p])):
-                rr[i] += kr * x - ki * y
-                ri[i] += kr * y + ki * x
+                if real:
+                    rr[i] += kr * x
+                else:
+                    rr[i] += kr * x - ki * y
+                    ri[i] += kr * y + ki * x
         re, im = _triangle(order), _triangle(order)
         for q, (rr, ri) in rows.items():
             for j, (a, b) in enumerate(zip(*vqs[q])):
                 if not (a or b):
                     continue
                 for i in range(order - j):
-                    x, y = rr[i], ri[i]
-                    re[i + j][j] += x * a - y * b
-                    im[i + j][j] += x * b + y * a
+                    if real:
+                        re[i + j][j] += rr[i] * a
+                    else:
+                        x, y = rr[i], ri[i]
+                        re[i + j][j] += x * a - y * b
+                        im[i + j][j] += x * b + y * a
         out.append(BiSeries(re, im, order, den, exp))
     return out
 
@@ -1091,5 +1146,5 @@ def compose_shift(f: TruncSeries) -> BiSeries:
     re, im = line.line(0)
     binom = [[math.comb(d, j) for j in range(d + 1)] for d in range(line.order)]
     return BiSeries([[c * x for c in b] for b, x in zip(binom, re)],
-                    [[c * y for c in b] for b, y in zip(binom, im)],
+                    [[c * y for c in b] if y else [0] * len(b) for b, y in zip(binom, im)],
                     line.order, line.den, line.exp)

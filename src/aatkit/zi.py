@@ -83,7 +83,10 @@ def gauss_pow(a: tuple[int, int], e: int) -> tuple[int, int]:
 
 def _pack(vals: list[int], slot: int) -> int:
     """Kronecker substitution: sum vals[k] * 2**(k*slot), signed entries.
-    A long list is packed by halves, which keeps the cost near linear."""
+    A long list is packed by halves, which keeps the cost near linear; an
+    all-zero list is 0 at once."""
+    if not any(vals):
+        return 0
     if len(vals) > 32:
         h = len(vals) // 2
         return _pack(vals[:h], slot) + (_pack(vals[h:], slot) << h * slot)
@@ -95,6 +98,8 @@ def _pack(vals: list[int], slot: int) -> int:
 
 def _unpack(x: int, n: int, slot: int) -> list[int]:
     """Inverse of _pack for n entries that each fit in slot - 1 bits."""
+    if not x:
+        return [0] * n
     full = 1 << slot
     mask, half = full - 1, full >> 1
     out = []
@@ -108,9 +113,11 @@ def _unpack(x: int, n: int, slot: int) -> list[int]:
 
 
 def _max_bits(rows) -> int:
-    """The bit length of the largest absolute entry of rows, an iterable of
-    iterables of ints."""
-    return max(map(abs, chain.from_iterable(rows)), default=0).bit_length()
+    """The bit length of the largest absolute entry of rows, a list of lists
+    of ints; 0 at once when every entry is zero."""
+    if not any(map(any, rows)):
+        return 0
+    return max(map(abs, chain.from_iterable(rows))).bit_length()
 
 
 # -- univariate polynomials --------------------------------------------------------
@@ -236,9 +243,14 @@ def bareiss(rows: list[ZiPoly], ncols: int) -> tuple[list[ZiPoly], list[int], in
         for x in rows[k + 1:]:
             lr, li = x[c]
             x[c] = (0, 0)
-            if real:
-                tail = [gauss_divexact(pr * ar - lr * br, 0, prev)
-                        for (ar, _), (br, _) in zip(x[c + 1:], top)]
+            if real:                # gauss_divexact by a real prev, inline
+                tail = []
+                for (ar, _), (br, _) in zip(x[c + 1:], top):
+                    q, r = divmod(pr * ar - lr * br, prev[0])
+                    if r:
+                        raise InexactDivision(f"{prev} does not divide "
+                                              f"({pr * ar - lr * br}, 0) in Z[i]")
+                    tail.append((q, 0))
             else:
                 tail = [gauss_divexact(pr * ar - pi * ai - lr * br + li * bi,
                                        pr * ai + pi * ar - lr * bi - li * br, prev)
@@ -328,7 +340,7 @@ def _annihilates(rows: list[ZiPoly], basis: list[list[ExactScalar]], ncols: int)
     ws = [gaussian_integers(v)[1:] for v in basis]
     cols = list(zip(*rows))
     re, im = [[x for x, _ in c] for c in cols], [[y for _, y in c] for c in cols]
-    slot = _max_bits(re + im) + _max_bits(chain(*ws)) + ncols.bit_length() + 2
+    slot = _max_bits(re + im) + _max_bits(list(chain(*ws))) + ncols.bit_length() + 2
     cr, ci = ([_pack(c, slot) for c in m] for m in (re, im))
     return not any(sum(a * x - b * y for a, b, x, y in zip(cr, ci, wr, wi))
                    or sum(a * y + b * x for a, b, x, y in zip(cr, ci, wr, wi))

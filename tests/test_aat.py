@@ -221,6 +221,31 @@ class TestDiscover:
         assert discover_aat(f, (1, 1, 1), 16) == []
         assert discover_aat(f, (2, 2, 2), 16) == [normalize_relation(U ** 2 + V ** 2 - W ** 2)]
 
+    @pytest.mark.parametrize("order", [22, 30])
+    def test_kernel_at_the_singular_value_gap(self, uvw, order):
+        # z = (2u)^(1/3) from base 1/2: U and V exact, W = 2^(1/3) numeric;
+        # below 1e-8 sit a cluster of noise directions of the double W (no
+        # gap between them) and, 1e7 further down, U^3 + V^3 - W^3
+        U, V, W = uvw
+        u, z = MultiPoly.variable("u"), MultiPoly.variable("z")
+        f = FunctionSpec.algebroid(AlgebroidCurve(z ** 3 - 2 * u), base=0.5)
+        kernel = discover_aat(f, (3, 3, 3), order)
+        assert kernel == [normalize_relation(U ** 3 + V ** 3 - W ** 3)]
+        assert verify_aat(kernel[0], f, order=order).verified
+
+    def test_numeric_kernel_needs_a_gap(self):
+        # A = diag(s) Q, Q orthogonal: the right singular vectors are Q's rows
+        Q = np.array([[1, 2, 2], [2, 1, -2], [2, -2, 1]]) / 3
+        third = [ExactScalar(1), ExactScalar(-1), ExactScalar(Fraction(1, 2))]
+        for s, want in (([1, 2e-5, 9e-9], []),           # below 1e-8, no gap
+                        ([1, 1e-3, 1e-13], [third]),
+                        ([1, 1e-6, 5e-11], [third]),       # ratio 2e4
+                        ([1, 1e-6, 2e-10], [])):           # ratio 5e3
+            got = aat._numeric_nullspace(np.diag(s) @ Q)
+            assert got in (want, [[-x for x in v] for v in want])     # up to sign
+        assert len(aat._numeric_nullspace(np.diag([1, 1e-9, 1e-10]) @ Q)) == 2
+        assert len(aat._numeric_nullspace(np.zeros((2, 3)))) == 3
+
     def test_round_trip(self, tan_spec):
         for k in discover_aat(tan_spec, (1, 1, 1), 16):
             assert verify_aat(k, tan_spec, order=16).verified

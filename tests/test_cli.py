@@ -429,6 +429,27 @@ class TestReduceCommands:
         assert rep["kernel_dimension"] == 0
 
 
+    def test_discover_builds_elements_once_per_order(self, files, capsys, monkeypatch):
+        # cos: nothing at (1,1,1), its relation at (2,2,2), both at order 16,
+        # then the round trip: one build of (U, V, W); --bounds 3,3,3 needs
+        # order 22 and its own build
+        from aatkit import aat, cli
+        orders = []
+
+        def spy(f, base, order):
+            orders.append(order)
+            return aat._elements_uvw(f, base, order)
+
+        monkeypatch.setattr(cli, "_elements_uvw", spy)
+        code, rep = run_json(["aat", "discover", "--fn", files["cos"]], capsys)
+        assert code == 0 and rep["bounds_used"] == [2, 2, 2]
+        assert rep["round_trip_verified"] == [True]
+        assert orders == [16]
+        code, rep = run_json(["aat", "discover", "--fn", files["cos"],
+                              "--bounds", "3,3,3"], capsys)
+        assert code == 0 and orders == [16, 22]
+
+
 class TestRoundTripsAndDeterminism:
     def test_discovered_poly_feeds_verify(self, files, capsys, tmp_path):
         code, rep = run_json(["aat", "discover", "--fn", files["tan"]], capsys)

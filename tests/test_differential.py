@@ -611,6 +611,10 @@ def report_files(tmp_path_factory):
     for k, (a, b, c, d) in enumerate([(2, 1, 1, 3), (-3, 4, 2, -1), (1, -2, -3, 4)]):
         files[f"mobius{k}"] = dump(f"mobius{k}", FunctionSpec.rational(
             a * u + b, c * u + d).to_json_dict())
+    # a complex Moebius map: its elements, sums and products take the
+    # complex path of every series kernel
+    files["mobius_i"] = dump("mobius_i", FunctionSpec.rational(
+        u + ExactScalar(0, 1), 2 * u - 1).to_json_dict())
     relations = {"sin": (W ** 2 + U ** 2 - V ** 2) ** 2 - 4 * U ** 2 * W ** 2 * (1 - V ** 2),
                  "cos": W ** 2 - 2 * U * V * W + U ** 2 + V ** 2 - 1,
                  "tan": W * (1 - U * V) - (U + V), "exp": W - U * V}
@@ -642,6 +646,11 @@ REPORT_PINS = [
      "615f7aa1647ecc7fd4be5f13e9c6f42fb2d7825a9ce2a4da92399ffeb36ab477", "0"),
     ("reduce schwarz exp",
      "99b6b01ab8f508319686090945a1ccfe4cd7faf8fabef903ba5d18a576d4ed75", "0"),
+    # complex inputs: every other pin runs real series only
+    ("aat discover mobius_i",
+     "5f0dddbb16e40d5bda98a755bd48d6864abb96cc1586f750389a69ce3a992909", "0"),
+    ("reduce schwarz sin 0.2+0.1j;0.1+0.05j",
+     "f1999d5be3576830f013abc3c9a2c7d97639dafc48fbd44e81023e89a716848e", "0"),
 ]
 
 
@@ -651,8 +660,9 @@ def test_cli_reports_pinned(report_files, capsys, argv, want, code):
     if words[0] == "aat":           # aat discover <fn> [bounds]
         cmd = ["aat", "discover", "--fn", report_files[words[2]]]
         cmd += ["--bounds", words[3]] if len(words) > 3 else []
-    else:                           # reduce schwarz <fn>
+    else:                           # reduce schwarz <fn> [shifts]
         cmd = ["reduce", "schwarz", "--poly", report_files[f"g_{words[2]}"],
                "--fn", report_files[words[2]]]
+        cmd += ["--shifts", words[3]] if len(words) > 3 else []
     assert str(run_command(cmd)) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want

@@ -172,3 +172,40 @@ def test_real_nullspace_unchanged(m):
     finally:
         zi.bareiss = real_bareiss
     assert got == want
+
+
+def _parent_pack(vals, slot):
+    """_pack without the zero shortcut."""
+    if len(vals) > 32:
+        h = len(vals) // 2
+        return _parent_pack(vals[:h], slot) + (_parent_pack(vals[h:], slot) << h * slot)
+    x = 0
+    for v in reversed(vals):
+        x = (x << slot) + v
+    return x
+
+
+def _parent_unpack(x, n, slot):
+    """_unpack without the zero shortcut."""
+    full = 1 << slot
+    mask, half = full - 1, full >> 1
+    out = []
+    for _ in range(n):
+        v = x & mask
+        if v >= half:
+            v -= full
+        out.append(v)
+        x = (x - v) >> slot
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 90), st.data())
+def test_pack_unpack_zero_shortcuts(slot, data):
+    # an all-zero list packs to 0 and 0 unpacks to zeros, as without the shortcut
+    part = st.integers(-(1 << (slot - 1)) + 1, (1 << (slot - 1)) - 1)
+    vals = data.draw(st.one_of(st.lists(part, max_size=70),
+                               st.integers(0, 70).map(lambda n: [0] * n)))
+    x = zi._pack(vals, slot)
+    assert x == _parent_pack(vals, slot)
+    assert zi._unpack(x, len(vals), slot) == _parent_unpack(x, len(vals), slot) == vals
