@@ -6,9 +6,11 @@ G(phi(u), phi(v), phi(u+v)) vanishes: identically to the working order in
 exact mode, or below tolerance on a random sample in numeric mode.
 
 discover_aat inverts that: it builds the linear system satisfied by the
-coefficients of G over a monomial box and returns a basis of its kernel,
-exactly (fraction-free elimination) whenever the function's Taylor data is
-rational, by thresholded SVD otherwise.
+coefficients of G over a monomial box and returns a basis of its kernel:
+from residues modulo a prime, lifted to Q and proved by exact residuals,
+for real rational Taylor data; by fraction-free elimination for other
+rational data or when the residue route fails; by thresholded SVD
+otherwise.
 
 koebe_normalize runs the classical elimination chain that turns a relation
 between three different elements into one relation for a single element;
@@ -57,7 +59,7 @@ from .series import (
     outer_sums,
     radius_estimate,
 )
-from .zi import gaussian_integers, nullspace
+from .zi import gaussian_integers, nullspace, rational_lift, rref_mod
 
 DEFAULT_SCHWARZ_ORDER = 24
 
@@ -325,11 +327,19 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
                  order: int = 16, base=None) -> list[MultiPoly]:
     """Basis of addition-theorem polynomials within the degree bounds.
 
-    Builds the linear system over the bivariate series coefficients of all
-    monomials U^i V^j W^k in the box and returns its kernel as normalized
-    polynomials; an empty list means no relation at these bounds.  The
-    order and the smallest element order must reach 2 (d_u + d_v + d_w) + 4.
+    The coefficients of G over the monomials U^i V^j W^k of the box solve
+    a linear system over the bivariate series coefficients of U = phi(u),
+    V = phi(v) and W = phi(u+v); its reduced kernel basis comes back as
+    normalized polynomials, and an empty list means no relation at these
+    bounds.  Real rational Taylor data takes the residue route: the kernel
+    modulo the prime _RESIDUE_P = 33554393 (below 2**25), each entry
+    lifted to a fraction with numerator and denominator at most
+    _LIFT_BOUND = isqrt(_RESIDUE_P // 2) = 4095, each relation proved by
+    its exact residual; the result is the kernel the exact route
+    (_column_kernel) gives.  The bounds must be nonnegative; the order and
+    the smallest element order must reach 2 (d_u + d_v + d_w) + 4.
     """
+    _check_bounds(degree_bounds)
     min_order = 2 * sum(degree_bounds) + 4
     if order < min_order:
         raise OrderTooLow(f"order {order} < required {min_order} for bounds "
@@ -339,24 +349,53 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     return _discover_elements(_elements_uvw(f, base, order), degree_bounds)
 
 
+def _check_bounds(bounds: tuple[int, ...]):
+    """PreconditionFailed unless every degree bound is nonnegative."""
+    if min(bounds) < 0:
+        raise PreconditionFailed(f"degree bounds must be nonnegative; got {tuple(bounds)}")
+
+
+_RESIDUE_P = 33554393                       # prime, below 2**25: n p**2 < 2**63
+_LIFT_BOUND = math.isqrt(_RESIDUE_P // 2)   # 2 _LIFT_BOUND**2 < _RESIDUE_P
+
+
 def _discover_elements(uvw: tuple, degree_bounds: tuple[int, int, int]) -> list[MultiPoly]:
     """discover_aat on the elements (U, V, W), whose order must reach
-    2 (d_u + d_v + d_w) + 4."""
+    2 (d_u + d_v + d_w) + 4.
+
+    The residue route (_residue_kernel) answers when U, V and W are real
+    on the rational scale and W = w(x + y); anything it cannot settle goes
+    to the exact route (_column_kernel), which also serves Gaussian,
+    binary and numeric elements.  Both return the same relations: a
+    certified residue vector for a free column f modulo p is 1 at f and
+    supported on pivots left of f, so column f depends on earlier columns
+    over Q and the free columns modulo p are free over Q; as the nullity
+    modulo p is at least the true one, the two free sets are equal, and
+    each vector is the unique reduced one that Bareiss's kernel gives."""
     U, V, W = uvw
-    d_w, min_order = degree_bounds[2], 2 * sum(degree_bounds) + 4
+    min_order = 2 * sum(degree_bounds) + 4
     monos = _grlex_monomials(degree_bounds)
     n = min(U.order, V.order, W.order)
     if n < min_order:
         raise OrderTooLow(f"element order {n} < required {min_order} for bounds "
                           f"{degree_bounds}")
-    # the columns U^i V^j W^k on one scale (binary if W is): each distinct
-    # U^i V^j is one outer product, and W^k enters by one product if k > 0
+    found = _residue_kernel(U, V, W, monos, n)
+    return _column_kernel(U, V, W, monos, n) if found is None else found
+
+
+def _column_kernel(U: BiSeries, V: BiSeries, W: BiSeries, monos: list[tuple],
+                   n: int) -> list[MultiPoly]:
+    """The exact route: the columns U^i V^j W^k as series, their
+    coefficient matrix to order n, and its kernel by zi.nullspace (exact
+    columns) or the thresholded SVD (binary ones)."""
+    # the columns on one scale (binary if W is): each distinct U^i V^j is
+    # one outer product, and W^k enters by one product if k > 0
     keys = sorted({m[:2] for m in monos})
     uvs = outer_sums(U, V, [{k: 1} for k in keys], n)
     if not W.exact:
         uvs = [uv.to_binary() for uv in uvs]
     uv = dict(zip(keys, uvs))
-    wps = _powers(W.truncate(n), d_w)
+    wps = _powers(W.truncate(n), max(m[2] for m in monos))
     cols = [uv[i, j] * wps[k] if k else uv[i, j] for i, j, k in monos]
     rows = coefficient_rows(cols, n)
     if all(c.exact for c in cols):
@@ -364,6 +403,73 @@ def _discover_elements(uvw: tuple, degree_bounds: tuple[int, int, int]) -> list[
     else:
         vecs = _numeric_nullspace(np.array(rows))
     return _kernel_relations(vecs, monos, ("U", "V", "W"))
+
+
+def _residue_kernel(U: BiSeries, V: BiSeries, W: BiSeries, monos: list[tuple],
+                    n: int) -> list[MultiPoly] | None:
+    """The relations of the box from residues modulo _RESIDUE_P, each one
+    proved by relation_residual; None when the route does not apply (U, V
+    or W not real and rational, p dividing a denominator, W not w(x + y)
+    modulo p) or cannot prove its answer (an entry does not lift, a
+    residual is not zero).
+
+    Column U^i V^j W^k modulo p is T_(u^i) W_k T_(v^j)^T, T_a the lower
+    triangular Toeplitz matrix of a line a and W_k[p, q] = C(p + q, p)
+    (w^k)_(p+q), reduced after each int64 product.  A full rank modulo p
+    is a full rank over Q, so its kernel is empty at once."""
+    P = _RESIDUE_P
+    res = [s.residues(P) for s in (U, V, W)]
+    if any(r is None for r in res) or n * P * P >= 1 << 63:
+        return None
+    at = np.add.outer(np.arange(n), np.arange(n))             # p + q
+    u, v, w = (np.where(at < n, r[:n, :n], 0) for r in res)
+    if u[:, 1:].any() or v[1:].any():
+        return None
+    top = [max(m[t] for m in monos) for t in range(3)]
+    binom = np.array([[math.comb(i + j, i) % P if i + j < n else 0 for j in range(n)]
+                      for i in range(n)], dtype=np.int64)
+    wks = _line_powers_mod(w[:, 0], max(top[2], 1), P)
+    wks = binom * np.pad(wks, ((0, 0), (0, n)))[:, at] % P      # (w^k)(x + y)
+    if not np.array_equal(wks[1], w):
+        return None
+    tu = _toeplitz(_line_powers_mod(u[:, 0], top[0], P))
+    tv = _toeplitz(_line_powers_mod(v[0], top[1], P)).transpose(0, 2, 1)
+    left = np.matmul(tu[:, None], wks[None, :top[2] + 1]) % P       # [i, k]
+    cols = np.matmul(left[:, None], tv[None, :, None]) % P          # [i, j, k]
+    rows = np.nonzero(at < n)
+    M = np.stack([cols[m][rows] for m in monos], axis=1)
+    R, pivots, _ = rref_mod(M, P)
+    vecs = []
+    for fc in sorted(set(range(len(monos))) - set(pivots)):
+        vec: list[ExactScalar | None] = [None] * len(monos)
+        vec[fc] = ExactScalar.one()
+        for r, pc in zip(R[:, fc], pivots):
+            if r:
+                q = rational_lift(-int(r), P, _LIFT_BOUND)
+                if q is None:
+                    return None
+                vec[pc] = ExactScalar(q)
+        vecs.append(vec)
+    rels = _kernel_relations(vecs, monos, ("U", "V", "W"))
+    if all(relation_residual(G, U, V, W).valuation() is None for G in rels):
+        return rels
+    return None
+
+
+def _line_powers_mod(a: np.ndarray, top: int, p: int) -> np.ndarray:
+    """Rows a^0 .. a^top modulo p of a line of n residues, n entries each."""
+    out = [np.eye(1, len(a), dtype=np.int64)[0]]
+    for _ in range(top):
+        out.append(np.convolve(out[-1], a)[:len(a)] % p)
+    return np.array(out)
+
+
+def _toeplitz(lines: np.ndarray) -> np.ndarray:
+    """Per line a of n entries, the n x n lower triangular Toeplitz matrix
+    with entry [i, j] = a[i - j]: the product by a on coefficient vectors."""
+    n = lines.shape[1]
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    return np.where(d >= 0, lines[:, d], 0)
 
 
 def _kernel_relations(vecs: list[list], monos: list[tuple],
@@ -723,7 +829,9 @@ def _relation_against_psi(f: FunctionSpec, psi: TruncSeries, base,
 def algebraic_relation(f, g, bounds: tuple[int, int], order: int = 16,
                        base=None) -> MultiPoly | None:
     """Polynomial H(X, Y) with H(f(u), g(u)) = 0, or None if none exists
-    within the degree bounds.  X is the first function, Y the second."""
+    within the degree bounds, which must be nonnegative.  X is the first
+    function, Y the second."""
+    _check_bounds(bounds)
     d_f, d_g = bounds
     if order < 2 * (d_f + d_g) + 4:
         raise OrderTooLow(f"order {order} too small for bounds {bounds}")

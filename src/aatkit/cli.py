@@ -192,6 +192,8 @@ def _cmd_aat_discover(args, cfg: RunConfig):
             bounds_list = [()]
         if len(bounds_list[0]) != 3:
             raise SchemaError("--bounds must be three integers i,j,k")
+        if min(bounds_list[0]) < 0:
+            raise SchemaError("--bounds must be nonnegative")
     else:
         bounds_list = [(d, d, d) for d in range(1, cfg.degree_cap + 1)]
     # the elements (U, V, W) once per order: shared by that order's boxes

@@ -41,8 +41,10 @@ inverses, exact TruncSeries products) on one exact Kronecker row kernel
 (_pack_rows, _row_product), _line_inverse (exact TruncSeries),
 array_product and array_inverse (complex TruncSeries and algebroid's dense
 branch series), outer_sums (sum c_pq U^p V^q, U in x and V in y: the
-W-coefficients of an addition-theorem residual and discovery's columns) and
-coefficient_rows (the coefficient matrix of a list of BiSeries).
+W-coefficients of an addition-theorem residual and discovery's columns),
+coefficient_rows (the coefficient matrix of a list of BiSeries) and
+BiSeries.residues (a real rational series modulo a prime, for discovery's
+residue route).
 """
 
 from __future__ import annotations
@@ -897,6 +899,20 @@ class BiSeries:
             raise InvariantViolation(f"not a series in {'xy'[slot]} alone")
         j = -1 if slot else 0
         return [r[j] for r in self.re], [r[j] for r in self.im]
+
+    def residues(self, p: int) -> np.ndarray | None:
+        """The coefficients modulo a prime p as an order x order int64
+        array, entry [i, j] that of x^i y^j (zero where i + j >= order),
+        for a real series on the rational scale whose denominator p does
+        not divide; None for any other series."""
+        if self.exp is not None or self.den % p == 0 or any(map(any, self.im)):
+            return None
+        n, inv = self.order, pow(self.den, -1, p)
+        d = np.repeat(np.arange(n), np.arange(1, n + 1))     # row d holds entry j at
+        j = np.arange(d.size) - d * (d + 1) // 2            # x^(d-j) y^j
+        out = np.zeros((n, n), dtype=np.int64)
+        out[d - j, j] = [x * inv % p if x else 0 for x in chain.from_iterable(self.re)]
+        return out
 
     def max_abs(self) -> float:
         """The largest coefficient modulus, as a float: on the rational scale

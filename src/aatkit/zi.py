@@ -10,6 +10,9 @@ which tracks the row-swap sign and returns the pivot columns: it gives the
 determinant of the resultant's Sylvester matrix, whose entries are packed
 at t = 2**S with S above an a-priori bound on every value tested for zero
 or unpacked (elimination._res_rows), and discovery's certified nullspace.
+The residue side is one reduced echelon form modulo a prime (rref_mod), for
+that nullspace's row basis and for discovery's kernel modulo a prime, and
+rational reconstruction (rational_lift), which lifts that kernel to Q.
 """
 
 from __future__ import annotations
@@ -301,6 +304,46 @@ def _kernel(rows: list[ZiPoly], pivots: list[int], ncols: int) -> list[list[Exac
     return basis
 
 
+# -- residues -----------------------------------------------------------------------
+
+def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """(R, pivots, basis) for an int64 matrix A of residues modulo a prime
+    p < 2**31: R the nonzero rows of the reduced row echelon form of A,
+    pivots their pivot columns, and basis the indices of rows of A that span
+    the row space, in pivot order (the row each pivot was taken from).  Each
+    step keeps every product below p**2 < 2**62."""
+    A, basis = A % p, list(range(len(A)))
+    pivots: list[int] = []
+    for c in range(A.shape[1]):
+        k = len(pivots)
+        nz = np.flatnonzero(A[k:, c])
+        if not nz.size:
+            continue
+        r = k + int(nz[0])
+        A[[k, r]], basis[k], basis[r] = A[[r, k]], basis[r], basis[k]
+        A[k] = A[k] * pow(int(A[k, c]), -1, p) % p
+        live = np.flatnonzero(A[:, c])
+        live = live[live != k]
+        A[live] = (A[live] - np.outer(A[live, c], A[k])) % p
+        pivots.append(c)
+    k = len(pivots)
+    return A[:k], pivots, basis[:k]
+
+
+def rational_lift(r: int, p: int, bound: int) -> Fraction | None:
+    """The fraction a / b with a = b r (mod p), |a| <= bound and 0 < b <=
+    bound, by the half-extended Euclidean algorithm (Wang, Guy and Davenport,
+    SIGSAM Bull. 1982); None when there is none.  It is unique when 2
+    bound**2 < p."""
+    r0, r1, t0, t1 = p, r % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
 # -- the certified nullspace --------------------------------------------------------
 
 _P, _I = 2147483629, 629208553         # _P = 1 (mod 4) and _I**2 = -1 (mod _P)
@@ -309,25 +352,18 @@ _P, _I = 2147483629, 629208553         # _P = 1 (mod 4) and _I**2 = -1 (mod _P)
 def nullspace(rows: list[ZiPoly], ncols: int) -> list[list[ExactScalar]]:
     """The reduced kernel basis (_kernel) of a Gaussian-integer matrix.
 
-    Bareiss runs on the pivot rows of an elimination modulo _P < 2**31 on
-    int64 residues, i -> _I mapping Z[i] onto the field F_p.  Those rows are
+    Bareiss runs on a row basis modulo _P < 2**31 (rref_mod on int64
+    residues, i -> _I mapping Z[i] onto the field F_p).  Those rows are
     independent over Q(i), so their kernel holds the true one, and is it
     once each of its vectors passes the exact check M v = 0 on all rows;
     should one fail (_P divides a minor the choice relied on), Bareiss runs
     on all rows."""
     A = np.array([[(x + _I * y) % _P for x, y in r] for r in rows],
                  dtype=np.int64).reshape(len(rows), ncols)
-    keep, k = list(range(len(rows))), 0
-    for c in range(ncols):
-        nz = np.flatnonzero(A[k:, c])
-        if nz.size:
-            p = k + int(nz[0])
-            A[[k, p]], keep[k], keep[p] = A[[p, k]], keep[p], keep[k]
-            A[k + 1:] = (A[k + 1:] * A[k, c] - np.outer(A[k + 1:, c], A[k])) % _P
-            k += 1
-    if k == ncols:                      # full column rank: the kernel is zero
+    _, pivots, keep = rref_mod(A, _P)
+    if len(pivots) == ncols:            # full column rank: the kernel is zero
         return []
-    basis = _kernel(*bareiss([rows[i] for i in keep[:k]], ncols)[:2], ncols)
+    basis = _kernel(*bareiss([rows[i] for i in keep], ncols)[:2], ncols)
     if _annihilates(rows, basis, ncols):
         return basis
     return _kernel(*bareiss(rows, ncols)[:2], ncols)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from aatkit import aat, zi
 from aatkit.algebroid import AlgebroidCurve
@@ -449,6 +449,13 @@ def _old_poly_in_w(G, U, V, order):
     return coeffs
 
 
+def _exact_route(f, bounds, order, base=None):
+    """discover_aat by the exact route alone: the helper its fallback calls."""
+    base = f.default_base() if base is None else base
+    return aat._column_kernel(*aat._elements_uvw(f, base, order),
+                              aat._grlex_monomials(bounds), order)
+
+
 def _values(cols):
     return [(c.exact, c.order, dict(c.coeffs)) for c in cols]
 
@@ -469,7 +476,10 @@ class TestOuterSums:
         real = aat.coefficient_rows
         monkeypatch.setattr(aat, "coefficient_rows",
                             lambda cols, n: seen.append(cols) or real(cols, n))
-        discover_aat(f, bounds, 16, base=base)
+        if case == "exp":   # real rational data: discover_aat takes the residue route
+            _exact_route(f, bounds, 16, base)
+        else:
+            discover_aat(f, bounds, 16, base=base)
         U, V, W = aat._elements_uvw(f, base, 16)
         assert [x.exact for x in (U, V, W)] == {
             "exp": [True] * 3, "tan_binary": [False] * 3,
@@ -756,7 +766,7 @@ class TestExactKernel:
 
         monkeypatch.setattr(aat, "nullspace", spy)
         f = _mobius_spec() if name == "mobius" else FunctionSpec.builtin(name)
-        polys = discover_aat(f, bounds, order=16)
+        polys = _exact_route(f, bounds, 16)
         (m, ncols), = systems
         assert all(type(x) is int for row in m for pair in row for x in pair)
         rows = [[ExactScalar(x, y) for x, y in r] for r in m]
@@ -800,3 +810,101 @@ class TestExactKernel:
         for k in data.draw(st.sets(st.integers(0, m - 1), max_size=3)):
             A[k] = [c * zi._P for c in A[k]]
         assert aat._exact_nullspace(A, n) == _gauss_jordan_nullspace(A, n)
+
+
+# the Moebius maps (a u + b) / (c u + d) the bench discovers at seed 1
+SEED1_MOBIUS = [(-2, -3, -1, -3), (3, 3, 1, 3), (-1, -3, 1, -4)]
+
+
+def _mobius_abcd(a, b, c, d):
+    u = MultiPoly.variable("u")
+    return FunctionSpec.rational(a * u + b, c * u + d)
+
+
+def _line_elements(s: TruncSeries) -> tuple:
+    """(U, V, W) for an element s at base 0 whose doubled base is 0 too."""
+    return BiSeries.from_univariate(s, 0), BiSeries.from_univariate(s, 1), compose_shift(s)
+
+
+def _both_routes(uvw, bounds):
+    """discover's relations and the exact route's, which must be identical."""
+    got = aat._discover_elements(uvw, bounds)
+    want = aat._column_kernel(*uvw, aat._grlex_monomials(bounds),
+                              min(s.order for s in uvw))
+    assert repr(got) == repr(want)
+    assert [p.to_json_dict() for p in got] == [p.to_json_dict() for p in want]
+    return got
+
+
+class TestResidueRoute:
+    BENCH_BOXES = [("exp", (1, 1, 1)), ("tan", (1, 1, 1)), ("cos", (1, 1, 1)),
+                   ("cos", (2, 2, 2)), ("sin", (2, 2, 2))] + \
+                  [(abcd, (1, 1, 1)) for abcd in SEED1_MOBIUS]
+
+    @staticmethod
+    def _spec(name):
+        return FunctionSpec.builtin(name) if isinstance(name, str) else _mobius_abcd(*name)
+
+    @pytest.mark.parametrize("name,bounds", BENCH_BOXES + [("exp", (2, 2, 2))])
+    def test_equals_the_exact_route(self, name, bounds):
+        f = self._spec(name)
+        uvw = aat._elements_uvw(f, f.default_base(), 16)
+        got = _both_routes(uvw, bounds)
+        # the residue route answered these itself
+        assert aat._residue_kernel(*uvw, aat._grlex_monomials(bounds), 16) == got
+        if (name, bounds) == ("exp", (2, 2, 2)):
+            assert len(got) == 8
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.tuples(*[st.integers(-9, 9)] * 4), st.sampled_from([(1, 1, 1), (2, 2, 2)]))
+    def test_moebius_maps_equal_the_exact_route(self, abcd, bounds):
+        a, b, c, d = abcd
+        assume(d != 0 and a * d - b * c != 0)      # regular at 0, not constant
+        f = _mobius_abcd(*abcd)
+        _both_routes(aat._elements_uvw(f, 0, 16), bounds)
+
+    @pytest.mark.parametrize("case", ["past_the_lift", "vanish_mod_p", "gaussian"])
+    def test_forced_fallbacks_equal_the_exact_route(self, monkeypatch, uvw, case):
+        U, V, W = uvw
+        calls = []
+        exact_route = aat._column_kernel
+        monkeypatch.setattr(aat, "_column_kernel",
+                            lambda *a: calls.append(a) or exact_route(*a))
+        if case == "gaussian":             # complex coefficients: no residues
+            elements = aat._elements_uvw(_mobius_abcd(1, ExactScalar(0, 1), 2, -1), 0, 16)
+            assert aat._residue_kernel(*elements, aat._grlex_monomials((1, 1, 1)), 16) is None
+            want = None
+        else:
+            # phi = s exp: s W = U V, and 1 / s does not lift (10**5) or the
+            # residues vanish, so the rank drops and the certificates fail (p)
+            s = 10 ** 5 if case == "past_the_lift" else aat._RESIDUE_P
+            elements = _line_elements(exp_like_element(s))
+            want = [normalize_relation(U * V - s * W)]
+        got = _both_routes(elements, (1, 1, 1))
+        assert len(calls) == 2          # the fallback, then the reference call
+        if want is not None:
+            assert got == want
+        else:
+            assert len(got) == 1
+
+    def test_bench_boxes_skip_the_exact_route(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(aat, "coefficient_rows", lambda *a: calls.append("rows"))
+        monkeypatch.setattr(aat, "nullspace", lambda *a: calls.append("nullspace"))
+        for name, bounds in self.BENCH_BOXES:
+            discover_aat(self._spec(name), bounds, 16)
+        assert calls == []
+
+
+class TestDegreeBounds:
+    @pytest.mark.parametrize("bounds", [(1, 1, -1), (-1, 0, 0), (-3, 2, 2)])
+    def test_negative_discovery_bound_is_an_error(self, exp_spec, bounds):
+        with pytest.raises(PreconditionFailed):
+            discover_aat(exp_spec, bounds, 16)
+
+    def test_negative_relation_bound_is_an_error(self, sin_spec):
+        with pytest.raises(PreconditionFailed):
+            algebraic_relation(sin_spec, sin_spec, (-1, 2))
+
+    def test_zero_box_is_valid(self, exp_spec):
+        assert discover_aat(exp_spec, (0, 0, 0), 16) == []

@@ -165,6 +165,19 @@ class TestExitCodes:
         rep = json.loads(out.out)  # exactly one JSON object
         assert (code, rep["error"]["type"]) == (2, "SchemaError") and out.err == ""
 
+    @pytest.mark.parametrize("bounds", ["-1,1,1", "1,1,-2"])
+    def test_negative_bounds_are_one_schema_error(self, files, capsys, bounds):
+        # the = form gets a negative value past argparse
+        code = run_command(["aat", "discover", "--fn", files["exp"], f"--bounds={bounds}"])
+        out = capsys.readouterr()
+        rep = json.loads(out.out)  # exactly one JSON object
+        assert (code, rep["error"]["type"]) == (2, "SchemaError") and out.err == ""
+
+    def test_zero_bounds_are_a_valid_box(self, files, capsys):
+        code = run_command(["aat", "discover", "--fn", files["exp"], "--bounds=0,0,0"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 1 and rep["kernel_dimension"] == 0
+
     def test_usage_error_exit_two(self, capsys):
         code = run_command(["aat", "verify"])  # missing required args
         out = capsys.readouterr()

@@ -4,6 +4,8 @@ one Bareiss determinant against sympy."""
 
 from fractions import Fraction
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -209,3 +211,51 @@ def test_pack_unpack_zero_shortcuts(slot, data):
     x = zi._pack(vals, slot)
     assert x == _parent_pack(vals, slot)
     assert zi._unpack(x, len(vals), slot) == _parent_unpack(x, len(vals), slot) == vals
+
+
+def _gauss_jordan_mod(rows, p):
+    """Reduced row echelon form modulo p by plain Gauss-Jordan on lists."""
+    rows, pivots = [[x % p for x in r] for r in rows], []
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        r = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[k], rows[r] = rows[r], rows[k]
+        inv = pow(rows[k][c], -1, p)
+        rows[k] = [x * inv % p for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[k])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+@pytest.mark.parametrize("p", [7, 33554393, zi._P])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rref_mod_matches_gauss_jordan(p, data):
+    m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    rank = data.draw(st.integers(0, min(m, n)))
+    entry = st.integers(-(p - 1), p - 1)
+    B = data.draw(st.lists(st.lists(entry, min_size=rank, max_size=rank), min_size=m, max_size=m))
+    C = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=rank, max_size=rank))
+    rows = [[sum(b[k] * C[k][j] for k in range(rank)) % p for j in range(n)] for b in B]
+    A = np.array(rows, dtype=np.int64).reshape(m, n)
+    R, pivots, basis = zi.rref_mod(A, p)
+    want, want_pivots = _gauss_jordan_mod(rows, p)
+    assert (R.tolist(), pivots) == (want, want_pivots)
+    # the basis rows alone have the same reduced form
+    assert zi.rref_mod(A[basis], p)[0].tolist() == want
+
+
+@given(st.integers(-4095, 4095), st.integers(1, 4095), st.integers(-10 ** 6, 10 ** 6))
+def test_rational_lift(a, b, big):
+    p, bound = 33554393, 4095
+    want = Fraction(a, b)
+    r = want.numerator * pow(want.denominator, -1, p) % p
+    assert zi.rational_lift(r, p, bound) == want
+    assert zi.rational_lift(r - p, p, bound) == want        # any representative
+    if abs(big) > bound:               # a value past the bound never lifts to itself
+        assert zi.rational_lift(big % p, p, bound) != big
