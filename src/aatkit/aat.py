@@ -336,10 +336,10 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     lifted to a fraction with numerator and denominator at most
     _LIFT_BOUND = isqrt(_RESIDUE_P // 2) = 4095, each relation proved by
     its exact residual; the result is the kernel the exact route
-    (_column_kernel) gives.  The bounds must be nonnegative; the order and
-    the smallest element order must reach 2 (d_u + d_v + d_w) + 4.
+    (_column_kernel) gives.  The three bounds must be nonnegative; the
+    order and the smallest element order must reach 2 (d_u + d_v + d_w) + 4.
     """
-    _check_bounds(degree_bounds)
+    _check_bounds(degree_bounds, 3)
     min_order = 2 * sum(degree_bounds) + 4
     if order < min_order:
         raise OrderTooLow(f"order {order} < required {min_order} for bounds "
@@ -349,10 +349,10 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     return _discover_elements(_elements_uvw(f, base, order), degree_bounds)
 
 
-def _check_bounds(bounds: tuple[int, ...]):
-    """PreconditionFailed unless every degree bound is nonnegative."""
-    if min(bounds) < 0:
-        raise PreconditionFailed(f"degree bounds must be nonnegative; got {tuple(bounds)}")
+def _check_bounds(bounds: tuple[int, ...], k: int):
+    """PreconditionFailed unless there are k degree bounds, all nonnegative."""
+    if len(bounds) != k or min(bounds) < 0:
+        raise PreconditionFailed(f"expected {k} nonnegative degree bounds; got {tuple(bounds)}")
 
 
 _RESIDUE_P = 33554393                       # prime, below 2**25: n p**2 < 2**63
@@ -421,13 +421,13 @@ def _residue_kernel(U: BiSeries, V: BiSeries, W: BiSeries, monos: list[tuple],
     res = [s.residues(P) for s in (U, V, W)]
     if any(r is None for r in res) or n * P * P >= 1 << 63:
         return None
-    at = np.add.outer(np.arange(n), np.arange(n))             # p + q
+    at = np.add.outer(np.arange(n), np.arange(n))             # total degree
     u, v, w = (np.where(at < n, r[:n, :n], 0) for r in res)
     if u[:, 1:].any() or v[1:].any():
         return None
     top = [max(m[t] for m in monos) for t in range(3)]
-    binom = np.array([[math.comb(i + j, i) % P if i + j < n else 0 for j in range(n)]
-                      for i in range(n)], dtype=np.int64)
+    binom = np.array([[math.comb(i + j, i) % P for j in range(n)] for i in range(n)],
+                     dtype=np.int64)
     wks = _line_powers_mod(w[:, 0], max(top[2], 1), P)
     wks = binom * np.pad(wks, ((0, 0), (0, n)))[:, at] % P      # (w^k)(x + y)
     if not np.array_equal(wks[1], w):
@@ -829,9 +829,9 @@ def _relation_against_psi(f: FunctionSpec, psi: TruncSeries, base,
 def algebraic_relation(f, g, bounds: tuple[int, int], order: int = 16,
                        base=None) -> MultiPoly | None:
     """Polynomial H(X, Y) with H(f(u), g(u)) = 0, or None if none exists
-    within the degree bounds, which must be nonnegative.  X is the first
-    function, Y the second."""
-    _check_bounds(bounds)
+    within the two degree bounds, which must be nonnegative.  X is the
+    first function, Y the second."""
+    _check_bounds(bounds, 2)
     d_f, d_g = bounds
     if order < 2 * (d_f + d_g) + 4:
         raise OrderTooLow(f"order {order} too small for bounds {bounds}")

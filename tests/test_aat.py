@@ -897,14 +897,15 @@ class TestResidueRoute:
 
 
 class TestDegreeBounds:
-    @pytest.mark.parametrize("bounds", [(1, 1, -1), (-1, 0, 0), (-3, 2, 2)])
+    @pytest.mark.parametrize("bounds", [(1, 1, -1), (-1, 0, 0), (-3, 2, 2), (1, 1), ()])
     def test_negative_discovery_bound_is_an_error(self, exp_spec, bounds):
         with pytest.raises(PreconditionFailed):
             discover_aat(exp_spec, bounds, 16)
 
-    def test_negative_relation_bound_is_an_error(self, sin_spec):
+    @pytest.mark.parametrize("bounds", [(-1, 2), (2, -1), (1,), (1, 1, 1)])
+    def test_negative_relation_bound_is_an_error(self, sin_spec, bounds):
         with pytest.raises(PreconditionFailed):
-            algebraic_relation(sin_spec, sin_spec, (-1, 2))
+            algebraic_relation(sin_spec, sin_spec, bounds)
 
     def test_zero_box_is_valid(self, exp_spec):
         assert discover_aat(exp_spec, (0, 0, 0), 16) == []

@@ -257,5 +257,8 @@ def test_rational_lift(a, b, big):
     r = want.numerator * pow(want.denominator, -1, p) % p
     assert zi.rational_lift(r, p, bound) == want
     assert zi.rational_lift(r - p, p, bound) == want        # any representative
+    # 4097 and 1/4097 have no fraction within the bound
+    assert zi.rational_lift(4097, p, bound) is None
+    assert zi.rational_lift(pow(4097, -1, p), p, bound) is None
     if abs(big) > bound:               # a value past the bound never lifts to itself
         assert zi.rational_lift(big % p, p, bound) != big
