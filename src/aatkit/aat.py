@@ -7,10 +7,9 @@ exact mode, or below tolerance on a random sample in numeric mode.
 
 discover_aat inverts that: it builds the linear system satisfied by the
 coefficients of G over a monomial box and returns a basis of its kernel:
-from residues modulo a prime, lifted to Q and proved by exact residuals,
-for real rational Taylor data; by fraction-free elimination for other
-rational data or when the residue route fails; by thresholded SVD
-otherwise.
+for exact Taylor data from the residue engine (zi.modular_kernel: images
+modulo primes, lifted to Q(i) and proved by exact residuals), by
+thresholded SVD otherwise.
 
 koebe_normalize runs the classical elimination chain that turns a relation
 between three different elements into one relation for a single element;
@@ -33,6 +32,7 @@ from .elimination import PolyInW, _gcd_series, gcd_in_w, monic_in_w, resultant
 from .errors import (
     AatkitError,
     ChainCollapse,
+    InvariantViolation,
     MissingVariable,
     OrderTooLow,
     OrderTooLowForDegree,
@@ -59,7 +59,7 @@ from .series import (
     outer_sums,
     radius_estimate,
 )
-from .zi import gaussian_integers, nullspace, rational_lift, rref_mod
+from .zi import gaussian_integers, modular_kernel
 
 DEFAULT_SCHWARZ_ORDER = 24
 
@@ -264,11 +264,6 @@ def normalize_relation(p: MultiPoly) -> MultiPoly:
     return p.scale(ExactScalar.one() / lead)
 
 
-def _exact_nullspace(rows: list[list[ExactScalar]], ncols: int) -> list[list[ExactScalar]]:
-    """zi.nullspace of ExactScalar rows, each over its denominators' lcm."""
-    return nullspace([list(zip(*gaussian_integers(row)[1:])) for row in rows], ncols)
-
-
 _SVD_GAP = 1e4      # the least ratio s_(k-1) / s_k that separates a kernel
 _DROP_REL = 1e-9    # kernel coefficients below this share of the largest are zero
 
@@ -331,13 +326,11 @@ def discover_aat(f: FunctionSpec, degree_bounds: tuple[int, int, int],
     a linear system over the bivariate series coefficients of U = phi(u),
     V = phi(v) and W = phi(u+v); its reduced kernel basis comes back as
     normalized polynomials, and an empty list means no relation at these
-    bounds.  Real rational Taylor data takes the residue route: the kernel
-    modulo the prime _RESIDUE_P = 33554393 (below 2**25), each entry
-    lifted to a fraction with numerator and denominator at most
-    _LIFT_BOUND = isqrt(_RESIDUE_P // 2) = 4095, each relation proved by
-    its exact residual; the result is the kernel the exact route
-    (_column_kernel) gives.  The three bounds must be nonnegative; the
-    order and the smallest element order must reach 2 (d_u + d_v + d_w) + 4.
+    bounds.  Exact Taylor data gives the exact kernel, from residues modulo
+    primes proved by exact residuals (_residue_kernel); other data a
+    numeric one (_column_kernel).  The three bounds must be nonnegative;
+    the order and the smallest element order must reach 2 (d_u + d_v +
+    d_w) + 4.
     """
     _check_bounds(degree_bounds, 3)
     min_order = 2 * sum(degree_bounds) + 4
@@ -355,23 +348,10 @@ def _check_bounds(bounds: tuple[int, ...], k: int):
         raise PreconditionFailed(f"expected {k} nonnegative degree bounds; got {tuple(bounds)}")
 
 
-_RESIDUE_P = 33554393                       # prime, below 2**25: n p**2 < 2**63
-_LIFT_BOUND = math.isqrt(_RESIDUE_P // 2)   # 2 _LIFT_BOUND**2 < _RESIDUE_P
-
-
 def _discover_elements(uvw: tuple, degree_bounds: tuple[int, int, int]) -> list[MultiPoly]:
     """discover_aat on the elements (U, V, W), whose order must reach
-    2 (d_u + d_v + d_w) + 4.
-
-    The residue route (_residue_kernel) answers when U, V and W are real
-    on the rational scale and W = w(x + y); anything it cannot settle goes
-    to the exact route (_column_kernel), which also serves Gaussian,
-    binary and numeric elements.  Both return the same relations: a
-    certified residue vector for a free column f modulo p is 1 at f and
-    supported on pivots left of f, so column f depends on earlier columns
-    over Q and the free columns modulo p are free over Q; as the nullity
-    modulo p is at least the true one, the two free sets are equal, and
-    each vector is the unique reduced one that Bareiss's kernel gives."""
+    2 (d_u + d_v + d_w) + 4: the exact kernel (_residue_kernel) when all
+    three are on the rational scale, else the numeric one (_column_kernel)."""
     U, V, W = uvw
     min_order = 2 * sum(degree_bounds) + 4
     monos = _grlex_monomials(degree_bounds)
@@ -379,17 +359,18 @@ def _discover_elements(uvw: tuple, degree_bounds: tuple[int, int, int]) -> list[
     if n < min_order:
         raise OrderTooLow(f"element order {n} < required {min_order} for bounds "
                           f"{degree_bounds}")
-    found = _residue_kernel(U, V, W, monos, n)
-    return _column_kernel(U, V, W, monos, n) if found is None else found
+    if U.exact and V.exact and W.exact:
+        return _residue_kernel(U, V, W, monos, n)
+    return _column_kernel(U, V, W, monos, n)
 
 
 def _column_kernel(U: BiSeries, V: BiSeries, W: BiSeries, monos: list[tuple],
                    n: int) -> list[MultiPoly]:
-    """The exact route: the columns U^i V^j W^k as series, their
-    coefficient matrix to order n, and its kernel by zi.nullspace (exact
-    columns) or the thresholded SVD (binary ones)."""
-    # the columns on one scale (binary if W is): each distinct U^i V^j is
-    # one outer product, and W^k enters by one product if k > 0
+    """The numeric route: the columns U^i V^j W^k as series on one scale
+    (binary if W is), and the thresholded SVD kernel of their coefficient
+    matrix to order n."""
+    # each distinct U^i V^j is one outer product, and W^k enters by one
+    # product if k > 0
     keys = sorted({m[:2] for m in monos})
     uvs = outer_sums(U, V, [{k: 1} for k in keys], n)
     if not W.exact:
@@ -397,63 +378,45 @@ def _column_kernel(U: BiSeries, V: BiSeries, W: BiSeries, monos: list[tuple],
     uv = dict(zip(keys, uvs))
     wps = _powers(W.truncate(n), max(m[2] for m in monos))
     cols = [uv[i, j] * wps[k] if k else uv[i, j] for i, j, k in monos]
-    rows = coefficient_rows(cols, n)
-    if all(c.exact for c in cols):
-        vecs = nullspace(rows, len(monos))
-    else:
-        vecs = _numeric_nullspace(np.array(rows))
-    return _kernel_relations(vecs, monos, ("U", "V", "W"))
+    rows = np.array(coefficient_rows(cols, n), dtype=complex)
+    return _kernel_relations(_numeric_nullspace(rows), monos, ("U", "V", "W"))
 
 
 def _residue_kernel(U: BiSeries, V: BiSeries, W: BiSeries, monos: list[tuple],
-                    n: int) -> list[MultiPoly] | None:
-    """The relations of the box from residues modulo _RESIDUE_P, each one
-    proved by relation_residual; None when the route does not apply (U, V
-    or W not real and rational, p dividing a denominator, W not w(x + y)
-    modulo p) or cannot prove its answer (an entry does not lift, a
-    residual is not zero).
+                    n: int) -> list[MultiPoly]:
+    """The relations of the box for rational U = u(x), V = v(y) and W =
+    w(x + y), by zi.modular_kernel, each proved by relation_residual.
 
     Column U^i V^j W^k modulo p is T_(u^i) W_k T_(v^j)^T, T_a the lower
     triangular Toeplitz matrix of a line a and W_k[p, q] = C(p + q, p)
-    (w^k)_(p+q), reduced after each int64 product.  A full rank modulo p
-    is a full rank over Q, so its kernel is empty at once."""
-    P = _RESIDUE_P
-    res = [s.residues(P) for s in (U, V, W)]
-    if any(r is None for r in res) or n * P * P >= 1 << 63:
-        return None
+    (w^k)_(p+q), reduced after each int64 product."""
     at = np.add.outer(np.arange(n), np.arange(n))             # total degree
-    u, v, w = (np.where(at < n, r[:n, :n], 0) for r in res)
-    if u[:, 1:].any() or v[1:].any():
-        return None
     top = [max(m[t] for m in monos) for t in range(3)]
-    binom = np.array([[math.comb(i + j, i) % P for j in range(n)] for i in range(n)],
-                     dtype=np.int64)
-    wks = _line_powers_mod(w[:, 0], max(top[2], 1), P)
-    wks = binom * np.pad(wks, ((0, 0), (0, n)))[:, at] % P      # (w^k)(x + y)
-    if not np.array_equal(wks[1], w):
-        return None
-    tu = _toeplitz(_line_powers_mod(u[:, 0], top[0], P))
-    tv = _toeplitz(_line_powers_mod(v[0], top[1], P)).transpose(0, 2, 1)
-    left = np.matmul(tu[:, None], wks[None, :top[2] + 1]) % P       # [i, k]
-    cols = np.matmul(left[:, None], tv[None, :, None]) % P          # [i, j, k]
     rows = np.nonzero(at < n)
-    M = np.stack([cols[m][rows] for m in monos], axis=1)
-    R, pivots, _ = rref_mod(M, P)
-    vecs = []
-    for fc in sorted(set(range(len(monos))) - set(pivots)):
-        vec: list[ExactScalar | None] = [None] * len(monos)
-        vec[fc] = ExactScalar.one()
-        for r, pc in zip(R[:, fc], pivots):
-            if r:
-                q = rational_lift(-int(r), P, _LIFT_BOUND)
-                if q is None:
-                    return None
-                vec[pc] = ExactScalar(q)
-        vecs.append(vec)
-    rels = _kernel_relations(vecs, monos, ("U", "V", "W"))
-    if all(relation_residual(G, U, V, W).valuation() is None for G in rels):
-        return rels
-    return None
+
+    def image(p: int, iota: int) -> np.ndarray | None:
+        res = [s.residues(p, iota) for s in (U, V, W)]
+        if any(r is None for r in res):
+            return None
+        u, v, w = (np.where(at < n, r[:n, :n], 0) for r in res)
+        binom = np.array([[math.comb(i + j, i) % p for j in range(n)] for i in range(n)],
+                         dtype=np.int64)
+        wks = _line_powers_mod(w[:, 0], max(top[2], 1), p)
+        wks = binom * np.pad(wks, ((0, 0), (0, n)))[:, at] % p      # (w^k)(x + y)
+        if u[:, 1:].any() or v[1:].any() or not np.array_equal(wks[1], w):
+            raise InvariantViolation("discovery needs elements u(x), v(y) and w(x + y)")
+        tu = _toeplitz(_line_powers_mod(u[:, 0], top[0], p))
+        tv = _toeplitz(_line_powers_mod(v[0], top[1], p)).transpose(0, 2, 1)
+        left = np.matmul(tu[:, None], wks[None, :top[2] + 1]) % p       # [i, k]
+        cols = np.matmul(left[:, None], tv[None, :, None]) % p          # [i, j, k]
+        return np.stack([cols[m][rows] for m in monos], axis=1)
+
+    def proves(vecs: list) -> bool:
+        return all(relation_residual(G, U, V, W).valuation() is None
+                   for G in _kernel_relations(vecs, monos, ("U", "V", "W")))
+
+    vecs = modular_kernel(image, proves, not (U.real and V.real and W.real))
+    return _kernel_relations(vecs, monos, ("U", "V", "W"))
 
 
 def _line_powers_mod(a: np.ndarray, top: int, p: int) -> np.ndarray:
@@ -853,8 +816,21 @@ def algebraic_relation(f, g, bounds: tuple[int, int], order: int = 16,
     columns = [xp[i] * yp[j] for (i, j) in monos]
     n_rows = min(c.order for c in columns)
     rows = [[col.coefficient(k) for col in columns] for k in range(n_rows)]
-    vecs = (_exact_nullspace(rows, len(monos)) if sx.exact
-            else _numeric_nullspace(np.array(rows, dtype=complex)))
+    if sx.exact:            # each row over its denominators' lcm, proved exactly
+        zrows = [list(zip(*gaussian_integers(row)[1:])) for row in rows]
+
+        def image(p: int, iota: int) -> np.ndarray:
+            return np.array([[(x + iota * y) % p for x, y in r] for r in zrows], dtype=np.int64)
+
+        def proves(vecs: list) -> bool:
+            ws = [gaussian_integers(v)[1:] for v in vecs]
+            return not any(sum(a * x - b * y for (a, b), x, y in zip(r, wr, wi)) or
+                           sum(a * y + b * x for (a, b), x, y in zip(r, wr, wi))
+                           for wr, wi in ws for r in zrows)
+
+        vecs = modular_kernel(image, proves, any(y for r in zrows for _, y in r))
+    else:
+        vecs = _numeric_nullspace(np.array(rows, dtype=complex))
     polys = _kernel_relations(vecs, monos, ("X", "Y"))
     if not polys:
         return None

@@ -13,12 +13,13 @@ Gaussian-integer coefficient lists (aatkit.zi's ZiPoly): the denominators
 are cleared once, the remainder chain (zi_prem) is made primitive by a
 Gaussian-integer Euclid on its coefficients, and only the monic result
 becomes ExactScalars again.  poly_squarefree_content first tries a
-certificate on images modulo zi._P (W. S. Brown 1971): constant image GCDs
+certificate on images modulo zi.prime(0) (W. S. Brown 1971): constant GCDs
 that keep the leading coefficient prove p content-free and square-free, and
 monic_lex(p) is the answer; any other input (a vanishing lead, a nonconstant
-GCD, _P in a denominator) runs the chain.  Resultants (aatkit.elimination)
-read each coefficient in the eliminated variable as one Gaussian integer:
-its other variables packed into t = 2^S, S above an a-priori bound.
+GCD, the prime in a denominator) runs the chain.  Resultants
+(aatkit.elimination) read each coefficient in the eliminated variable as one
+Gaussian integer: its other variables packed into t = 2^S, S above an
+a-priori bound.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import (DegreeZero, InexactDivision, MissingVariable, PolyDomainError,
                      SchemaError)
 from .scalars import ExactScalar
-from .zi import _I, _P, ZiPoly, gaussian_integers, gaussian_scalar, zi_gcd, zp_gcd
+from .zi import ZiPoly, gaussian_integers, gaussian_scalar, prime, zi_gcd, zp_gcd
 
 Exponents = tuple[int, ...]
 
@@ -388,25 +389,25 @@ def poly_squarefree_content(p: MultiPoly, var: str) -> MultiPoly:
 
 
 def _certified(p: MultiPoly, var: str) -> bool:
-    """Whether images of p modulo _P (i -> _I, the variable at index j -> 2j
-    + 3 unless kept) prove p content-free and square-free in `var`: an image
-    keeping the leading coefficient of p keeps that of each factor (Gauss's
-    lemma), so constant image GCDs bound the true GCD's degree by 0."""
-    i, res = p.vars.index(var), []
+    """Whether images of p modulo P = zi.prime(0) (i -> iota, the variable at
+    index j -> 2j + 3 unless kept) prove p content-free and square-free in
+    `var`: an image keeping the leading coefficient of p keeps that of each
+    factor (Gauss's lemma), so constant image GCDs bound the GCD's degree by 0."""
+    (P, iota), i, res = prime(0), p.vars.index(var), []
     for exps, c in p.terms.items():
         (xr, dr), (xi, di) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
-        if dr % _P == 0 or di % _P == 0:
+        if dr % P == 0 or di % P == 0:
             return False
-        res.append((exps, (xr * pow(dr, -1, _P) + _I * xi * pow(di, -1, _P)) % _P))
+        res.append((exps, (xr * pow(dr, -1, P) + iota * xi * pow(di, -1, P)) % P))
 
     def image(j: int) -> list[list[int]]:   # per power of var: its image in u_j, top first
         rows: dict = {}
         for exps, x in res:
             for v, e in enumerate(exps):
                 if e and v not in (i, j):
-                    x *= pow(2 * v + 3, e, _P)
+                    x *= pow(2 * v + 3, e, P)
             row = rows.setdefault(exps[i], {})
-            row[exps[j]] = (row.get(exps[j], 0) + x) % _P
+            row[exps[j]] = (row.get(exps[j], 0) + x) % P
         return [[row.get(e, 0) for e in range(max(row), -1, -1)] for row in rows.values()]
 
     for j in set(range(len(p.vars))) - {i}:
@@ -416,7 +417,7 @@ def _certified(p: MultiPoly, var: str) -> bool:
             return False
     d, lead = p.degree(var), {len(r) - 1: r[0] for r in image(i)}
     c = [lead.get(k, 0) for k in range(d, -1, -1)]
-    return c[0] != 0 and len(zp_gcd(c, [x * (d - k) % _P for k, x in enumerate(c[:-1])])) <= 1
+    return c[0] != 0 and len(zp_gcd(c, [x * (d - k) % P for k, x in enumerate(c[:-1])])) <= 1
 
 
 # -- division, content, gcd ----------------------------------------------------

@@ -41,10 +41,10 @@ inverses, exact TruncSeries products) on one exact Kronecker row kernel
 (_pack_rows, _row_product), _line_inverse (exact TruncSeries),
 array_product and array_inverse (complex TruncSeries and algebroid's dense
 branch series), outer_sums (sum c_pq U^p V^q, U in x and V in y: the
-W-coefficients of an addition-theorem residual and discovery's columns),
-coefficient_rows (the coefficient matrix of a list of BiSeries) and
-BiSeries.residues (a real rational series modulo a prime, for discovery's
-residue route).
+W-coefficients of an addition-theorem residual and discovery's numeric
+columns), coefficient_rows (the coefficient matrix of a list of BiSeries)
+and BiSeries.residues (a rational series modulo a prime, for discovery's
+images in the residue kernel engine).
 """
 
 from __future__ import annotations
@@ -867,6 +867,10 @@ class BiSeries:
     # -- reading ---------------------------------------------------------------
 
     @property
+    def real(self) -> bool:
+        return not any(map(any, self.im))
+
+    @property
     def exact(self) -> bool:
         return self.exp is None
 
@@ -900,18 +904,21 @@ class BiSeries:
         j = -1 if slot else 0
         return [r[j] for r in self.re], [r[j] for r in self.im]
 
-    def residues(self, p: int) -> np.ndarray | None:
-        """The coefficients modulo a prime p as an order x order int64
-        array, entry [i, j] that of x^i y^j (zero where i + j >= order),
-        for a real series on the rational scale whose denominator p does
-        not divide; None for any other series."""
-        if self.exp is not None or self.den % p == 0 or any(map(any, self.im)):
+    def residues(self, p: int, iota: int) -> np.ndarray | None:
+        """The coefficients modulo a prime p, i -> iota, as an order x order
+        int64 array, entry [i, j] that of x^i y^j (zero where i + j >=
+        order), for a series on the rational scale; None when p divides its
+        denominator."""
+        if self.den % p == 0:
             return None
         n, inv = self.order, pow(self.den, -1, p)
         d = np.repeat(np.arange(n), np.arange(1, n + 1))     # row d holds entry j at
         j = np.arange(d.size) - d * (d + 1) // 2            # x^(d-j) y^j
+        vals = chain.from_iterable(self.re)
+        if not self.real:
+            vals = (x + iota * y for x, y in zip(vals, chain.from_iterable(self.im)))
         out = np.zeros((n, n), dtype=np.int64)
-        out[d - j, j] = [x * inv % p if x else 0 for x in chain.from_iterable(self.re)]
+        out[d - j, j] = [x * inv % p if x else 0 for x in vals]
         return out
 
     def max_abs(self) -> float:
@@ -919,14 +926,13 @@ class BiSeries:
         the largest |complex(c)|, each part correctly rounded (x / D is
         float(Fraction(x, D))); on the binary scale from the integer
         max(a**2 + b**2), max(|a|)**2 for a real series."""
-        real = not any(map(any, self.im))
         if self.exp is None:
             D = self.den
-            if real:
+            if self.real:
                 return max(map(abs, chain.from_iterable(self.re)), default=0) / D
             return max((abs(complex(x / D, y / D)) for ra, rb in zip(self.re, self.im)
                         for x, y in zip(ra, rb)), default=0.0)
-        if real:
+        if self.real:
             best = max(map(abs, chain.from_iterable(self.re)), default=0) ** 2
         else:
             best = max((a * a + b * b for ra, rb in zip(self.re, self.im)
@@ -1142,15 +1148,8 @@ def outer_sums(U: BiSeries, V: BiSeries, polys: list, order: int) -> list[BiSeri
 
 def coefficient_rows(cols: list[BiSeries], n: int) -> list[list]:
     """The matrix with one row per x^p y^q, p + q < n (p ascending, then q),
-    holding that coefficient of each column: as Gaussian-integer pairs over
-    the lcm of the column denominators when every column is rational (a
-    common factor, which a kernel ignores), else as complex values."""
-    at = [(p + q, q) for p in range(n) for q in range(n - p)]
-    if not all(c.exact for c in cols):
-        return [[c._value(c.re[d][j], c.im[d][j]) for c in cols] for d, j in at]
-    L = math.lcm(*(c.den for c in cols))
-    ms = [L // c.den for c in cols]
-    return [[(c.re[d][j] * m, c.im[d][j] * m) for c, m in zip(cols, ms)] for d, j in at]
+    holding that coefficient of each column."""
+    return [[c.coefficient(p, q) for c in cols] for p in range(n) for q in range(n - p)]
 
 
 def compose_shift(f: TruncSeries) -> BiSeries:

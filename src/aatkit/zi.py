@@ -6,13 +6,14 @@ Besides exact division, GCDs and Kronecker packing (_pack, _unpack: signed
 entries below 2**(slot - 1) in size as one integer in base 2**slot), it
 holds the one pseudo-remainder (zi_prem) of the GCD chain and the reduced
 resultant, and the one fraction-free elimination (bareiss, Bareiss 1968),
-which tracks the row-swap sign and returns the pivot columns: it gives the
-determinant of the resultant's Sylvester matrix, whose entries are packed
-at t = 2**S with S above an a-priori bound on every value tested for zero
-or unpacked (elimination._res_rows), and discovery's certified nullspace.
-The residue side is one reduced echelon form modulo a prime (rref_mod), for
-that nullspace's row basis and for discovery's kernel modulo a prime, and
-rational reconstruction (rational_lift), which lifts that kernel to Q.
+which tracks the row-swap sign: it gives the determinant of the resultant's
+Sylvester matrix, whose entries are packed at t = 2**S with S above an
+a-priori bound on every value tested for zero or unpacked
+(elimination._res_rows).  The residue side is the list of residue primes
+(prime), one reduced echelon form modulo a prime (rref_mod), rational
+reconstruction (rational_lift) and on them the one exact kernel engine
+(modular_kernel: images modulo primes, Chinese remaindering, lifting and
+the caller's proof) of discovery and algebraic_relation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -170,14 +171,16 @@ def zi_gcd(a: ZiPoly, b: ZiPoly) -> ZiPoly:
 
 
 def zp_gcd(a: list[int], b: list[int]) -> list[int]:
-    """A GCD modulo _P of two polynomials given as residue lists, highest
-    power first, a with a nonzero lead: its length minus one is its degree."""
+    """A GCD modulo the first residue prime of two polynomials given as
+    residue lists, highest power first, a with a nonzero lead: its length
+    minus one is its degree."""
+    p = prime(0)[0]
     while any(b):
         b = b[next(k for k, x in enumerate(b) if x):]
-        inv = pow(b[0], -1, _P)
+        inv = pow(b[0], -1, p)
         while len(a) >= len(b):        # a <- a - (a_0 / b_0) x^k b, lead dropped
-            q = a[0] * inv % _P
-            a = [(x - q * y) % _P for x, y in zip(a[1:len(b)], b[1:])] + a[len(b):]
+            q = a[0] * inv % p
+            a = [(x - q * y) % p for x, y in zip(a[1:len(b)], b[1:])] + a[len(b):]
         a, b = b, a
     return a
 
@@ -276,43 +279,31 @@ def determinant(m: list[ZiPoly]) -> tuple[int, int]:
     return sign * xr, sign * xi
 
 
-def _kernel(rows: list[ZiPoly], pivots: list[int], ncols: int) -> list[list[ExactScalar]]:
-    """The reduced kernel basis of bareiss's echelon rows: for each free
-    column f, 1 at f, 0 at the other free columns, and y / Delta at the
-    pivots left of f, y solved in integers (Cramer: Delta, the last of those
-    pivots, times the solution is integral)."""
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        s = sum(1 for pc in pivots if pc < fc)
-        dr, di = rows[s - 1][pivots[s - 1]] if s else (1, 0)
-        y: ZiPoly = [(0, 0)] * s
-        for t in range(s - 1, -1, -1):
-            row = rows[t]
-            er, ei = row[fc]
-            xr, xi = -dr * er + di * ei, -dr * ei - di * er
-            for u in range(t + 1, s):
-                (ar, ai), (yr, yi) = row[pivots[u]], y[u]
-                xr -= ar * yr - ai * yi
-                xi -= ar * yi + ai * yr
-            y[t] = gauss_divexact(xr, xi, row[pivots[t]])
-        vec = [ExactScalar.zero()] * ncols
-        vec[fc] = ExactScalar.one()
-        norm = dr * dr + di * di
-        for pc, (yr, yi) in zip(pivots, y):
-            vec[pc] = gaussian_scalar(yr * dr + yi * di, yi * dr - yr * di, norm)
-        basis.append(vec)
-    return basis
-
-
 # -- residues -----------------------------------------------------------------------
 
-def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """(R, pivots, basis) for an int64 matrix A of residues modulo a prime
-    p < 2**31: R the nonzero rows of the reduced row echelon form of A,
-    pivots their pivot columns, and basis the indices of rows of A that span
-    the row space, in pivot order (the row each pivot was taken from).  Each
-    step keeps every product below p**2 < 2**62."""
-    A, basis = A % p, list(range(len(A)))
+_PRIMES: list[tuple[int, int]] = []
+
+
+def prime(k: int) -> tuple[int, int]:
+    """The k-th residue prime (p, iota): the primes p = 1 (mod 4) below 2**25
+    (so n products of residues sum below 2**63 for n < 2**13), descending
+    from 33554393, and iota**2 = -1 (mod p), by which i -> iota maps Z[i]
+    onto F_p.  The list grows on demand by trial division; it depends on
+    nothing but k."""
+    while len(_PRIMES) <= k:
+        p = _PRIMES[-1][0] - 4 if _PRIMES else 33554393
+        while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+            p -= 4
+        c = next(c for c in range(2, p) if pow(c, p // 2, p) == p - 1)   # a non-square
+        _PRIMES.append((p, pow(c, p // 4, p)))
+    return _PRIMES[k]
+
+
+def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """(R, pivots) for an int64 matrix A of residues modulo a prime p <
+    2**31: R the nonzero rows of the reduced row echelon form of A, pivots
+    their pivot columns.  Each step keeps every product below p**2 < 2**62."""
+    A = A % p
     pivots: list[int] = []
     for c in range(A.shape[1]):
         k = len(pivots)
@@ -320,14 +311,13 @@ def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
         if not nz.size:
             continue
         r = k + int(nz[0])
-        A[[k, r]], basis[k], basis[r] = A[[r, k]], basis[r], basis[k]
+        A[[k, r]] = A[[r, k]]
         A[k] = A[k] * pow(int(A[k, c]), -1, p) % p
         live = np.flatnonzero(A[:, c])
         live = live[live != k]
         A[live] = (A[live] - np.outer(A[live, c], A[k])) % p
         pivots.append(c)
-    k = len(pivots)
-    return A[:k], pivots, basis[:k]
+    return A[:len(pivots)], pivots
 
 
 def rational_lift(r: int, p: int, bound: int) -> Fraction | None:
@@ -344,40 +334,71 @@ def rational_lift(r: int, p: int, bound: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-# -- the certified nullspace --------------------------------------------------------
+def modular_kernel(image, proves, gaussian: bool) -> list[list[ExactScalar]]:
+    """The reduced kernel basis of a matrix M over Q(i): for each free column
+    f, 1 at f, 0 at the other free columns and minus the reduced row echelon
+    entries of column f at the pivots.
 
-_P, _I = 2147483629, 629208553         # _P = 1 (mod 4) and _I**2 = -1 (mod _P)
+    image(p, iota) is M modulo the residue prime p under i -> iota, as an
+    int64 array, or None when p divides a denominator of M; proves(vecs) is
+    the caller's exact check M v = 0 of every vector.  For each prime in
+    turn, rref_mod runs on the image, or for Gaussian data on the images
+    under i -> iota and i -> -iota, which must share their pivots; the
+    entries x = a + b i then come back as a = (r+ + r-) / 2 and b = (r+ -
+    r-) / (2 iota).  Only primes with the best pivot list seen are kept: the
+    rank modulo p of every prefix of columns is at most the true one, so
+    the true list has the most pivots in every prefix, and
+    (len(pivots), -pivots) orders it above every other.  The kept residues
+    are combined by Chinese remaindering to a modulus m, each entry lifted
+    by rational_lift with the bound isqrt(m // 2), and the answer returned
+    once proves accepts it.
 
-
-def nullspace(rows: list[ZiPoly], ncols: int) -> list[list[ExactScalar]]:
-    """The reduced kernel basis (_kernel) of a Gaussian-integer matrix.
-
-    Bareiss runs on a row basis modulo _P < 2**31 (rref_mod on int64
-    residues, i -> _I mapping Z[i] onto the field F_p).  Those rows are
-    independent over Q(i), so their kernel holds the true one, and is it
-    once each of its vectors passes the exact check M v = 0 on all rows;
-    should one fail (_P divides a minor the choice relied on), Bareiss runs
-    on all rows."""
-    A = np.array([[(x + _I * y) % _P for x, y in r] for r in rows],
-                 dtype=np.int64).reshape(len(rows), ncols)
-    _, pivots, keep = rref_mod(A, _P)
-    if len(pivots) == ncols:            # full column rank: the kernel is zero
-        return []
-    basis = _kernel(*bareiss([rows[i] for i in keep], ncols)[:2], ncols)
-    if _annihilates(rows, basis, ncols):
-        return basis
-    return _kernel(*bareiss(rows, ncols)[:2], ncols)
-
-
-def _annihilates(rows: list[ZiPoly], basis: list[list[ExactScalar]], ncols: int) -> bool:
-    """M v = 0 exactly for every v in basis, with w = v scaled to Z[i] and
-    each column of M packed into one integer per part (Kronecker): an entry
-    of M w sums ncols terms, each below 2**(bits_M + bits_w + 1)."""
-    ws = [gaussian_integers(v)[1:] for v in basis]
-    cols = list(zip(*rows))
-    re, im = [[x for x, _ in c] for c in cols], [[y for _, y in c] for c in cols]
-    slot = _max_bits(re + im) + _max_bits(list(chain(*ws))) + ncols.bit_length() + 2
-    cr, ci = ([_pack(c, slot) for c in m] for m in (re, im))
-    return not any(sum(a * x - b * y for a, b, x, y in zip(cr, ci, wr, wi))
-                   or sum(a * y + b * x for a, b, x, y in zip(cr, ci, wr, wi))
-                   for wr, wi in ws)
+    That answer is the true one: a proved vector for a free column f modulo
+    p is 1 at f and supported on pivots left of f, so column f depends on
+    earlier columns over Q(i), and the free columns modulo p are free; as
+    the nullity modulo p is at least the true one, the free sets are equal
+    and each vector is the unique reduced one.  The loop ends: a prime with
+    the true pivots and no denominator of M (a lucky one) gives the image of
+    the true echelon form, since some pivot minor is a unit modulo it, and
+    all other primes divide one of finitely many nonzero minors or
+    denominators.  Past those, every kept prime is lucky, and once their
+    product m exceeds 2 H**2, H a bound on the numerators and denominators
+    of the entries (Cramer: ratios of minors, so Hadamard's bound gives H),
+    every entry lifts to itself."""
+    best = None                     # the kept primes' pivot key, product and residues
+    for k in count():
+        p, iota = prime(k)
+        images = [image(p, t) for t in ((iota, p - iota) if gaussian else (iota,))]
+        if images[0] is None:
+            continue
+        forms = [rref_mod(A, p) for A in images]
+        pivots = forms[0][1]
+        key = (len(pivots), [-c for c in pivots])
+        if any(f[1] != pivots for f in forms) or best and key < best:
+            continue
+        ncols = images[0].shape[1]
+        free = [c for c in range(ncols) if c not in pivots]
+        res = [(-R[:, free] % p).ravel() for R, _ in forms]
+        if gaussian:
+            res = [(res[0] + res[1]) * pow(2, -1, p) % p,
+                   (res[0] - res[1]) * pow(2 * iota, -1, p) % p]
+        if key != best:
+            best, m, acc = key, 1, [[0] * len(r) for r in res]
+        c = pow(m, -1, p)
+        acc = [[a + m * ((b - a) * c % p) for a, b in zip(ra, rb.tolist())]
+               for ra, rb in zip(acc, res)]
+        m *= p
+        bound = math.isqrt(m // 2)
+        lifts = [[rational_lift(x, m, bound) if x else _ZERO for x in r] for r in acc]
+        if any(q is None for r in lifts for q in r):
+            continue
+        re, im = lifts if gaussian else (lifts[0], [_ZERO] * len(lifts[0]))
+        vecs = []
+        for t, fc in enumerate(free):
+            vec = [ExactScalar.zero()] * ncols
+            vec[fc] = ExactScalar.one()
+            for s, pc in enumerate(pivots):
+                vec[pc] = ExactScalar.of_fractions(re[s * len(free) + t], im[s * len(free) + t])
+            vecs.append(vec)
+        if proves(vecs):
+            return vecs

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -449,11 +450,12 @@ def _old_poly_in_w(G, U, V, order):
     return coeffs
 
 
-def _exact_route(f, bounds, order, base=None):
-    """discover_aat by the exact route alone: the helper its fallback calls."""
-    base = f.default_base() if base is None else base
-    return aat._column_kernel(*aat._elements_uvw(f, base, order),
-                              aat._grlex_monomials(bounds), order)
+def _box_rows(uvw, bounds):
+    """The exact coefficient matrix of the box: the columns U^i V^j W^k by
+    BiSeries powers and products, one row of ExactScalars per x^p y^q."""
+    (U, V, W), n = uvw, min(s.order for s in uvw)
+    cols = [U ** i * V ** j * W ** k for i, j, k in aat._grlex_monomials(bounds)]
+    return [[c.coefficient(p, q) for c in cols] for p in range(n) for q in range(n - p)]
 
 
 def _values(cols):
@@ -476,8 +478,8 @@ class TestOuterSums:
         real = aat.coefficient_rows
         monkeypatch.setattr(aat, "coefficient_rows",
                             lambda cols, n: seen.append(cols) or real(cols, n))
-        if case == "exp":   # real rational data: discover_aat takes the residue route
-            _exact_route(f, bounds, 16, base)
+        if case == "exp":   # exact data: discover_aat builds no series columns
+            aat._column_kernel(*aat._elements_uvw(f, base, 16), aat._grlex_monomials(bounds), 16)
         else:
             discover_aat(f, bounds, 16, base=base)
         U, V, W = aat._elements_uvw(f, base, 16)
@@ -690,10 +692,11 @@ def _gauss_jordan_nullspace(rows, ncols):
         m[r], m[pivot] = m[pivot], m[r]
         inv = ExactScalar.one() / m[r][c]
         m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
+        for i in range(len(m)):     # the pivot row is zero left of c
             if i != r and not m[i][c].is_zero():
                 factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+                m[i][c:] = [a if b.is_zero() else a - factor * b
+                            for a, b in zip(m[i][c:], m[r][c:])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -726,6 +729,30 @@ def _mobius_spec():
     return FunctionSpec.rational(2 * u + 1, u + 3)
 
 
+def _engine_kernel(rows, ncols):
+    """zi.modular_kernel of a matrix of ExactScalars, with its image (each
+    row over its denominators' lcm) and its proof (M v = 0 in ExactScalar
+    arithmetic) written here."""
+    zrows = [list(zip(*zi.gaussian_integers(r)[1:])) for r in rows]
+
+    def image(p, iota):
+        return np.array([[(x + iota * y) % p for x, y in r] for r in zrows],
+                        dtype=np.int64).reshape(len(rows), ncols)
+
+    def proves(vecs):
+        return all(sum((a * x for a, x in zip(r, v)), ExactScalar.zero()).is_zero()
+                   for v in vecs for r in rows)
+
+    return zi.modular_kernel(image, proves, any(c.im for r in rows for c in r))
+
+
+def _spy_primes(monkeypatch):
+    """The primes of every rref_mod call from now on."""
+    primes, real = [], zi.rref_mod
+    monkeypatch.setattr(zi, "rref_mod", lambda A, p: primes.append(p) or real(A, p))
+    return primes
+
+
 class TestExactKernel:
     # (m, n, rank): full rank, rank 0, rank-deficient, zero rows added below
     SHAPES = [(4, 4, 4), (3, 6, 3), (6, 3, 3), (5, 5, 0), (1, 4, 0), (6, 6, 2),
@@ -745,7 +772,7 @@ class TestExactKernel:
             return (sympy.Rational(c.re.numerator, c.re.denominator)
                     + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
 
-        got = aat._exact_nullspace(A, n)
+        got = _engine_kernel(A, n)
         want = sympy.Matrix([[to_sympy(c) for c in row] for row in A]).nullspace(
             simplify=True)
         assert len(got) == len(want) == n - rank
@@ -758,19 +785,20 @@ class TestExactKernel:
     def test_discovery_matrices_match_gauss_jordan(self, monkeypatch, name,
                                                    bounds, dim):
         systems = []
-        integer_kernel = zi.nullspace
+        engine = zi.modular_kernel
 
-        def spy(m, ncols):
-            systems.append((m, ncols))
-            return integer_kernel(m, ncols)
+        def spy(image, proves, gaussian):
+            systems.append((image, engine(image, proves, gaussian)))
+            return systems[-1][1]
 
-        monkeypatch.setattr(aat, "nullspace", spy)
+        monkeypatch.setattr(aat, "modular_kernel", spy)
         f = _mobius_spec() if name == "mobius" else FunctionSpec.builtin(name)
-        polys = _exact_route(f, bounds, 16)
-        (m, ncols), = systems
-        assert all(type(x) is int for row in m for pair in row for x in pair)
-        rows = [[ExactScalar(x, y) for x, y in r] for r in m]
-        kernel = integer_kernel(m, ncols)
+        polys = discover_aat(f, bounds, 16)
+        (image, kernel), = systems
+        rows = _box_rows(aat._elements_uvw(f, f.default_base(), 16), bounds)
+        ncols = len(rows[0])
+        m = image(*zi.prime(0))
+        assert m.dtype == np.int64 and m.shape == (len(rows), ncols)
         assert kernel == _gauss_jordan_nullspace(rows, ncols)
         assert len(polys) == len(kernel)
         if dim is not None:
@@ -778,24 +806,18 @@ class TestExactKernel:
         else:
             assert kernel
 
-    def test_rows_vanishing_mod_p_fall_back_to_all_rows(self, monkeypatch):
-        # rows 0 and 2 are multiples of p, so modulo p the row basis is row 1
-        # alone; its kernel has dimension 3, the check M v = 0 fails, and
-        # Bareiss runs again on all rows
-        p = zi._P
+    def test_rows_vanishing_mod_p_move_to_the_next_prime(self, monkeypatch):
+        # rows 0 and 2 are multiples of the first prime p, so modulo p the
+        # rank is 1, the kernel has dimension 3 and the check M v = 0 fails;
+        # the next prime has more pivots, so the engine drops p and answers
+        # from that prime (two images each, i -> iota and i -> -iota)
+        (p, _), (q, _) = zi.prime(0), zi.prime(1)
         re = [[p, 0, 2 * p, p], [1, 1, 0, 0], [0, p, -p, 3 * p]]
         im = [[0, p, 0, -p], [0, 0, 1, 0], [p, 0, 0, 0]]
-        calls = []
-        bareiss = zi.bareiss
-
-        def spy(m, ncols):
-            calls.append(len(m))
-            return bareiss(m, ncols)
-
-        monkeypatch.setattr(zi, "bareiss", spy)
-        got = zi.nullspace([list(zip(r, i)) for r, i in zip(re, im)], 4)
-        assert calls == [1, 3]
+        primes = _spy_primes(monkeypatch)
         rows = [[ExactScalar(x, y) for x, y in zip(r, i)] for r, i in zip(re, im)]
+        got = _engine_kernel(rows, 4)
+        assert primes == [p, p, q, q]
         assert got == _gauss_jordan_nullspace(rows, 4)
         assert len(got) == 1
 
@@ -808,8 +830,8 @@ class TestExactKernel:
         A = _random_matrix(random.Random(data.draw(st.integers(0, 10 ** 9))), m, n, rank)
         # some rows scaled by p vanish modulo p and may force the fallback
         for k in data.draw(st.sets(st.integers(0, m - 1), max_size=3)):
-            A[k] = [c * zi._P for c in A[k]]
-        assert aat._exact_nullspace(A, n) == _gauss_jordan_nullspace(A, n)
+            A[k] = [c * zi.prime(0)[0] for c in A[k]]
+        assert _engine_kernel(A, n) == _gauss_jordan_nullspace(A, n)
 
 
 # the Moebius maps (a u + b) / (c u + d) the bench discovers at seed 1
@@ -827,10 +849,12 @@ def _line_elements(s: TruncSeries) -> tuple:
 
 
 def _both_routes(uvw, bounds):
-    """discover's relations and the exact route's, which must be identical."""
+    """discover's relations and those of the Gauss-Jordan kernel of the
+    box's exact coefficient matrix, which must be identical."""
     got = aat._discover_elements(uvw, bounds)
-    want = aat._column_kernel(*uvw, aat._grlex_monomials(bounds),
-                              min(s.order for s in uvw))
+    monos = aat._grlex_monomials(bounds)
+    want = aat._kernel_relations(_gauss_jordan_nullspace(_box_rows(uvw, bounds), len(monos)),
+                                 monos, ("U", "V", "W"))
     assert repr(got) == repr(want)
     assert [p.to_json_dict() for p in got] == [p.to_json_dict() for p in want]
     return got
@@ -867,33 +891,96 @@ class TestResidueRoute:
     def test_forced_fallbacks_equal_the_exact_route(self, monkeypatch, uvw, case):
         U, V, W = uvw
         calls = []
-        exact_route = aat._column_kernel
-        monkeypatch.setattr(aat, "_column_kernel",
-                            lambda *a: calls.append(a) or exact_route(*a))
-        if case == "gaussian":             # complex coefficients: no residues
+        monkeypatch.setattr(aat, "_column_kernel", lambda *a: calls.append(a))
+        p = [zi.prime(k)[0] for k in range(4)]
+        if case == "gaussian":             # complex coefficients: two images per prime
             elements = aat._elements_uvw(_mobius_abcd(1, ExactScalar(0, 1), 2, -1), 0, 16)
-            assert aat._residue_kernel(*elements, aat._grlex_monomials((1, 1, 1)), 16) is None
-            want = None
+            want, primes_used = None, [p[0], p[0]]
         else:
-            # phi = s exp: s W = U V, and 1 / s does not lift (10**5) or the
-            # residues vanish, so the rank drops and the certificates fail (p)
-            s = 10 ** 5 if case == "past_the_lift" else aat._RESIDUE_P
+            # phi = s exp: s W = U V.  s = 10**5 does not lift from one
+            # prime (bound 4095) but from two (bound 2.4e7); for s = p[0]
+            # the residues vanish, the rank drops and the first prime is
+            # dropped, and s lifts from the next three (bound 1.4e11)
+            s = 10 ** 5 if case == "past_the_lift" else p[0]
             elements = _line_elements(exp_like_element(s))
             want = [normalize_relation(U * V - s * W)]
+            primes_used = p[:2] if case == "past_the_lift" else p
+        primes = _spy_primes(monkeypatch)
         got = _both_routes(elements, (1, 1, 1))
-        assert len(calls) == 2          # the fallback, then the reference call
+        assert calls == [] and primes == primes_used    # the engine answered
         if want is not None:
             assert got == want
         else:
             assert len(got) == 1
 
     def test_bench_boxes_skip_the_exact_route(self, monkeypatch):
+        # no numeric route and no Bareiss elimination; one prime per box
         calls = []
-        monkeypatch.setattr(aat, "coefficient_rows", lambda *a: calls.append("rows"))
-        monkeypatch.setattr(aat, "nullspace", lambda *a: calls.append("nullspace"))
+        monkeypatch.setattr(aat, "_column_kernel", lambda *a: calls.append("columns"))
+        monkeypatch.setattr(zi, "bareiss", lambda *a: calls.append("bareiss"))
+        primes = _spy_primes(monkeypatch)
         for name, bounds in self.BENCH_BOXES:
+            primes.clear()
             discover_aat(self._spec(name), bounds, 16)
+            assert primes == [zi.prime(0)[0]]
         assert calls == []
+
+
+gaussian_int = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda z: ExactScalar(*z))
+
+
+def _moebius(abcd):
+    """(a u + b) / (c u + d), or None when it is singular at 0 or constant."""
+    a, b, c, d = abcd
+    if d.is_zero() or (a * d - b * c).is_zero():
+        return None
+    return _mobius_abcd(a, b, c, d)
+
+
+class TestModularKernel:
+    """The residue engine on Gaussian data, on entries that need several
+    primes and under algebraic_relation, against the Gauss-Jordan kernel of
+    the same rows."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.tuples(*[gaussian_int] * 4), st.sampled_from([(1, 1, 1), (2, 2, 2)]))
+    def test_gaussian_moebius_maps_equal_gauss_jordan(self, abcd, bounds):
+        f = _moebius(abcd)
+        assume(f is not None)
+        assert _both_routes(aat._elements_uvw(f, 0, 16), bounds)   # W is bilinear in U, V
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(-10 ** 30, 10 ** 30))
+    def test_large_scales_take_several_primes(self, uvw, s):
+        # phi = s exp: the one kernel entry is s, which lifts from the first
+        # k primes once isqrt(p_1 ... p_k // 2) >= |s|
+        primes = [zi.prime(k)[0] for k in range(10)]
+        assume(all(s % p for p in primes))
+        U, V, W = uvw
+        with mock.patch.object(zi, "rref_mod", wraps=zi.rref_mod) as spy:
+            got = _both_routes(_line_elements(exp_like_element(s)), (1, 1, 1))
+        assert got == [normalize_relation(U * V - s * W)]
+        k = next(k for k in range(1, 10) if math.isqrt(math.prod(primes[:k]) // 2) >= abs(s))
+        assert [c.args[1] for c in spy.call_args_list] == primes[:k]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.tuples(*[gaussian_int] * 4),
+           st.one_of(st.tuples(*[gaussian_int] * 4), st.sampled_from(["exp", "sin", "cos"])),
+           st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+    def test_exact_algebraic_relation_equals_gauss_jordan(self, f_abcd, g, bounds):
+        f, moebius_pair = _moebius(f_abcd), not isinstance(g, str)
+        g = _moebius(g) if moebius_pair else FunctionSpec.builtin(g)
+        assume(f is not None and g is not None)
+        got = algebraic_relation(f, g, bounds, base=0)
+        sx, sy = f.element_at(0, 16), g.element_at(0, 16)
+        monos = aat._grlex_monomials(bounds)
+        cols = [sx ** i * sy ** j for i, j in monos]
+        rows = [[c.coefficient(k) for c in cols] for k in range(min(c.order for c in cols))]
+        want = aat._kernel_relations(_gauss_jordan_nullspace(rows, len(monos)), monos, ("X", "Y"))
+        want.sort(key=lambda p: (p.total_degree(), len(p.terms)))
+        assert repr(got) == repr(want[0] if want else None)
+        if moebius_pair:
+            assert got is not None           # two Moebius maps of u are related
 
 
 class TestDegreeBounds:

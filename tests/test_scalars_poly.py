@@ -240,7 +240,7 @@ def _planted(draw):
 
 class TestSquareFreeCertificate:
     """poly_squarefree_content proves most inputs content-free and
-    square-free on images modulo zi._P and returns monic_lex(p) for them;
+    square-free on images modulo zi.prime(0) and returns monic_lex(p) for them;
     every other input runs the GCD chain."""
 
     @settings(max_examples=80, deadline=None)
@@ -262,7 +262,7 @@ class TestSquareFreeCertificate:
         repeated = (x + 1) ** 2 * (x + 2)
         # y is the variable at index 1, so its point is 2 * 1 + 3 = 5
         lead_vanishes = (y - 5) * x ** 2 + x + y
-        den_is_p = x ** 2 + x * Fraction(1, zi._P) + 1
+        den_is_p = x ** 2 + x * Fraction(1, zi.prime(0)[0]) + 1
         assert all(self._runs_chain(p) for p in (repeated, lead_vanishes, den_is_p))
         assert poly_squarefree_content(lead_vanishes, "x") == monic_lex(lead_vanishes)
 

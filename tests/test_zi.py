@@ -1,6 +1,7 @@
 """The Gaussian-integer kernel: exact division and GCD of Gaussian integers,
-the univariate helpers, the one pseudo-remainder against MultiPoly's and the
-one Bareiss determinant against sympy."""
+the univariate helpers, the one pseudo-remainder against MultiPoly's, the
+one Bareiss determinant against sympy and the residue primes and kernel
+engine."""
 
 from fractions import Fraction
 
@@ -162,18 +163,52 @@ def test_real_bareiss_matches_gaussian_path(m):
     assert bareiss(m, ncols) == _gaussian_bareiss(m, ncols)
 
 
+def _engine_kernel(rows, ncols):
+    """modular_kernel of a Gaussian-integer matrix, proved by ExactScalar
+    products: image and certificate written here."""
+    def image(p, iota):
+        return np.array([[(x + iota * y) % p for x, y in r] for r in rows],
+                        dtype=np.int64).reshape(len(rows), ncols)
+
+    def proves(vecs):
+        zero = ExactScalar.zero()
+        return all(sum((ExactScalar(*a) * x for a, x in zip(r, v)), zero).is_zero()
+                   for v in vecs for r in rows)
+
+    return zi.modular_kernel(image, proves, any(y for r in rows for _, y in r))
+
+
+def _sympy_kernel(rows):
+    """sympy's nullspace basis (free column 1, pivots read off the reduced
+    echelon form) as ExactScalar lists."""
+    sympy = pytest.importorskip("sympy")
+    vecs = sympy.Matrix([[re + sympy.I * im for re, im in r] for r in rows]).nullspace()
+    return [[ExactScalar(Fraction(int(sympy.re(x).p), int(sympy.re(x).q)),
+                         Fraction(int(sympy.im(x).p), int(sympy.im(x).q))) for x in v]
+            for v in vecs]
+
+
 @settings(max_examples=150, deadline=None)
 @given(real_matrix())
 def test_real_nullspace_unchanged(m):
-    # the same kernel basis as with the Gaussian-path elimination inside
+    # the engine's kernel basis of a real matrix (entries up to 3**30, so
+    # often several primes) is sympy's
     ncols = len(m[0])
-    got = zi.nullspace(m, ncols)
-    real_bareiss, zi.bareiss = zi.bareiss, _gaussian_bareiss
-    try:
-        want = zi.nullspace(m, ncols)
-    finally:
-        zi.bareiss = real_bareiss
+    got = _engine_kernel(m, ncols)
+    want = _sympy_kernel(m)
     assert got == want
+
+
+def test_residue_primes():
+    sympy = pytest.importorskip("sympy")
+    got = [zi.prime(k) for k in range(16)]
+    assert got[0] == (33554393, got[0][1]) and all(p < 2 ** 25 for p, _ in got)
+    assert [p for p, _ in got] == sorted({p for p, _ in got}, reverse=True)
+    for p, iota in got:
+        assert sympy.isprime(p) and p % 4 == 1 and iota * iota % p == p - 1
+    # every prime = 1 (mod 4) between two entries is in the list
+    assert [q for q in sympy.primerange(got[-1][0], 2 ** 25) if q % 4 == 1] == \
+        [p for p, _ in reversed(got)]
 
 
 def _parent_pack(vals, slot):
@@ -232,7 +267,7 @@ def _gauss_jordan_mod(rows, p):
     return rows[:len(pivots)], pivots
 
 
-@pytest.mark.parametrize("p", [7, 33554393, zi._P])
+@pytest.mark.parametrize("p", [7, 33554393, 2147483629])
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_rref_mod_matches_gauss_jordan(p, data):
@@ -243,11 +278,9 @@ def test_rref_mod_matches_gauss_jordan(p, data):
     C = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=rank, max_size=rank))
     rows = [[sum(b[k] * C[k][j] for k in range(rank)) % p for j in range(n)] for b in B]
     A = np.array(rows, dtype=np.int64).reshape(m, n)
-    R, pivots, basis = zi.rref_mod(A, p)
+    R, pivots = zi.rref_mod(A, p)
     want, want_pivots = _gauss_jordan_mod(rows, p)
     assert (R.tolist(), pivots) == (want, want_pivots)
-    # the basis rows alone have the same reduced form
-    assert zi.rref_mod(A[basis], p)[0].tolist() == want
 
 
 @given(st.integers(-4095, 4095), st.integers(1, 4095), st.integers(-10 ** 6, 10 ** 6))
