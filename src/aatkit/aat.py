@@ -411,12 +411,14 @@ def _residue_kernel(U: BiSeries, V: BiSeries, W: BiSeries, monos: list[tuple],
         cols = np.matmul(left[:, None], tv[None, :, None]) % p          # [i, j, k]
         return np.stack([cols[m][rows] for m in monos], axis=1)
 
-    def proves(vecs: list) -> bool:
-        return all(relation_residual(G, U, V, W).valuation() is None
-                   for G in _kernel_relations(vecs, monos, ("U", "V", "W")))
+    rels: list[MultiPoly] = []      # those of the vectors last proposed
 
-    vecs = modular_kernel(image, proves, not (U.real and V.real and W.real))
-    return _kernel_relations(vecs, monos, ("U", "V", "W"))
+    def proves(vecs: list) -> bool:
+        rels[:] = _kernel_relations(vecs, monos, ("U", "V", "W"))
+        return all(relation_residual(G, U, V, W).valuation() is None for G in rels)
+
+    modular_kernel(image, proves, not (U.real and V.real and W.real))
+    return rels
 
 
 def _line_powers_mod(a: np.ndarray, top: int, p: int) -> np.ndarray:
