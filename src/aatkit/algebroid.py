@@ -46,7 +46,7 @@ from .errors import (
 )
 from .poly import MultiPoly, poly_gcd, zi_coeffs
 from .scalars import ExactScalar, rationalize
-from .series import TruncSeries, array_inverse, array_product
+from .series import TruncSeries, array_inverse, array_product, horner, taylor_shift
 from .zi import (ZiPoly, gaussian_integers, zi_derivative, zi_divexact,
                  zi_gcd, zi_horner, zi_shift)
 
@@ -131,13 +131,13 @@ class AlgebroidCurve:
         return self._arrays
 
     def eval(self, u: complex, z: complex) -> complex:
-        return _horner(_at_u(self._num()[0], complex(u)), complex(z))
+        return horner(_at_u(self._num()[0], complex(u)), complex(z))
 
     def eval_du(self, u: complex, z: complex) -> complex:
-        return _horner(_at_u(self._num()[1], complex(u)), complex(z))
+        return horner(_at_u(self._num()[1], complex(u)), complex(z))
 
     def eval_dz(self, u: complex, z: complex) -> complex:
-        return _horner(_at_u(self._num()[2], complex(u)), complex(z))
+        return horner(_at_u(self._num()[2], complex(u)), complex(z))
 
     def z_coeffs_at(self, u: complex) -> list[complex]:
         """Ascending z-coefficients of F(u, .) as complex numbers."""
@@ -215,9 +215,7 @@ class PuiseuxBranch:
         return self.coeffs[k - self.low_exp]
 
     def eval_t(self, t: complex) -> complex:
-        acc = 0j
-        for k in range(self.order - 1, self.low_exp - 1, -1):
-            acc = acc * t + self.coefficient(k)
+        acc = horner([self.coefficient(k) for k in range(self.order - 1, self.low_exp - 1, -1)], t)
         if self.low_exp:
             acc *= t ** self.low_exp
         return acc
@@ -356,27 +354,9 @@ def _zi_rows(D: int, terms: dict[tuple[int, int], tuple[int, int]]) -> _Rows:
     return tuple(map(tuple, rows))
 
 
-def _horner(desc: tuple[complex, ...], x: complex) -> complex:
-    """Horner in the operation order of np.polyval, so bit-identical to it."""
-    acc = 0j
-    for c in desc:
-        acc = acc * x + c
-    return acc
-
-
 def _at_u(rows: _Rows, u: complex) -> list[complex]:
     """Descending z-coefficients at u of the polynomial stored as rows."""
-    return [_horner(row, u) for row in rows]
-
-
-def _taylor_shift(coeffs, a: complex) -> list[complex]:
-    """p(x) -> p(a + x) for an ascending coefficient sequence."""
-    out = [complex(c) for c in coeffs]
-    n = len(out)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += a * out[j + 1]
-    return out
+    return [horner(row, u) for row in rows]
 
 
 def _local_array(curve: AlgebroidCurve, center) -> tuple[np.ndarray, tuple[int, ZiPoly] | None]:
@@ -385,7 +365,7 @@ def _local_array(curve: AlgebroidCurve, center) -> tuple[np.ndarray, tuple[int, 
     of _exact_shift, whose floats are the correctly rounded exact values."""
     c = _as_exact(center)
     if c is None:   # the z^i row of F (ascending in u), Taylor-shifted, is column i
-        return np.array([_taylor_shift(row[::-1], complex(center))
+        return np.array([taylor_shift(row[::-1], complex(center))
                          for row in reversed(curve._num()[0])]).T, None
     N, cols = _exact_shift(curve, c)
     out = np.zeros((len(cols[0]), len(cols)), dtype=complex)
@@ -434,7 +414,7 @@ def _as_exact(center) -> ExactScalar | None:
 def _shift_y(H: np.ndarray, zeta: complex) -> np.ndarray:
     out = np.zeros_like(H)
     for j in range(H.shape[0]):
-        out[j, :] = _taylor_shift(H[j, :], zeta)
+        out[j, :] = taylor_shift(H[j, :], zeta)
     return out
 
 
@@ -509,7 +489,7 @@ def _roots_zi(D: int, c: ZiPoly) -> list[tuple[complex, int]]:
         r = _snap_root(c, _polish_poly_root(fsqf, fdsqf, complex(r)))
         mult = 1
         for k in range(1, len(fderivs)):
-            if abs(_horner(fderivs[k], r)) > 1e-7 * scale * math.factorial(k):
+            if abs(horner(fderivs[k], r)) > 1e-7 * scale * math.factorial(k):
                 mult = k
                 break
         out.append((r, mult))
@@ -531,10 +511,10 @@ def _polish_poly_root(f: list[complex], df: list[complex], r: complex,
                       iters: int = 40) -> complex:
     """Newton on descending coefficient lists f and its derivative df."""
     for _ in range(iters):
-        d = _horner(df, r)
+        d = horner(df, r)
         if d == 0:
             break
-        step = _horner(f, r) / d
+        step = horner(f, r) / d
         r = r - step
         if abs(step) < 1e-15 * max(1.0, abs(r)):
             break
@@ -1000,11 +980,11 @@ def _track(curve: AlgebroidCurve, starts: list[complex], path: list[complex],
                 if abs(_foot(s, u, u_next) - s) < margin:
                     raise NearSingular(f"path step [{u}, {u_next}] within "
                                        f"{margin:.2e} of {s}")
-            ds = [_horner(fz, z) for z in zs]
+            ds = [horner(fz, z) for z in zs]
             ok = 0 not in ds
             if ok:
                 f, fz_next = _at_u(rows, u_next), _at_u(rows_z, u_next)
-                preds = [z - _horner(fu, z) / d * (u_next - u) for z, d in zip(zs, ds)]
+                preds = [z - horner(fu, z) / d * (u_next - u) for z, d in zip(zs, ds)]
                 corrs = [_newton_correct(f, fz_next, p, tol, 12) for p in preds]
                 ok = None not in corrs and (
                     _pairwise_guard(preds, corrs) if lockstep else
@@ -1036,16 +1016,16 @@ def _newton_correct(f: list[complex], fz: list[complex], z: complex,
     (derivative fz); None unless |f(z)| < tol * max|f| * max(1, |z|)^n."""
     scale, n = max(max(map(abs, f)), 1e-30), len(f) - 1
     for _ in range(max_iter):
-        v = _horner(f, z)
+        v = horner(f, z)
         if abs(v) < tol * scale * max(1.0, abs(z)) ** n:
             return z
-        d = _horner(fz, z)
+        d = horner(fz, z)
         if d == 0:
             return None
         z = z - v / d
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             return None
-    return z if abs(_horner(f, z)) < 10 * tol * scale * max(1.0, abs(z)) ** n else None
+    return z if abs(horner(f, z)) < 10 * tol * scale * max(1.0, abs(z)) ** n else None
 
 
 def _pairwise_guard(preds: list[complex], corrs: list[complex]) -> bool:
@@ -1088,7 +1068,7 @@ def _separation_bound(cs: list[complex], z0: complex) -> float:
     then the branch's own and all others lie beyond r, so a step with
     d_corr < 0.45 r passes the exact guard.
     """
-    b = _taylor_shift(cs, z0)
+    b = taylor_shift(cs, z0)
     b1 = abs(b[1])
     if b1 == 0:
         return 0.0

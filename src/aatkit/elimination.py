@@ -14,9 +14,12 @@ one value unpacked.
 PolyInW models a polynomial in one distinguished variable W whose
 coefficients live either in the exact polynomial ring (MultiPoly) or in a
 truncated bivariate series ring (BiSeries, exact or fixed-point).
-gcd_in_w runs the Euclidean algorithm over the corresponding field of
-fractions; for series coefficients, "zero" means "no significant term
-below the working order".
+gcd_in_w on polynomial coefficients is poly_gcd of the two as polynomials
+in a fresh variable W, reduced to its primitive part in W and scaled so its
+leading coefficient in W is lex-monic (monic when that coefficient is a
+constant).  On series coefficients it runs the Euclidean algorithm over the
+field of fractions, where "zero" means "no significant term below the
+working order".
 
 eliminate_chain iterates resultants down a half-argument relation
 f(x_1, x) = 0, f(x_2, x_1) = 0, ... and returns the relation connecting the
@@ -35,7 +38,8 @@ from .errors import (
     OrderExhausted,
     PreconditionFailed,
 )
-from .poly import MultiPoly, divexact, monic_lex, poly_gcd, poly_squarefree_content
+from .poly import (MultiPoly, content_wrt, divexact, lex_leading, monic_lex, poly_gcd,
+                   poly_squarefree_content)
 from .scalars import ExactScalar
 from .series import BiSeries
 from .zi import (ZiPoly, _unpack, determinant, gauss_divexact, gauss_pow, gaussian_integers,
@@ -276,42 +280,25 @@ def _monic_series(p: PolyInW) -> PolyInW:
 
 
 def _gcd_poly(a: PolyInW, b: PolyInW) -> PolyInW:
-    """Primitive pseudo-remainder chain over the rational-function field."""
-    def prim(p: PolyInW) -> PolyInW:
-        live = [c for c in p.coeffs if not c.is_zero()]
-        if not live:
-            return p
-        g = live[0]
-        for c in live[1:]:
-            g = poly_gcd(g, c)
-            if g.is_constant():
-                break
-        if g.is_constant():
-            return p
-        return p.map(lambda c: divexact(c, g) if not c.is_zero() else c)
-
-    a, b = prim(a), prim(b)
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero():
-        if b.degree == 0:
-            return PolyInW([MultiPoly.constant(1, b.coeffs[0].vars)], a.zero_tol)
-        r = a
-        lb = b.leading()
-        while not r.is_zero() and r.degree >= b.degree:
-            r = r.scale_coeff(lb).sub_shifted(b, r.leading(), r.degree - b.degree)
-        a, b = b, prim(r)
-    lead = a.leading()
-    if lead.is_constant():
-        inv = ExactScalar.one() / lead.constant_value()
-        return a.map(lambda c: c.scale(inv))
-    # non-constant leading coefficient: primitive output is the best
-    # canonical form available without leaving the polynomial ring
-    return a
+    """poly_gcd of a and b as polynomials in a fresh variable W, reduced to
+    its primitive part in W and scaled so that its leading coefficient in W
+    is lex-monic (monic when that coefficient is a constant)."""
+    # one character longer than the longest coefficient variable, so fresh
+    w = max((v for c in a.coeffs + b.coeffs for v in c.vars), key=len, default="") + "W"
+    A, B = (sum(c * MultiPoly.variable(w) ** k for k, c in enumerate(p.coeffs))
+            for p in (a, b))
+    g = poly_gcd(A, B)
+    g = divexact(g, content_wrt(g, w))
+    g = g.scale(ExactScalar.one() / lex_leading(g.leading_wrt(w))[1])
+    return PolyInW(g.coefficients_wrt(w), a.zero_tol)
 
 
 def gcd_in_w(a: PolyInW, b: PolyInW) -> PolyInW:
     """Monic GCD in the distinguished variable over the coefficient field.
+
+    For polynomial coefficients the GCD is the primitive part in W of
+    poly_gcd, with a lex-monic leading coefficient in W (so monic when that
+    coefficient is a constant): the canonical form up to units.
 
     For series coefficients a coefficient counts as zero when its valuation
     reaches the working order (numeric mode: below zero_tol relative to the

@@ -19,7 +19,7 @@ derivative cycle of exp, sin or cos at the center.  Exact values (at 0, and
 mpmath mantissas in aat._hp_element) become one line over (order - 1)! by
 TruncSeries.taylor, complex doubles are divided by k!; tan is the sin/cos
 quotient.  A rational P/Q shifts P and Q by zi_shift to an exact center, as
-lines, and with algebroid._taylor_shift to any other one.
+lines, and with series.taylor_shift to any other one.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ import numpy as np
 from .algebroid import (
     AlgebroidCurve,
     _as_exact,
-    _horner,
     _safe_stem,
-    _taylor_shift,
     exact_branch_element,
     puiseux_expand,
     track_branch,
@@ -49,7 +47,7 @@ from .errors import (
 )
 from .poly import MultiPoly, zi_coeffs
 from .scalars import ExactScalar, rationalize
-from .series import TruncSeries, radius_estimate
+from .series import TruncSeries, horner, radius_estimate, taylor_shift
 from .zi import gaussian_integers, zi_shift
 
 class FunctionSpec:
@@ -156,7 +154,7 @@ class FunctionSpec:
             if self.name == "tan":
                 return cmath.tan(w)
             pn, qn, _dp, _dq, _s = self._rat()
-            return _horner(pn, w) / _horner(qn, w)
+            return horner(pn, w) / horner(qn, w)
         if self.kind == "element":
             return self.series.eval(w)
         return self._algebroid_value(w)
@@ -174,8 +172,8 @@ class FunctionSpec:
                 c = cmath.cos(w)
                 return 1.0 / (c * c)
             pn, qn, dpn, dqn, _s = self._rat()
-            p, q = _horner(pn, w), _horner(qn, w)
-            dp, dq = _horner(dpn, w), _horner(dqn, w)
+            p, q = horner(pn, w), horner(qn, w)
+            dp, dq = horner(dpn, w), horner(dqn, w)
             return (dp * q - p * dq) / (q * q)
         if self.kind == "element":
             return self.series.derivative().eval(w)
@@ -191,7 +189,7 @@ class FunctionSpec:
             if self.name == "tan":
                 return abs(cmath.cos(w)) > 1e-6
             _pn, qn, _dp, _dq, scale = self._rat()
-            return abs(_horner(qn, w)) > 1e-9 * scale
+            return abs(horner(qn, w)) > 1e-9 * scale
         if self.kind == "element":
             center, _s, _d, r = self._elem()
             return abs(w - center) < 0.8 * r
@@ -214,7 +212,7 @@ class FunctionSpec:
             if self.name in _UFUNCS:
                 return _UFUNCS[self.name](w)
             pn, qn, _dp, _dq, _s = self._rat()
-            return _horner_many(pn, w) / _horner_many(qn, w)
+            return horner(pn, w) / horner(qn, w)
 
     def eval_deriv_many(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "algebroid":
@@ -234,8 +232,8 @@ class FunctionSpec:
                 c = np.cos(w)
                 return 1.0 / (c * c)
             pn, qn, dpn, dqn, _s = self._rat()
-            p, q = _horner_many(pn, w), _horner_many(qn, w)
-            dp, dq = _horner_many(dpn, w), _horner_many(dqn, w)
+            p, q = horner(pn, w), horner(qn, w)
+            dp, dq = horner(dpn, w), horner(dqn, w)
             return (dp * q - p * dq) / (q * q)
 
     def is_regular_many(self, u: np.ndarray) -> np.ndarray:
@@ -251,7 +249,7 @@ class FunctionSpec:
             if self.name == "tan":
                 return np.abs(np.cos(w)) > 1e-6
             _pn, qn, _dp, _dq, scale = self._rat()
-            return np.abs(_horner_many(qn, w)) > 1e-9 * scale
+            return np.abs(horner(qn, w)) > 1e-9 * scale
 
     def default_base(self) -> complex:
         """Base point policy: 0 unless singular there, then 1/2."""
@@ -338,17 +336,9 @@ class FunctionSpec:
 _UFUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "tan": np.tan}
 
 
-def _horner_many(desc: tuple[complex, ...], w: np.ndarray) -> np.ndarray:
-    """Elementwise Horner in the operation order of algebroid._horner."""
-    acc = np.zeros_like(w)
-    for c in desc:
-        acc = acc * w + c
-    return acc
-
-
 def _laurent_many(low: int, desc: tuple[complex, ...], w: np.ndarray) -> np.ndarray:
     """TruncSeries.eval elementwise: descending coefficients times w**low."""
-    acc = _horner_many(desc, w)
+    acc = horner(desc, w) if desc else np.zeros_like(w)   # empty: an order-1 element's derivative
     return acc * w ** low if low else acc
 
 
@@ -452,12 +442,12 @@ def _rational_series(spec: FunctionSpec, eff_exact, c: complex,
 def rational_taylor(spec: FunctionSpec, center, order: int) -> tuple[TruncSeries, TruncSeries]:
     """P(center + t) and Q(center + t) of a rational spec as elements of
     the given order: the exact shift zi_shift to an ExactScalar center, as
-    lines, else the numeric one of algebroid._taylor_shift."""
+    lines, else the numeric one of series.taylor_shift."""
     var = _rational_var(spec.numer, spec.denom)
 
     def shifted(p: MultiPoly) -> TruncSeries:
         if not isinstance(center, ExactScalar):
-            cs = _taylor_shift(p.univariate_coeffs(var), center) if not p.is_zero() else [0j]
+            cs = taylor_shift(p.univariate_coeffs(var), center) if not p.is_zero() else [0j]
             return TruncSeries(center, cs[:order] + [0j] * (order - len(cs)), exact=False)
         if p.is_zero():
             return TruncSeries.zeros(center, order, exact=True)

@@ -9,8 +9,15 @@ values.  The modes never mix inside one series; promotion exact -> numeric
 is explicit and one-way via ``to_numeric``.  Negative ``low`` gives finite
 Laurent tails for pole-type elements.  Every operation records the order
 to which its output is trustworthy.  ``rearrange_at`` re-expands an element
-about a new center: by zi_shift on the line when the series and the new
-center are exact, by a generalized-binomial loop on complex values else.
+about a new center d away by one route: t^L s(t), L = max(-low, 0), is a
+polynomial, moved to the new center (by zi_shift on the line when the
+series and the new center are exact, by ``taylor_shift`` on complex values
+else) and divided by (t + d)^L.  ``horner`` (a descending complex
+coefficient list at a point or at an ndarray of points) and
+``taylor_shift`` (an ascending one, moved by a complex offset) are the
+toolkit's only complex Horner evaluation and Taylor shift: TruncSeries.eval,
+algebroid (curve values, tracking, local arrays, branch evaluation) and
+functions (batch evaluation, rational Taylor data) all call them.
 
 BiSeries is the two-variable analogue with total-degree truncation: the
 expansions of f(u+v) and the bivariate coefficients of addition-theorem
@@ -75,6 +82,26 @@ _NUMERIC_ZERO_REL = 1e-12
 
 def _is_exact_scalar(c) -> bool:
     return isinstance(c, (ExactScalar, int, Fraction))
+
+
+def horner(desc: Sequence[complex], x):
+    """Horner in the operation order of np.polyval, so bit-identical to it:
+    a descending coefficient sequence at a complex x, or elementwise at an
+    ndarray of them."""
+    acc = 0j
+    for c in desc:
+        acc = acc * x + c
+    return acc
+
+
+def taylor_shift(coeffs, a: complex) -> list[complex]:
+    """p(x) -> p(a + x) for an ascending coefficient sequence."""
+    out = [complex(c) for c in coeffs]
+    n = len(out)
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return out
 
 
 class TruncSeries:
@@ -326,9 +353,7 @@ class TruncSeries:
     def eval(self, z: complex) -> complex:
         """Numeric evaluation of the truncated element at a point."""
         w = complex(z) - complex(self.center)
-        acc = 0j
-        for c in reversed(self.to_numeric()._vals):
-            acc = acc * w + c
+        acc = horner(self.to_numeric()._vals[::-1], w)
         if self.low:
             acc *= w ** self.low
         return acc
@@ -465,34 +490,22 @@ def rearrange_at(s: TruncSeries, new_center, tol: float = 1e-9) -> TruncSeries:
             break
     if new_order <= 0:
         raise OutsideDisc("no coefficient satisfies the tail tolerance")
+    # t^L s(t), L = max(-low, 0), is a polynomial: it is moved to the new
+    # center (exactly by zi_shift, else by taylor_shift) and then divided by
+    # (t + dd)^L
+    L = max(-s.low, 0)
+    t = s._span(-L, s.order)
     if exact:
-        # t^L s(t), L = max(-low, 0), is a polynomial: zi_shift moves it to
-        # the new center exactly, and then it is divided by (t + dd)^L
-        L = max(-s.low, 0)
         m, (wr,), (wi,) = gaussian_integers([dd])
-        t = s._span(-L, s.order)
         c = zi_shift(list(zip(t.re[::-1], t.im[::-1])), (wr, wi), m)[::-1]
         out = TruncSeries.from_line(target, t.den * m ** (len(c) - 1), [x for x, _ in c],
                                     [y for _, y in c], order=new_order)
-        if L:
-            out = (out / (TruncSeries.identity(target, new_order, True) + dd) ** L)
-        return out.with_center(target)
-    src = s.to_numeric()
-    out = [0j] * new_order
-    for nn in range(src.low, src.order):
-        a = src.coefficient(nn)
-        if a == 0:
-            continue
-        # (z-c)^nn = (w + d)^nn with w = z - s; generalized binomial for nn < 0
-        binom, dpow = 1.0, dd ** nn
-        for j in range(0, new_order):
-            if j > 0:
-                binom = binom * (nn - (j - 1)) / j
-                dpow = dpow / dd
-            if nn >= 0 and j > nn:
-                break
-            out[j] = out[j] + a * binom * dpow
-    return TruncSeries(target, out, low=0, order=new_order, exact=False)
+    else:
+        out = TruncSeries(target, taylor_shift(t.to_numeric().coeffs, dd)[:new_order],
+                          exact=False)
+    if L:
+        out = out / (TruncSeries.identity(target, new_order, exact) + dd) ** L
+    return out.with_center(target)
 
 
 # -- Gaussian-integer row kernels ------------------------------------------------

@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from aatkit.aat import _hp_element
 from aatkit.algebroid import (AlgebroidCurve, PuiseuxBranch, _distinct_roots_exact,
-                              _taylor_shift, branch_residual, puiseux_expand)
+                              branch_residual, puiseux_expand)
 from aatkit.cli import run_command
 from aatkit.elimination import discriminant, eliminate_chain, resultant
 from aatkit.functions import FunctionSpec
 from aatkit.poly import MultiPoly, divexact, monic_lex, poly_gcd, pseudo_rem
 from aatkit.scalars import ExactScalar
-from aatkit.series import PREC_BITS, BiSeries, TruncSeries
+from aatkit.series import PREC_BITS, BiSeries, TruncSeries, taylor_shift
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -575,7 +575,7 @@ def test_numeric_taylor_shift_against_exact(cs, c):
     dyadic = ExactScalar(Fraction(c.real), Fraction(complex(c).imag))
     exact = p.shift_var("u", dyadic)
     want = [complex(x) for x in exact.univariate_coeffs("u")] if not exact.is_zero() else []
-    got = _taylor_shift(cs, c)
+    got = taylor_shift(cs, c)
     scale = sum(abs(complex(x)) for x in cs) * max(1.0, abs(c)) ** len(cs)
     for k, g in enumerate(got):
         w = want[k] if k < len(want) else 0j

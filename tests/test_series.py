@@ -145,6 +145,19 @@ class TestRearrange:
             a, b = complex(r2.coefficient(k)), complex(s.coefficient(k))
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
+    @pytest.mark.parametrize("target", [Fraction(1, 4), ExactScalar(Fraction(-1, 4),
+                                                                    Fraction(1, 8))])
+    def test_numeric_laurent_matches_exact(self, target):
+        # 1/(z(1 - z)) has a pole at the old center (low = -1): the complex
+        # route against the exact one at the same dyadic target
+        s = TruncSeries(ExactScalar(0), [ExactScalar(1)] * 41, low=-1, order=40, exact=True)
+        want = rearrange_at(s, target)
+        got = rearrange_at(s.to_numeric(), complex(target))
+        assert want.exact and not got.exact
+        assert (got.low, got.order) == (want.low, want.order) and got.order >= 8
+        for a, b in zip(want.coeffs, got.coeffs):
+            assert abs(b - complex(a)) <= 1e-12 * abs(complex(a))
+
 
 class TestComposeShift:
     def test_exp_x1y1(self, exp_spec):
